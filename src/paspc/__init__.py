@@ -10,12 +10,12 @@ from .decomposition import (
     primal_graph,
     validate_td,
 )
-from .engine import TabledTreeDecomposition, origins, origins_table, purge, run_dp
+from .engine import TabledTreeDecomposition, has_solution, origins, origins_table, purge, run_dp
 from .formats import ParseDiagnostic, ParseError, parse_program, print_program, read_td, write_td
 from .oracle import enumerate_answer_sets, projected_count
-from .phc import PHC, PHC_TIGHT, consistent
-from .pipeline import SolveResult, solve
-from .prim import PRIM, prim_solution_rows
+from .phc import PhcAlgorithm
+from .pipeline import SolveResult, pick_algorithm, solve
+from .prim import PRIM
 from .program import Program, ProgramClass, ProgramKind, Rule, classify, gl_reduct, satisfies
 from .proj import final_count, run_proj
 
@@ -30,6 +30,7 @@ __all__ = [
     "primal_graph",
     "validate_td",
     "TabledTreeDecomposition",
+    "has_solution",
     "origins",
     "origins_table",
     "purge",
@@ -42,12 +43,10 @@ __all__ = [
     "write_td",
     "enumerate_answer_sets",
     "projected_count",
-    "PHC",
-    "PHC_TIGHT",
+    "PhcAlgorithm",
     "PRIM",
-    "consistent",
-    "prim_solution_rows",
     "SolveResult",
+    "pick_algorithm",
     "solve",
     "Program",
     "ProgramClass",

@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 parse error, 3 invalid or ill-matched decomposition
-file, 4 algorithm/class mismatch, 5 oracle-check mismatch.  The count is the
-final stdout line, formatted ``c <count>``; --stats emits JSON on stderr.
+file, 4 algorithm/class mismatch, 5 oracle-check mismatch, 6 an --emit-td or
+--trace path cannot be written, 7 --oracle-check on a program too large for
+the oracle.  The count is the final stdout line, formatted ``c <count>``;
+--stats emits JSON on stderr.  ``--algorithm phc-tight`` is ``phc`` restricted
+to tight programs.
 """
 
 from __future__ import annotations
@@ -14,13 +17,15 @@ import sys
 
 from . import formats, oracle
 from .decomposition import primal_graph, validate_td
-from .pipeline import AlgorithmMismatchError, solve
+from .pipeline import ALGORITHMS, AlgorithmMismatchError, solve
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_TD = 3
 EXIT_ALGORITHM = 4
 EXIT_ORACLE = 5
+EXIT_WRITE = 6
+EXIT_ORACLE_SIZE = 7
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -32,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     proj_group.add_argument("--project", help="comma-separated projection atoms (overrides #project)")
     proj_group.add_argument("--project-all", action="store_true", help="project onto all atoms")
     proj_group.add_argument("--project-none", action="store_true", help="empty projection (consistency as count)")
-    s.add_argument("--algorithm", default="auto", choices=["auto", "phc", "phc-tight", "prim"])
+    s.add_argument("--algorithm", default="auto", choices=ALGORITHMS)
     s.add_argument("--td", default="min-fill", help="min-fill | min-degree | file:<path>")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--stats", action="store_true", help="print JSON run statistics to stderr")
@@ -100,12 +105,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"algorithm mismatch: {exc}", file=sys.stderr)
         return EXIT_ALGORITHM
 
-    if args.emit_td:
-        with open(args.emit_td, "w", encoding="utf-8") as fh:
-            fh.write(formats.write_td(result.td))
-
-    if args.trace:
-        _dump_trace(result, args.trace)
+    try:
+        if args.emit_td:
+            target = args.emit_td
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write(formats.write_td(result.td))
+        if args.trace:
+            target = args.trace
+            _dump_trace(result, target)
+    except OSError as exc:
+        print(f"error: cannot write {target}: {exc}", file=sys.stderr)
+        return EXIT_WRITE
 
     if args.stats:
         print(json.dumps(result.stats.to_dict()), file=sys.stderr)
@@ -116,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
             expected = oracle.projected_count(program)
         except oracle.OracleSizeError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+            return EXIT_ORACLE_SIZE
         if expected != result.count:
             print(f"oracle-check mismatch: dp={result.count} oracle={expected}", file=sys.stderr)
             code = EXIT_ORACLE

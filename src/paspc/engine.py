@@ -3,7 +3,7 @@
 Each table algorithm turns one node's child tables into the node's own table
 and reports, per emitted row, the child-row index sequences it came from.
 The driver records tables and those origin links; a later top-down pass
-(purge) keeps only rows reachable from designated solution rows at the root.
+(purge) keeps only rows reachable from the solution row at the root.
 """
 
 from __future__ import annotations
@@ -39,11 +39,10 @@ class TableAlgorithm(Protocol):
 class NodeTable:
     """Rows in canonical order plus per-row origin sequences (child indices)."""
 
-    __slots__ = ("rows", "index", "origins")
+    __slots__ = ("rows", "origins")
 
     def __init__(self, rows: list, origins: list[list[tuple[int, ...]]]):
         self.rows = rows
-        self.index = {row: i for i, row in enumerate(rows)}
         self.origins = origins
 
     def __len__(self) -> int:
@@ -118,11 +117,13 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
 def origins(ttd: TabledTreeDecomposition, t: int, row: Any) -> set[tuple]:
     """Originating child-row sequences of a row, as row tuples."""
     tab = ttd.table(t)
-    if row not in tab.index:
-        raise KeyError(f"row not present in table of node {t}")
+    try:
+        at = tab.rows.index(row)
+    except ValueError:
+        raise KeyError(f"row not present in table of node {t}") from None
     kids = ttd.td.nodes[t].children
     out = set()
-    for seq in tab.origins[tab.index[row]]:
+    for seq in tab.origins[at]:
         out.add(tuple(ttd.table(kids[i]).rows[j] for i, j in enumerate(seq)))
     return out
 
@@ -147,23 +148,22 @@ class PurgedTables:
         return max((len(r) for r in self.rows), default=0)
 
 
-def purge(ttd: TabledTreeDecomposition, solution_rows: Sequence[Any] | None = None) -> PurgedTables:
-    """Keep only rows reachable from the root solution rows via origin links.
+def has_solution(ttd: TabledTreeDecomposition) -> bool:
+    """Whether the algorithm's solution row reached the root table, i.e. the
+    program has an answer set.  The root bag is empty, so the root table has
+    at most two rows."""
+    return ttd.alg.solution_row in ttd.table(ttd.td.root).rows
 
-    ``solution_rows`` defaults to the algorithm's designated root solution
-    row intersected with the root table.  An inconsistent instance yields
-    empty tables everywhere."""
+
+def purge(ttd: TabledTreeDecomposition) -> PurgedTables:
+    """Keep only rows reachable from the root solution row via origin links.
+
+    An inconsistent instance yields empty tables everywhere."""
     td = ttd.td
     root = td.root
-    root_table = ttd.table(root)
-    if solution_rows is None:
-        solution_rows = [ttd.alg.solution_row] if ttd.alg.solution_row in root_table.index else []
-
     marked: list[set[int]] = [set() for _ in td.nodes]
-    for row in solution_rows:
-        if row not in root_table.index:
-            raise KeyError("solution row not present in root table")
-        marked[root].add(root_table.index[row])
+    if has_solution(ttd):
+        marked[root].add(ttd.table(root).rows.index(ttd.alg.solution_row))
 
     for t in reversed(ttd.post_order):
         if not marked[t]:

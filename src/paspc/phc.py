@@ -1,16 +1,19 @@
-"""Table algorithm for head-cycle-free programs.
+"""Table algorithm for head-cycle-free (and tight) programs.
 
 Rows are triples (interpretation, proven atoms, atom ordering), all restricted
-to the current bag.  An atom counts as proven when some rule derives it with
-every positive body atom ordered strictly before it; removal keeps a row only
-if the removed atom is proven or false.  The tight variant drops the ordering
-component entirely: on programs with an acyclic positive dependency digraph,
-provability degenerates to rule support.
+to the current bag.  Removal keeps a row only if the removed atom is proven or
+false.  Provability only compares atoms of one non-trivial strongly connected
+component of the positive dependency digraph (SCC-local level rankings), so
+the ordering holds just the true cyclic atoms, grouped by component id: an
+acyclic head atom is proven by plain rule support, and on tight programs the
+ordering is always empty.  Built with every atom in one component, the class
+is the paper's algorithm, which orders every true bag atom.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from bisect import bisect_left, bisect_right
+from typing import Mapping, NamedTuple, Sequence
 
 from .decomposition import INTRODUCE, JOIN, LEAF, REMOVE
 from .engine import NodeTable
@@ -21,11 +24,6 @@ class PhcRow(NamedTuple):
     interp: int
     proven: int
     order: tuple[int, ...]
-
-
-class TightRow(NamedTuple):
-    interp: int
-    proven: int
 
 
 def ords(order: tuple[int, ...], addition) -> list[tuple[int, ...]]:
@@ -41,13 +39,14 @@ def ords(order: tuple[int, ...], addition) -> list[tuple[int, ...]]:
     return [order[:i] + (a,) + order[i:] for i in range(len(order) + 1)]
 
 
-def gp(interp: int, order: tuple[int, ...], bag_rules: Sequence[Rule]) -> int:
+def gp(interp: int, order: tuple[int, ...], bag_rules: Sequence[Rule], components: Mapping[int, int]) -> int:
     """Atoms provable under the interpretation and ordering (as a bitmask).
 
-    A head atom is provable when the positive body holds, the negative body
-    and the rest of the head are false, and every positive body atom comes
-    strictly before it in the ordering.  Body atoms missing from the ordering
-    fail the ordering condition.
+    A head atom is provable when the positive body holds and the negative
+    body and the rest of the head are false.  A cyclic head atom (one with a
+    component id) must also be ordered, with every positive body atom of its
+    own component strictly before it; body atoms missing from the ordering
+    fail that condition.
     """
     pos_at = {a: i for i, a in enumerate(order)}
     proven = 0
@@ -57,29 +56,25 @@ def gp(interp: int, order: tuple[int, ...], bag_rules: Sequence[Rule]) -> int:
         for a in r.head:
             if interp & (r.head_mask & ~(1 << a)):
                 continue
-            ia = pos_at.get(a)
-            if ia is None:
-                continue
-            if all(pos_at.get(b, len(order)) < ia for b in r.pos_body):
-                proven |= 1 << a
-    return proven
-
-
-def gp_supported(interp: int, bag_rules: Sequence[Rule]) -> int:
-    """Ordering-free provability: plain rule support."""
-    proven = 0
-    for r in bag_rules:
-        if r.pos_mask & ~interp or r.neg_mask & interp:
-            continue
-        for a in r.head:
-            if not interp & (r.head_mask & ~(1 << a)):
-                proven |= 1 << a
+            c = components.get(a)
+            if c is not None:
+                ia = pos_at.get(a)
+                if ia is None:
+                    continue
+                if any(components.get(b) == c and pos_at.get(b, ia) >= ia for b in r.pos_body):
+                    continue
+            proven |= 1 << a
     return proven
 
 
 class PhcAlgorithm:
+    """PHC for one program, given the component id of each cyclic atom."""
+
     name = "phc"
     solution_row = PhcRow(0, 0, ())
+
+    def __init__(self, components: Mapping[int, int]):
+        self.components = components
 
     @staticmethod
     def interp(row: PhcRow) -> int:
@@ -89,8 +84,20 @@ class PhcAlgorithm:
     def sort_key(row: PhcRow):
         return (row.interp, row.proven, row.order)
 
-    @staticmethod
+    def _orders(self, order: tuple[int, ...], atom: int) -> list[tuple[int, ...]]:
+        """Orderings with the introduced true atom: insertions among the atoms
+        of its own component, or the ordering unchanged for an acyclic atom."""
+        comp = self.components
+        c = comp.get(atom)
+        if c is None:
+            return [order]
+        start = bisect_left(order, c, key=comp.__getitem__)
+        end = bisect_right(order, c, lo=start, key=comp.__getitem__)
+        head, tail = order[:start], order[end:]
+        return [head + block + tail for block in ords(order[start:end], (atom,))]
+
     def node_table(
+        self,
         kind: str,
         bag_mask: int,
         atom: int | None,
@@ -98,6 +105,7 @@ class PhcAlgorithm:
         child_tables: Sequence[NodeTable],
     ) -> dict[PhcRow, set[tuple[int, ...]]]:
         out: dict[PhcRow, set[tuple[int, ...]]] = {}
+        comp = self.components
         if kind == LEAF:
             out[PhcRow(0, 0, ())] = {()}
         elif kind == INTRODUCE:
@@ -106,18 +114,16 @@ class PhcAlgorithm:
                 for interp in (row.interp, row.interp | bit):
                     if not is_model(interp, bag_rules):
                         continue
-                    for order in ords(row.order, (atom,) if interp & bit else ()):
-                        new = PhcRow(interp, row.proven | gp(interp, order, bag_rules), order)
+                    orders = self._orders(row.order, atom) if interp & bit else [row.order]
+                    for order in orders:
+                        new = PhcRow(interp, row.proven | gp(interp, order, bag_rules, comp), order)
                         out.setdefault(new, set()).add((ci,))
         elif kind == REMOVE:
             bit = 1 << atom
             for ci, row in enumerate(child_tables[0].rows):
                 if row.proven & bit or not row.interp & bit:
-                    new = PhcRow(
-                        row.interp & ~bit,
-                        row.proven & ~bit,
-                        tuple(a for a in row.order if a != atom),
-                    )
+                    order = tuple(a for a in row.order if a != atom) if atom in comp else row.order
+                    new = PhcRow(row.interp & ~bit, row.proven & ~bit, order)
                     out.setdefault(new, set()).add((ci,))
         elif kind == JOIN:
             right: dict[tuple[int, tuple[int, ...]], list[int]] = {}
@@ -139,78 +145,12 @@ class PhcAlgorithm:
         return f"I={{{i}}} P={{{p}}} s=<{s}>"
 
 
-class PhcTightAlgorithm:
-    """Ordering-free variant, sound for tight programs only."""
-
-    name = "phc-tight"
-    solution_row = TightRow(0, 0)
-
-    @staticmethod
-    def interp(row: TightRow) -> int:
-        return row.interp
-
-    @staticmethod
-    def sort_key(row: TightRow):
-        return (row.interp, row.proven)
-
-    @staticmethod
-    def node_table(
-        kind: str,
-        bag_mask: int,
-        atom: int | None,
-        bag_rules: Sequence[Rule],
-        child_tables: Sequence[NodeTable],
-    ) -> dict[TightRow, set[tuple[int, ...]]]:
-        out: dict[TightRow, set[tuple[int, ...]]] = {}
-        if kind == LEAF:
-            out[TightRow(0, 0)] = {()}
-        elif kind == INTRODUCE:
-            bit = 1 << atom
-            for ci, row in enumerate(child_tables[0].rows):
-                for interp in (row.interp, row.interp | bit):
-                    if not is_model(interp, bag_rules):
-                        continue
-                    new = TightRow(interp, row.proven | gp_supported(interp, bag_rules))
-                    out.setdefault(new, set()).add((ci,))
-        elif kind == REMOVE:
-            bit = 1 << atom
-            for ci, row in enumerate(child_tables[0].rows):
-                if row.proven & bit or not row.interp & bit:
-                    new = TightRow(row.interp & ~bit, row.proven & ~bit)
-                    out.setdefault(new, set()).add((ci,))
-        elif kind == JOIN:
-            right: dict[int, list[int]] = {}
-            for cj, row in enumerate(child_tables[1].rows):
-                right.setdefault(row.interp, []).append(cj)
-            for ci, row in enumerate(child_tables[0].rows):
-                for cj in right.get(row.interp, ()):
-                    new = TightRow(row.interp, row.proven | child_tables[1].rows[cj].proven)
-                    out.setdefault(new, set()).add((ci, cj))
-        else:
-            raise ValueError(f"unknown node kind {kind!r}")
-        return out
-
-    @staticmethod
-    def format_row(row: TightRow, program: Program) -> str:
-        i = ",".join(program.names(row.interp))
-        p = ",".join(program.names(row.proven))
-        return f"I={{{i}}} P={{{p}}}"
-
-
-PHC = PhcAlgorithm()
-PHC_TIGHT = PhcTightAlgorithm()
-
-
-def consistent(ttd) -> bool:
-    """A head-cycle-free program has an answer set iff the all-empty row
-    reached the root table."""
-    return ttd.alg.solution_row in ttd.table(ttd.td.root).index
-
-
 def check_row_invariants(ttd) -> list[str]:
     """Structural row checks used by fuzz tests: proven within interpretation
-    within bag, and the ordering enumerating the interpretation exactly."""
+    within bag, and the ordering enumerating exactly the true cyclic atoms,
+    grouped by component."""
     problems = []
+    comp = ttd.alg.components if isinstance(ttd.alg, PhcAlgorithm) else None
     for t in ttd.post_order:
         bag_mask = ttd.td.nodes[t].bag_mask
         for row in ttd.table(t).rows:
@@ -218,7 +158,10 @@ def check_row_invariants(ttd) -> list[str]:
                 problems.append(f"node {t}: interpretation outside bag")
             if row.proven & ~row.interp:
                 problems.append(f"node {t}: proven atom outside interpretation")
-            if isinstance(row, PhcRow):
-                if len(set(row.order)) != len(row.order) or set(row.order) != set(ids_of(row.interp)):
-                    problems.append(f"node {t}: ordering does not enumerate interpretation")
+            if comp is not None:
+                cyclic = {a for a in ids_of(row.interp) if a in comp}
+                if len(set(row.order)) != len(row.order) or set(row.order) != cyclic:
+                    problems.append(f"node {t}: ordering does not enumerate the true cyclic atoms")
+                elif [comp[a] for a in row.order] != sorted(comp[a] for a in row.order):
+                    problems.append(f"node {t}: ordering not grouped by component")
     return problems

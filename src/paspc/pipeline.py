@@ -7,11 +7,11 @@ from dataclasses import dataclass, field
 
 from . import engine, proj
 from .decomposition import TreeDecomposition, decompose, make_nice, primal_graph
-from .phc import PHC, PHC_TIGHT
+from .phc import PhcAlgorithm
 from .prim import PRIM
 from .program import Program, ProgramKind, classify
 
-ALGORITHMS = {"phc": PHC, "phc-tight": PHC_TIGHT, "prim": PRIM}
+ALGORITHMS = ("auto", "phc", "phc-tight", "prim")
 
 
 class AlgorithmMismatchError(ValueError):
@@ -50,21 +50,20 @@ class SolveResult:
 
 
 def pick_algorithm(program: Program, requested: str = "auto"):
-    kind = classify(program).kind
-    if requested == "auto":
-        if kind is ProgramKind.TIGHT:
-            return PHC_TIGHT
-        if kind is ProgramKind.HEAD_CYCLE_FREE:
-            return PHC
-        return PRIM
-    alg = ALGORITHMS.get(requested)
-    if alg is None:
+    """The table algorithm instance for the program: ``phc`` (SCC-local
+    orderings, which stay empty on tight programs) unless the program is
+    disjunctive, then ``prim``.  ``phc-tight`` is ``phc`` restricted to tight
+    programs."""
+    if requested not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {requested!r}")
-    if alg is PHC_TIGHT and kind is not ProgramKind.TIGHT:
-        raise AlgorithmMismatchError(f"phc-tight requires a tight program, got {kind.value}")
-    if alg is PHC and kind is ProgramKind.DISJUNCTIVE:
-        raise AlgorithmMismatchError(f"phc requires a head-cycle-free program, got {kind.value}")
-    return alg
+    cls = classify(program)
+    if requested == "phc-tight" and cls.kind is not ProgramKind.TIGHT:
+        raise AlgorithmMismatchError(f"phc-tight requires a tight program, got {cls.kind.value}")
+    if requested in ("phc", "phc-tight") and cls.kind is ProgramKind.DISJUNCTIVE:
+        raise AlgorithmMismatchError(f"phc requires a head-cycle-free program, got {cls.kind.value}")
+    if requested == "prim" or (requested == "auto" and cls.kind is ProgramKind.DISJUNCTIVE):
+        return PRIM
+    return PhcAlgorithm(cls.components)
 
 
 def solve(

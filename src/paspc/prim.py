@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .decomposition import INTRODUCE, JOIN, LEAF, REMOVE
-from .engine import NodeTable, TabledTreeDecomposition
+from .engine import NodeTable
 from .program import Program, Rule, is_model
 
 
@@ -99,10 +99,3 @@ class PrimAlgorithm:
 
 
 PRIM = PrimAlgorithm()
-
-
-def prim_solution_rows(ttd: TabledTreeDecomposition) -> list[PrimRow]:
-    """Witnesses at the root that kept no counter witness."""
-    root_table = ttd.table(ttd.td.root)
-    row = PrimRow(0, frozenset())
-    return [row] if row in root_table.index else []

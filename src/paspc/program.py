@@ -8,7 +8,7 @@ sets both as sorted id tuples and as precomputed masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
@@ -86,6 +86,7 @@ class ProgramKind(Enum):
 class ProgramClass:
     kind: ProgramKind
     is_normal: bool
+    components: dict[int, int] = field(compare=False)  # see cyclic_components
 
 
 @dataclass(frozen=True)
@@ -263,33 +264,33 @@ def _sccs(vertices: Iterable[int], succ: dict[int, list[int]]) -> dict[int, int]
     return comp
 
 
-def classify(program: Program) -> ProgramClass:
-    """Classify by the positive dependency digraph.
-
-    Tight when the digraph is acyclic; otherwise head-cycle-free when no two
-    distinct head atoms of one rule share a cycle (equivalently a strongly
-    connected component); otherwise disjunctive.  Normality is independent.
-    """
+def cyclic_components(program: Program) -> dict[int, int]:
+    """Component id of every atom on a positive cycle: the atoms of strongly
+    connected components of size > 1 and atoms with a positive self-loop."""
     dep = dependency_digraph(program)
     succ: dict[int, list[int]] = {}
     for a, b in sorted(dep.edges):
         succ.setdefault(a, []).append(b)
     comp = _sccs(sorted(dep.vertices), succ)
+    sizes: dict[int, int] = {}
+    for c in comp.values():
+        sizes[c] = sizes.get(c, 0) + 1
+    return {v: c for v, c in comp.items() if sizes[c] > 1 or v in succ.get(v, ())}
 
-    self_loop = any(a == b for a, b in dep.edges)
-    comp_sizes: dict[int, int] = {}
-    for v, c in comp.items():
-        comp_sizes[c] = comp_sizes.get(c, 0) + 1
-    acyclic = not self_loop and all(s == 1 for s in comp_sizes.values())
 
+def classify(program: Program) -> ProgramClass:
+    """Classify by the positive dependency digraph.
+
+    Tight when no atom lies on a positive cycle; otherwise head-cycle-free
+    when no two distinct head atoms of one rule share a cycle (equivalently a
+    cyclic component); otherwise disjunctive.  Normality is independent.
+    """
+    comp = cyclic_components(program)
     is_normal = all(len(r.head) <= 1 for r in program.rules)
-    if acyclic:
-        return ProgramClass(ProgramKind.TIGHT, is_normal)
-
+    if not comp:
+        return ProgramClass(ProgramKind.TIGHT, is_normal, comp)
     for r in program.rules:
-        hs = [a for a in r.head if a in comp]
-        for i in range(len(hs)):
-            for j in range(i + 1, len(hs)):
-                if comp[hs[i]] == comp[hs[j]]:
-                    return ProgramClass(ProgramKind.DISJUNCTIVE, is_normal)
-    return ProgramClass(ProgramKind.HEAD_CYCLE_FREE, is_normal)
+        head_comps = [comp[a] for a in r.head if a in comp]
+        if len(head_comps) != len(set(head_comps)):
+            return ProgramClass(ProgramKind.DISJUNCTIVE, is_normal, comp)
+    return ProgramClass(ProgramKind.HEAD_CYCLE_FREE, is_normal, comp)

@@ -14,15 +14,12 @@ one shared pass per bucket.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
 from .decomposition import LEAF
 from .engine import PurgedTables
-
-logger = logging.getLogger(__name__)
 
 ProjTable = dict[frozenset[int], int]
 
@@ -98,14 +95,13 @@ def ipmc(
     child_tables: Sequence[Mapping[frozenset[int], int]],
     child_bucket_of: Sequence[Mapping[int, int]],
     smaller: Mapping[frozenset[int], int],
-    log_negative_inner: bool = False,
 ) -> int:
     """Intersection count of a sub-bucket.
 
     One at leaves; otherwise the absolute value of the projected count of the
     set plus the signed intersection counts of all strict nonempty subsets
     (``smaller`` must already hold them).  The inner sum is routinely
-    negative, e.g. |2 - 2 - 1| = 1; the optional log exists to study that.
+    negative, e.g. |2 - 2 - 1| = 1.
     """
     if kind == LEAF:
         return 1
@@ -115,8 +111,6 @@ def ipmc(
         for sub in combinations(items, size):
             sgn = -1 if size % 2 else 1
             value += sgn * smaller[frozenset(sub)]
-    if value < 0 and log_negative_inner:
-        logger.debug("inner intersection sum %d for %s, taking absolute value", value, sorted(rho))
     return abs(value)
 
 
@@ -367,10 +361,6 @@ def final_count(proj: ProjTables, purged: PurgedTables) -> int:
     """Projected answer-set count: the sum of stored counts at the root
     (the root table has at most one entry; zero when it is empty)."""
     return sum(proj.tables[purged.ttd.td.root].values())
-
-
-def max_proj_rows(proj: ProjTables) -> int:
-    return max((len(t) for t in proj.tables), default=0)
 
 
 def reference_proj_table(

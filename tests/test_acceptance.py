@@ -14,14 +14,16 @@ import pytest
 import helpers
 from paspc import oracle, pipeline
 from paspc.decomposition import decompose, make_nice, primal_graph, validate_td
-from paspc.engine import purge, run_dp
-from paspc.phc import PHC, PhcRow
-from paspc.prim import PrimRow
+from paspc.engine import has_solution, purge, run_dp
+from paspc.phc import PhcRow
 from paspc.program import Program
 from paspc.proj import ipmc, pcnt, reference_proj_table
 
 FUZZ_PER_CLASS = 500
 FUZZ_SEED = 20250810
+
+# the paper's full-ordering PHC; the programs below have at most 8 atoms
+PHC = helpers.paper_phc(8)
 
 
 def report(num: int, description: str, ok: bool) -> None:
@@ -104,14 +106,12 @@ def fuzz_results():
             if result.count != want:
                 stats["count_mismatches"] += 1
 
-            solution = PrimRow(0, frozenset()) if result.stats.algorithm == "prim" else result.ttd.alg.solution_row
-            has_solution = solution in result.ttd.table(result.ttd.td.root).index
-            if has_solution != bool(answer_sets):
+            if has_solution(result.ttd) != bool(answer_sets):
                 stats["consistency_mismatches"] += 1
 
             for t in result.ttd.post_order:
                 k = len(result.ttd.td.nodes[t].bag)
-                if result.stats.algorithm in ("phc", "phc-tight"):
+                if result.stats.algorithm == "phc":
                     if len(result.ttd.table(t)) > 3**k * math.factorial(k):
                         stats["phc_bound_violations"] += 1
                 if len(result.proj_tables.tables[t]) > 2 ** len(result.purged.rows[t]):

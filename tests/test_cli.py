@@ -59,6 +59,19 @@ class TestSolve:
             code, out, _ = run(capsys, "solve", ex1_file, "--algorithm", alg)
             assert (code, out.splitlines()[-1]) == (0, "c 3")
 
+    def test_phc_tight_alias_on_tight_program(self, tmp_path, capsys):
+        path = tmp_path / "tight.lp"
+        path.write_text("a :- not b.\nb :- not a.\nc :- a.\nc | d :- b.\n")
+        outs = [run(capsys, "solve", str(path), "--algorithm", alg) for alg in ("auto", "phc-tight")]
+        assert outs[0][:2] == outs[1][:2] == (0, "c 3\n")
+
+    def test_wide_head_cycle_free_program(self, tmp_path, capsys):
+        path = tmp_path / "wide.lp"
+        path.write_text(helpers.WIDE_HCF_TEXT)
+        for projection in ("--project-none", "--project-all"):
+            code, out, _ = run(capsys, "solve", str(path), projection, "--oracle-check")
+            assert (code, out.splitlines()[-1]) == (0, "c 1")
+
 
 class TestExitCodes:
     def test_parse_error(self, tmp_path, capsys):
@@ -109,6 +122,27 @@ class TestExitCodes:
         assert code == 5
         assert "dp=3" in err and "oracle=99" in err
         assert out.splitlines()[-1] == "c 3"
+
+
+    def test_unwritable_emit_td(self, ex1_file, tmp_path, capsys):
+        target = str(tmp_path / "missing" / "out.td")
+        code, _, err = run(capsys, "solve", ex1_file, "--emit-td", target)
+        assert code == 6
+        assert f"cannot write {target}" in err
+
+    def test_unwritable_trace(self, ex1_file, tmp_path, capsys):
+        target = tmp_path / "a-file"
+        target.write_text("")
+        code, _, err = run(capsys, "solve", ex1_file, "--trace", str(target))
+        assert code == 6
+        assert f"cannot write {target}" in err
+
+    def test_oracle_check_too_large(self, tmp_path, capsys):
+        path = tmp_path / "wide.lp"
+        path.write_text("".join(f"a{i}.\n" for i in range(25)))
+        code, out, err = run(capsys, "solve", str(path), "--project-none", "--oracle-check")
+        assert code == 7
+        assert "25 atoms" in err
 
 
 class TestSideOutputs:

@@ -14,9 +14,12 @@ from paspc.engine import (
     purge,
     run_dp,
 )
-from paspc.phc import PHC, PhcRow
+from paspc.phc import PhcRow
 from paspc.prim import PRIM
 from paspc.program import Program
+
+# the paper's full-ordering PHC; the programs below have at most 8 atoms
+PHC = helpers.paper_phc(8)
 
 
 def run_example1(example1_td):
@@ -179,11 +182,6 @@ class TestPurge:
                     for seq in seqs:
                         reached.add(seq[ci])
                 assert reached == set(range(len(purged.rows[c])))
-
-    def test_unknown_solution_row_rejected(self, example1_td):
-        program, ids, ttd = run_example1(example1_td)
-        with pytest.raises(KeyError):
-            purge(ttd, [PhcRow(1, 1, (0,))])
 
 
 def extension_interpretations(purged):

@@ -6,9 +6,14 @@ import pytest
 import helpers
 from paspc import engine, oracle, pipeline
 from paspc.decomposition import decompose, make_nice, primal_graph
-from paspc.engine import NodeTable, run_dp
-from paspc.phc import PHC, PHC_TIGHT, PhcRow, TightRow, check_row_invariants, consistent, gp, ords
+from paspc.engine import NodeTable, has_solution, run_dp
+from paspc.formats import parse_program
+from paspc.phc import PhcRow, check_row_invariants, gp, ords
 from paspc.program import Program
+
+# the paper's full-ordering PHC over enough atom ids for the programs below
+PHC = helpers.paper_phc(8)
+FULL = PHC.components
 
 
 def masks(p, names):
@@ -19,7 +24,7 @@ class TestGp:
     def test_fact_disjunction_proves_only_chosen_atom(self):
         p = Program.from_specs([(("a", "b"), (), ())])
         b = p.atom_id("b")
-        got = gp(p.mask("b"), (b,), p.rules)
+        got = gp(p.mask("b"), (b,), p.rules, FULL)
         assert got == p.mask("b")
 
     def test_ordering_blocks_proof(self):
@@ -28,7 +33,7 @@ class TestGp:
         p = Program.from_specs([(("b",), ("e",), ("d",)), (("d", "e"), ("b",), ())])
         b, e = p.atom_id("b"), p.atom_id("e")
         interp = p.mask("be")
-        assert gp(interp, (b, e), p.rules) == p.mask("e")
+        assert gp(interp, (b, e), p.rules, FULL) == p.mask("e")
 
     def test_ordering_enables_proof(self):
         # under <e,b> the body atom e precedes b, so b becomes provable;
@@ -36,7 +41,7 @@ class TestGp:
         p = Program.from_specs([(("b",), ("e",), ("d",)), (("d", "e"), ("b",), ())])
         b, e = p.atom_id("b"), p.atom_id("e")
         interp = p.mask("be")
-        assert gp(interp, (e, b), p.rules) == p.mask("b")
+        assert gp(interp, (e, b), p.rules, FULL) == p.mask("b")
 
     def test_accumulated_proofs_complete_the_row(self):
         # a child row that already proved e splits on the two insertions of
@@ -121,28 +126,31 @@ class TestPhcTransitions:
 class TestConsistent:
     def test_example1(self, example1_td):
         program, ntd, _ = example1_td
-        assert consistent(run_dp(PHC, program, ntd))
+        assert has_solution(run_dp(PHC, program, ntd))
 
     def test_negative_self_loop_inconsistent(self):
         p = Program.from_specs([(("a",), (), ("a",))])
         ttd = run_dp(PHC, p, make_nice(decompose(primal_graph(p))))
         assert ttd.table(ttd.td.root).rows == []
-        assert not consistent(ttd)
+        assert not has_solution(ttd)
 
     def test_empty_program(self):
         p = Program.from_specs([])
         ttd = run_dp(PHC, p, make_nice(decompose(primal_graph(p))))
-        assert consistent(ttd)
+        assert has_solution(ttd)
 
 
 class TestTightVariant:
+    """``phc-tight`` is the SCC-local PHC on a tight program, whose orderings
+    stay empty; it must agree with the paper's full-ordering PHC."""
+
     def test_single_fact(self):
         p = Program.from_specs([(("a",), (), ())])
         ntd = make_nice(decompose(primal_graph(p)))
-        ttd = run_dp(PHC_TIGHT, p, ntd)
-        assert consistent(ttd)
+        ttd = run_dp(pipeline.pick_algorithm(p, "phc-tight"), p, ntd)
+        assert has_solution(ttd)
         intro = [t for t in ttd.post_order if ttd.td.nodes[t].kind == "int"][0]
-        assert ttd.table(intro).rows == [TightRow(1, 1)]
+        assert ttd.table(intro).rows == [PhcRow(1, 1, ())]
 
     def test_even_loop_counts(self):
         p = Program.from_specs([(("a",), (), ("b",)), (("b",), (), ("a",))])
@@ -156,8 +164,38 @@ class TestTightVariant:
             p = p.with_projection(helpers.random_projection(rng, p))
             want = oracle.projected_count(p)
             tight = pipeline.solve(p, algorithm="phc-tight").count
-            full = pipeline.solve(p, algorithm="phc").count
+            full = helpers.count_with(helpers.paper_phc(p.n_atoms), p)
             assert tight == full == want
+
+
+class TestSccLocal:
+    def test_orderings_hold_only_cyclic_atoms(self):
+        p = parse_program(helpers.WIDE_HCF_TEXT)
+        alg = pipeline.pick_algorithm(p)
+        assert set(alg.components) == {p.atom_id(a) for a in ("x3", "x5", "x6")}
+        ttd = run_dp(alg, p, make_nice(decompose(primal_graph(p))))
+        assert check_row_invariants(ttd) == []
+        assert max(len(ttd.table(t)) for t in ttd.post_order) < 180
+
+    def test_independent_components_never_interleave(self):
+        # the constraint puts both two-cycles into one bag
+        p = parse_program("a :- b. b :- a. c :- d. d :- c. a. c. :- not a, not b, not c, not d.")
+        ttd = run_dp(pipeline.pick_algorithm(p), p, make_nice(decompose(primal_graph(p))))
+        assert check_row_invariants(ttd) == []
+
+    def test_wide_rule_fuzz_matches_oracle_under_three_decompositions(self):
+        # rules of up to five atoms over up to twelve atoms: wide bags that
+        # the full ordering could not afford
+        rng = random.Random(4141)
+        decompositions = (("min-fill", 0), ("min-degree", 0), ("min-fill", 3))
+        for i in range(200):
+            gen = helpers.random_hcf if i % 2 else helpers.random_normal
+            p = gen(rng, rng.randint(2, 12), rng.randint(1, 12), max_size=5)
+            p = p.with_projection(helpers.random_projection(rng, p))
+            want = oracle.projected_count(p)
+            for heuristic, seed in decompositions:
+                got = pipeline.solve(p, heuristic=heuristic, seed=seed).count
+                assert got == want, (i, heuristic, seed)
 
 
 def table_bound_ok(ttd):
@@ -174,9 +212,10 @@ class TestInvariants:
         for _ in range(60):
             p = helpers.random_mixed(rng, rng.randint(1, 7), rng.randint(1, 9), max_head=1)
             ntd = make_nice(decompose(primal_graph(p), "min-fill", 0))
-            ttd = run_dp(PHC, p, ntd)
-            assert check_row_invariants(ttd) == []
-            assert table_bound_ok(ttd)
+            for alg in (helpers.paper_phc(p.n_atoms), pipeline.pick_algorithm(p)):
+                ttd = run_dp(alg, p, ntd)
+                assert check_row_invariants(ttd) == []
+                assert table_bound_ok(ttd)
 
     def test_proofs_never_lost_along_origins(self, example1_td):
         # along any origin edge, atoms proven at the child stay proven at the

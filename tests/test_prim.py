@@ -3,8 +3,8 @@ import random
 import helpers
 from paspc import oracle, pipeline
 from paspc.decomposition import decompose, make_nice, primal_graph
-from paspc.engine import run_dp
-from paspc.prim import PRIM, PrimRow, prim_solution_rows
+from paspc.engine import has_solution, run_dp
+from paspc.prim import PRIM, PrimRow
 from paspc.program import Program
 
 
@@ -49,16 +49,16 @@ class TestTransitions:
 
 class TestSolutionRows:
     def test_consistent_program(self, example1):
-        assert prim_solution_rows(run(example1)) == [PrimRow(0, frozenset())]
+        assert has_solution(run(example1))
 
     def test_constraints_kill_all_models(self):
         p = Program.from_specs([(("a", "b"), (), ()), ((), ("a",), ()), ((), ("b",), ())])
-        assert prim_solution_rows(run(p)) == []
+        assert not has_solution(run(p))
         assert oracle.enumerate_answer_sets(p) == []
 
     def test_empty_program(self):
         p = Program.from_specs([])
-        assert prim_solution_rows(run(p)) == [PrimRow(0, frozenset())]
+        assert has_solution(run(p))
 
 
 class TestFuzz:
@@ -69,7 +69,7 @@ class TestFuzz:
             p = p.with_projection(helpers.random_projection(rng, p))
             answer_sets = oracle.enumerate_answer_sets(p)
             ttd = run(p)
-            assert bool(prim_solution_rows(ttd)) == bool(answer_sets)
+            assert has_solution(ttd) == bool(answer_sets)
             got = pipeline.solve(p, algorithm="prim").count
             assert got == len({a & p.projection for a in answer_sets})
 

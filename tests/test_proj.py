@@ -4,7 +4,7 @@ import helpers
 from paspc import oracle, pipeline
 from paspc.decomposition import decompose, make_nice, primal_graph
 from paspc.engine import purge, run_dp
-from paspc.phc import PHC, PhcRow
+from paspc.phc import PhcRow
 from paspc.prim import PRIM
 from paspc.proj import (
     buckets,
@@ -16,6 +16,9 @@ from paspc.proj import (
     sipmc,
     subbuckets,
 )
+
+# the paper's full-ordering PHC; the programs below have at most 8 atoms
+PHC = helpers.paper_phc(8)
 
 
 class TestBuckets:
