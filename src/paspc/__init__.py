@@ -17,7 +17,7 @@ from .phc import PhcAlgorithm
 from .pipeline import SolveResult, pick_algorithm, solve
 from .prim import PRIM
 from .program import Program, ProgramClass, ProgramKind, Rule, classify, gl_reduct, satisfies
-from .proj import final_count, run_proj
+from .proj import ProjTables, final_count, run_proj
 
 __version__ = "0.1.0"
 
@@ -55,6 +55,7 @@ __all__ = [
     "classify",
     "gl_reduct",
     "satisfies",
+    "ProjTables",
     "final_count",
     "run_proj",
 ]

@@ -9,7 +9,6 @@ The driver records tables and those origin links; a later top-down pass
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Any, Protocol, Sequence
 
 from .decomposition import INTRODUCE, LEAF, REMOVE, NiceTreeDecomposition
@@ -195,73 +194,6 @@ def purge(ttd: TabledTreeDecomposition) -> PurgedTables:
             remapped.append(sorted(seqs))
         origins_out[t] = remapped
     return PurgedTables(ttd, rows, origins_out, kept)
-
-
-# --- scopes and verification helpers ---------------------------------------
-
-
-@dataclass(frozen=True)
-class NodeScope:
-    """Program and atoms below a node (inclusive and strict)."""
-
-    rules_below: frozenset[Rule]
-    rules_strictly_below: frozenset[Rule]
-    atoms_below: int
-    atoms_strictly_below: int
-
-
-def node_scope(ttd: TabledTreeDecomposition, t: int) -> NodeScope:
-    td = ttd.td
-    below_rules: set[Rule] = set()
-    below_atoms = 0
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        below_rules.update(ttd.bag_rules[x])
-        below_atoms |= td.nodes[x].bag_mask
-        stack.extend(td.nodes[x].children)
-    here = set(ttd.bag_rules[t])
-    return NodeScope(
-        frozenset(below_rules),
-        frozenset(below_rules - here),
-        below_atoms,
-        below_atoms & ~td.nodes[t].bag_mask,
-    )
-
-
-def definitional_origins(ttd: TabledTreeDecomposition, t: int, row: Any) -> set[tuple[int, ...]]:
-    """Recompute origins from the algorithm itself: all child-row sequences
-    whose singleton tables reproduce the row.  Quadratic; debug use only."""
-    nd = ttd.td.nodes[t]
-    alg = ttd.alg
-    out = set()
-    child_tables = [ttd.table(c) for c in nd.children]
-    ranges = [range(len(tab)) for tab in child_tables]
-    for combo in product(*ranges):
-        singles = [
-            NodeTable([child_tables[i].rows[j]], [child_tables[i].origins[j]])
-            for i, j in enumerate(combo)
-        ]
-        produced = alg.node_table(nd.kind, nd.bag_mask, nd.atom, ttd.bag_rules[t], singles)
-        if row in produced:
-            out.add(combo)
-    return out
-
-
-def verify_origins(ttd: TabledTreeDecomposition) -> list[str]:
-    """Debug mode: check that every row's recorded origin links are nonempty
-    and identical to the definitional recomputation.  Expensive."""
-    problems = []
-    for t in ttd.post_order:
-        tab = ttd.table(t)
-        for i, row in enumerate(tab.rows):
-            recorded = set(tab.origins[i])
-            if not recorded:
-                problems.append(f"node {t} row {i}: no origin recorded")
-                continue
-            if recorded != definitional_origins(ttd, t, row):
-                problems.append(f"node {t} row {i}: recorded origins differ from definition")
-    return problems
 
 
 def format_table(ttd: TabledTreeDecomposition, t: int) -> str:

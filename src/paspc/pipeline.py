@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 
@@ -78,31 +79,50 @@ def solve(
     A tree decomposition may be supplied; otherwise one is computed with the
     given elimination heuristic and seed.  The algorithm defaults to the
     strongest sound one for the program's class.
+
+    The cyclic garbage collector is paused for the duration of the call,
+    process-wide, and its previous state is restored on return or error.
     """
-    alg = pick_algorithm(program, algorithm)
-    stats = RunStats(algorithm=alg.name)
+    # The cyclic garbage collector would scan every live table row many times
+    # per solve and find nothing to free: a solve builds no reference cycles,
+    # so reference counting reclaims all of it.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        stats = RunStats()
 
-    t0 = time.perf_counter()
-    if td is None:
-        td = decompose(primal_graph(program), heuristic, seed)
-    nice = make_nice(td)
-    stats.timings["decompose"] = time.perf_counter() - t0
-    stats.width = nice.width
-    stats.nodes = len(nice.nodes)
+        t0 = time.perf_counter()
+        alg = pick_algorithm(program, algorithm)
+        stats.timings["classify"] = time.perf_counter() - t0
+        stats.algorithm = alg.name
 
-    t0 = time.perf_counter()
-    ttd = engine.run_dp(alg, program, nice)
-    stats.timings["dp"] = time.perf_counter() - t0
-    stats.max_table = max(len(ttd.table(t)) for t in ttd.post_order)
+        t0 = time.perf_counter()
+        if td is None:
+            td = decompose(primal_graph(program), heuristic, seed)
+        stats.timings["decompose"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    purged = engine.purge(ttd)
-    stats.timings["purge"] = time.perf_counter() - t0
-    stats.max_purged = purged.max_rows()
+        t0 = time.perf_counter()
+        nice = make_nice(td)
+        stats.timings["make_nice"] = time.perf_counter() - t0
+        stats.width = nice.width
+        stats.nodes = len(nice.nodes)
 
-    t0 = time.perf_counter()
-    tables = proj.run_proj(purged, program.projection)
-    stats.timings["proj"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        ttd = engine.run_dp(alg, program, nice)
+        stats.timings["dp"] = time.perf_counter() - t0
+        stats.max_table = max(len(ttd.table(t)) for t in ttd.post_order)
 
-    count = proj.final_count(tables, purged)
-    return SolveResult(count, stats, program, ttd, purged, tables, td)
+        t0 = time.perf_counter()
+        purged = engine.purge(ttd)
+        stats.timings["purge"] = time.perf_counter() - t0
+        stats.max_purged = purged.max_rows()
+
+        t0 = time.perf_counter()
+        tables = proj.run_proj(purged, program.projection)
+        stats.timings["proj"] = time.perf_counter() - t0
+
+        count = proj.final_count(tables, purged)
+        return SolveResult(count, stats, program, ttd, purged, tables, td)
+    finally:
+        if gc_was_enabled:
+            gc.enable()

@@ -6,30 +6,54 @@ entry holding the number of projected answer sets shared by all of its rows.
 Those intersection counts are combined bottom-up with the inclusion-exclusion
 principle over origin subsets, and the root entry is the projected count.
 
-All counts are exact arbitrary-precision integers.  ``pcnt`` and ``ipmc`` are
-the direct formulations; ``run_proj`` computes the same sums bucket-wise with
-subset-sum transforms, which turns the per-entry exponential enumeration into
-one shared pass per bucket.
+All counts are exact arbitrary-precision integers.  ``run_proj`` evaluates
+the defining per-entry formulas (kept as the reference in the tests)
+bucket-wise with subset-sum transforms, which turns the per-entry exponential
+enumeration into one shared pass per bucket.  Each bucket stores two arrays
+indexed by local row mask: the projected (union) counts and the intersection
+counts derived from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Sequence
 
 from .decomposition import LEAF
 from .engine import PurgedTables
 
-ProjTable = dict[frozenset[int], int]
+
+@dataclass
+class NodeCounts:
+    """One node's projection counts, bucket by bucket."""
+
+    buckets: list[list[int]]  # purged-row indices per bucket, ascending
+    bucket_of: list[int]  # per purged row: its bucket id
+    pos_in_bucket: list[int]  # per purged row: its bit in the bucket's masks
+    pcnts: list[list[int]]  # per bucket, by local row mask: projected counts
+    vals: list[list[int]]  # per bucket, by local row mask: intersection counts
 
 
 @dataclass
 class ProjTables:
-    """Per-node sub-bucket count tables, keyed by purged-row index sets."""
+    """Per-node bucket count arrays of one projection pass."""
 
-    tables: list[ProjTable]
-    bucket_of: list[dict[int, int]]  # per node: row index -> bucket id
+    nodes: list[NodeCounts]
+
+    @cached_property
+    def tables(self) -> list[dict[frozenset[int], int]]:
+        """Per node, sub-bucket (as a set of purged-row indices) -> stored
+        intersection count: a view built on first access, for traces and
+        tests."""
+        out = []
+        for node in self.nodes:
+            table = {}
+            for bucket, vals in zip(node.buckets, node.vals):
+                for m in range(1, 1 << len(bucket)):
+                    table[frozenset(j for i, j in enumerate(bucket) if m >> i & 1)] = vals[m]
+            out.append(table)
+        return out
 
 
 def buckets(row_interps: Sequence[int], pmask: int) -> list[list[int]]:
@@ -38,83 +62,6 @@ def buckets(row_interps: Sequence[int], pmask: int) -> list[list[int]]:
     for j, interp in enumerate(row_interps):
         classes.setdefault(interp & pmask, []).append(j)
     return [classes[k] for k in sorted(classes)]
-
-
-def subbuckets(row_interps: Sequence[int], pmask: int) -> list[frozenset[int]]:
-    """All nonempty subsets of the individual buckets."""
-    out = []
-    for bucket in buckets(row_interps, pmask):
-        for size in range(1, len(bucket) + 1):
-            out.extend(frozenset(c) for c in combinations(bucket, size))
-    return out
-
-
-def sipmc(table: Mapping[frozenset[int], int], rho: frozenset[int]) -> int:
-    """Stored count of a row set; absent keys contribute zero."""
-    return table.get(rho, 0)
-
-
-def pcnt(
-    origin_seqs: set[tuple[int, ...]],
-    child_tables: Sequence[Mapping[frozenset[int], int]],
-    child_bucket_of: Sequence[Mapping[int, int]],
-) -> int:
-    """Projected count of a row set via inclusion-exclusion over its origins.
-
-    Sums (-1)^(|O|-1) times the product of per-child stored counts over all
-    nonempty origin subsets O.  Subsets mixing rows from different buckets of
-    some child have no stored key, contribute zero, and are skipped by
-    grouping the sequences on their per-child bucket signature first.
-    """
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for seq in origin_seqs:
-        sig = tuple(child_bucket_of[i][j] for i, j in enumerate(seq))
-        groups.setdefault(sig, []).append(seq)
-
-    total = 0
-    n_children = len(child_tables)
-    for sig in sorted(groups):
-        seqs = sorted(groups[sig])
-        m = len(seqs)
-        for bits in range(1, 1 << m):
-            chosen = [seqs[k] for k in range(m) if bits >> k & 1]
-            term = 1
-            for i in range(n_children):
-                key = frozenset(seq[i] for seq in chosen)
-                term *= child_tables[i].get(key, 0)
-                if term == 0:
-                    break
-            total += term if len(chosen) % 2 else -term
-    return total
-
-
-def ipmc(
-    kind: str,
-    rho: frozenset[int],
-    origin_seqs: set[tuple[int, ...]],
-    child_tables: Sequence[Mapping[frozenset[int], int]],
-    child_bucket_of: Sequence[Mapping[int, int]],
-    smaller: Mapping[frozenset[int], int],
-) -> int:
-    """Intersection count of a sub-bucket.
-
-    One at leaves; otherwise the absolute value of the projected count of the
-    set plus the signed intersection counts of all strict nonempty subsets
-    (``smaller`` must already hold them).  The inner sum is routinely
-    negative, e.g. |2 - 2 - 1| = 1.
-    """
-    if kind == LEAF:
-        return 1
-    value = pcnt(origin_seqs, child_tables, child_bucket_of)
-    items = sorted(rho)
-    for size in range(1, len(items)):
-        for sub in combinations(items, size):
-            sgn = -1 if size % 2 else 1
-            value += sgn * smaller[frozenset(sub)]
-    return abs(value)
-
-
-# --- bucket-wise fast evaluation --------------------------------------------
 
 
 def _sum_over_subsets(arr: list[int], nbits: int) -> None:
@@ -126,40 +73,14 @@ def _sum_over_subsets(arr: list[int], nbits: int) -> None:
                 arr[m] += arr[m ^ bit]
 
 
-@dataclass
-class _NodeCtx:
-    bucket_rows: list[list[int]]
-    bucket_of: dict[int, int]
-    pos_in_bucket: dict[int, int]
-    vals: list[list[int]]  # per bucket, indexed by local row mask
-    union: list[list[int] | None]  # lazy per-bucket union counts
-
-
-def _union_table(ctx: _NodeCtx, bi: int) -> list[int]:
-    """Union counts per row subset of one bucket: the inclusion-exclusion
-    (-1)^(|T|-1) sum of stored intersection counts, materialized with one
-    subset-sum pass."""
-    cached = ctx.union[bi]
-    if cached is not None:
-        return cached
-    b = len(ctx.bucket_rows[bi])
-    vals = ctx.vals[bi]
-    arr = [0] * (1 << b)
-    for m in range(1, 1 << b):
-        v = vals[m]
-        arr[m] = v if m.bit_count() % 2 else -v
-    _sum_over_subsets(arr, b)
-    ctx.union[bi] = arr
-    return arr
-
-
 def _bucket_pcnts(
     bucket: list[int],
     origins: list[list[tuple[int, ...]]],
-    children: Sequence[_NodeCtx],
+    children: Sequence[NodeCounts],
 ) -> list[int]:
     """Projected counts for every nonempty subset of one bucket (by local
-    mask), equal to ``pcnt`` of the corresponding row sets."""
+    mask): the inclusion-exclusion sum over the rows' origins of the
+    children's stored counts."""
     size = 1 << len(bucket)
     out = [0] * size
     if len(children) == 1:
@@ -184,7 +105,8 @@ def _bucket_pcnts(
                 mm ^= lo
             total = 0
             for cb, mask in merged.items():
-                total += _union_table(child, cb)[mask]
+                # origins within one child bucket: their union count is stored
+                total += child.pcnts[cb][mask]
             out[m] = total
         return out
 
@@ -280,19 +202,16 @@ def _bucket_pcnts(
 _LAYERED_THRESHOLD = 11  # naive strict-submask sums are cheaper below this
 
 
-def _bucket_values(kind: str, pcnts: list[int], b: int) -> list[int]:
+def _bucket_values(pcnts: list[int], b: int) -> list[int]:
     """Intersection counts for every nonempty subset of a bucket.
 
-    Matches ``ipmc``: each value is |own projected count + signed sum of the
-    strictly smaller values|.  Small buckets enumerate submasks directly;
-    large ones fold each cardinality layer with a subset-sum pass.
+    Each value is |own projected count + signed sum of the strictly smaller
+    values|, the inclusion-exclusion inverse of the projected counts.  Small
+    buckets enumerate submasks directly; large ones fold each cardinality
+    layer with a subset-sum pass.
     """
     size = 1 << b
     vals = [0] * size
-    if kind == LEAF:
-        for m in range(1, size):
-            vals[m] = 1
-        return vals
     if b < _LAYERED_THRESHOLD:
         for m in range(1, size):
             t = 0
@@ -321,64 +240,38 @@ def _bucket_values(kind: str, pcnts: list[int], b: int) -> list[int]:
 
 
 def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
-    """Bottom-up pass computing every node's sub-bucket count table."""
+    """Bottom-up pass computing every node's bucket count arrays."""
     ttd = purged.ttd
     td = ttd.td
     alg = ttd.alg
-    tables: list[ProjTable] = [{} for _ in td.nodes]
-    bucket_maps: list[dict[int, int]] = [{} for _ in td.nodes]
-    ctxs: list[_NodeCtx | None] = [None] * len(td.nodes)
+    nodes: list[NodeCounts | None] = [None] * len(td.nodes)
 
     for t in ttd.post_order:
         rows = purged.rows[t]
         nd = td.nodes[t]
         partition = buckets([alg.interp(r) for r in rows], pmask)
-        ctx = _NodeCtx(partition, {}, {}, [], [None] * len(partition))
+        node = NodeCounts(partition, [0] * len(rows), [0] * len(rows), [], [])
         for bi, bucket in enumerate(partition):
             for pos, j in enumerate(bucket):
-                ctx.bucket_of[j] = bi
-                ctx.pos_in_bucket[j] = pos
-        children = [ctxs[c] for c in nd.children]
-        table: ProjTable = {}
-        for bi, bucket in enumerate(partition):
-            b = len(bucket)
+                node.bucket_of[j] = bi
+                node.pos_in_bucket[j] = pos
+        children = [nodes[c] for c in nd.children]
+        for bucket in partition:
             if nd.kind == LEAF:
-                pcnts = []
+                # every row of a leaf stands for the one empty projected
+                # answer set: all union and intersection counts are one
+                pcnts = [0] + [1] * ((1 << len(bucket)) - 1)
+                vals = pcnts
             else:
                 pcnts = _bucket_pcnts(bucket, purged.origins[t], children)  # type: ignore[arg-type]
-            vals = _bucket_values(nd.kind, pcnts, b)
-            ctx.vals.append(vals)
-            for m in range(1, 1 << b):
-                key = frozenset(bucket[i] for i in range(b) if m >> i & 1)
-                table[key] = vals[m]
-        tables[t] = table
-        bucket_maps[t] = ctx.bucket_of
-        ctxs[t] = ctx
-    return ProjTables(tables, bucket_maps)
+                vals = _bucket_values(pcnts, len(bucket))
+            node.pcnts.append(pcnts)
+            node.vals.append(vals)
+        nodes[t] = node
+    return ProjTables(nodes)  # type: ignore[arg-type]
 
 
 def final_count(proj: ProjTables, purged: PurgedTables) -> int:
-    """Projected answer-set count: the sum of stored counts at the root
-    (the root table has at most one entry; zero when it is empty)."""
-    return sum(proj.tables[purged.ttd.td.root].values())
-
-
-def reference_proj_table(
-    kind: str,
-    rows: Sequence,
-    interp_of,
-    pmask: int,
-    row_origins: Sequence[list[tuple[int, ...]]],
-    child_tables: Sequence[Mapping[frozenset[int], int]],
-    child_bucket_of: Sequence[Mapping[int, int]],
-) -> ProjTable:
-    """One node's table straight from the defining formulas; cross-checks
-    the bucket-wise evaluation in tests."""
-    table: ProjTable = {}
-    interps = [interp_of(r) for r in rows]
-    for rho in sorted(subbuckets(interps, pmask), key=lambda s: (len(s), sorted(s))):
-        seqs: set[tuple[int, ...]] = set()
-        for j in rho:
-            seqs.update(row_origins[j])
-        table[rho] = ipmc(kind, rho, seqs, child_tables, child_bucket_of, table)
-    return table
+    """Projected answer-set count: the stored count at the root (its bag is
+    empty, so it holds at most one row; zero when it is empty)."""
+    return sum(sum(vals) for vals in proj.nodes[purged.ttd.td.root].vals)

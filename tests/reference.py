@@ -1,0 +1,199 @@
+"""Reference formulations kept for the tests: the defining per-entry
+formulas of the projection pass, the union-count transform of a bucket's
+intersection counts, and the engine's definitional origin recomputation.
+The library computes the same quantities bucket-wise (``paspc.proj``) or
+records them during the table pass (``paspc.engine``)."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import combinations, product
+from typing import Any, Mapping, Sequence
+
+from paspc.decomposition import LEAF
+from paspc.engine import NodeTable, TabledTreeDecomposition
+from paspc.program import Rule
+from paspc.proj import buckets
+
+ProjTable = dict[frozenset[int], int]
+
+
+# --- projection pass ----------------------------------------------------------
+
+
+def subbuckets(row_interps: Sequence[int], pmask: int) -> list[frozenset[int]]:
+    """All nonempty subsets of the individual buckets."""
+    out = []
+    for bucket in buckets(row_interps, pmask):
+        for size in range(1, len(bucket) + 1):
+            out.extend(frozenset(c) for c in combinations(bucket, size))
+    return out
+
+
+def sipmc(table: Mapping[frozenset[int], int], rho: frozenset[int]) -> int:
+    """Stored count of a row set; absent keys contribute zero."""
+    return table.get(rho, 0)
+
+
+def pcnt(
+    origin_seqs: set[tuple[int, ...]],
+    child_tables: Sequence[Mapping[frozenset[int], int]],
+    child_bucket_of: Sequence[Mapping[int, int]],
+) -> int:
+    """Projected count of a row set via inclusion-exclusion over its origins.
+
+    Sums (-1)^(|O|-1) times the product of per-child stored counts over all
+    nonempty origin subsets O.  Subsets mixing rows from different buckets of
+    some child have no stored key, contribute zero, and are skipped by
+    grouping the sequences on their per-child bucket signature first.
+    """
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for seq in origin_seqs:
+        sig = tuple(child_bucket_of[i][j] for i, j in enumerate(seq))
+        groups.setdefault(sig, []).append(seq)
+
+    total = 0
+    n_children = len(child_tables)
+    for sig in sorted(groups):
+        seqs = sorted(groups[sig])
+        m = len(seqs)
+        for bits in range(1, 1 << m):
+            chosen = [seqs[k] for k in range(m) if bits >> k & 1]
+            term = 1
+            for i in range(n_children):
+                key = frozenset(seq[i] for seq in chosen)
+                term *= child_tables[i].get(key, 0)
+                if term == 0:
+                    break
+            total += term if len(chosen) % 2 else -term
+    return total
+
+
+def ipmc(
+    kind: str,
+    rho: frozenset[int],
+    origin_seqs: set[tuple[int, ...]],
+    child_tables: Sequence[Mapping[frozenset[int], int]],
+    child_bucket_of: Sequence[Mapping[int, int]],
+    smaller: Mapping[frozenset[int], int],
+) -> int:
+    """Intersection count of a sub-bucket.
+
+    One at leaves; otherwise the absolute value of the projected count of the
+    set plus the signed intersection counts of all strict nonempty subsets
+    (``smaller`` must already hold them).  The inner sum is routinely
+    negative, e.g. |2 - 2 - 1| = 1.
+    """
+    if kind == LEAF:
+        return 1
+    value = pcnt(origin_seqs, child_tables, child_bucket_of)
+    items = sorted(rho)
+    for size in range(1, len(items)):
+        for sub in combinations(items, size):
+            sgn = -1 if size % 2 else 1
+            value += sgn * smaller[frozenset(sub)]
+    return abs(value)
+
+
+def reference_proj_table(
+    kind: str,
+    rows: Sequence,
+    interp_of,
+    pmask: int,
+    row_origins: Sequence[list[tuple[int, ...]]],
+    child_tables: Sequence[Mapping[frozenset[int], int]],
+    child_bucket_of: Sequence[Mapping[int, int]],
+) -> ProjTable:
+    """One node's table straight from the defining formulas; cross-checks
+    the bucket-wise evaluation in tests."""
+    table: ProjTable = {}
+    interps = [interp_of(r) for r in rows]
+    for rho in sorted(subbuckets(interps, pmask), key=lambda s: (len(s), sorted(s))):
+        seqs: set[tuple[int, ...]] = set()
+        for j in rho:
+            seqs.update(row_origins[j])
+        table[rho] = ipmc(kind, rho, seqs, child_tables, child_bucket_of, table)
+    return table
+
+
+def union_counts(vals: Sequence[int], b: int) -> list[int]:
+    """Union counts per row subset of one bucket: the inclusion-exclusion
+    (-1)^(|T|-1) sum of its stored intersection counts, materialized with
+    one subset-sum pass."""
+    arr = [0] * (1 << b)
+    for m in range(1, 1 << b):
+        v = vals[m]
+        arr[m] = v if m.bit_count() % 2 else -v
+    for i in range(b):
+        bit = 1 << i
+        for m in range(len(arr)):
+            if m & bit:
+                arr[m] += arr[m ^ bit]
+    return arr
+
+
+# --- engine: scopes and origin verification ---------------------------------
+
+
+@dataclass(frozen=True)
+class NodeScope:
+    """Program and atoms below a node (inclusive and strict)."""
+
+    rules_below: frozenset[Rule]
+    rules_strictly_below: frozenset[Rule]
+    atoms_below: int
+    atoms_strictly_below: int
+
+
+def node_scope(ttd: TabledTreeDecomposition, t: int) -> NodeScope:
+    td = ttd.td
+    below_rules: set[Rule] = set()
+    below_atoms = 0
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        below_rules.update(ttd.bag_rules[x])
+        below_atoms |= td.nodes[x].bag_mask
+        stack.extend(td.nodes[x].children)
+    here = set(ttd.bag_rules[t])
+    return NodeScope(
+        frozenset(below_rules),
+        frozenset(below_rules - here),
+        below_atoms,
+        below_atoms & ~td.nodes[t].bag_mask,
+    )
+
+
+def definitional_origins(ttd: TabledTreeDecomposition, t: int, row: Any) -> set[tuple[int, ...]]:
+    """Recompute origins from the algorithm itself: all child-row sequences
+    whose singleton tables reproduce the row.  Quadratic; debug use only."""
+    nd = ttd.td.nodes[t]
+    alg = ttd.alg
+    out = set()
+    child_tables = [ttd.table(c) for c in nd.children]
+    ranges = [range(len(tab)) for tab in child_tables]
+    for combo in product(*ranges):
+        singles = [
+            NodeTable([child_tables[i].rows[j]], [child_tables[i].origins[j]])
+            for i, j in enumerate(combo)
+        ]
+        produced = alg.node_table(nd.kind, nd.bag_mask, nd.atom, ttd.bag_rules[t], singles)
+        if row in produced:
+            out.add(combo)
+    return out
+
+
+def verify_origins(ttd: TabledTreeDecomposition) -> list[str]:
+    """Debug mode: check that every row's recorded origin links are nonempty
+    and identical to the definitional recomputation.  Expensive."""
+    problems = []
+    for t in ttd.post_order:
+        tab = ttd.table(t)
+        for i, row in enumerate(tab.rows):
+            recorded = set(tab.origins[i])
+            if not recorded:
+                problems.append(f"node {t} row {i}: no origin recorded")
+                continue
+            if recorded != definitional_origins(ttd, t, row):
+                problems.append(f"node {t} row {i}: recorded origins differ from definition")
+    return problems

@@ -17,7 +17,7 @@ from paspc.decomposition import decompose, make_nice, primal_graph, validate_td
 from paspc.engine import has_solution, purge, run_dp
 from paspc.phc import PhcRow
 from paspc.program import Program
-from paspc.proj import ipmc, pcnt, reference_proj_table
+from reference import ipmc, pcnt, reference_proj_table
 
 FUZZ_PER_CLASS = 500
 FUZZ_SEED = 20250810

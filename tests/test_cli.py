@@ -153,7 +153,7 @@ class TestSideOutputs:
         assert stats["width"] == 2
         assert stats["algorithm"] == "phc"
         assert stats["max_purged"] <= stats["max_table"]
-        assert set(stats["timings"]) == {"decompose", "dp", "purge", "proj"}
+        assert set(stats["timings"]) == {"classify", "decompose", "make_nice", "dp", "purge", "proj"}
 
     def test_emit_and_reuse_td(self, ex1_file, tmp_path, capsys):
         td_path = str(tmp_path / "out.td")

@@ -1,0 +1,56 @@
+import gc
+
+import pytest
+
+import helpers
+from paspc import engine, pipeline
+from paspc.formats import parse_program
+from paspc.pipeline import AlgorithmMismatchError
+
+
+@pytest.fixture
+def gc_state():
+    """Restores the collector's state whatever a test leaves behind."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestGcPause:
+    def test_paused_during_solve_and_reenabled(self, gc_state, monkeypatch):
+        seen = []
+        run_dp = engine.run_dp
+
+        def recording_run_dp(*args):
+            seen.append(gc.isenabled())
+            return run_dp(*args)
+
+        monkeypatch.setattr(engine, "run_dp", recording_run_dp)
+        gc.enable()
+        assert pipeline.solve(helpers.example1()).count == 3
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_reenabled_after_algorithm_mismatch(self, gc_state):
+        gc.enable()
+        with pytest.raises(AlgorithmMismatchError):
+            pipeline.solve(parse_program("a | b.\na :- b.\nb :- a.\n"), algorithm="phc")
+        assert gc.isenabled()
+
+    def test_stays_disabled_when_caller_disabled_it(self, gc_state):
+        gc.disable()
+        assert pipeline.solve(helpers.example1()).count == 3
+        assert not gc.isenabled()
+
+    def test_solve_leaves_no_cyclic_garbage(self, gc_state):
+        # what the pause relies on: reference counting frees a whole solve
+        program = parse_program(helpers.WIDE_HCF_TEXT)
+        gc.collect()
+        gc.disable()
+        result = pipeline.solve(program.with_projection(program.atom_mask))
+        assert result.count == 1
+        del result
+        assert gc.collect() == 0

@@ -6,16 +6,8 @@ from paspc.decomposition import decompose, make_nice, primal_graph
 from paspc.engine import purge, run_dp
 from paspc.phc import PhcRow
 from paspc.prim import PRIM
-from paspc.proj import (
-    buckets,
-    final_count,
-    ipmc,
-    pcnt,
-    reference_proj_table,
-    run_proj,
-    sipmc,
-    subbuckets,
-)
+from paspc.proj import buckets, final_count, run_proj
+from reference import ipmc, pcnt, reference_proj_table, sipmc, subbuckets, union_counts
 
 # the paper's full-ordering PHC; the programs below have at most 8 atoms
 PHC = helpers.paper_phc(8)
@@ -134,8 +126,9 @@ class TestRunProj:
         assert all(t == {} for t in proj.tables)
         assert final_count(proj, purged) == 0
 
-    def test_matches_reference_formulas(self):
-        # the bucket-wise evaluation must agree with the defining recursion
+    @staticmethod
+    def seeded_fuzz():
+        """The seeded projection fuzz: both algorithms, random projections."""
         rng = random.Random(909)
         for alg in (PHC, PRIM):
             for _ in range(25):
@@ -143,19 +136,32 @@ class TestRunProj:
                 pmask = helpers.random_projection(rng, p)
                 ttd = run_dp(alg, p, make_nice(decompose(primal_graph(p))))
                 purged = purge(ttd)
-                proj = run_proj(purged, pmask)
-                for t in ttd.post_order:
-                    nd = ttd.td.nodes[t]
-                    want = reference_proj_table(
-                        nd.kind,
-                        purged.rows[t],
-                        alg.interp,
-                        pmask,
-                        purged.origins[t],
-                        [proj.tables[c] for c in nd.children],
-                        [proj.bucket_of[c] for c in nd.children],
-                    )
-                    assert proj.tables[t] == want
+                yield alg, pmask, ttd, purged, run_proj(purged, pmask)
+
+    def test_matches_reference_formulas(self):
+        # the bucket-wise evaluation must agree with the defining recursion
+        for alg, pmask, ttd, purged, proj in self.seeded_fuzz():
+            for t in ttd.post_order:
+                nd = ttd.td.nodes[t]
+                want = reference_proj_table(
+                    nd.kind,
+                    purged.rows[t],
+                    alg.interp,
+                    pmask,
+                    purged.origins[t],
+                    [proj.tables[c] for c in nd.children],
+                    [proj.nodes[c].bucket_of for c in nd.children],
+                )
+                assert proj.tables[t] == want
+
+    def test_stored_pcnts_are_union_counts(self):
+        # a parent reads a child bucket's projected counts as the union
+        # counts of its intersection counts; both arrays are stored
+        for _, _, ttd, _, proj in self.seeded_fuzz():
+            for t in ttd.post_order:
+                node = proj.nodes[t]
+                for bucket, pcnts, vals in zip(node.buckets, node.pcnts, node.vals):
+                    assert pcnts == union_counts(vals, len(bucket))
 
     def test_memoized_ipmc_equals_naive_recursion(self):
         # recompute small sub-buckets with a memo-free recursion
@@ -184,7 +190,7 @@ class TestRunProj:
             for t in ttd.post_order:
                 nd = ttd.td.nodes[t]
                 child_tables = [proj.tables[c] for c in nd.children]
-                child_buckets = [proj.bucket_of[c] for c in nd.children]
+                child_buckets = [proj.nodes[c].bucket_of for c in nd.children]
                 for rho, stored in proj.tables[t].items():
                     if len(rho) > 4:
                         continue
