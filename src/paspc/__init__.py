@@ -10,7 +10,7 @@ from .decomposition import (
     primal_graph,
     validate_td,
 )
-from .engine import TabledTreeDecomposition, has_solution, origins, origins_table, purge, run_dp
+from .engine import TabledTreeDecomposition, has_solution, purge, run_dp
 from .formats import ParseDiagnostic, ParseError, parse_program, print_program, read_td, write_td
 from .oracle import enumerate_answer_sets, projected_count
 from .phc import PhcAlgorithm
@@ -31,8 +31,6 @@ __all__ = [
     "validate_td",
     "TabledTreeDecomposition",
     "has_solution",
-    "origins",
-    "origins_table",
     "purge",
     "run_dp",
     "ParseDiagnostic",

@@ -57,7 +57,14 @@ class TreeDecomposition:
 
 
 def validate_td(graph: PrimalGraph, td: TreeDecomposition) -> list[str]:
-    """Return the list of violated decomposition conditions (empty when valid)."""
+    """Return the list of violated decomposition conditions (empty when valid).
+
+    Each vertex's holders (the nodes whose bags contain it) are listed in one
+    pass over the bags.  A graph edge is covered iff a holder of its endpoint
+    with fewer holders also holds the other one.  On a tree, a vertex's
+    holders induce a forest, which is connected iff the holders outnumber the
+    tree edges joining two of them by exactly one; that check is skipped when
+    the bag graph is not a tree (already reported)."""
     problems: list[str] = []
     n_nodes = len(td.bags)
     if n_nodes == 0:
@@ -83,33 +90,30 @@ def validate_td(graph: PrimalGraph, td: TreeDecomposition) -> list[str]:
         problems.append("bag tree is disconnected")
     if len(td.edges) != n_nodes - 1:
         problems.append("bag graph has a cycle or wrong edge count")
+    is_tree = not problems
 
-    covered = set()
-    for bag in td.bags:
-        covered |= bag
+    holders: dict[int, list[int]] = {}
+    for t, bag in enumerate(td.bags):
+        for v in bag:
+            holders.setdefault(v, []).append(t)
     for v in range(graph.n):
-        if v not in covered:
+        if v not in holders:
             problems.append(f"vertex {v} in no bag")
     for a, b in graph.edges():
-        if not any(a in bag and b in bag for bag in td.bags):
+        ha, hb = holders.get(a, []), holders.get(b, [])
+        x, hx = (b, ha) if len(ha) <= len(hb) else (a, hb)
+        if not any(x in td.bags[t] for t in hx):
             problems.append(f"edge ({a},{b}) inside no bag")
 
-    # occurrence sets must induce connected subtrees
-    for v in range(graph.n):
-        holders = [t for t in range(n_nodes) if v in td.bags[t]]
-        if len(holders) <= 1:
-            continue
-        start = holders[0]
-        reach = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for w in adj[x]:
-                if w not in reach and v in td.bags[w]:
-                    reach.add(w)
-                    stack.append(w)
-        if reach != set(holders):
-            problems.append(f"occurrences of vertex {v} are not connected")
+    if is_tree:
+        # occurrence sets must induce connected subtrees
+        inner = dict.fromkeys(holders, 0)
+        for i, j in td.edges:
+            for v in td.bags[i] & td.bags[j]:
+                inner[v] += 1
+        for v, ts in holders.items():
+            if len(ts) - inner[v] != 1:
+                problems.append(f"occurrences of vertex {v} are not connected")
     return problems
 
 

@@ -113,27 +113,6 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
     return TabledTreeDecomposition(td, program, alg, tables, rules, order)
 
 
-def origins(ttd: TabledTreeDecomposition, t: int, row: Any) -> set[tuple]:
-    """Originating child-row sequences of a row, as row tuples."""
-    tab = ttd.table(t)
-    try:
-        at = tab.rows.index(row)
-    except ValueError:
-        raise KeyError(f"row not present in table of node {t}") from None
-    kids = ttd.td.nodes[t].children
-    out = set()
-    for seq in tab.origins[at]:
-        out.add(tuple(ttd.table(kids[i]).rows[j] for i, j in enumerate(seq)))
-    return out
-
-
-def origins_table(ttd: TabledTreeDecomposition, t: int, rows: Sequence[Any]) -> set[tuple]:
-    out: set[tuple] = set()
-    for row in rows:
-        out |= origins(ttd, t, row)
-    return out
-
-
 @dataclass
 class PurgedTables:
     """Per-node surviving rows (in table order) with re-indexed origins."""

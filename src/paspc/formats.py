@@ -204,7 +204,8 @@ def print_program(program: Program) -> str:
 
 def read_td(text: str, n_vertices: int) -> TreeDecomposition:
     """Read a PACE-style decomposition.  Vertex j (1-based) maps to atom j-1;
-    ``n_vertices`` must match the header's vertex count."""
+    ``n_vertices`` must match the header's vertex count.  Only the syntax is
+    checked here; ``decomposition.validate_td`` checks the decomposition."""
     header: tuple[int, int, int] | None = None
     bags: dict[int, set[int]] = {}
     edges: list[tuple[int, int]] = []
@@ -258,24 +259,7 @@ def read_td(text: str, n_vertices: int) -> TreeDecomposition:
 
     n_bags = header[0]
     bag_list = [frozenset(bags.get(i + 1, ())) for i in range(n_bags)]
-    td = TreeDecomposition(bag_list, edges)
-    # the bag tree must be a single tree
-    if n_bags > 0:
-        adj: list[list[int]] = [[] for _ in range(n_bags)]
-        for i, j in edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != n_bags or len(edges) != n_bags - 1:
-            raise ParseError(ParseDiagnostic(1, 1, "bag graph is not a tree"))
-    return td
+    return TreeDecomposition(bag_list, edges)
 
 
 def write_td(td: TreeDecomposition) -> str:

@@ -8,10 +8,24 @@ principle over origin subsets, and the root entry is the projected count.
 
 All counts are exact arbitrary-precision integers.  ``run_proj`` evaluates
 the defining per-entry formulas (kept as the reference in the tests)
-bucket-wise with subset-sum transforms, which turns the per-entry exponential
-enumeration into one shared pass per bucket.  Each bucket stores two arrays
-indexed by local row mask: the projected (union) counts and the intersection
-counts derived from them.
+bucket-wise, which turns the per-entry exponential enumeration into one
+shared pass per bucket.  Each bucket stores two arrays indexed by local row
+mask: the projected (union) counts and the intersection counts derived from
+them.
+
+A row set's projected count sums, per child bucket its origins fall into,
+the size of the union of those origins' sets.  Below a one-child node that
+union count is stored in the child.  Below a join an origin pair (i, j)
+stands for the product A_i x B_j of the children's sets, and a set S of
+pairs from buckets (b1, b2) has
+
+    |U_{(i,j) in S} A_i x B_j| = sum over nonempty I of e(I) * P2(N_S(I)),
+
+where e(I) is the size of the Venn region "in exactly the A_i with i in I"
+(the superset Moebius transform of b1's intersection counts, computed once
+per bucket pair and kept where nonzero), N_S(I) is the set of right partners
+of I's rows in S, and P2 the stored union counts of b2 (zero for no
+partners).  One read costs O(regions * rows) whatever the number of pairs.
 """
 
 from __future__ import annotations
@@ -79,8 +93,12 @@ def _bucket_pcnts(
     children: Sequence[NodeCounts],
 ) -> list[int]:
     """Projected counts for every nonempty subset of one bucket (by local
-    mask): the inclusion-exclusion sum over the rows' origins of the
-    children's stored counts."""
+    mask): per child bucket (one child) or bucket pair (two children) its
+    rows' origins fall into, the size of the union of the origins' sets.
+
+    One child: the child's stored union count.  Two children: the Venn-region
+    sum of the module docstring, O(regions * rows) per row subset instead of
+    inclusion-exclusion over the pairs' 2^u subsets."""
     size = 1 << len(bucket)
     out = [0] * size
     if len(children) == 1:
@@ -111,92 +129,55 @@ def _bucket_pcnts(
         return out
 
     c1, c2 = children
-    # pair universe per child-bucket signature, shared by the whole bucket
-    pairs_by_sig: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-    per_row_masks: list[dict[tuple[int, int], int]] = []
+    # per row and child-bucket signature (b1, b2): its origin pairs (i, j) as
+    # bits pos(i) * |b2| + pos(j), so left row i's partners are one slice
+    per_row_pairs: list[dict[tuple[int, int], int]] = []
     for u in bucket:
         g: dict[tuple[int, int], int] = {}
         for (i, j) in origins[u]:
-            sig = (c1.bucket_of[i], c2.bucket_of[j])
-            universe = pairs_by_sig.setdefault(sig, {})
-            bit = universe.setdefault((i, j), 1 << len(universe))
+            b2 = c2.bucket_of[j]
+            sig = (c1.bucket_of[i], b2)
+            bit = 1 << (c1.pos_in_bucket[i] * len(c2.buckets[b2]) + c2.pos_in_bucket[j])
             g[sig] = g.get(sig, 0) | bit
-        per_row_masks.append(g)
-    sig_pairs = {
-        sig: [pair for pair, _ in sorted(universe.items(), key=lambda kv: kv[1])]
-        for sig, universe in pairs_by_sig.items()
+        per_row_pairs.append(g)
+    regions = {
+        (b1, b2): _venn_regions(c1.vals[b1], len(c1.buckets[b1]), len(c2.buckets[b2]))
+        for b1, b2 in {sig for g in per_row_pairs for sig in g}
     }
-    # small pair universes: tabulate the whole union-count function with one
-    # subset-sum pass, so each key costs one lookup per signature
-    sig_tables: dict[tuple[int, int], list[int] | None] = {}
-    for sig, seqs in sig_pairs.items():
-        u = len(seqs)
-        if u > 18:
-            sig_tables[sig] = None
-            continue
-        v1, v2 = c1.vals[sig[0]], c2.vals[sig[1]]
-        p1, p2 = c1.pos_in_bucket, c2.pos_in_bucket
-        left = [0] * (1 << u)
-        right = [0] * (1 << u)
-        q = [0] * (1 << u)
-        for mask in range(1, 1 << u):
-            lo = mask & -mask
-            i, j = seqs[lo.bit_length() - 1]
-            rest = mask ^ lo
-            left[mask] = left[rest] | (1 << p1[i])
-            right[mask] = right[rest] | (1 << p2[j])
-            v = v1[left[mask]] * v2[right[mask]]
-            q[mask] = v if mask.bit_count() % 2 else -v
-        _sum_over_subsets(q, u)
-        sig_tables[sig] = q
-    # distinct pair unions recur across keys, so fallback evaluations memoize
-    memo: dict[tuple[tuple[int, int], int], int] = {}
-
-    def evaluate(sig: tuple[int, int], mask: int) -> int:
-        got = memo.get((sig, mask))
-        if got is not None:
-            return got
-        seqs = sig_pairs[sig]
-        v1, v2 = c1.vals[sig[0]], c2.vals[sig[1]]
-        p1, p2 = c1.pos_in_bucket, c2.pos_in_bucket
-        chosen = []
-        mm = mask
-        while mm:
-            lo = mm & -mm
-            chosen.append(seqs[lo.bit_length() - 1])
-            mm ^= lo
-        n = len(chosen)
-        total = 0
-        for bits in range(1, 1 << n):
-            k1 = k2 = 0
-            bb = bits
-            count = 0
-            while bb:
-                lo = bb & -bb
-                i, j = chosen[lo.bit_length() - 1]
-                k1 |= 1 << p1[i]
-                k2 |= 1 << p2[j]
-                count += 1
-                bb ^= lo
-            term = v1[k1] * v2[k2]
-            total += term if count % 2 else -term
-        memo[(sig, mask)] = total
-        return total
-
     for m in range(1, size):
         merged: dict[tuple[int, int], int] = {}
         mm = m
         while mm:
             lo = mm & -mm
-            for sig, mask in per_row_masks[lo.bit_length() - 1].items():
+            for sig, mask in per_row_pairs[lo.bit_length() - 1].items():
                 merged[sig] = merged.get(sig, 0) | mask
             mm ^= lo
         total = 0
         for sig, mask in merged.items():
-            table = sig_tables[sig]
-            total += table[mask] if table is not None else evaluate(sig, mask)
+            # each Venn region of b1 times the union count of its partners
+            pc2 = c2.pcnts[sig[1]]
+            full = len(pc2) - 1
+            for e, shifts in regions[sig]:
+                n = 0
+                for s in shifts:
+                    n |= mask >> s
+                total += e * pc2[n & full]
         out[m] = total
     return out
+
+
+def _venn_regions(vals: list[int], b: int, stride: int) -> list[tuple[int, list[int]]]:
+    """The nonempty Venn regions of a bucket's row sets, as (size, shifts):
+    one per row subset I whose region "in exactly the sets of I" is not
+    empty, with the pair-bit offset pos * stride of each row of I.  The sizes
+    are the superset Moebius transform of the bucket's intersection counts."""
+    e = list(vals)
+    for i in range(b):
+        bit = 1 << i
+        for m in range(len(e)):
+            if not m & bit:
+                e[m] -= e[m | bit]
+    return [(e[m], [p * stride for p in range(b) if m >> p & 1]) for m in range(1, len(e)) if e[m]]
 
 
 _LAYERED_THRESHOLD = 11  # naive strict-submask sums are cheaper below this

@@ -1,6 +1,7 @@
 """Reference formulations kept for the tests: the defining per-entry
 formulas of the projection pass, the union-count transform of a bucket's
-intersection counts, and the engine's definitional origin recomputation.
+intersection counts, and the engine's origin links as row tuples and their
+definitional recomputation.
 The library computes the same quantities bucket-wise (``paspc.proj``) or
 records them during the table pass (``paspc.engine``)."""
 
@@ -132,7 +133,30 @@ def union_counts(vals: Sequence[int], b: int) -> list[int]:
     return arr
 
 
-# --- engine: scopes and origin verification ---------------------------------
+# --- engine: origins as rows, scopes and origin verification ----------------
+
+
+def origins(ttd: TabledTreeDecomposition, t: int, row: Any) -> set[tuple]:
+    """Originating child-row sequences of a row, as row tuples."""
+    tab = ttd.table(t)
+    try:
+        at = tab.rows.index(row)
+    except ValueError:
+        raise KeyError(f"row not present in table of node {t}") from None
+    kids = ttd.td.nodes[t].children
+    out = set()
+    for seq in tab.origins[at]:
+        out.add(tuple(ttd.table(kids[i]).rows[j] for i, j in enumerate(seq)))
+    return out
+
+
+def origins_table(ttd: TabledTreeDecomposition, t: int, rows: Sequence[Any]) -> set[tuple]:
+    """Union of the row tuples that originate the given rows."""
+    out: set[tuple] = set()
+    for row in rows:
+        out |= origins(ttd, t, row)
+    return out
+
 
 
 @dataclass(frozen=True)

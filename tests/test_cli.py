@@ -97,6 +97,13 @@ class TestExitCodes:
         assert code == 3
         assert "invalid decomposition" in err
 
+    def test_disconnected_td_file(self, ex1_file, tmp_path, capsys):
+        td = tmp_path / "forest.td"
+        td.write_text("s td 2 5 5\nb 1 1 2 3 4 5\nb 2\n")
+        code, _, err = run(capsys, "solve", ex1_file, "--td", f"file:{td}")
+        assert code == 3
+        assert "bag tree is disconnected" in err
+
     def test_algorithm_mismatch(self, ex1_file, capsys):
         code, _, err = run(capsys, "solve", ex1_file, "--algorithm", "phc-tight")
         assert code == 4

@@ -11,6 +11,7 @@ from paspc.decomposition import (
     primal_graph,
     validate_td,
 )
+from paspc.formats import read_td
 from paspc.program import Program
 
 
@@ -93,6 +94,50 @@ class TestValidateTd:
         g = PrimalGraph(2)
         td = TreeDecomposition([frozenset({0}), frozenset({1})], [])
         assert any("disconnected" in p for p in validate_td(g, td))
+
+    def test_disconnected_tree_read_from_text(self):
+        # read_td checks only the syntax; the tree shape is validate_td's
+        td = read_td("s td 2 1 2\nb 1 1\nb 2 2", 2)
+        assert any("disconnected" in p for p in validate_td(PrimalGraph(2), td))
+
+    def test_cycle(self):
+        td = TreeDecomposition([frozenset({0})] * 3, [(0, 1), (1, 2), (2, 0)])
+        assert validate_td(PrimalGraph(1), td) == ["bag graph has a cycle or wrong edge count"]
+
+    def test_split_occurrences(self):
+        g = PrimalGraph(2)
+        g.add_edge(0, 1)
+        td = TreeDecomposition([frozenset({0, 1}), frozenset({1}), frozenset({0, 1})], [(0, 1), (1, 2)])
+        assert validate_td(g, td) == ["occurrences of vertex 0 are not connected"]
+
+    def test_occurrences_match_subtree_search(self):
+        # the holder/edge count against a search from one holder
+        rng = random.Random(17)
+        for _ in range(300):
+            n_nodes, n = rng.randint(1, 9), rng.randint(1, 5)
+            edges = [(rng.randrange(t), t) for t in range(1, n_nodes)]
+            bags = [frozenset(v for v in range(n) if rng.random() < 0.4) for _ in range(n_nodes)]
+            adj = [[] for _ in range(n_nodes)]
+            for i, j in edges:
+                adj[i].append(j)
+                adj[j].append(i)
+            split = set()
+            for v in range(n):
+                holders = {t for t in range(n_nodes) if v in bags[t]}
+                if not holders:
+                    continue
+                reach, stack = {min(holders)}, [min(holders)]
+                while stack:
+                    for w in adj[stack.pop()]:
+                        if w in holders and w not in reach:
+                            reach.add(w)
+                            stack.append(w)
+                if reach != holders:
+                    split.add(v)
+            problems = validate_td(PrimalGraph(n), TreeDecomposition(bags, edges))
+            assert {p for p in problems if "occurrences" in p} == {
+                f"occurrences of vertex {v} are not connected" for v in split
+            }
 
     def test_missing_edge_coverage(self, example1):
         g = primal_graph(example1)

@@ -5,11 +5,11 @@ import pytest
 import helpers
 from paspc import oracle
 from paspc.decomposition import decompose, make_nice, primal_graph
-from paspc.engine import bag_programs, origins, origins_table, purge, run_dp
+from paspc.engine import bag_programs, purge, run_dp
 from paspc.phc import PhcRow
 from paspc.prim import PRIM
 from paspc.program import Program
-from reference import definitional_origins, node_scope, verify_origins
+from reference import definitional_origins, node_scope, origins, origins_table, verify_origins
 
 # the paper's full-ordering PHC; the programs below have at most 8 atoms
 PHC = helpers.paper_phc(8)

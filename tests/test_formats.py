@@ -140,11 +140,6 @@ class TestTdFormat:
             read_td("s td 2 1 1\nb 1 1\nb 1 1\n1 2", 1)
         assert "duplicate" in err.value.diagnostic.message
 
-    def test_disconnected_tree(self):
-        with pytest.raises(ParseError) as err:
-            read_td("s td 2 1 2\nb 1 1\nb 2 2", 2)
-        assert "tree" in err.value.diagnostic.message
-
     def test_write_empty_graph_exact(self):
         td = decompose(PrimalGraph(0))
         assert write_td(td) == "s td 1 1 0\nb 1\n"

@@ -4,9 +4,10 @@ import helpers
 from paspc import oracle, pipeline
 from paspc.decomposition import decompose, make_nice, primal_graph
 from paspc.engine import purge, run_dp
+from paspc.formats import parse_program
 from paspc.phc import PhcRow
 from paspc.prim import PRIM
-from paspc.proj import buckets, final_count, run_proj
+from paspc.proj import NodeCounts, _bucket_pcnts, buckets, final_count, run_proj
 from reference import ipmc, pcnt, reference_proj_table, sipmc, subbuckets, union_counts
 
 # the paper's full-ordering PHC; the programs below have at most 8 atoms
@@ -107,6 +108,98 @@ class TestPinnedTableValues:
         ) == pcnt({(0,)}, [self.child_pi], [self.child_buckets])
 
 
+def family_counts(bucket_sets):
+    """A child's NodeCounts from explicit projected answer-set sets, bucket
+    by bucket: ``vals`` are the intersection sizes and ``pcnts`` the union
+    sizes of each row subset."""
+    node = NodeCounts([], [], [], [], [])
+    for b, sets in enumerate(bucket_sets):
+        node.buckets.append(list(range(len(node.bucket_of), len(node.bucket_of) + len(sets))))
+        node.bucket_of += [b] * len(sets)
+        node.pos_in_bucket += range(len(sets))
+        picks = [[s for p, s in enumerate(sets) if m >> p & 1] for m in range(1 << len(sets))]
+        node.pcnts.append([len(set().union(*ss)) for ss in picks])
+        node.vals.append([len(set.intersection(*ss)) if ss else 0 for ss in picks])
+    return node
+
+
+def tagged(bucket_sets):
+    """Sets of different buckets stand for different projected answer sets."""
+    return [[{(b, x) for x in s} for s in sets] for b, sets in enumerate(bucket_sets)]
+
+
+class TestTwoChildUnion:
+    """The join's projected counts against the enumerated |U A_i x B_j|."""
+
+    @staticmethod
+    def check(left, right, row_pairs):
+        left, right = tagged(left), tagged(right)
+        a = [s for sets in left for s in sets]
+        b = [s for sets in right for s in sets]
+        out = _bucket_pcnts(
+            list(range(len(row_pairs))), row_pairs, [family_counts(left), family_counts(right)]
+        )
+        for m in range(1, 1 << len(row_pairs)):
+            pairs = {pair for u, seqs in enumerate(row_pairs) if m >> u & 1 for pair in seqs}
+            assert out[m] == len({(x, y) for i, j in pairs for x in a[i] for y in b[j]}), (m, pairs)
+
+    def test_full_five_by_five_signature(self):
+        # 25 pairs in one bucket pair, all of them read by the full row set
+        rng = random.Random(5)
+        left = [[set(rng.sample(range(8), rng.randint(1, 6))) for _ in range(5)]]
+        right = [[set(rng.sample(range(9), rng.randint(1, 6))) for _ in range(5)]]
+        pairs = [(i, j) for i in range(5) for j in range(5)]
+        rng.shuffle(pairs)
+        self.check(left, right, [sorted(pairs[u::6]) for u in range(6)])
+
+    def test_identical_sets(self):
+        left = [[{1, 2, 3}] * 4]
+        right = [[{7, 8}] * 3]
+        self.check(left, right, [[(0, 0), (1, 2)], [(2, 1)], [(3, 0), (3, 2)], [(1, 1)]])
+
+    def test_disjoint_sets(self):
+        left = [[{1}, {2, 3}, {4, 5, 6}]]
+        right = [[{1, 2}, {3}, {4}, {5, 6, 7}]]
+        self.check(left, right, [[(0, 3), (1, 0)], [(2, 2)], [(1, 1), (2, 3)], [(0, 0)]])
+
+    def test_empty_venn_regions(self):
+        # nested and overlapping sets leave most regions empty
+        left = [[{1}, {1, 2}, {1, 2, 3}, {2, 3}]]
+        right = [[{5}, {5, 6}, {6, 7, 8}]]
+        self.check(left, right, [[(0, 2), (3, 0)], [(1, 1), (2, 0)], [(2, 2), (3, 1)], [(0, 0), (1, 2)]])
+
+    def test_random_families_several_bucket_pairs(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            left, right = (
+                [[set(rng.sample(range(6), rng.randint(1, 4))) for _ in range(rng.randint(1, 4))] for _ in range(2)]
+                for _ in range(2)
+            )
+            n1, n2 = sum(map(len, left)), sum(map(len, right))
+            rows = [
+                sorted({(rng.randrange(n1), rng.randrange(n2)) for _ in range(rng.randint(1, 4))})
+                for _ in range(rng.randint(1, 5))
+            ]
+            self.check(left, right, rows)
+
+
+def tight_chain(blocks, k):
+    """A tight program of ``blocks`` blocks with k choice columns each; a
+    column's x atoms are chained block to block and every x_i_j implies p_i.
+    Each column picks the block where x starts to hold, or none, so it has
+    (blocks + 1)^k answer sets and blocks + 1 distinct projections onto the
+    p_i.  Rule order fixes the atom ids and so the decomposition."""
+    lines = []
+    for i in range(blocks):
+        for j in range(k):
+            lines += [f"x{i}_{j} :- not y{i}_{j}.", f"y{i}_{j} :- not x{i}_{j}."]
+            if i:
+                lines.append(f"x{i}_{j} :- x{i - 1}_{j}.")
+            lines.append(f"p{i} :- x{i}_{j}.")
+        lines.append(f"q{i} :- p{i}.")
+    return parse_program("\n".join(lines))
+
+
 class TestRunProj:
     def test_example1_counts(self, example1_td):
         program, ntd, ids = example1_td
@@ -115,6 +208,14 @@ class TestRunProj:
             purged = purge(ttd)
             proj = run_proj(purged, pmask)
             assert final_count(proj, purged) == want
+
+    def test_tight_chain_width_six(self):
+        # join buckets here read up to 28 origin pairs (7 x 4 child rows),
+        # too many for an inclusion-exclusion over the pairs' subsets
+        p = tight_chain(6, 6)
+        r = pipeline.solve(p)
+        assert (p.n_atoms, r.stats.width, r.count) == (84, 6, 7**6)
+        assert pipeline.solve(p.with_projection(p.mask([f"p{i}" for i in range(6)]))).count == 7
 
     def test_empty_tables_give_zero(self):
         from paspc.program import Program
