@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 
 from . import formats, oracle
@@ -118,7 +119,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_WRITE
 
     if args.stats:
-        print(json.dumps(result.stats.to_dict()), file=sys.stderr)
+        # cost drivers read off the finished solve: the projection pass is
+        # exponential in the largest bucket
+        stats = result.stats.to_dict()
+        sizes = [len(b) for node in result.proj_tables.nodes for b in node.buckets]
+        stats["max_bucket"] = max(sizes, default=0)
+        stats["proj_entries"] = sum((1 << b) - 1 for b in sizes)
+        stats["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+        print(json.dumps(stats), file=sys.stderr)
 
     code = EXIT_OK
     if args.oracle_check:

@@ -3,8 +3,8 @@ normalization to nice decompositions with empty root and leaf bags."""
 
 from __future__ import annotations
 
-import heapq
 import random
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 from .program import Program
@@ -121,13 +121,21 @@ def decompose(graph: PrimalGraph, heuristic: str = "min-fill", seed: int = 0) ->
     """Elimination-ordering decomposition.
 
     Repeatedly eliminates a vertex chosen by the heuristic (``min-fill`` or
-    ``min-degree``), turns its neighborhood into a clique, records the bag
-    vertex+neighborhood, and later connects each bag to the first later bag
-    containing all its neighbors.  Ties are broken by smallest vertex id;
-    with a nonzero seed a seeded RNG picks among the tied candidates instead.
+    ``min-degree``), turns its neighborhood into a clique and records the bag
+    vertex+neighborhood.  One selection rule serves both modes: among the
+    live vertices of the lowest score, in ascending id order, each step
+    takes the first (seed 0) or a seeded ``rng.choice`` (nonzero seed).  A
+    (graph, heuristic, seed) thus always yields the decomposition that a
+    scan over all live vertices per step would pick (the reference form
+    kept in the tests).  ``tied`` keeps each score's live vertices sorted
+    (as negated ids, so the lowest id is last); only vertices whose
+    neighborhood changed are rescored, and one moves between lists, by
+    bisection, only when its score changed, so both modes take O(n log n)
+    plus the rescoring.
 
-    Scores are maintained incrementally (only vertices whose neighborhood
-    changed are rescored), so sparse graphs decompose in near-linear time.
+    Each bag is linked to the first later bag containing all its neighbors.
+    Every such bag holds the neighbor eliminated first, and that neighbor's
+    own bag is one, so only its holders after the bag are searched.
     """
     if heuristic not in ("min-fill", "min-degree"):
         raise ValueError(f"unknown heuristic {heuristic!r}")
@@ -137,46 +145,48 @@ def decompose(graph: PrimalGraph, heuristic: str = "min-fill", seed: int = 0) ->
 
     rng = random.Random(seed) if seed != 0 else None
     nbrs: list[set[int]] = [set(s) for s in graph.adj]
-    alive = [True] * n
     by_fill = heuristic == "min-fill"
 
     def rescore(v: int) -> int:
+        ns = nbrs[v]
+        k = len(ns)
         if not by_fill:
-            return len(nbrs[v])
-        ns = sorted(nbrs[v])
-        missing = 0
-        for i in range(len(ns)):
-            ni = nbrs[ns[i]]
-            for j in range(i + 1, len(ns)):
-                if ns[j] not in ni:
-                    missing += 1
-        return missing
+            return k
+        # pairs of neighbors minus the edges among them (each seen twice)
+        have = 0
+        for x in ns:
+            have += len(ns & nbrs[x])
+        return (k * (k - 1) - have) // 2
 
     score = [rescore(v) for v in range(n)]
-    heap = [(score[v], v) for v in range(n)]
-    heapq.heapify(heap)
+    # negated ids, ascending: the lowest id is popped from the end
+    tied: dict[int, list[int]] = {}
+    for v in range(n - 1, -1, -1):
+        tied.setdefault(score[v], []).append(-v)
 
     bags: list[frozenset[int]] = []
     elim_neighbors: list[set[int]] = []
-    remaining = n
-    while remaining:
-        if rng is None:
-            while True:
-                s, v = heapq.heappop(heap)
-                if alive[v] and score[v] == s:
-                    break
-        else:
-            best = min(score[u] for u in range(n) if alive[u])
-            v = rng.choice([u for u in range(n) if alive[u] and score[u] == best])
+    step = [0] * n  # per vertex: the index of its own bag
+    holders: list[list[int]] = [[] for _ in range(n)]  # bags holding it as a neighbor
+    for i in range(n):
+        best = min(tied)
+        cands = tied[best]
+        # cands[~k] is the k-th lowest id
+        v = -cands.pop(~rng.choice(range(len(cands))) if rng is not None else -1)
+        if not cands:
+            del tied[best]
 
-        neigh = set(nbrs[v])
+        neigh = nbrs[v]
         bags.append(frozenset(neigh | {v}))
         elim_neighbors.append(neigh)
+        step[v] = i
         touched = set(neigh)
         ns = sorted(neigh)
-        for i in range(len(ns)):
-            for j in range(i + 1, len(ns)):
-                x, y = ns[i], ns[j]
+        for a in range(len(ns)):
+            x = ns[a]
+            holders[x].append(i)
+            for b in range(a + 1, len(ns)):
+                y = ns[b]
                 if y not in nbrs[x]:
                     nbrs[x].add(y)
                     nbrs[y].add(x)
@@ -184,25 +194,35 @@ def decompose(graph: PrimalGraph, heuristic: str = "min-fill", seed: int = 0) ->
                         touched.update(nbrs[x] & nbrs[y])
         for u in neigh:
             nbrs[u].discard(v)
-        nbrs[v].clear()
-        alive[v] = False
-        remaining -= 1
+        touched.discard(v)
         for u in touched:
-            if alive[u]:
-                score[u] = rescore(u)
-                heapq.heappush(heap, (score[u], u))
+            old, new = score[u], rescore(u)
+            if new == old:
+                continue
+            score[u] = new
+            lst = tied[old]
+            del lst[bisect_left(lst, -u)]
+            if not lst:
+                del tied[old]
+            insort(tied.setdefault(new, []), -u)
 
     edges = []
-    for i in range(len(bags)):
-        need = elim_neighbors[i]
+    for i, need in enumerate(elim_neighbors):
         if not need:
-            if i + 1 < len(bags):
+            if i + 1 < n:
                 edges.append((i, i + 1))
             continue
-        for j in range(i + 1, len(bags)):
+        if len(need) == 1:  # most bags of sparse graphs; a keyed min costs more
+            (w,) = need
+        else:
+            w = min(need, key=step.__getitem__)
+        hw = holders[w]
+        for j in hw[bisect_right(hw, i) :]:
             if need <= bags[j]:
-                edges.append((i, j))
                 break
+        else:
+            j = step[w]
+        edges.append((i, j))
     return TreeDecomposition(bags, edges)
 
 

@@ -78,27 +78,20 @@ def buckets(row_interps: Sequence[int], pmask: int) -> list[list[int]]:
     return [classes[k] for k in sorted(classes)]
 
 
-def _sum_over_subsets(arr: list[int], nbits: int) -> None:
-    """In place: arr[m] becomes the sum of arr over all submasks of m."""
-    for i in range(nbits):
-        bit = 1 << i
-        for m in range(len(arr)):
-            if m & bit:
-                arr[m] += arr[m ^ bit]
-
-
 def _bucket_pcnts(
     bucket: list[int],
     origins: list[list[tuple[int, ...]]],
     children: Sequence[NodeCounts],
 ) -> list[int]:
     """Projected counts for every nonempty subset of one bucket (by local
-    mask): per child bucket (one child) or bucket pair (two children) its
-    rows' origins fall into, the size of the union of the origins' sets.
+    mask): per child bucket (one child) or for the one bucket pair (two
+    children) its rows' origins fall into, the size of the union of the
+    origins' sets.
 
     One child: the child's stored union count.  Two children: the Venn-region
     sum of the module docstring, O(regions * rows) per row subset instead of
-    inclusion-exclusion over the pairs' 2^u subsets."""
+    inclusion-exclusion over the pairs' 2^u subsets.  Raises ``ValueError``
+    when a join bucket's origins span several child bucket pairs."""
     size = 1 << len(bucket)
     out = [0] * size
     if len(children) == 1:
@@ -129,39 +122,35 @@ def _bucket_pcnts(
         return out
 
     c1, c2 = children
-    # per row and child-bucket signature (b1, b2): its origin pairs (i, j) as
-    # bits pos(i) * |b2| + pos(j), so left row i's partners are one slice
-    per_row_pairs: list[dict[tuple[int, int], int]] = []
+    # a join's children share its bag and its rows keep their children's
+    # interpretation, so all origin pairs of a bucket fall into one child
+    # bucket pair (b1, b2); a row's pairs (i, j) are bits pos(i) * |b2| +
+    # pos(j) of one mask, so left row i's partners are one slice
+    i0, j0 = origins[bucket[0]][0]
+    b1, b2 = c1.bucket_of[i0], c2.bucket_of[j0]
+    stride = len(c2.buckets[b2])
+    row_pairs = []
     for u in bucket:
-        g: dict[tuple[int, int], int] = {}
-        for (i, j) in origins[u]:
-            b2 = c2.bucket_of[j]
-            sig = (c1.bucket_of[i], b2)
-            bit = 1 << (c1.pos_in_bucket[i] * len(c2.buckets[b2]) + c2.pos_in_bucket[j])
-            g[sig] = g.get(sig, 0) | bit
-        per_row_pairs.append(g)
-    regions = {
-        (b1, b2): _venn_regions(c1.vals[b1], len(c1.buckets[b1]), len(c2.buckets[b2]))
-        for b1, b2 in {sig for g in per_row_pairs for sig in g}
-    }
+        mask = 0
+        for i, j in origins[u]:
+            if c1.bucket_of[i] != b1 or c2.bucket_of[j] != b2:
+                raise ValueError(f"join row {u} has origins outside child buckets ({b1}, {b2})")
+            mask |= 1 << (c1.pos_in_bucket[i] * stride + c2.pos_in_bucket[j])
+        row_pairs.append(mask)
+    regions = _venn_regions(c1.vals[b1], len(c1.buckets[b1]), stride)
+    pc2 = c2.pcnts[b2]
+    full = len(pc2) - 1
+    pairs = [0] * size  # per row subset: the union of its rows' pair masks
     for m in range(1, size):
-        merged: dict[tuple[int, int], int] = {}
-        mm = m
-        while mm:
-            lo = mm & -mm
-            for sig, mask in per_row_pairs[lo.bit_length() - 1].items():
-                merged[sig] = merged.get(sig, 0) | mask
-            mm ^= lo
+        low = m & -m
+        mask = pairs[m] = pairs[m ^ low] | row_pairs[low.bit_length() - 1]
+        # each Venn region of b1 times the union count of its partners
         total = 0
-        for sig, mask in merged.items():
-            # each Venn region of b1 times the union count of its partners
-            pc2 = c2.pcnts[sig[1]]
-            full = len(pc2) - 1
-            for e, shifts in regions[sig]:
-                n = 0
-                for s in shifts:
-                    n |= mask >> s
-                total += e * pc2[n & full]
+        for e, shifts in regions:
+            n = 0
+            for s in shifts:
+                n |= mask >> s
+            total += e * pc2[n & full]
         out[m] = total
     return out
 
@@ -180,44 +169,22 @@ def _venn_regions(vals: list[int], b: int, stride: int) -> list[tuple[int, list[
     return [(e[m], [p * stride for p in range(b) if m >> p & 1]) for m in range(1, len(e)) if e[m]]
 
 
-_LAYERED_THRESHOLD = 11  # naive strict-submask sums are cheaper below this
-
-
 def _bucket_values(pcnts: list[int], b: int) -> list[int]:
     """Intersection counts for every nonempty subset of a bucket.
 
-    Each value is |own projected count + signed sum of the strictly smaller
-    values|, the inclusion-exclusion inverse of the projected counts.  Small
-    buckets enumerate submasks directly; large ones fold each cardinality
-    layer with a subset-sum pass.
-    """
-    size = 1 << b
-    vals = [0] * size
-    if b < _LAYERED_THRESHOLD:
-        for m in range(1, size):
-            t = 0
-            sub = (m - 1) & m
-            while sub:
-                v = vals[sub]
-                t += -v if sub.bit_count() % 2 else v
-                sub = (sub - 1) & m
-            vals[m] = abs(pcnts[m] + t)
-        return vals
-
-    layers: list[list[int]] = [[] for _ in range(b + 1)]
-    for m in range(1, size):
-        layers[m.bit_count()].append(m)
-    acc = [0] * size  # signed sums over all strictly smaller layers
-    for s in range(1, b + 1):
-        tmp = [0] * size
-        for m in layers[s]:
-            v = abs(pcnts[m] + acc[m])
-            vals[m] = v
-            tmp[m] = -v if s % 2 else v
-        _sum_over_subsets(tmp, b)
-        for i in range(size):
-            acc[i] += tmp[i]
-    return vals
+    The rows stand for sets whose union sizes are ``pcnts``, so the size of
+    an intersection is, up to its sign, the subset Moebius transform of the
+    union sizes: |sum over T subset of m of (-1)^(|m| - |T|) pcnts[T]|.  A
+    single row's intersection is its union."""
+    if b == 1:
+        return pcnts
+    vals = list(pcnts)
+    for i in range(b):
+        bit = 1 << i
+        for m in range(len(vals)):
+            if m & bit:
+                vals[m] -= vals[m ^ bit]
+    return list(map(abs, vals))
 
 
 def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:

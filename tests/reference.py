@@ -1,17 +1,21 @@
 """Reference formulations kept for the tests: the defining per-entry
 formulas of the projection pass, the union-count transform of a bucket's
-intersection counts, and the engine's origin links as row tuples and their
-definitional recomputation.
-The library computes the same quantities bucket-wise (``paspc.proj``) or
-records them during the table pass (``paspc.engine``)."""
+intersection counts, the engine's origin links as row tuples and their
+definitional recomputation, and the first elimination-ordering
+decomposition.
+The library computes the same quantities bucket-wise (``paspc.proj``),
+records them during the table pass (``paspc.engine``) or selects and links
+bags with cheaper structures (``paspc.decomposition``)."""
 
 from __future__ import annotations
 
+import heapq
+import random
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Any, Mapping, Sequence
 
-from paspc.decomposition import LEAF
+from paspc.decomposition import LEAF, PrimalGraph, TreeDecomposition
 from paspc.engine import NodeTable, TabledTreeDecomposition
 from paspc.program import Rule
 from paspc.proj import buckets
@@ -221,3 +225,99 @@ def verify_origins(ttd: TabledTreeDecomposition) -> list[str]:
             if recorded != definitional_origins(ttd, t, row):
                 problems.append(f"node {t} row {i}: recorded origins differ from definition")
     return problems
+
+
+# --- decomposition ------------------------------------------------------------
+
+
+def reference_decompose(graph: PrimalGraph, heuristic: str = "min-fill", seed: int = 0) -> TreeDecomposition:
+    """The elimination-ordering decomposition as first written: a heap with
+    lazy deletion for seed 0 and a scan over all live vertices per step for a
+    nonzero seed (O(n^2)), and bag linking by a forward scan for the first
+    superset bag.  ``paspc.decomposition.decompose`` must return the same
+    bags and edges for every (graph, heuristic, seed).
+
+    Repeatedly eliminates a vertex chosen by the heuristic (``min-fill`` or
+    ``min-degree``), turns its neighborhood into a clique, records the bag
+    vertex+neighborhood, and later connects each bag to the first later bag
+    containing all its neighbors.  Ties are broken by smallest vertex id;
+    with a nonzero seed a seeded RNG picks among the tied candidates instead.
+
+    Scores are maintained incrementally (only vertices whose neighborhood
+    changed are rescored), so sparse graphs decompose in near-linear time.
+    """
+    if heuristic not in ("min-fill", "min-degree"):
+        raise ValueError(f"unknown heuristic {heuristic!r}")
+    n = graph.n
+    if n == 0:
+        return TreeDecomposition([frozenset()], [])
+
+    rng = random.Random(seed) if seed != 0 else None
+    nbrs: list[set[int]] = [set(s) for s in graph.adj]
+    alive = [True] * n
+    by_fill = heuristic == "min-fill"
+
+    def rescore(v: int) -> int:
+        if not by_fill:
+            return len(nbrs[v])
+        ns = sorted(nbrs[v])
+        missing = 0
+        for i in range(len(ns)):
+            ni = nbrs[ns[i]]
+            for j in range(i + 1, len(ns)):
+                if ns[j] not in ni:
+                    missing += 1
+        return missing
+
+    score = [rescore(v) for v in range(n)]
+    heap = [(score[v], v) for v in range(n)]
+    heapq.heapify(heap)
+
+    bags: list[frozenset[int]] = []
+    elim_neighbors: list[set[int]] = []
+    remaining = n
+    while remaining:
+        if rng is None:
+            while True:
+                s, v = heapq.heappop(heap)
+                if alive[v] and score[v] == s:
+                    break
+        else:
+            best = min(score[u] for u in range(n) if alive[u])
+            v = rng.choice([u for u in range(n) if alive[u] and score[u] == best])
+
+        neigh = set(nbrs[v])
+        bags.append(frozenset(neigh | {v}))
+        elim_neighbors.append(neigh)
+        touched = set(neigh)
+        ns = sorted(neigh)
+        for i in range(len(ns)):
+            for j in range(i + 1, len(ns)):
+                x, y = ns[i], ns[j]
+                if y not in nbrs[x]:
+                    nbrs[x].add(y)
+                    nbrs[y].add(x)
+                    if by_fill:
+                        touched.update(nbrs[x] & nbrs[y])
+        for u in neigh:
+            nbrs[u].discard(v)
+        nbrs[v].clear()
+        alive[v] = False
+        remaining -= 1
+        for u in touched:
+            if alive[u]:
+                score[u] = rescore(u)
+                heapq.heappush(heap, (score[u], u))
+
+    edges = []
+    for i in range(len(bags)):
+        need = elim_neighbors[i]
+        if not need:
+            if i + 1 < len(bags):
+                edges.append((i, i + 1))
+            continue
+        for j in range(i + 1, len(bags)):
+            if need <= bags[j]:
+                edges.append((i, j))
+                break
+    return TreeDecomposition(bags, edges)

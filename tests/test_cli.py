@@ -4,7 +4,7 @@ import os
 import pytest
 
 import helpers
-from paspc import cli
+from paspc import cli, parse_program, solve
 
 EX1 = helpers.EXAMPLE1_TEXT
 
@@ -161,6 +161,16 @@ class TestSideOutputs:
         assert stats["algorithm"] == "phc"
         assert stats["max_purged"] <= stats["max_table"]
         assert set(stats["timings"]) == {"classify", "decompose", "make_nice", "dp", "purge", "proj"}
+        assert set(stats) == {
+            "width", "nodes", "max_table", "max_purged", "algorithm", "timings",
+            "max_bucket", "proj_entries", "peak_rss_mb",
+        }
+        # the same solve's buckets, and its projection entries as the trace lists them
+        result = solve(parse_program(EX1))
+        sizes = [len(b) for node in result.proj_tables.nodes for b in node.buckets]
+        assert stats["max_bucket"] == max(sizes) >= 1
+        assert stats["proj_entries"] == sum(len(t) for t in result.proj_tables.tables)
+        assert stats["peak_rss_mb"] > 0
 
     def test_emit_and_reuse_td(self, ex1_file, tmp_path, capsys):
         td_path = str(tmp_path / "out.td")

@@ -13,6 +13,7 @@ from paspc.decomposition import (
 )
 from paspc.formats import read_td
 from paspc.program import Program
+from reference import reference_decompose
 
 
 def random_graph(rng, n, density=0.3):
@@ -87,6 +88,23 @@ class TestDecompose:
     def test_unknown_heuristic(self):
         with pytest.raises(ValueError):
             decompose(PrimalGraph(1), "magic")
+
+    def test_matches_reference(self):
+        # the same bags and edges as the heap / live-vertex scan / forward
+        # superset scan formulation, so a seed picks the same decomposition
+        rng = random.Random(2024)
+        cases = []
+        for k in range(512):
+            g = random_graph(rng, rng.randint(0, 40), rng.uniform(0.03, 0.4))
+            cases.append((g, ("min-fill", "min-degree")[k % 2], (0, 1, 7, 99)[k // 2 % 4]))
+        chain = PrimalGraph(400)  # x, y, p, q per block; x chained block to block
+        for b in range(0, 400, 4):
+            for u, v in ((b, b + 1), (b, b + 2), (b + 2, b + 3)) + (((b - 4, b),) if b else ()):
+                chain.add_edge(u, v)
+        cases.append((chain, "min-fill", 1))
+        for g, h, seed in cases:
+            got, want = decompose(g, h, seed), reference_decompose(g, h, seed)
+            assert (got.bags, got.edges) == (want.bags, want.edges), (g.n, h, seed)
 
 
 class TestValidateTd:

@@ -1,13 +1,14 @@
 import random
 
 import helpers
+import pytest
 from paspc import oracle, pipeline
-from paspc.decomposition import decompose, make_nice, primal_graph
+from paspc.decomposition import JOIN, decompose, make_nice, primal_graph
 from paspc.engine import purge, run_dp
 from paspc.formats import parse_program
 from paspc.phc import PhcRow
 from paspc.prim import PRIM
-from paspc.proj import NodeCounts, _bucket_pcnts, buckets, final_count, run_proj
+from paspc.proj import NodeCounts, _bucket_pcnts, _bucket_values, buckets, final_count, run_proj
 from reference import ipmc, pcnt, reference_proj_table, sipmc, subbuckets, union_counts
 
 # the paper's full-ordering PHC; the programs below have at most 8 atoms
@@ -108,6 +109,23 @@ class TestPinnedTableValues:
         ) == pcnt({(0,)}, [self.child_pi], [self.child_buckets])
 
 
+class TestBucketValues:
+    def test_inverts_union_counts(self):
+        # genuine set families (bitmasks over 20 elements, with a shared part
+        # so that wide intersections are not all empty) up to 13 rows
+        rng = random.Random(13)
+        for b in range(1, 14):
+            for _ in range(2 if b > 10 else 6):
+                common = rng.getrandbits(20) & rng.getrandbits(20)
+                sets = [rng.getrandbits(20) & rng.getrandbits(20) | common for _ in range(b)]
+                ors = [0] * (1 << b)
+                for m in range(1, 1 << b):
+                    low = m & -m
+                    ors[m] = ors[m ^ low] | sets[low.bit_length() - 1]
+                pcnts = [x.bit_count() for x in ors]
+                assert union_counts(_bucket_values(pcnts, b), b) == pcnts
+
+
 def family_counts(bucket_sets):
     """A child's NodeCounts from explicit projected answer-set sets, bucket
     by bucket: ``vals`` are the intersection sizes and ``pcnts`` the union
@@ -169,18 +187,29 @@ class TestTwoChildUnion:
         self.check(left, right, [[(0, 2), (3, 0)], [(1, 1), (2, 0)], [(2, 2), (3, 1)], [(0, 0), (1, 2)]])
 
     def test_random_families_several_bucket_pairs(self):
+        # two buckets per child; each join bucket reads one pair of them
         rng = random.Random(11)
         for _ in range(30):
             left, right = (
                 [[set(rng.sample(range(6), rng.randint(1, 4))) for _ in range(rng.randint(1, 4))] for _ in range(2)]
                 for _ in range(2)
             )
-            n1, n2 = sum(map(len, left)), sum(map(len, right))
+            b1, b2 = rng.randrange(2), rng.randrange(2)
+            ids1 = range(len(left[0]) * b1, len(left[0]) * b1 + len(left[b1]))
+            ids2 = range(len(right[0]) * b2, len(right[0]) * b2 + len(right[b2]))
             rows = [
-                sorted({(rng.randrange(n1), rng.randrange(n2)) for _ in range(rng.randint(1, 4))})
+                sorted({(rng.choice(ids1), rng.choice(ids2)) for _ in range(rng.randint(1, 4))})
                 for _ in range(rng.randint(1, 5))
             ]
             self.check(left, right, rows)
+
+    def test_origins_outside_the_bucket_pair_rejected(self):
+        # a join row keeps its children's interpretation, so origins in a
+        # second child bucket pair mean corrupt tables
+        left, right = [[{1}], [{2}]], [[{3}]]
+        for rows in ([[(0, 0), (1, 0)]], [[(0, 0)], [(1, 0)]]):
+            with pytest.raises(ValueError):
+                _bucket_pcnts(list(range(len(rows))), rows, [family_counts(left), family_counts(right)])
 
 
 def tight_chain(blocks, k):
@@ -229,15 +258,28 @@ class TestRunProj:
 
     @staticmethod
     def seeded_fuzz():
-        """The seeded projection fuzz: both algorithms, random projections."""
-        rng = random.Random(909)
-        for alg in (PHC, PRIM):
-            for _ in range(25):
-                p = helpers.random_mixed(rng, rng.randint(1, 6), rng.randint(1, 8))
-                pmask = helpers.random_projection(rng, p)
-                ttd = run_dp(alg, p, make_nice(decompose(primal_graph(p))))
-                purged = purge(ttd)
-                yield alg, pmask, ttd, purged, run_proj(purged, pmask)
+        """The seeded projection fuzz: both algorithms, random projections.
+        The second stream's sparser programs of 10-12 atoms branch in their
+        decompositions, so join buckets of several rows occur."""
+        for seed, atoms, rules in ((909, (1, 6), (1, 8)), (4, (10, 12), (8, 11))):
+            rng = random.Random(seed)
+            for prim in (False, True):
+                for _ in range(25):
+                    p = helpers.random_mixed(rng, rng.randint(*atoms), rng.randint(*rules))
+                    alg = PRIM if prim else helpers.paper_phc(max(p.n_atoms, 8))
+                    pmask = helpers.random_projection(rng, p)
+                    ttd = run_dp(alg, p, make_nice(decompose(primal_graph(p))))
+                    purged = purge(ttd)
+                    yield alg, pmask, ttd, purged, run_proj(purged, pmask)
+
+    def test_fuzz_reaches_multi_row_join_buckets(self):
+        # the two-child path is exercised under both algorithms
+        reached = set()
+        for alg, _, ttd, _, proj in self.seeded_fuzz():
+            for t in ttd.post_order:
+                if ttd.td.nodes[t].kind == JOIN and any(len(b) > 1 for b in proj.nodes[t].buckets):
+                    reached.add(alg is PRIM)
+        assert reached == {False, True}
 
     def test_matches_reference_formulas(self):
         # the bucket-wise evaluation must agree with the defining recursion
