@@ -1,11 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 parse error, 3 invalid or ill-matched decomposition
-file, 4 algorithm/class mismatch, 5 oracle-check mismatch, 6 an --emit-td or
---trace path cannot be written, 7 --oracle-check on a program too large for
-the oracle.  The count is the final stdout line, formatted ``c <count>``;
---stats emits JSON on stderr.  ``--algorithm phc-tight`` is ``phc`` restricted
-to tight programs.
+Exit codes: 0 success, 2 parse error or invalid option value, 3 invalid or
+ill-matched decomposition file, 4 algorithm/class mismatch, 5 oracle-check
+mismatch, 6 an --emit-td or --trace path cannot be written, 7 --oracle-check
+on a program too large for the oracle.  The count is the final stdout line,
+formatted ``c <count>``; --stats emits JSON on stderr.
 """
 
 from __future__ import annotations

@@ -2,8 +2,12 @@
 
 Each table algorithm turns one node's child tables into the node's own table
 and reports, per emitted row, the child-row index sequences it came from.
-The driver records tables and those origin links; a later top-down pass
-(purge) keeps only rows reachable from the solution row at the root.
+It sees only the rules entering at the node, those whose atoms first all fit
+a bag there: the rules of an introduced atom that fit its bag, and the
+atomless rules at a leaf.  Every other rule that fits the bag was checked
+below, on the same interpretation of its atoms.  The driver records tables
+and origin links in the order the algorithm emitted them; a later top-down
+pass (purge) keeps only rows reachable from the solution row at the root.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Protocol, Sequence
 
-from .decomposition import INTRODUCE, LEAF, REMOVE, NiceTreeDecomposition
+from .decomposition import INTRODUCE, LEAF, NiceTreeDecomposition
 from .program import Program, Rule
 
 
@@ -22,21 +26,18 @@ class TableAlgorithm(Protocol):
     def node_table(
         self,
         kind: str,
-        bag_mask: int,
         atom: int | None,
-        bag_rules: Sequence[Rule],
+        rules: Sequence[Rule],
         child_tables: Sequence["NodeTable"],
     ) -> dict[Any, set[tuple[int, ...]]]: ...
 
     def interp(self, row: Any) -> int: ...
 
-    def sort_key(self, row: Any) -> Any: ...
-
     def format_row(self, row: Any, program: Program) -> str: ...
 
 
 class NodeTable:
-    """Rows in canonical order plus per-row origin sequences (child indices)."""
+    """Rows in emission order plus per-row origin sequences (child indices)."""
 
     __slots__ = ("rows", "origins")
 
@@ -56,7 +57,7 @@ class TabledTreeDecomposition:
     program: Program
     alg: TableAlgorithm
     tables: list[NodeTable | None]
-    bag_rules: list[list[Rule]]
+    rules: list[Sequence[Rule]]  # per node: the rules entering there
     post_order: list[int] = field(default_factory=list)
 
     def table(self, t: int) -> NodeTable:
@@ -66,50 +67,39 @@ class TabledTreeDecomposition:
         return tab
 
 
-def bag_programs(program: Program, td: NiceTreeDecomposition) -> list[list[Rule]]:
-    """Per-node rule lists: a rule belongs to a node iff its atoms fit the bag.
-
-    Computed incrementally bottom-up: rules enter at introduce nodes of one of
-    their atoms and leave when an atom is removed."""
+def entering_rules(program: Program, td: NiceTreeDecomposition) -> list[Sequence[Rule]]:
+    """Per node, the rules that fit its bag but not its child's: at a leaf the
+    atomless rules, at an introduce node the rules of its atom that fit the
+    bag, and none at remove and join nodes."""
     rules_by_atom: dict[int, list[Rule]] = {}
     atomless = []
     for r in program.rules:
         if r.atom_mask == 0:
-            atomless.append(r)  # fits every bag
+            atomless.append(r)
             continue
         for a in sorted(set(r.head) | set(r.pos_body) | set(r.neg_body)):
             rules_by_atom.setdefault(a, []).append(r)
 
-    out: list[list[Rule]] = [[] for _ in td.nodes]
-    for t in td.post_order():
-        nd = td.nodes[t]
+    out: list[Sequence[Rule]] = [()] * len(td.nodes)
+    for t, nd in enumerate(td.nodes):
         if nd.kind == LEAF:
-            out[t] = list(atomless)
+            out[t] = atomless
         elif nd.kind == INTRODUCE:
-            # a rule enters exactly when its last missing atom is introduced
-            fresh = [r for r in rules_by_atom.get(nd.atom, ()) if not (r.atom_mask & ~nd.bag_mask)]
-            out[t] = out[nd.children[0]] + fresh
-        elif nd.kind == REMOVE:
-            bit = 1 << nd.atom
-            out[t] = [r for r in out[nd.children[0]] if not (r.atom_mask & bit)]
-        else:  # join: same bag as both children
-            out[t] = out[nd.children[0]]
+            out[t] = [r for r in rules_by_atom.get(nd.atom, ()) if not (r.atom_mask & ~nd.bag_mask)]
     return out
 
 
 def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> TabledTreeDecomposition:
     """Run the table algorithm over all nodes in post-order."""
     order = td.post_order()
-    rules = bag_programs(program, td)
+    rules = entering_rules(program, td)
     tables: list[NodeTable | None] = [None] * len(td.nodes)
     for t in order:
         nd = td.nodes[t]
         children = [tables[c] for c in nd.children]
         assert all(c is not None for c in children)
-        produced = alg.node_table(nd.kind, nd.bag_mask, nd.atom, rules[t], children)  # type: ignore[arg-type]
-        rows = sorted(produced, key=alg.sort_key)
-        origins = [sorted(produced[row]) for row in rows]
-        tables[t] = NodeTable(rows, origins)
+        produced = alg.node_table(nd.kind, nd.atom, rules[t], children)  # type: ignore[arg-type]
+        tables[t] = NodeTable(list(produced), [list(seqs) for seqs in produced.values()])
     return TabledTreeDecomposition(td, program, alg, tables, rules, order)
 
 
@@ -120,7 +110,6 @@ class PurgedTables:
     ttd: TabledTreeDecomposition
     rows: list[list]  # per node
     origins: list[list[list[tuple[int, ...]]]]  # per node, per row
-    kept: list[list[int]]  # per node: original row indices
 
     def max_rows(self) -> int:
         return max((len(r) for r in self.rows), default=0)
@@ -154,13 +143,11 @@ def purge(ttd: TabledTreeDecomposition) -> PurgedTables:
                     marked[nd.children[i]].add(j)
 
     rows: list[list] = [[] for _ in td.nodes]
-    kept: list[list[int]] = [[] for _ in td.nodes]
     new_index: list[dict[int, int]] = [{} for _ in td.nodes]
     origins_out: list[list[list[tuple[int, ...]]]] = [[] for _ in td.nodes]
     for t in ttd.post_order:
         tab = ttd.table(t)
         keep = sorted(marked[t])
-        kept[t] = keep
         new_index[t] = {j: i for i, j in enumerate(keep)}
         rows[t] = [tab.rows[j] for j in keep]
         nd = td.nodes[t]
@@ -170,9 +157,9 @@ def purge(ttd: TabledTreeDecomposition) -> PurgedTables:
                 tuple(new_index[nd.children[i]][x] for i, x in enumerate(seq))
                 for seq in tab.origins[j]
             ]
-            remapped.append(sorted(seqs))
+            remapped.append(sorted(seqs))  # sorted also trims the list to its size
         origins_out[t] = remapped
-    return PurgedTables(ttd, rows, origins_out, kept)
+    return PurgedTables(ttd, rows, origins_out)
 
 
 def format_table(ttd: TabledTreeDecomposition, t: int) -> str:

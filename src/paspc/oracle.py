@@ -8,8 +8,6 @@ this package exists to test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .program import Program
 
 MAX_ATOMS = 24
@@ -17,12 +15,6 @@ MAX_ATOMS = 24
 
 class OracleSizeError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    answer_sets: frozenset[int]
-    projected_count: int
 
 
 def enumerate_answer_sets(program: Program) -> list[int]:
@@ -68,9 +60,3 @@ def projected_count(program: Program, pmask: int | None = None) -> int:
         pmask = program.projection
     return len({interp & pmask for interp in enumerate_answer_sets(program)})
 
-
-def analyze(program: Program, pmask: int | None = None) -> OracleResult:
-    if pmask is None:
-        pmask = program.projection
-    answer_sets = enumerate_answer_sets(program)
-    return OracleResult(frozenset(answer_sets), len({a & pmask for a in answer_sets}))

@@ -39,7 +39,7 @@ def ords(order: tuple[int, ...], addition) -> list[tuple[int, ...]]:
     return [order[:i] + (a,) + order[i:] for i in range(len(order) + 1)]
 
 
-def gp(interp: int, order: tuple[int, ...], bag_rules: Sequence[Rule], components: Mapping[int, int]) -> int:
+def gp(interp: int, order: tuple[int, ...], rules: Sequence[Rule], components: Mapping[int, int]) -> int:
     """Atoms provable under the interpretation and ordering (as a bitmask).
 
     A head atom is provable when the positive body holds and the negative
@@ -50,7 +50,7 @@ def gp(interp: int, order: tuple[int, ...], bag_rules: Sequence[Rule], component
     """
     pos_at = {a: i for i, a in enumerate(order)}
     proven = 0
-    for r in bag_rules:
+    for r in rules:
         if r.pos_mask & ~interp or r.neg_mask & interp:
             continue
         for a in r.head:
@@ -80,10 +80,6 @@ class PhcAlgorithm:
     def interp(row: PhcRow) -> int:
         return row.interp
 
-    @staticmethod
-    def sort_key(row: PhcRow):
-        return (row.interp, row.proven, row.order)
-
     def _orders(self, order: tuple[int, ...], atom: int) -> list[tuple[int, ...]]:
         """Orderings with the introduced true atom: insertions among the atoms
         of its own component, or the ordering unchanged for an acyclic atom."""
@@ -99,24 +95,24 @@ class PhcAlgorithm:
     def node_table(
         self,
         kind: str,
-        bag_mask: int,
         atom: int | None,
-        bag_rules: Sequence[Rule],
+        rules: Sequence[Rule],
         child_tables: Sequence[NodeTable],
     ) -> dict[PhcRow, set[tuple[int, ...]]]:
         out: dict[PhcRow, set[tuple[int, ...]]] = {}
         comp = self.components
         if kind == LEAF:
-            out[PhcRow(0, 0, ())] = {()}
+            if is_model(0, rules):
+                out[PhcRow(0, 0, ())] = {()}
         elif kind == INTRODUCE:
             bit = 1 << atom
             for ci, row in enumerate(child_tables[0].rows):
                 for interp in (row.interp, row.interp | bit):
-                    if not is_model(interp, bag_rules):
+                    if not is_model(interp, rules):
                         continue
                     orders = self._orders(row.order, atom) if interp & bit else [row.order]
                     for order in orders:
-                        new = PhcRow(interp, row.proven | gp(interp, order, bag_rules, comp), order)
+                        new = PhcRow(interp, row.proven | gp(interp, order, rules, comp), order)
                         out.setdefault(new, set()).add((ci,))
         elif kind == REMOVE:
             bit = 1 << atom

@@ -12,7 +12,7 @@ from .phc import PhcAlgorithm
 from .prim import PRIM
 from .program import Program, ProgramKind, classify
 
-ALGORITHMS = ("auto", "phc", "phc-tight", "prim")
+ALGORITHMS = ("auto", "phc", "prim")
 
 
 class AlgorithmMismatchError(ValueError):
@@ -53,14 +53,11 @@ class SolveResult:
 def pick_algorithm(program: Program, requested: str = "auto"):
     """The table algorithm instance for the program: ``phc`` (SCC-local
     orderings, which stay empty on tight programs) unless the program is
-    disjunctive, then ``prim``.  ``phc-tight`` is ``phc`` restricted to tight
-    programs."""
+    disjunctive, then ``prim``."""
     if requested not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {requested!r}")
     cls = classify(program)
-    if requested == "phc-tight" and cls.kind is not ProgramKind.TIGHT:
-        raise AlgorithmMismatchError(f"phc-tight requires a tight program, got {cls.kind.value}")
-    if requested in ("phc", "phc-tight") and cls.kind is ProgramKind.DISJUNCTIVE:
+    if requested == "phc" and cls.kind is ProgramKind.DISJUNCTIVE:
         raise AlgorithmMismatchError(f"phc requires a head-cycle-free program, got {cls.kind.value}")
     if requested == "prim" or (requested == "auto" and cls.kind is ProgramKind.DISJUNCTIVE):
         return PRIM

@@ -38,27 +38,23 @@ class PrimAlgorithm:
         return row.witness
 
     @staticmethod
-    def sort_key(row: PrimRow):
-        return (row.witness, len(row.counters), tuple(sorted(row.counters)))
-
-    @staticmethod
     def node_table(
         kind: str,
-        bag_mask: int,
         atom: int | None,
-        bag_rules: Sequence[Rule],
+        rules: Sequence[Rule],
         child_tables: Sequence[NodeTable],
     ) -> dict[PrimRow, set[tuple[int, ...]]]:
         out: dict[PrimRow, set[tuple[int, ...]]] = {}
         if kind == LEAF:
-            out[PrimRow(0, frozenset())] = {()}
+            if is_model(0, rules):
+                out[PrimRow(0, frozenset())] = {()}
         elif kind == INTRODUCE:
             bit = 1 << atom
             for ci, row in enumerate(child_tables[0].rows):
                 for witness in (row.witness, row.witness | bit):
-                    if not is_model(witness, bag_rules):
+                    if not is_model(witness, rules):
                         continue
-                    reduct = [r for r in bag_rules if not (r.neg_mask & witness)]
+                    reduct = [r for r in rules if not (r.neg_mask & witness)]
                     counters = set()
                     for n in row.counters:
                         candidates = (n, n | bit) if witness & bit else (n,)

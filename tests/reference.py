@@ -165,10 +165,9 @@ def origins_table(ttd: TabledTreeDecomposition, t: int, rows: Sequence[Any]) -> 
 
 @dataclass(frozen=True)
 class NodeScope:
-    """Program and atoms below a node (inclusive and strict)."""
+    """Program below a node, and its atoms (inclusive and strict)."""
 
     rules_below: frozenset[Rule]
-    rules_strictly_below: frozenset[Rule]
     atoms_below: int
     atoms_strictly_below: int
 
@@ -180,13 +179,11 @@ def node_scope(ttd: TabledTreeDecomposition, t: int) -> NodeScope:
     stack = [t]
     while stack:
         x = stack.pop()
-        below_rules.update(ttd.bag_rules[x])
+        below_rules.update(ttd.rules[x])
         below_atoms |= td.nodes[x].bag_mask
         stack.extend(td.nodes[x].children)
-    here = set(ttd.bag_rules[t])
     return NodeScope(
         frozenset(below_rules),
-        frozenset(below_rules - here),
         below_atoms,
         below_atoms & ~td.nodes[t].bag_mask,
     )
@@ -205,7 +202,7 @@ def definitional_origins(ttd: TabledTreeDecomposition, t: int, row: Any) -> set[
             NodeTable([child_tables[i].rows[j]], [child_tables[i].origins[j]])
             for i, j in enumerate(combo)
         ]
-        produced = alg.node_table(nd.kind, nd.bag_mask, nd.atom, ttd.bag_rules[t], singles)
+        produced = alg.node_table(nd.kind, nd.atom, ttd.rules[t], singles)
         if row in produced:
             out.add(combo)
     return out

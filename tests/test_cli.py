@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 import helpers
+import paspc
 from paspc import cli, parse_program, solve
 
 EX1 = helpers.EXAMPLE1_TEXT
@@ -59,12 +62,6 @@ class TestSolve:
             code, out, _ = run(capsys, "solve", ex1_file, "--algorithm", alg)
             assert (code, out.splitlines()[-1]) == (0, "c 3")
 
-    def test_phc_tight_alias_on_tight_program(self, tmp_path, capsys):
-        path = tmp_path / "tight.lp"
-        path.write_text("a :- not b.\nb :- not a.\nc :- a.\nc | d :- b.\n")
-        outs = [run(capsys, "solve", str(path), "--algorithm", alg) for alg in ("auto", "phc-tight")]
-        assert outs[0][:2] == outs[1][:2] == (0, "c 3\n")
-
     def test_wide_head_cycle_free_program(self, tmp_path, capsys):
         path = tmp_path / "wide.lp"
         path.write_text(helpers.WIDE_HCF_TEXT)
@@ -104,16 +101,19 @@ class TestExitCodes:
         assert code == 3
         assert "bag tree is disconnected" in err
 
-    def test_algorithm_mismatch(self, ex1_file, capsys):
-        code, _, err = run(capsys, "solve", ex1_file, "--algorithm", "phc-tight")
-        assert code == 4
-        assert "mismatch" in err
+    def test_unknown_algorithm(self, ex1_file, capsys):
+        # argparse rejects an invalid choice with exit code 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", ex1_file, "--algorithm", "phc-tight"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_phc_on_disjunctive_mismatch(self, tmp_path, capsys):
         path = tmp_path / "disj.lp"
         path.write_text("a | b.\na :- b.\nb :- a.\n")
         code, _, err = run(capsys, "solve", str(path), "--algorithm", "phc")
         assert code == 4
+        assert "mismatch" in err
 
     def test_oracle_check_pass(self, ex1_file, capsys):
         code, out, _ = run(capsys, "solve", ex1_file, "--oracle-check")
@@ -188,3 +188,25 @@ class TestSideOutputs:
         assert names == {"tables.txt", "purged.txt", "proj.txt"}
         body = (trace / "tables.txt").read_text()
         assert "kind=leaf" in body and "I=" in body
+
+    @pytest.mark.parametrize(
+        "text",
+        (
+            helpers.WIDE_HCF_TEXT,  # phc, with the positive cycle x3 <-> x6
+            "a | b. a :- b. b :- a. c | d. e | f :- c. e :- f. f :- e. g | h :- d. g :- h, e.\n",  # prim
+        ),
+    )
+    def test_trace_independent_of_hash_seed(self, text, tmp_path):
+        # tables keep their emission order, which hashes only ints, tuples
+        # and frozensets of ints; string hashing must not leak into it
+        path = tmp_path / "p.lp"
+        path.write_text(text)
+        src = os.path.dirname(os.path.dirname(paspc.__file__))
+        dumps = []
+        for hash_seed in ("0", "12345"):
+            trace = tmp_path / f"trace-{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            argv = [sys.executable, "-m", "paspc", "solve", str(path), "--project-all", "--trace", str(trace)]
+            subprocess.run(argv, env=env, check=True, capture_output=True)
+            dumps.append({name: (trace / name).read_bytes() for name in ("tables.txt", "purged.txt", "proj.txt")})
+        assert dumps[0] == dumps[1]

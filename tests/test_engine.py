@@ -5,7 +5,7 @@ import pytest
 import helpers
 from paspc import oracle
 from paspc.decomposition import decompose, make_nice, primal_graph
-from paspc.engine import bag_programs, purge, run_dp
+from paspc.engine import entering_rules, purge, run_dp
 from paspc.phc import PhcRow
 from paspc.prim import PRIM
 from paspc.program import Program
@@ -53,21 +53,47 @@ class TestRunDp:
 
 
 class TestBagPrograms:
-    def test_bag_program_membership(self, example1_td):
-        program, ntd, ids = example1_td
-        rules = bag_programs(program, ntd)
-        by_key = {
-            (tuple(r.head), tuple(r.pos_body), tuple(r.neg_body)): r for r in program.rules
-        }
-        for t in ntd.post_order():
-            bag_mask = ntd.nodes[t].bag_mask
-            expected = {r.key() for r in program.rules if not r.atom_mask & ~bag_mask}
-            assert {r.key() for r in rules[t]} == expected
+    """A node's bag program, the rules that fit its bag, reaches the table
+    algorithm split up: each rule enters where it first fits."""
 
-    def test_t8_sees_three_rules(self, example1_td):
+    @staticmethod
+    def check_entering(p, td):
+        rules = entering_rules(p, td)
+
+        def fitting(bag_mask):
+            return {r.key() for r in p.rules if not r.atom_mask & ~bag_mask}
+
+        entered = set()
+        for t in td.post_order():
+            nd = td.nodes[t]
+            got = {r.key() for r in rules[t]}
+            if nd.kind == "leaf":
+                assert got == fitting(0)
+            elif nd.kind in ("rem", "join"):
+                assert got == set()
+            else:
+                assert got == fitting(nd.bag_mask) - fitting(td.nodes[nd.children[0]].bag_mask)
+            entered |= got
+        assert entered == {r.key() for r in p.rules}
+
+    def test_rules_enter_where_they_first_fit(self, example1_td):
+        program, ntd, _ = example1_td
+        self.check_entering(program, ntd)
+        # an atomless constraint enters at the leaves
+        p = Program.from_specs([((), (), ()), (("a",), (), ("b",)), (("b",), (), ("a",))])
+        td = make_nice(decompose(primal_graph(p)))
+        self.check_entering(p, td)
+        leaves = [t for t in td.post_order() if td.nodes[t].kind == "leaf"]
+        assert all([r.key() for r in entering_rules(p, td)[t]] == [((), (), ())] for t in leaves)
+
+    def test_two_rules_enter_at_t8(self, example1_td):
+        # introducing e over {b,d}: "d | e :- b." and "b :- e, not d." become
+        # complete; "d :- not b." entered at t7, "c | e." needs c
         program, ntd, ids = example1_td
-        rules = bag_programs(program, ntd)
-        assert len(rules[ids["t8"]]) == 3
+        rules = entering_rules(program, ntd)
+        b, d, e = (program.atom_id(x) for x in "bde")
+        want = {(tuple(sorted((d, e))), (b,), ()), ((b,), (e,), (d,))}
+        assert {r.key() for r in rules[ids["t8"]]} == want
 
     def test_scope_at_root_is_whole_program(self, example1_td):
         program, ids, ttd = run_example1(example1_td)

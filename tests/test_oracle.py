@@ -35,8 +35,3 @@ class TestProjectedCount:
         p = Program.from_specs([((f"x{i}",), (), ()) for i in range(25)])
         with pytest.raises(oracle.OracleSizeError):
             oracle.enumerate_answer_sets(p)
-
-    def test_analyze_bundles_sets_and_count(self, example1):
-        r = oracle.analyze(example1)
-        assert r.projected_count == len({a & example1.projection for a in r.answer_sets}) == 3
-        assert len(r.answer_sets) == 4

@@ -49,7 +49,7 @@ class TestGp:
         p = Program.from_specs([(("b",), ("e",), ("d",)), (("d", "e"), ("b",), ())])
         b, e = p.atom_id("b"), p.atom_id("e")
         child = single_row_table(PhcRow(1 << e, 1 << e, (e,)))
-        out = PHC.node_table("int", p.mask("bde"), b, p.rules, [child])
+        out = PHC.node_table("int", b, p.rules, [child])
         with_b = {row for row in out if row.interp == p.mask("be")}
         assert with_b == {
             PhcRow(p.mask("be"), 1 << e, (b, e)),
@@ -78,12 +78,12 @@ def single_row_table(row):
 
 class TestPhcTransitions:
     def test_leaf(self):
-        out = PHC.node_table("leaf", 0, None, [], [])
+        out = PHC.node_table("leaf", None, [], [])
         assert out == {PhcRow(0, 0, ()): {()}}
 
     def test_introduce_without_rules(self):
         child = single_row_table(PhcRow(0, 0, ()))
-        out = PHC.node_table("int", 0b1, 0, [], [child])
+        out = PHC.node_table("int", 0, [], [child])
         assert set(out) == {PhcRow(0, 0, ()), PhcRow(1, 0, (0,))}
         assert all(origin == {(0,)} for origin in out.values())
 
@@ -92,7 +92,7 @@ class TestPhcTransitions:
         p = Program.from_specs([(("a", "b"), (), ())])
         a, b = p.atom_id("a"), p.atom_id("b")
         child = NodeTable([PhcRow(0, 0, ()), PhcRow(1 << a, 0, (a,))], [[()], [()]])
-        out = PHC.node_table("int", 0b11, b, p.rules, [child])
+        out = PHC.node_table("int", b, p.rules, [child])
         interps = {row.interp for row in out}
         assert 0 not in interps
         assert interps == {p.mask("a"), p.mask("b"), p.mask("ab")}
@@ -110,7 +110,7 @@ class TestPhcTransitions:
             PhcRow(p.mask("ab"), 0, (b, a)),
         ]
         child = NodeTable(rows, [[()]] * 4)
-        out = PHC.node_table("rem", 1 << b, a, [], [child])
+        out = PHC.node_table("rem", a, [], [child])
         assert set(out) == {PhcRow(0, 0, ()), PhcRow(1 << b, 1 << b, (b,))}
 
     def test_join_matches_interpretation_and_order(self):
@@ -119,7 +119,7 @@ class TestPhcTransitions:
         r3 = PhcRow(0b11, 0b10, (1, 0))
         left = NodeTable([r1], [[()]])
         right = NodeTable([r2, r3], [[()], [()]])
-        out = PHC.node_table("join", 0b11, None, [], [left, right])
+        out = PHC.node_table("join", None, [], [left, right])
         assert out == {PhcRow(0b11, 0b11, (0, 1)): {(0, 0)}}
 
 
@@ -141,21 +141,21 @@ class TestConsistent:
 
 
 class TestTightVariant:
-    """``phc-tight`` is the SCC-local PHC on a tight program, whose orderings
-    stay empty; it must agree with the paper's full-ordering PHC."""
+    """``phc`` is the SCC-local PHC; on a tight program its orderings stay
+    empty, and it must agree with the paper's full-ordering PHC."""
 
     def test_single_fact(self):
         p = Program.from_specs([(("a",), (), ())])
         ntd = make_nice(decompose(primal_graph(p)))
-        ttd = run_dp(pipeline.pick_algorithm(p, "phc-tight"), p, ntd)
+        ttd = run_dp(pipeline.pick_algorithm(p, "phc"), p, ntd)
         assert has_solution(ttd)
         intro = [t for t in ttd.post_order if ttd.td.nodes[t].kind == "int"][0]
         assert ttd.table(intro).rows == [PhcRow(1, 1, ())]
 
     def test_even_loop_counts(self):
         p = Program.from_specs([(("a",), (), ("b",)), (("b",), (), ("a",))])
-        assert pipeline.solve(p.with_projection(p.mask("a")), algorithm="phc-tight").count == 2
-        assert pipeline.solve(p.with_projection(0), algorithm="phc-tight").count == 1
+        assert pipeline.solve(p.with_projection(p.mask("a")), algorithm="phc").count == 2
+        assert pipeline.solve(p.with_projection(0), algorithm="phc").count == 1
 
     def test_tight_fuzz_matches_phc_and_oracle(self):
         rng = random.Random(2024)
@@ -163,7 +163,7 @@ class TestTightVariant:
             p = helpers.random_tight(rng, rng.randint(1, 7), rng.randint(1, 9))
             p = p.with_projection(helpers.random_projection(rng, p))
             want = oracle.projected_count(p)
-            tight = pipeline.solve(p, algorithm="phc-tight").count
+            tight = pipeline.solve(p, algorithm="phc").count
             full = helpers.count_with(helpers.paper_phc(p.n_atoms), p)
             assert tight == full == want
 

@@ -3,9 +3,10 @@ import gc
 import pytest
 
 import helpers
-from paspc import engine, pipeline
+from paspc import engine, oracle, pipeline
 from paspc.formats import parse_program
 from paspc.pipeline import AlgorithmMismatchError
+from paspc.program import Program
 
 
 @pytest.fixture
@@ -54,3 +55,16 @@ class TestGcPause:
         assert result.count == 1
         del result
         assert gc.collect() == 0
+
+
+class TestAtomFreeConstraint:
+    """An empty constraint ``:-.`` is violated by every interpretation.  It
+    enters at the leaves, so a program without atoms, whose decomposition is
+    one leaf, must count 0 as well."""
+
+    @pytest.mark.parametrize("algorithm", ("auto", "phc", "prim"))
+    @pytest.mark.parametrize("facts", ((), ("a",)), ids=("no_atoms", "one_atom"))
+    def test_counts_zero(self, facts, algorithm):
+        p = Program.from_specs([((), (), ())] + [((a,), (), ()) for a in facts])
+        assert oracle.projected_count(p) == 0
+        assert pipeline.solve(p, algorithm=algorithm).count == 0

@@ -14,7 +14,7 @@ def run(p):
 
 class TestTransitions:
     def test_leaf(self):
-        assert PRIM.node_table("leaf", 0, None, [], []) == {PrimRow(0, frozenset()): {()}}
+        assert PRIM.node_table("leaf", None, [], []) == {PrimRow(0, frozenset()): {()}}
 
     def test_disjunctive_fact_witnesses(self):
         # a | b: the two singleton witnesses reach the root clean, while the
