@@ -31,6 +31,11 @@ x3 :- x5. x1. x1 | x5 :- x3. x2.
 """
 
 
+# disjunctive, with head cycles a <-> b and e <-> f: ``prim`` rows carry
+# counter sets of several elements
+HEAD_CYCLE_TEXT = "a | b. a :- b. b :- a. c | d. e | f :- c. e :- f. f :- e. g | h :- d. g :- h, e.\n"
+
+
 def example1() -> Program:
     return parse_program(EXAMPLE1_TEXT)
 

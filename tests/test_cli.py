@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ import paspc
 from paspc import cli, parse_program, solve
 
 EX1 = helpers.EXAMPLE1_TEXT
+TRACES = Path(__file__).resolve().parent / "data" / "traces"
 
 
 @pytest.fixture
@@ -193,7 +195,7 @@ class TestSideOutputs:
         "text",
         (
             helpers.WIDE_HCF_TEXT,  # phc, with the positive cycle x3 <-> x6
-            "a | b. a :- b. b :- a. c | d. e | f :- c. e :- f. f :- e. g | h :- d. g :- h, e.\n",  # prim
+            helpers.HEAD_CYCLE_TEXT,  # prim
         ),
     )
     def test_trace_independent_of_hash_seed(self, text, tmp_path):
@@ -210,3 +212,26 @@ class TestSideOutputs:
             subprocess.run(argv, env=env, check=True, capture_output=True)
             dumps.append({name: (trace / name).read_bytes() for name in ("tables.txt", "purged.txt", "proj.txt")})
         assert dumps[0] == dumps[1]
+
+
+class TestGoldenTraces:
+    """The --trace dumps of three programs, byte for byte as committed under
+    tests/data/traces: rows print decoded to atom names, counter sets sorted
+    by their atom masks, origins and projection entries in table order."""
+
+    @pytest.mark.parametrize(
+        "name,text,args",
+        (
+            ("example1", helpers.EXAMPLE1_TEXT, ()),  # phc, #project d, e
+            ("wide_hcf", helpers.WIDE_HCF_TEXT, ("--project-all",)),  # phc, positive cycle x3 <-> x6
+            ("head_cycles", helpers.HEAD_CYCLE_TEXT, ("--project-all",)),  # prim
+        ),
+    )
+    def test_trace_matches_golden(self, name, text, args, tmp_path, capsys):
+        path = tmp_path / "p.lp"
+        path.write_text(text)
+        trace = tmp_path / "trace"
+        code, _, _ = run(capsys, "solve", str(path), *args, "--trace", str(trace))
+        assert code == 0
+        for dump in ("tables.txt", "purged.txt", "proj.txt"):
+            assert (trace / dump).read_bytes() == (TRACES / name / dump).read_bytes(), dump
