@@ -15,7 +15,7 @@ from .formats import ParseDiagnostic, ParseError, parse_program, print_program, 
 from .oracle import enumerate_answer_sets, projected_count
 from .phc import PhcAlgorithm
 from .pipeline import SolveResult, pick_algorithm, solve
-from .prim import PRIM
+from .prim import PrimAlgorithm
 from .program import Program, ProgramClass, ProgramKind, Rule, classify, gl_reduct, satisfies
 from .proj import ProjTables, final_count, run_proj
 
@@ -42,7 +42,7 @@ __all__ = [
     "enumerate_answer_sets",
     "projected_count",
     "PhcAlgorithm",
-    "PRIM",
+    "PrimAlgorithm",
     "SolveResult",
     "pick_algorithm",
     "solve",

@@ -14,6 +14,8 @@ import json
 import os
 import resource
 import sys
+import time
+from functools import partial
 
 from . import formats, oracle
 from .decomposition import primal_graph, validate_td
@@ -57,11 +59,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
+    t0 = time.perf_counter()
     try:
         program = formats.parse_program(text)
     except formats.ParseError as exc:
         print(f"parse error: {exc.diagnostic}", file=sys.stderr)
         return EXIT_PARSE
+    parse_s = time.perf_counter() - t0
 
     if args.project_all:
         program = program.with_projection(program.atom_mask)
@@ -121,6 +125,7 @@ def main(argv: list[str] | None = None) -> int:
         # cost drivers read off the finished solve: the projection pass is
         # exponential in the largest bucket
         stats = result.stats.to_dict()
+        stats["timings"] = {"parse": round(parse_s, 6), **stats["timings"]}
         sizes = [len(b) for node in result.proj_tables.nodes for b in node.buckets]
         stats["max_bucket"] = max(sizes, default=0)
         stats["proj_entries"] = sum((1 << b) - 1 for b in sizes)
@@ -155,8 +160,9 @@ def _dump_trace(result, directory: str) -> None:
             nd = ttd.td.nodes[t]
             names = ",".join(sorted(result.program.names(nd.bag_mask)))
             fh.write(f"node {t} kind={nd.kind} bag={{{names}}} rows={len(result.purged.rows[t])}\n")
+            decode = partial(ttd.decode, t)
             for i, row in enumerate(result.purged.rows[t]):
-                fh.write(f"  {i}: {ttd.alg.format_row(row, result.program)} origins={result.purged.origins[t][i]}\n")
+                fh.write(f"  {i}: {ttd.alg.format_row(row, result.program, decode)} origins={result.purged.origins[t][i]}\n")
     with open(os.path.join(directory, "proj.txt"), "w", encoding="utf-8") as fh:
         for t in ttd.post_order:
             table = result.proj_tables.tables[t]

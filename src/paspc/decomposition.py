@@ -272,6 +272,31 @@ class NiceTreeDecomposition:
         return TreeDecomposition(list(bags), edges)
 
 
+def assign_slots(ntd: NiceTreeDecomposition, n_atoms: int) -> list[int]:
+    """A slot in 0..width per atom, distinct among the atoms of each bag.
+
+    One top-down pass (reversed post-order): an atom enters the bags below
+    exactly one remove node, the parent of the topmost bag holding it, and
+    there takes the lowest slot that the other atoms of that bag leave free.
+    The bags are the cliques of a chordal supergraph of the primal graph, so
+    width+1 slots suffice (Gavril 1972).  ``used[t]`` is the mask of the
+    slots taken in node t's bag.  Atoms in no bag keep slot -1."""
+    slots = [-1] * n_atoms
+    used = [0] * len(ntd.nodes)
+    for t in reversed(ntd.post_order()):
+        nd = ntd.nodes[t]
+        taken = used[t]
+        if nd.kind == REMOVE:
+            free = ~taken & (taken + 1)  # the lowest zero bit
+            slots[nd.atom] = free.bit_length() - 1  # type: ignore[index]
+            taken |= free
+        elif nd.kind == INTRODUCE:
+            taken &= ~(1 << slots[nd.atom])  # type: ignore[index]
+        for c in nd.children:
+            used[c] = taken
+    return slots
+
+
 def check_nice(ntd: NiceTreeDecomposition) -> list[str]:
     """Structural checks for the nice shape; used by tests and make_nice."""
     problems = []

@@ -1,5 +1,14 @@
 """Post-order dynamic-programming driver over a nice tree decomposition.
 
+Rows index atoms by bag slot, not by atom id: every atom gets a slot in
+0..width (``decomposition.assign_slots``), distinct among the atoms of each
+bag, so a row's interpretation is an int of at most width+1 bits however
+many atoms the program has, and ``prim`` keeps a row's counter-witness set
+as a bitset over the slot subsets, an int of at most 2^(width+1) bits.  The
+rules reach the table algorithms translated once per solve into
+``BagRule``s, whose masks are slot masks.  ``TabledTreeDecomposition.decode``
+turns a node's slot mask back into an atom mask, for traces and tests.
+
 Each table algorithm turns one node's child tables into the node's own table
 and reports, per emitted row, the child-row index sequences it came from.
 It sees only the rules entering at the node, those whose atoms first all fit
@@ -13,10 +22,25 @@ pass (purge) keeps only rows reachable from the solution row at the root.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Protocol, Sequence
+from functools import partial
+from typing import Any, Callable, NamedTuple, Protocol, Sequence
 
-from .decomposition import INTRODUCE, LEAF, NiceTreeDecomposition
+from .decomposition import INTRODUCE, LEAF, REMOVE, NiceTreeDecomposition, assign_slots
 from .program import Program, Rule
+
+
+class BagRule(NamedTuple):
+    """A rule as the table algorithms see it: its atom sets as slot masks.
+    The head and positive body also stay atom ids, for the atom orderings
+    of ``phc``, and ``head_bits`` holds each head atom's slot bit."""
+
+    head_mask: int
+    pos_mask: int
+    neg_mask: int
+    head: tuple[int, ...]
+    head_bits: tuple[int, ...]
+    pos_body: tuple[int, ...]
+    source: Rule
 
 
 class TableAlgorithm(Protocol):
@@ -27,13 +51,14 @@ class TableAlgorithm(Protocol):
         self,
         kind: str,
         atom: int | None,
-        rules: Sequence[Rule],
+        slot: int | None,
+        rules: Sequence[BagRule],
         child_tables: Sequence["NodeTable"],
     ) -> dict[Any, set[tuple[int, ...]]]: ...
 
     def interp(self, row: Any) -> int: ...
 
-    def format_row(self, row: Any, program: Program) -> str: ...
+    def format_row(self, row: Any, program: Program, decode: Callable[[int], int]) -> str: ...
 
 
 class NodeTable:
@@ -57,7 +82,8 @@ class TabledTreeDecomposition:
     program: Program
     alg: TableAlgorithm
     tables: list[NodeTable | None]
-    rules: list[Sequence[Rule]]  # per node: the rules entering there
+    rules: list[Sequence[BagRule]]  # per node: the rules entering there
+    slots: list[int]  # per atom: its bag slot
     post_order: list[int] = field(default_factory=list)
 
     def table(self, t: int) -> NodeTable:
@@ -66,41 +92,85 @@ class TabledTreeDecomposition:
             raise KeyError(f"node {t} has no table")
         return tab
 
+    def decode(self, t: int, mask: int) -> int:
+        """The atom mask of a slot mask of node t's rows."""
+        slots = self.slots
+        out = 0
+        for a in self.td.nodes[t].bag:
+            if mask >> slots[a] & 1:
+                out |= 1 << a
+        return out
 
-def entering_rules(program: Program, td: NiceTreeDecomposition) -> list[Sequence[Rule]]:
+    def slot_masks(self, atoms: int) -> list[int]:
+        """Per node, the slot mask of its bag atoms that are in the atom mask
+        ``atoms``: one top-down pass, as the slots were assigned."""
+        nodes = self.td.nodes
+        slots = self.slots
+        member = bin(atoms)[:1:-1]  # member[a] == "1" iff atom a is in atoms
+        out = [0] * len(nodes)
+        for t in reversed(self.post_order):
+            nd = nodes[t]
+            mask = out[t]
+            if nd.kind == REMOVE:
+                if nd.atom < len(member) and member[nd.atom] == "1":  # type: ignore[operator]
+                    mask |= 1 << slots[nd.atom]  # type: ignore[index]
+            elif nd.kind == INTRODUCE:
+                mask &= ~(1 << slots[nd.atom])  # type: ignore[index]
+            for c in nd.children:
+                out[c] = mask
+        return out
+
+
+def bag_rule(r: Rule, slots: Sequence[int]) -> BagRule:
+    """The rule with its atom sets as slot masks."""
+    head_bits = tuple(1 << slots[a] for a in r.head)
+    pos = 0
+    for a in r.pos_body:
+        pos |= 1 << slots[a]
+    neg = 0
+    for a in r.neg_body:
+        neg |= 1 << slots[a]
+    return BagRule(sum(head_bits), pos, neg, r.head, head_bits, r.pos_body, r)
+
+
+def entering_rules(program: Program, td: NiceTreeDecomposition, slots: Sequence[int]) -> list[Sequence[BagRule]]:
     """Per node, the rules that fit its bag but not its child's: at a leaf the
     atomless rules, at an introduce node the rules of its atom that fit the
-    bag, and none at remove and join nodes."""
-    rules_by_atom: dict[int, list[Rule]] = {}
+    bag, and none at remove and join nodes.  Each rule is translated to slot
+    masks once, however many nodes it enters at."""
+    rules_by_atom: dict[int, list[BagRule]] = {}
     atomless = []
     for r in program.rules:
+        br = bag_rule(r, slots)
         if r.atom_mask == 0:
-            atomless.append(r)
+            atomless.append(br)
             continue
         for a in sorted(set(r.head) | set(r.pos_body) | set(r.neg_body)):
-            rules_by_atom.setdefault(a, []).append(r)
+            rules_by_atom.setdefault(a, []).append(br)
 
-    out: list[Sequence[Rule]] = [()] * len(td.nodes)
+    out: list[Sequence[BagRule]] = [()] * len(td.nodes)
     for t, nd in enumerate(td.nodes):
         if nd.kind == LEAF:
             out[t] = atomless
         elif nd.kind == INTRODUCE:
-            out[t] = [r for r in rules_by_atom.get(nd.atom, ()) if not (r.atom_mask & ~nd.bag_mask)]
+            out[t] = [r for r in rules_by_atom.get(nd.atom, ()) if not (r.source.atom_mask & ~nd.bag_mask)]  # type: ignore[arg-type]
     return out
 
 
 def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> TabledTreeDecomposition:
     """Run the table algorithm over all nodes in post-order."""
     order = td.post_order()
-    rules = entering_rules(program, td)
+    slots = assign_slots(td, program.n_atoms)
+    rules = entering_rules(program, td, slots)
     tables: list[NodeTable | None] = [None] * len(td.nodes)
     for t in order:
         nd = td.nodes[t]
         children = [tables[c] for c in nd.children]
         assert all(c is not None for c in children)
-        produced = alg.node_table(nd.kind, nd.atom, rules[t], children)  # type: ignore[arg-type]
+        slot = None if nd.atom is None else slots[nd.atom]
+        produced = alg.node_table(nd.kind, nd.atom, slot, rules[t], children)  # type: ignore[arg-type]
         tables[t] = NodeTable(list(produced), [list(seqs) for seqs in produced.values()])
-    return TabledTreeDecomposition(td, program, alg, tables, rules, order)
+    return TabledTreeDecomposition(td, program, alg, tables, rules, slots, order)
 
 
 @dataclass
@@ -169,6 +239,7 @@ def format_table(ttd: TabledTreeDecomposition, t: int) -> str:
     head = f"node {t} kind={nd.kind} bag={{{names}}} rows={len(ttd.table(t))}"
     lines = [head]
     tab = ttd.table(t)
+    decode = partial(ttd.decode, t)
     for i, row in enumerate(tab.rows):
-        lines.append(f"  {i}: {ttd.alg.format_row(row, ttd.program)} origins={tab.origins[i]}")
+        lines.append(f"  {i}: {ttd.alg.format_row(row, ttd.program, decode)} origins={tab.origins[i]}")
     return "\n".join(lines)

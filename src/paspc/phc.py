@@ -1,8 +1,11 @@
 """Table algorithm for head-cycle-free (and tight) programs.
 
 Rows are triples (interpretation, proven atoms, atom ordering), all restricted
-to the current bag.  Removal keeps a row only if the removed atom is proven or
-false.  Provability only compares atoms of one non-trivial strongly connected
+to the current bag.  The interpretation and the proven atoms are slot masks
+(see ``engine``), ints of at most width+1 bits; the ordering lists atom ids,
+and ``gp`` reads each head atom's slot bit from the translated rule.
+Removal keeps a row only if the removed atom is proven or false.
+Provability only compares atoms of one non-trivial strongly connected
 component of the positive dependency digraph (SCC-local level rankings), so
 the ordering holds just the true cyclic atoms, grouped by component id: an
 acyclic head atom is proven by plain rule support, and on tight programs the
@@ -13,11 +16,11 @@ is the paper's algorithm, which orders every true bag atom.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .decomposition import INTRODUCE, JOIN, LEAF, REMOVE
-from .engine import NodeTable
-from .program import Program, Rule, ids_of, is_model
+from .engine import BagRule, NodeTable
+from .program import Program, is_model
 
 
 class PhcRow(NamedTuple):
@@ -39,8 +42,8 @@ def ords(order: tuple[int, ...], addition) -> list[tuple[int, ...]]:
     return [order[:i] + (a,) + order[i:] for i in range(len(order) + 1)]
 
 
-def gp(interp: int, order: tuple[int, ...], rules: Sequence[Rule], components: Mapping[int, int]) -> int:
-    """Atoms provable under the interpretation and ordering (as a bitmask).
+def gp(interp: int, order: tuple[int, ...], rules: Sequence[BagRule], components: Mapping[int, int]) -> int:
+    """Atoms provable under the interpretation and ordering (as a slot mask).
 
     A head atom is provable when the positive body holds and the negative
     body and the rest of the head are false.  A cyclic head atom (one with a
@@ -53,8 +56,8 @@ def gp(interp: int, order: tuple[int, ...], rules: Sequence[Rule], components: M
     for r in rules:
         if r.pos_mask & ~interp or r.neg_mask & interp:
             continue
-        for a in r.head:
-            if interp & (r.head_mask & ~(1 << a)):
+        for a, bit in zip(r.head, r.head_bits):
+            if interp & (r.head_mask & ~bit):
                 continue
             c = components.get(a)
             if c is not None:
@@ -63,7 +66,7 @@ def gp(interp: int, order: tuple[int, ...], rules: Sequence[Rule], components: M
                     continue
                 if any(components.get(b) == c and pos_at.get(b, ia) >= ia for b in r.pos_body):
                     continue
-            proven |= 1 << a
+            proven |= bit
     return proven
 
 
@@ -96,7 +99,8 @@ class PhcAlgorithm:
         self,
         kind: str,
         atom: int | None,
-        rules: Sequence[Rule],
+        slot: int | None,
+        rules: Sequence[BagRule],
         child_tables: Sequence[NodeTable],
     ) -> dict[PhcRow, set[tuple[int, ...]]]:
         out: dict[PhcRow, set[tuple[int, ...]]] = {}
@@ -105,7 +109,7 @@ class PhcAlgorithm:
             if is_model(0, rules):
                 out[PhcRow(0, 0, ())] = {()}
         elif kind == INTRODUCE:
-            bit = 1 << atom
+            bit = 1 << slot
             for ci, row in enumerate(child_tables[0].rows):
                 for interp in (row.interp, row.interp | bit):
                     if not is_model(interp, rules):
@@ -115,7 +119,7 @@ class PhcAlgorithm:
                         new = PhcRow(interp, row.proven | gp(interp, order, rules, comp), order)
                         out.setdefault(new, set()).add((ci,))
         elif kind == REMOVE:
-            bit = 1 << atom
+            bit = 1 << slot
             for ci, row in enumerate(child_tables[0].rows):
                 if row.proven & bit or not row.interp & bit:
                     order = tuple(a for a in row.order if a != atom) if atom in comp else row.order
@@ -134,30 +138,8 @@ class PhcAlgorithm:
         return out
 
     @staticmethod
-    def format_row(row: PhcRow, program: Program) -> str:
-        i = ",".join(program.names(row.interp))
-        p = ",".join(program.names(row.proven))
+    def format_row(row: PhcRow, program: Program, decode: Callable[[int], int]) -> str:
+        i = ",".join(program.names(decode(row.interp)))
+        p = ",".join(program.names(decode(row.proven)))
         s = ",".join(program.atom_names[a] for a in row.order)
         return f"I={{{i}}} P={{{p}}} s=<{s}>"
-
-
-def check_row_invariants(ttd) -> list[str]:
-    """Structural row checks used by fuzz tests: proven within interpretation
-    within bag, and the ordering enumerating exactly the true cyclic atoms,
-    grouped by component."""
-    problems = []
-    comp = ttd.alg.components if isinstance(ttd.alg, PhcAlgorithm) else None
-    for t in ttd.post_order:
-        bag_mask = ttd.td.nodes[t].bag_mask
-        for row in ttd.table(t).rows:
-            if row.interp & ~bag_mask:
-                problems.append(f"node {t}: interpretation outside bag")
-            if row.proven & ~row.interp:
-                problems.append(f"node {t}: proven atom outside interpretation")
-            if comp is not None:
-                cyclic = {a for a in ids_of(row.interp) if a in comp}
-                if len(set(row.order)) != len(row.order) or set(row.order) != cyclic:
-                    problems.append(f"node {t}: ordering does not enumerate the true cyclic atoms")
-                elif [comp[a] for a in row.order] != sorted(comp[a] for a in row.order):
-                    problems.append(f"node {t}: ordering not grouped by component")
-    return problems

@@ -7,9 +7,9 @@ import time
 from dataclasses import dataclass, field
 
 from . import engine, proj
-from .decomposition import TreeDecomposition, decompose, make_nice, primal_graph
+from .decomposition import INTRODUCE, JOIN, LEAF, REMOVE, TreeDecomposition, decompose, make_nice, primal_graph
 from .phc import PhcAlgorithm
-from .prim import PRIM
+from .prim import PrimAlgorithm
 from .program import Program, ProgramKind, classify
 
 ALGORITHMS = ("auto", "phc", "prim")
@@ -26,6 +26,7 @@ class RunStats:
     max_table: int = 0
     max_purged: int = 0
     algorithm: str = ""
+    rows: dict[str, int] = field(default_factory=dict)  # rows before purging, per node kind
     timings: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -35,6 +36,7 @@ class RunStats:
             "max_table": self.max_table,
             "max_purged": self.max_purged,
             "algorithm": self.algorithm,
+            "rows": dict(self.rows),
             "timings": {k: round(v, 6) for k, v in self.timings.items()},
         }
 
@@ -60,7 +62,7 @@ def pick_algorithm(program: Program, requested: str = "auto"):
     if requested == "phc" and cls.kind is ProgramKind.DISJUNCTIVE:
         raise AlgorithmMismatchError(f"phc requires a head-cycle-free program, got {cls.kind.value}")
     if requested == "prim" or (requested == "auto" and cls.kind is ProgramKind.DISJUNCTIVE):
-        return PRIM
+        return PrimAlgorithm()
     return PhcAlgorithm(cls.components)
 
 
@@ -107,7 +109,11 @@ def solve(
         t0 = time.perf_counter()
         ttd = engine.run_dp(alg, program, nice)
         stats.timings["dp"] = time.perf_counter() - t0
-        stats.max_table = max(len(ttd.table(t)) for t in ttd.post_order)
+        stats.rows = dict.fromkeys((LEAF, INTRODUCE, REMOVE, JOIN), 0)
+        for t in ttd.post_order:
+            n = len(ttd.table(t))
+            stats.rows[nice.nodes[t].kind] += n
+            stats.max_table = max(stats.max_table, n)
 
         t0 = time.perf_counter()
         purged = engine.purge(ttd)

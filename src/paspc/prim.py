@@ -6,92 +6,137 @@ witnesses).  A witness whose C is empty at the (empty-bag) root is minimal,
 hence an answer set.  Counter witnesses are never filtered at removal: their
 strictness was established when they diverged from the witness and survives
 projection to smaller bags.
+
+Rows are encoded in bag slots (see ``engine``).  M is a slot mask, and C is
+a subset bitset: bit n of C is set iff the slot subset n (a slot mask) is a
+counter witness, so C is an int of at most 2^(width+1) bits.  With B_s the
+bitset of the slot subsets that contain slot s and b = 1 << s, every
+transition is a few big-int operations:
+
+- introduce slot s: ``C & R_W`` for a witness W without s, and
+  ``(C | C << b) & R_W | (R_W & 1 << W')`` for a witness W with s, where W'
+  is the child's witness.  R_W, the bitset of the slot subsets that model
+  the reduct under W of the node's rules, is the AND over the rules r with
+  ``r.neg_mask & W == 0`` of ``OR_{s in head} B_s | ~AND_{s in pos} B_s``;
+- remove slot s: ``(C & ~B_s) | ((C & B_s) >> b)``;
+- join: ``(C1 & C2) | ((1 << W) & (C1 | C2))``.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .decomposition import INTRODUCE, JOIN, LEAF, REMOVE
-from .engine import NodeTable
-from .program import Program, Rule, is_model
+from .engine import BagRule, NodeTable
+from .program import Program, is_model, iter_bits
 
 
 class PrimRow(NamedTuple):
     witness: int
-    counters: frozenset[int]
-
-
-def _reduct_models(interp: int, reduct_rules: Sequence[Rule]) -> bool:
-    for r in reduct_rules:
-        if not (r.head_mask & interp or r.pos_mask & ~interp):
-            return False
-    return True
+    counters: int
 
 
 class PrimAlgorithm:
+    """``prim`` for one solve.  It keeps the bitsets B_s, over the subsets
+    of the slots seen so far, and extends them when a higher slot is
+    introduced."""
+
     name = "prim"
-    solution_row = PrimRow(0, frozenset())
+    solution_row = PrimRow(0, 0)
+
+    def __init__(self) -> None:
+        self._with_slot: list[int] = []  # B_s by slot s
 
     @staticmethod
     def interp(row: PrimRow) -> int:
         return row.witness
 
-    @staticmethod
+    def _subsets_with(self, slots: int) -> list[int]:
+        """B_s for every slot s, over the subsets of at least ``slots``
+        slots.  A slot k added to slots 0..k-1 doubles the subsets: each
+        B_s repeats in the upper half, and B_k is the upper half."""
+        with_slot = self._with_slot
+        while len(with_slot) < slots:
+            half = 1 << len(with_slot)  # subsets of the slots so far
+            with_slot = [x | x << half for x in with_slot]
+            with_slot.append(((1 << half) - 1) << half)
+            self._with_slot = with_slot
+        return with_slot
+
     def node_table(
+        self,
         kind: str,
         atom: int | None,
-        rules: Sequence[Rule],
+        slot: int | None,
+        rules: Sequence[BagRule],
         child_tables: Sequence[NodeTable],
     ) -> dict[PrimRow, set[tuple[int, ...]]]:
         out: dict[PrimRow, set[tuple[int, ...]]] = {}
         if kind == LEAF:
             if is_model(0, rules):
-                out[PrimRow(0, frozenset())] = {()}
+                out[PrimRow(0, 0)] = {()}
         elif kind == INTRODUCE:
-            bit = 1 << atom
+            bit = 1 << slot  # type: ignore[operator]
+            with_slot = self._subsets_with(slot + 1)  # type: ignore[operator]
+            # per rule, the subsets satisfying it in a reduct: a head slot
+            # in the subset, or a positive body slot outside it
+            satisfied = []
+            for r in rules:
+                head, body = 0, -1
+                for s in iter_bits(r.head_mask):
+                    head |= with_slot[s]
+                for s in iter_bits(r.pos_mask):
+                    body &= with_slot[s]
+                satisfied.append((r.neg_mask, head | ~body))
+            reduct_models: dict[int, int | None] = {}  # R_W by witness; None if W is no model
             for ci, row in enumerate(child_tables[0].rows):
                 for witness in (row.witness, row.witness | bit):
-                    if not is_model(witness, rules):
+                    if witness in reduct_models:
+                        r_w = reduct_models[witness]
+                    else:
+                        r_w = None
+                        if is_model(witness, rules):
+                            r_w = -1
+                            for neg, sat in satisfied:
+                                if not neg & witness:
+                                    r_w &= sat
+                        reduct_models[witness] = r_w
+                    if r_w is None:
                         continue
-                    reduct = [r for r in rules if not (r.neg_mask & witness)]
-                    counters = set()
-                    for n in row.counters:
-                        candidates = (n, n | bit) if witness & bit else (n,)
-                        for n2 in candidates:
-                            if _reduct_models(n2, reduct):
-                                counters.add(n2)
-                    if witness & bit and _reduct_models(row.witness, reduct):
-                        # the old witness, lacking the new atom, is now a
+                    c = row.counters
+                    if witness & bit:
+                        # every counter with and without the new slot, and the
+                        # old witness: it lacks the new atom, so it is now a
                         # strictly smaller model candidate
-                        counters.add(row.witness)
-                    new = PrimRow(witness, frozenset(counters))
-                    out.setdefault(new, set()).add((ci,))
+                        counters = ((c | c << bit) & r_w) | (r_w & 1 << row.witness)
+                    else:
+                        counters = c & r_w
+                    out.setdefault(PrimRow(witness, counters), set()).add((ci,))
         elif kind == REMOVE:
-            bit = 1 << atom
+            bit = 1 << slot  # type: ignore[operator]
+            with_s = self._subsets_with(slot + 1)[slot]  # type: ignore[operator, index]
+            without_s = ~with_s
             for ci, row in enumerate(child_tables[0].rows):
-                new = PrimRow(row.witness & ~bit, frozenset(n & ~bit for n in row.counters))
+                c = row.counters
+                new = PrimRow(row.witness & ~bit, (c & without_s) | (c & with_s) >> bit)
                 out.setdefault(new, set()).add((ci,))
         elif kind == JOIN:
             right: dict[int, list[int]] = {}
-            for cj, row in enumerate(child_tables[1].rows):
+            right_rows = child_tables[1].rows
+            for cj, row in enumerate(right_rows):
                 right.setdefault(row.witness, []).append(cj)
             for ci, row in enumerate(child_tables[0].rows):
                 for cj in right.get(row.witness, ()):
-                    c1, c2 = row.counters, child_tables[1].rows[cj].counters
-                    full = frozenset((row.witness,))
-                    merged = (c1 & c2) | (full & (c1 | c2))
-                    new = PrimRow(row.witness, merged)
+                    c1, c2 = row.counters, right_rows[cj].counters
+                    new = PrimRow(row.witness, (c1 & c2) | ((1 << row.witness) & (c1 | c2)))
                     out.setdefault(new, set()).add((ci, cj))
         else:
             raise ValueError(f"unknown node kind {kind!r}")
         return out
 
     @staticmethod
-    def format_row(row: PrimRow, program: Program) -> str:
-        m = ",".join(program.names(row.witness))
-        cs = " ".join("{" + ",".join(program.names(n)) + "}" for n in sorted(row.counters))
+    def format_row(row: PrimRow, program: Program, decode: Callable[[int], int]) -> str:
+        m = ",".join(program.names(decode(row.witness)))
+        counters = sorted(decode(n) for n in iter_bits(row.counters))
+        cs = " ".join("{" + ",".join(program.names(n)) + "}" for n in counters)
         return f"M={{{m}}} C=[{cs}]"
-
-
-PRIM = PrimAlgorithm()

@@ -188,16 +188,19 @@ def _bucket_values(pcnts: list[int], b: int) -> list[int]:
 
 
 def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
-    """Bottom-up pass computing every node's bucket count arrays."""
+    """Bottom-up pass computing every node's bucket count arrays.  ``pmask``
+    is the projection as an atom mask; rows are bucketed by its slot mask
+    at each node."""
     ttd = purged.ttd
     td = ttd.td
     alg = ttd.alg
+    slot_pmasks = ttd.slot_masks(pmask)
     nodes: list[NodeCounts | None] = [None] * len(td.nodes)
 
     for t in ttd.post_order:
         rows = purged.rows[t]
         nd = td.nodes[t]
-        partition = buckets([alg.interp(r) for r in rows], pmask)
+        partition = buckets([alg.interp(r) for r in rows], slot_pmasks[t])
         node = NodeCounts(partition, [0] * len(rows), [0] * len(rows), [], [])
         for bi, bucket in enumerate(partition):
             for pos, j in enumerate(bucket):

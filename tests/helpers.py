@@ -1,13 +1,13 @@
 """Shared test support: the running example, a hand-built 14-node nice
-decomposition for it, the paper's full-ordering PHC as a reference, and
-seeded random program generators per class."""
+decomposition for it, the paper's full-ordering PHC as a reference, random
+valid decompositions, and seeded random program generators per class."""
 
 from __future__ import annotations
 
 import random
 
 from paspc import engine, proj
-from paspc.decomposition import NiceTreeDecomposition, decompose, make_nice, primal_graph
+from paspc.decomposition import NiceTreeDecomposition, PrimalGraph, TreeDecomposition, decompose, make_nice, primal_graph
 from paspc.formats import parse_program
 from paspc.phc import PhcAlgorithm
 from paspc.program import Program, ProgramKind, classify
@@ -86,6 +86,34 @@ def count_with(alg, program: Program) -> int:
     return proj.final_count(proj.run_proj(purged, program.projection), purged)
 
 
+def random_decomposition(rng: random.Random, graph: PrimalGraph) -> TreeDecomposition:
+    """A valid decomposition from a random elimination order: each vertex's
+    bag holds it and its neighbours eliminated later (in the filled graph),
+    linked to the bag of the first of them to go, or to the next bag if it
+    has none.  Node ids are shuffled, so the root that ``make_nice`` picks
+    (the largest id) is a random bag."""
+    n = graph.n
+    if n == 0:
+        return TreeDecomposition([frozenset()], [])
+    order = list(range(n))
+    rng.shuffle(order)
+    pos = {v: i for i, v in enumerate(order)}
+    nbrs = [set(s) for s in graph.adj]
+    bags, links = [], []
+    for i, v in enumerate(order):
+        later = {u for u in nbrs[v] if pos[u] > i}
+        for x in later:
+            nbrs[x] |= later - {x}
+        bags.append(frozenset(later | {v}))
+        links.append(pos[min(later, key=pos.__getitem__)] if later else i + 1)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    out = [frozenset()] * n
+    for i, bag in enumerate(bags):
+        out[ids[i]] = bag
+    return TreeDecomposition(out, [(ids[i], ids[j]) for i, j in enumerate(links) if j < n])
+
+
 # --- random program generators ----------------------------------------------
 
 
@@ -161,13 +189,13 @@ def random_hcf(rng: random.Random, n_atoms: int, n_rules: int, max_size: int = 3
             return p
 
 
-def random_disjunctive(rng: random.Random, n_atoms: int, n_rules: int) -> Program:
+def random_disjunctive(rng: random.Random, n_atoms: int, n_rules: int, max_size: int = 3) -> Program:
     """Carries an embedded head-cycle, so the class is disjunctive for sure."""
     n_atoms = max(n_atoms, 2)
     names = _atom_names(n_atoms)
     a, b = rng.sample(names, 2)
     specs = [((a, b), (), ()), ((a,), (b,), ()), ((b,), (a,), ())]
-    specs.extend(_random_rule(rng, names, 2) for _ in range(n_rules))
+    specs.extend(_random_rule(rng, names, 2, max_size) for _ in range(n_rules))
     p = Program.from_specs(specs)
     assert classify(p).kind is ProgramKind.DISJUNCTIVE
     return p

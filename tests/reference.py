@@ -1,11 +1,13 @@
 """Reference formulations kept for the tests: the defining per-entry
 formulas of the projection pass, the union-count transform of a bucket's
 intersection counts, the engine's origin links as row tuples and their
-definitional recomputation, and the first elimination-ordering
-decomposition.
+definitional recomputation, structural row checks on decoded rows, the
+``prim`` table algorithm with counter sets as frozensets of atom masks, and
+the first elimination-ordering decomposition.
 The library computes the same quantities bucket-wise (``paspc.proj``),
-records them during the table pass (``paspc.engine``) or selects and links
-bags with cheaper structures (``paspc.decomposition``)."""
+records them during the table pass (``paspc.engine``), encodes rows in bag
+slots with counter sets as subset bitsets (``paspc.prim``) or selects and
+links bags with cheaper structures (``paspc.decomposition``)."""
 
 from __future__ import annotations
 
@@ -13,11 +15,21 @@ import heapq
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
-from paspc.decomposition import LEAF, PrimalGraph, TreeDecomposition
-from paspc.engine import NodeTable, TabledTreeDecomposition
-from paspc.program import Rule
+from paspc.decomposition import (
+    INTRODUCE,
+    JOIN,
+    LEAF,
+    REMOVE,
+    NiceTreeDecomposition,
+    PrimalGraph,
+    TreeDecomposition,
+    assign_slots,
+)
+from paspc.engine import NodeTable, TabledTreeDecomposition, entering_rules
+from paspc.phc import PhcAlgorithm
+from paspc.program import Program, Rule, ids_of, is_model
 from paspc.proj import buckets
 
 ProjTable = dict[frozenset[int], int]
@@ -179,7 +191,7 @@ def node_scope(ttd: TabledTreeDecomposition, t: int) -> NodeScope:
     stack = [t]
     while stack:
         x = stack.pop()
-        below_rules.update(ttd.rules[x])
+        below_rules.update(r.source for r in ttd.rules[x])
         below_atoms |= td.nodes[x].bag_mask
         stack.extend(td.nodes[x].children)
     return NodeScope(
@@ -202,7 +214,8 @@ def definitional_origins(ttd: TabledTreeDecomposition, t: int, row: Any) -> set[
             NodeTable([child_tables[i].rows[j]], [child_tables[i].origins[j]])
             for i, j in enumerate(combo)
         ]
-        produced = alg.node_table(nd.kind, nd.atom, ttd.rules[t], singles)
+        slot = None if nd.atom is None else ttd.slots[nd.atom]
+        produced = alg.node_table(nd.kind, nd.atom, slot, ttd.rules[t], singles)
         if row in produced:
             out.add(combo)
     return out
@@ -222,6 +235,127 @@ def verify_origins(ttd: TabledTreeDecomposition) -> list[str]:
             if recorded != definitional_origins(ttd, t, row):
                 problems.append(f"node {t} row {i}: recorded origins differ from definition")
     return problems
+
+
+def check_row_invariants(ttd: TabledTreeDecomposition) -> list[str]:
+    """Structural row checks used by fuzz tests, on rows decoded to atom
+    masks: proven within interpretation within bag, and for ``phc`` the
+    ordering enumerating exactly the true cyclic atoms, grouped by
+    component."""
+    problems = []
+    comp = ttd.alg.components if isinstance(ttd.alg, PhcAlgorithm) else None
+    for t in ttd.post_order:
+        bag_slots = sum(1 << ttd.slots[a] for a in ttd.td.nodes[t].bag)
+        for row in ttd.table(t).rows:
+            interp, proven = ttd.decode(t, row.interp), ttd.decode(t, row.proven)
+            if (row.interp | row.proven) & ~bag_slots:
+                problems.append(f"node {t}: interpretation outside bag")
+            if proven & ~interp:
+                problems.append(f"node {t}: proven atom outside interpretation")
+            if comp is not None:
+                cyclic = {a for a in ids_of(interp) if a in comp}
+                if len(set(row.order)) != len(row.order) or set(row.order) != cyclic:
+                    problems.append(f"node {t}: ordering does not enumerate the true cyclic atoms")
+                elif [comp[a] for a in row.order] != sorted(comp[a] for a in row.order):
+                    problems.append(f"node {t}: ordering not grouped by component")
+    return problems
+
+
+# --- prim with frozenset counters -------------------------------------------
+
+
+class PrimRow(NamedTuple):
+    witness: int
+    counters: frozenset[int]
+
+
+def _reduct_models(interp: int, reduct_rules: Sequence[Rule]) -> bool:
+    for r in reduct_rules:
+        if not (r.head_mask & interp or r.pos_mask & ~interp):
+            return False
+    return True
+
+
+class ReferencePrim:
+    """``prim`` as first written, on atom ids: a row pairs a witness with
+    the frozenset of its counter-witnesses' atom masks, and every reduct
+    test is an interpreted loop over the node's rules."""
+
+    name = "prim"
+    solution_row = PrimRow(0, frozenset())
+
+    @staticmethod
+    def interp(row: PrimRow) -> int:
+        return row.witness
+
+    @staticmethod
+    def node_table(
+        kind: str,
+        atom: int | None,
+        rules: Sequence[Rule],
+        child_tables: Sequence[NodeTable],
+    ) -> dict[PrimRow, set[tuple[int, ...]]]:
+        out: dict[PrimRow, set[tuple[int, ...]]] = {}
+        if kind == LEAF:
+            if is_model(0, rules):
+                out[PrimRow(0, frozenset())] = {()}
+        elif kind == INTRODUCE:
+            bit = 1 << atom
+            for ci, row in enumerate(child_tables[0].rows):
+                for witness in (row.witness, row.witness | bit):
+                    if not is_model(witness, rules):
+                        continue
+                    reduct = [r for r in rules if not (r.neg_mask & witness)]
+                    counters = set()
+                    for n in row.counters:
+                        candidates = (n, n | bit) if witness & bit else (n,)
+                        for n2 in candidates:
+                            if _reduct_models(n2, reduct):
+                                counters.add(n2)
+                    if witness & bit and _reduct_models(row.witness, reduct):
+                        # the old witness, lacking the new atom, is now a
+                        # strictly smaller model candidate
+                        counters.add(row.witness)
+                    new = PrimRow(witness, frozenset(counters))
+                    out.setdefault(new, set()).add((ci,))
+        elif kind == REMOVE:
+            bit = 1 << atom
+            for ci, row in enumerate(child_tables[0].rows):
+                new = PrimRow(row.witness & ~bit, frozenset(n & ~bit for n in row.counters))
+                out.setdefault(new, set()).add((ci,))
+        elif kind == JOIN:
+            right: dict[int, list[int]] = {}
+            for cj, row in enumerate(child_tables[1].rows):
+                right.setdefault(row.witness, []).append(cj)
+            for ci, row in enumerate(child_tables[0].rows):
+                for cj in right.get(row.witness, ()):
+                    c1, c2 = row.counters, child_tables[1].rows[cj].counters
+                    full = frozenset((row.witness,))
+                    merged = (c1 & c2) | (full & (c1 | c2))
+                    new = PrimRow(row.witness, merged)
+                    out.setdefault(new, set()).add((ci, cj))
+        else:
+            raise ValueError(f"unknown node kind {kind!r}")
+        return out
+
+
+def reference_prim_tables(program: Program, td: NiceTreeDecomposition) -> list[NodeTable]:
+    """Per node, the table of ``ReferencePrim`` over the same entering rules
+    as ``paspc.engine.run_dp``, in their atom-id form."""
+    rules = entering_rules(program, td, assign_slots(td, program.n_atoms))
+    tables: list[NodeTable] = [None] * len(td.nodes)  # type: ignore[list-item]
+    for t in td.post_order():
+        nd = td.nodes[t]
+        source = [r.source for r in rules[t]]
+        produced = ReferencePrim.node_table(nd.kind, nd.atom, source, [tables[c] for c in nd.children])
+        tables[t] = NodeTable(list(produced), [list(seqs) for seqs in produced.values()])
+    return tables
+
+
+def decoded_prim_row(ttd: TabledTreeDecomposition, t: int, row: Any) -> PrimRow:
+    """A slot-encoded ``prim`` row of node t as a ``ReferencePrim`` row: bit
+    n of the counter bitset stands for the slot subset n."""
+    return PrimRow(ttd.decode(t, row.witness), frozenset(ttd.decode(t, n) for n in ids_of(row.counters)))
 
 
 # --- decomposition ------------------------------------------------------------

@@ -178,7 +178,9 @@ def test_criterion_7_purging_fidelity(example1_td):
     # row only when a is proven or false
     ok = True
     t3, t4, t8 = ids["t3"], ids["t4"], ids["t8"]
-    violating = [r for r in ttd.table(t3).rows if r.interp & (1 << a) and not r.proven & (1 << a)]
+    violating = [
+        r for r in ttd.table(t3).rows if ttd.decode(t3, r.interp) & (1 << a) and not ttd.decode(t3, r.proven) & (1 << a)
+    ]
     ok = ok and bool(violating)
     survivors = {ttd.table(t3).rows[j] for i in range(len(ttd.table(t4))) for (j,) in ttd.table(t4).origins[i]}
     ok = ok and all(r not in survivors for r in violating)
@@ -190,7 +192,7 @@ def test_criterion_7_purging_fidelity(example1_td):
     bag_mask = ntd.nodes[t8].bag_mask
     ok = ok and len(purged.rows[t8]) < len(ttd.table(t8))
     ok = ok and all(
-        any(ans & bag_mask == row.interp for ans in answer_sets) for row in purged.rows[t8]
+        any(ans & bag_mask == ttd.decode(t8, row.interp) for ans in answer_sets) for row in purged.rows[t8]
     )
     report(7, "removal guard enforced and non-extending rows purged on the 14-node fixture", ok)
 

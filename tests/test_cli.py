@@ -162,13 +162,20 @@ class TestSideOutputs:
         assert stats["width"] == 2
         assert stats["algorithm"] == "phc"
         assert stats["max_purged"] <= stats["max_table"]
-        assert set(stats["timings"]) == {"classify", "decompose", "make_nice", "dp", "purge", "proj"}
+        assert list(stats["timings"]) == ["parse", "classify", "decompose", "make_nice", "dp", "purge", "proj"]
         assert set(stats) == {
-            "width", "nodes", "max_table", "max_purged", "algorithm", "timings",
+            "width", "nodes", "max_table", "max_purged", "algorithm", "rows", "timings",
             "max_bucket", "proj_entries", "peak_rss_mb",
         }
         # the same solve's buckets, and its projection entries as the trace lists them
         result = solve(parse_program(EX1))
+        # rows before purging per node kind, as the bench counts engine.rows.<kind>
+        ttd = result.ttd
+        want = {kind: 0 for kind in ("leaf", "int", "rem", "join")}
+        for t in ttd.post_order:
+            want[ttd.td.nodes[t].kind] += len(ttd.table(t))
+        assert stats["rows"] == want
+        assert want["leaf"] >= 1 and want["int"] > 0
         sizes = [len(b) for node in result.proj_tables.nodes for b in node.buckets]
         assert stats["max_bucket"] == max(sizes) >= 1
         assert stats["proj_entries"] == sum(len(t) for t in result.proj_tables.tables)
@@ -219,15 +226,15 @@ class TestGoldenTraces:
     tests/data/traces: rows print decoded to atom names, counter sets sorted
     by their atom masks, origins and projection entries in table order."""
 
-    @pytest.mark.parametrize(
-        "name,text,args",
-        (
-            ("example1", helpers.EXAMPLE1_TEXT, ()),  # phc, #project d, e
-            ("wide_hcf", helpers.WIDE_HCF_TEXT, ("--project-all",)),  # phc, positive cycle x3 <-> x6
-            ("head_cycles", helpers.HEAD_CYCLE_TEXT, ("--project-all",)),  # prim
-        ),
-    )
-    def test_trace_matches_golden(self, name, text, args, tmp_path, capsys):
+    CASES = {
+        "example1": (helpers.EXAMPLE1_TEXT, ()),  # phc, #project d, e
+        "wide_hcf": (helpers.WIDE_HCF_TEXT, ("--project-all",)),  # phc, positive cycle x3 <-> x6
+        "head_cycles": (helpers.HEAD_CYCLE_TEXT, ("--project-all",)),  # prim
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_trace_matches_golden(self, name, tmp_path, capsys):
+        text, args = self.CASES[name]
         path = tmp_path / "p.lp"
         path.write_text(text)
         trace = tmp_path / "trace"

@@ -2,16 +2,19 @@ import random
 
 import pytest
 
+import helpers
+from paspc import cli, pipeline
 from paspc.decomposition import (
     PrimalGraph,
     TreeDecomposition,
+    assign_slots,
     check_nice,
     decompose,
     make_nice,
     primal_graph,
     validate_td,
 )
-from paspc.formats import read_td
+from paspc.formats import read_td, write_td
 from paspc.program import Program
 from reference import reference_decompose
 
@@ -236,3 +239,65 @@ class TestMakeNice:
         for nd in ntd.nodes:
             if nd.kind == "leaf":
                 assert nd.bag == frozenset()
+
+
+def slot_problems(ntd, slots, n_atoms):
+    """Every atom has one slot in 0..width, and the atoms of a bag have
+    distinct slots."""
+    problems = []
+    if len(slots) != n_atoms:
+        problems.append(f"{len(slots)} slots for {n_atoms} atoms")
+    for a, s in enumerate(slots):
+        if not 0 <= s <= ntd.width:
+            problems.append(f"atom {a}: slot {s} outside 0..{ntd.width}")
+    for t, nd in enumerate(ntd.nodes):
+        if len({slots[a] for a in nd.bag}) != len(nd.bag):
+            problems.append(f"node {t}: atoms share a slot")
+    return problems
+
+
+class TestSlots:
+    def test_fourteen_node_fixture(self, example1_td):
+        program, ntd, _ = example1_td
+        assert slot_problems(ntd, assign_slots(ntd, program.n_atoms), program.n_atoms) == []
+
+    def test_seeded_nice_decompositions(self):
+        rng = random.Random(2718)
+        widths = set()
+        for _ in range(150):
+            p = helpers.random_mixed(rng, rng.randint(1, 14), rng.randint(1, 16), max_size=5)
+            g = primal_graph(p)
+            for h in ("min-fill", "min-degree"):
+                for seed in (0, 1, 2):
+                    ntd = make_nice(decompose(g, h, seed))
+                    widths.add(ntd.width)
+                    assert slot_problems(ntd, assign_slots(ntd, p.n_atoms), p.n_atoms) == []
+            ntd = make_nice(helpers.random_decomposition(rng, g))
+            assert slot_problems(ntd, assign_slots(ntd, p.n_atoms), p.n_atoms) == []
+        assert max(widths) >= 6
+
+    def test_td_file_inputs(self, tmp_path, capsys):
+        # the --td file: path: read_td, validate_td, then solve's make_nice
+        rng = random.Random(99)
+        for i in range(30):
+            p = helpers.random_mixed(rng, rng.randint(2, 10), rng.randint(1, 12), max_size=4)
+            g = primal_graph(p)
+            td = read_td(write_td(helpers.random_decomposition(rng, g)), p.n_atoms)
+            assert validate_td(g, td) == []
+            result = pipeline.solve(p, td=td)
+            assert slot_problems(result.ttd.td, result.ttd.slots, p.n_atoms) == []
+
+            lp, td_path = tmp_path / f"{i}.lp", tmp_path / f"{i}.td"
+            lp.write_text("".join(f"{r}\n" for r in program_lines(p)))
+            td_path.write_text(write_td(td))
+            assert cli.main(["solve", str(lp), "--project-all", "--td", f"file:{td_path}", "--oracle-check"]) == 0
+        capsys.readouterr()
+
+
+def program_lines(p):
+    """The program's rules as source text, atom ids in first-occurrence
+    order as in ``p``."""
+    for r in p.rules:
+        head = " | ".join(p.atom_names[a] for a in r.head)
+        body = [p.atom_names[a] for a in r.pos_body] + [f"not {p.atom_names[a]}" for a in r.neg_body]
+        yield head + (" :- " + ", ".join(body) if body else "") + "."

@@ -4,15 +4,16 @@ import pytest
 
 import helpers
 from paspc import oracle
-from paspc.decomposition import decompose, make_nice, primal_graph
+from paspc.decomposition import assign_slots, decompose, make_nice, primal_graph
 from paspc.engine import entering_rules, purge, run_dp
 from paspc.phc import PhcRow
-from paspc.prim import PRIM
+from paspc.prim import PrimAlgorithm
 from paspc.program import Program
 from reference import definitional_origins, node_scope, origins, origins_table, verify_origins
 
 # the paper's full-ordering PHC; the programs below have at most 8 atoms
 PHC = helpers.paper_phc(8)
+PRIM = PrimAlgorithm()
 
 
 def run_example1(example1_td):
@@ -43,11 +44,16 @@ class TestRunDp:
         b = program.atom_id("b")
         t3 = ttd.table(ids["t3"])
         t4 = ttd.table(ids["t4"])
-        assert {r.interp for r in t3.rows} == {1 << a, 1 << b, (1 << a) | (1 << b)}
+
+        def decoded(row):
+            return ttd.decode(ids["t3"], row.interp), ttd.decode(ids["t3"], row.proven)
+
+        assert {decoded(r)[0] for r in t3.rows} == {1 << a, 1 << b, (1 << a) | (1 << b)}
         survivors = origins_table(ttd, ids["t4"], t4.rows)
         for (row,) in survivors:
-            assert row.proven & (1 << a) or not row.interp & (1 << a)
-        dead = [r for r in t3.rows if r.interp & (1 << a) and not r.proven & (1 << a)]
+            interp, proven = decoded(row)
+            assert proven & (1 << a) or not interp & (1 << a)
+        dead = [r for r in t3.rows if decoded(r)[0] & (1 << a) and not decoded(r)[1] & (1 << a)]
         assert dead, "fixture should exercise the filter"
         assert all((r,) not in survivors for r in dead)
 
@@ -58,7 +64,7 @@ class TestBagPrograms:
 
     @staticmethod
     def check_entering(p, td):
-        rules = entering_rules(p, td)
+        rules = entering_rules(p, td, assign_slots(td, p.n_atoms))
 
         def fitting(bag_mask):
             return {r.key() for r in p.rules if not r.atom_mask & ~bag_mask}
@@ -66,7 +72,7 @@ class TestBagPrograms:
         entered = set()
         for t in td.post_order():
             nd = td.nodes[t]
-            got = {r.key() for r in rules[t]}
+            got = {r.source.key() for r in rules[t]}
             if nd.kind == "leaf":
                 assert got == fitting(0)
             elif nd.kind in ("rem", "join"):
@@ -84,16 +90,17 @@ class TestBagPrograms:
         td = make_nice(decompose(primal_graph(p)))
         self.check_entering(p, td)
         leaves = [t for t in td.post_order() if td.nodes[t].kind == "leaf"]
-        assert all([r.key() for r in entering_rules(p, td)[t]] == [((), (), ())] for t in leaves)
+        rules = entering_rules(p, td, assign_slots(td, p.n_atoms))
+        assert all([r.source.key() for r in rules[t]] == [((), (), ())] for t in leaves)
 
     def test_two_rules_enter_at_t8(self, example1_td):
         # introducing e over {b,d}: "d | e :- b." and "b :- e, not d." become
         # complete; "d :- not b." entered at t7, "c | e." needs c
         program, ntd, ids = example1_td
-        rules = entering_rules(program, ntd)
+        rules = entering_rules(program, ntd, assign_slots(ntd, program.n_atoms))
         b, d, e = (program.atom_id(x) for x in "bde")
         want = {(tuple(sorted((d, e))), (b,), ()), ((b,), (e,), (d,))}
-        assert {r.key() for r in rules[ids["t8"]]} == want
+        assert {r.source.key() for r in rules[ids["t8"]]} == want
 
     def test_scope_at_root_is_whole_program(self, example1_td):
         program, ids, ttd = run_example1(example1_td)
@@ -121,9 +128,11 @@ class TestOrigins:
     def test_remove_origins_satisfy_guard(self, example1_td):
         program, ids, ttd = run_example1(example1_td)
         d = program.atom_id("d")
+        t8 = ids["t8"]
         for row in ttd.table(ids["t9"]).rows:
             for (child_row,) in origins(ttd, ids["t9"], row):
-                assert child_row.proven & (1 << d) or not child_row.interp & (1 << d)
+                proven, interp = ttd.decode(t8, child_row.proven), ttd.decode(t8, child_row.interp)
+                assert proven & (1 << d) or not interp & (1 << d)
 
     def test_join_origins_pair_matching_rows(self, example1_td):
         program, ids, ttd = run_example1(example1_td)
@@ -186,7 +195,7 @@ class TestPurge:
         # some table row does not extend and must be gone
         assert len(purged.rows[t8]) < len(ttd.table(t8))
         for row in purged.rows[t8]:
-            assert any(a & bag_mask == row.interp for a in answer_sets)
+            assert any(a & bag_mask == ttd.decode(t8, row.interp) for a in answer_sets)
 
     def test_purged_rows_reachable_from_parent(self, example1_td):
         program, ids, ttd = run_example1(example1_td)
@@ -211,7 +220,7 @@ def extension_interpretations(purged):
     for t in ttd.post_order:
         nd = td.nodes[t]
         for i, row in enumerate(purged.rows[t]):
-            interp = alg.interp(row)
+            interp = ttd.decode(t, alg.interp(row))
             if not nd.children:
                 ext[t].append({interp})
                 continue

@@ -6,10 +6,11 @@ import pytest
 import helpers
 from paspc import engine, oracle, pipeline
 from paspc.decomposition import decompose, make_nice, primal_graph
-from paspc.engine import NodeTable, has_solution, run_dp
+from paspc.engine import NodeTable, bag_rule, has_solution, run_dp
 from paspc.formats import parse_program
-from paspc.phc import PhcRow, check_row_invariants, gp, ords
+from paspc.phc import PhcRow, gp, ords
 from paspc.program import Program
+from reference import check_row_invariants
 
 # the paper's full-ordering PHC over enough atom ids for the programs below
 PHC = helpers.paper_phc(8)
@@ -20,11 +21,18 @@ def masks(p, names):
     return p.mask(names)
 
 
+def one_bag_rules(p):
+    """The program's rules for one bag holding every atom, with atom a in
+    slot a: slot masks equal atom masks, so the rows and values below read
+    the same in both."""
+    return [bag_rule(r, range(p.n_atoms)) for r in p.rules]
+
+
 class TestGp:
     def test_fact_disjunction_proves_only_chosen_atom(self):
         p = Program.from_specs([(("a", "b"), (), ())])
         b = p.atom_id("b")
-        got = gp(p.mask("b"), (b,), p.rules, FULL)
+        got = gp(p.mask("b"), (b,), one_bag_rules(p), FULL)
         assert got == p.mask("b")
 
     def test_ordering_blocks_proof(self):
@@ -33,7 +41,7 @@ class TestGp:
         p = Program.from_specs([(("b",), ("e",), ("d",)), (("d", "e"), ("b",), ())])
         b, e = p.atom_id("b"), p.atom_id("e")
         interp = p.mask("be")
-        assert gp(interp, (b, e), p.rules, FULL) == p.mask("e")
+        assert gp(interp, (b, e), one_bag_rules(p), FULL) == p.mask("e")
 
     def test_ordering_enables_proof(self):
         # under <e,b> the body atom e precedes b, so b becomes provable;
@@ -41,7 +49,7 @@ class TestGp:
         p = Program.from_specs([(("b",), ("e",), ("d",)), (("d", "e"), ("b",), ())])
         b, e = p.atom_id("b"), p.atom_id("e")
         interp = p.mask("be")
-        assert gp(interp, (e, b), p.rules, FULL) == p.mask("b")
+        assert gp(interp, (e, b), one_bag_rules(p), FULL) == p.mask("b")
 
     def test_accumulated_proofs_complete_the_row(self):
         # a child row that already proved e splits on the two insertions of
@@ -49,7 +57,7 @@ class TestGp:
         p = Program.from_specs([(("b",), ("e",), ("d",)), (("d", "e"), ("b",), ())])
         b, e = p.atom_id("b"), p.atom_id("e")
         child = single_row_table(PhcRow(1 << e, 1 << e, (e,)))
-        out = PHC.node_table("int", b, p.rules, [child])
+        out = PHC.node_table("int", b, b, one_bag_rules(p), [child])
         with_b = {row for row in out if row.interp == p.mask("be")}
         assert with_b == {
             PhcRow(p.mask("be"), 1 << e, (b, e)),
@@ -78,12 +86,12 @@ def single_row_table(row):
 
 class TestPhcTransitions:
     def test_leaf(self):
-        out = PHC.node_table("leaf", None, [], [])
+        out = PHC.node_table("leaf", None, None, [], [])
         assert out == {PhcRow(0, 0, ()): {()}}
 
     def test_introduce_without_rules(self):
         child = single_row_table(PhcRow(0, 0, ()))
-        out = PHC.node_table("int", 0, [], [child])
+        out = PHC.node_table("int", 0, 0, [], [child])
         assert set(out) == {PhcRow(0, 0, ()), PhcRow(1, 0, (0,))}
         assert all(origin == {(0,)} for origin in out.values())
 
@@ -92,7 +100,7 @@ class TestPhcTransitions:
         p = Program.from_specs([(("a", "b"), (), ())])
         a, b = p.atom_id("a"), p.atom_id("b")
         child = NodeTable([PhcRow(0, 0, ()), PhcRow(1 << a, 0, (a,))], [[()], [()]])
-        out = PHC.node_table("int", b, p.rules, [child])
+        out = PHC.node_table("int", b, b, one_bag_rules(p), [child])
         interps = {row.interp for row in out}
         assert 0 not in interps
         assert interps == {p.mask("a"), p.mask("b"), p.mask("ab")}
@@ -110,7 +118,7 @@ class TestPhcTransitions:
             PhcRow(p.mask("ab"), 0, (b, a)),
         ]
         child = NodeTable(rows, [[()]] * 4)
-        out = PHC.node_table("rem", a, [], [child])
+        out = PHC.node_table("rem", a, a, [], [child])
         assert set(out) == {PhcRow(0, 0, ()), PhcRow(1 << b, 1 << b, (b,))}
 
     def test_join_matches_interpretation_and_order(self):
@@ -119,7 +127,7 @@ class TestPhcTransitions:
         r3 = PhcRow(0b11, 0b10, (1, 0))
         left = NodeTable([r1], [[()]])
         right = NodeTable([r2, r3], [[()], [()]])
-        out = PHC.node_table("join", None, [], [left, right])
+        out = PHC.node_table("join", None, None, [], [left, right])
         assert out == {PhcRow(0b11, 0b11, (0, 1)): {(0, 0)}}
 
 
@@ -150,7 +158,8 @@ class TestTightVariant:
         ttd = run_dp(pipeline.pick_algorithm(p, "phc"), p, ntd)
         assert has_solution(ttd)
         intro = [t for t in ttd.post_order if ttd.td.nodes[t].kind == "int"][0]
-        assert ttd.table(intro).rows == [PhcRow(1, 1, ())]
+        rows = [PhcRow(ttd.decode(intro, r.interp), ttd.decode(intro, r.proven), r.order) for r in ttd.table(intro).rows]
+        assert rows == [PhcRow(1, 1, ())]
 
     def test_even_loop_counts(self):
         p = Program.from_specs([(("a",), (), ("b",)), (("b",), (), ("a",))])
@@ -228,6 +237,6 @@ class TestInvariants:
             for i, row in enumerate(tab.rows):
                 for seq in tab.origins[i]:
                     for ci, j in enumerate(seq):
-                        child_row = ttd.table(nd.children[ci]).rows[j]
-                        kept = child_row.proven & nd.bag_mask
-                        assert kept & ~row.proven == 0
+                        c = nd.children[ci]
+                        kept = ttd.decode(c, ttd.table(c).rows[j].proven) & nd.bag_mask
+                        assert kept & ~ttd.decode(t, row.proven) == 0

@@ -4,17 +4,21 @@ import helpers
 from paspc import oracle, pipeline
 from paspc.decomposition import decompose, make_nice, primal_graph
 from paspc.engine import has_solution, run_dp
-from paspc.prim import PRIM, PrimRow
-from paspc.program import Program
+from paspc.prim import PrimAlgorithm
+from paspc.program import Program, iter_bits
+from reference import PrimRow as DecodedRow, decoded_prim_row, reference_prim_tables
 
 
 def run(p):
-    return run_dp(PRIM, p, make_nice(decompose(primal_graph(p))))
+    return run_dp(PrimAlgorithm(), p, make_nice(decompose(primal_graph(p))))
 
 
 class TestTransitions:
     def test_leaf(self):
-        assert PRIM.node_table("leaf", None, [], []) == {PrimRow(0, frozenset()): {()}}
+        ((row, origins),) = PrimAlgorithm().node_table("leaf", None, None, [], []).items()
+        # a leaf's bag is empty: its witness and every counter subset decode
+        # to the empty atom mask
+        assert (row.witness, frozenset(iter_bits(row.counters)), origins) == (0, frozenset(), {()})
 
     def test_disjunctive_fact_witnesses(self):
         # a | b: the two singleton witnesses reach the root clean, while the
@@ -24,14 +28,15 @@ class TestTransitions:
         full_node = next(
             t for t in ttd.post_order if ttd.td.nodes[t].bag_mask == p.atom_mask
         )
-        rows = ttd.table(full_node).rows
+        rows = [decoded_prim_row(ttd, full_node, r) for r in ttd.table(full_node).rows]
         by_witness = {r.witness: r.counters for r in rows}
         assert by_witness[p.mask("ab")] == frozenset({p.mask("a"), p.mask("b")})
         assert by_witness[p.mask("a")] == frozenset()
         assert by_witness[p.mask("b")] == frozenset()
-        root_rows = ttd.table(ttd.td.root).rows
-        assert PrimRow(0, frozenset()) in root_rows
-        assert PrimRow(0, frozenset({0})) in root_rows
+        root = ttd.td.root
+        root_rows = [decoded_prim_row(ttd, root, r) for r in ttd.table(root).rows]
+        assert DecodedRow(0, frozenset()) in root_rows
+        assert DecodedRow(0, frozenset({0})) in root_rows
 
     def test_counters_survive_removal(self):
         p = Program.from_specs([(("a", "b"), (), ())])
@@ -39,12 +44,13 @@ class TestTransitions:
         for t in ttd.post_order:
             if ttd.td.nodes[t].kind != "rem":
                 continue
+            (c,) = ttd.td.nodes[t].children
             for i, row in enumerate(ttd.table(t).rows):
                 for seq in ttd.table(t).origins[i]:
-                    child = ttd.table(ttd.td.nodes[t].children[0]).rows[seq[0]]
+                    child = decoded_prim_row(ttd, c, ttd.table(c).rows[seq[0]])
                     # removal projects counters; it never filters or invents
                     keep = ~(1 << ttd.td.nodes[t].atom)
-                    assert row.counters == frozenset(n & keep for n in child.counters)
+                    assert decoded_prim_row(ttd, t, row).counters == frozenset(n & keep for n in child.counters)
 
 
 class TestSolutionRows:
@@ -81,6 +87,40 @@ class TestFuzz:
             for t in ttd.post_order:
                 k = len(ttd.td.nodes[t].bag)
                 assert len(ttd.table(t)) <= 2**k * 2 ** (2**k)
+                bag_slots = sum(1 << ttd.slots[a] for a in ttd.td.nodes[t].bag)
                 for row in ttd.table(t).rows:
-                    assert not row.witness & ~ttd.td.nodes[t].bag_mask
-                    assert all(not n & ~ttd.td.nodes[t].bag_mask for n in row.counters)
+                    # slot subsets within the bag's slots, so decoding loses nothing
+                    assert not row.witness & ~bag_slots
+                    assert all(not n & ~bag_slots for n in iter_bits(row.counters))
+                    decoded = decoded_prim_row(ttd, t, row)
+                    assert not decoded.witness & ~ttd.td.nodes[t].bag_mask
+                    assert all(not n & ~ttd.td.nodes[t].bag_mask for n in decoded.counters)
+
+
+class TestAgainstReference:
+    """The subset-bitset ``prim`` against the frozenset one it replaced
+    (``reference.ReferencePrim``): on every node, the decoded rows, their
+    emission order and their origins."""
+
+    def test_decoded_tables_equal_reference(self):
+        # rules of up to five atoms make bags of up to seven atoms; at width
+        # 6 a counter bitset has 2^7 = 128 bits
+        rng = random.Random(7070)
+        widest = 0
+        for i in range(200):
+            p = helpers.random_disjunctive(rng, rng.randint(2, 10), rng.randint(1, 10), max_size=5)
+            p = p.with_projection(helpers.random_projection(rng, p))
+            want = oracle.projected_count(p)
+            for seed in (0, 1, 2):
+                nice = make_nice(decompose(primal_graph(p), "min-fill", seed))
+                if nice.width > 6:
+                    continue
+                ttd = run_dp(PrimAlgorithm(), p, nice)
+                reference = reference_prim_tables(p, nice)
+                for t in ttd.post_order:
+                    tab = ttd.table(t)
+                    assert [decoded_prim_row(ttd, t, r) for r in tab.rows] == reference[t].rows, (i, seed, t)
+                    assert tab.origins == reference[t].origins, (i, seed, t)
+                    widest = max([widest] + [r.counters.bit_length() for r in tab.rows])
+                assert pipeline.solve(p, algorithm="prim", seed=seed).count == want, (i, seed)
+        assert widest > 64

@@ -7,7 +7,7 @@ from paspc.decomposition import JOIN, decompose, make_nice, primal_graph
 from paspc.engine import purge, run_dp
 from paspc.formats import parse_program
 from paspc.phc import PhcRow
-from paspc.prim import PRIM
+from paspc.prim import PrimAlgorithm
 from paspc.proj import NodeCounts, _bucket_pcnts, _bucket_values, buckets, final_count, run_proj
 from reference import ipmc, pcnt, reference_proj_table, sipmc, subbuckets, union_counts
 
@@ -266,7 +266,7 @@ class TestRunProj:
             for prim in (False, True):
                 for _ in range(25):
                     p = helpers.random_mixed(rng, rng.randint(*atoms), rng.randint(*rules))
-                    alg = PRIM if prim else helpers.paper_phc(max(p.n_atoms, 8))
+                    alg = PrimAlgorithm() if prim else helpers.paper_phc(max(p.n_atoms, 8))
                     pmask = helpers.random_projection(rng, p)
                     ttd = run_dp(alg, p, make_nice(decompose(primal_graph(p))))
                     purged = purge(ttd)
@@ -278,7 +278,7 @@ class TestRunProj:
         for alg, _, ttd, _, proj in self.seeded_fuzz():
             for t in ttd.post_order:
                 if ttd.td.nodes[t].kind == JOIN and any(len(b) > 1 for b in proj.nodes[t].buckets):
-                    reached.add(alg is PRIM)
+                    reached.add(isinstance(alg, PrimAlgorithm))
         assert reached == {False, True}
 
     def test_matches_reference_formulas(self):
@@ -289,7 +289,7 @@ class TestRunProj:
                 want = reference_proj_table(
                     nd.kind,
                     purged.rows[t],
-                    alg.interp,
+                    lambda row: ttd.decode(t, alg.interp(row)),
                     pmask,
                     purged.origins[t],
                     [proj.tables[c] for c in nd.children],
@@ -346,7 +346,7 @@ class TestRunProj:
         for _ in range(60):
             p = helpers.random_mixed(rng, rng.randint(1, 7), rng.randint(1, 9))
             pmask = helpers.random_projection(rng, p)
-            ttd = run_dp(PHC if _ % 2 else PRIM, p, make_nice(decompose(primal_graph(p))))
+            ttd = run_dp(PHC if _ % 2 else PrimAlgorithm(), p, make_nice(decompose(primal_graph(p))))
             purged = purge(ttd)
             proj = run_proj(purged, pmask)
             for table in proj.tables:
