@@ -37,9 +37,11 @@ class PrimRow(NamedTuple):
 
 
 class PrimAlgorithm:
-    """``prim`` for one solve.  It keeps the bitsets B_s, over the subsets
-    of the slots seen so far, and extends them when a higher slot is
-    introduced."""
+    """``prim`` for one solve.  It keeps the bitsets B_s over the subsets
+    of the slots introduced so far and extends them when a higher slot is
+    introduced: it is built before the decomposition, so the width is not
+    known yet, and every slot of a counter subset was introduced below, so
+    the bitsets always cover the counters they are applied to."""
 
     name = "prim"
     solution_row = PrimRow(0, 0)
