@@ -4,10 +4,13 @@ Rows index atoms by bag slot, not by atom id: every atom gets a slot in
 0..width (``decomposition.assign_slots``), distinct among the atoms of each
 bag, so a row's interpretation is an int of at most width+1 bits however
 many atoms the program has, and ``prim`` keeps a row's counter-witness set
-as a bitset over the slot subsets, an int of at most 2^(width+1) bits.  The
-rules reach the table algorithms translated once per solve into
-``BagRule``s, whose masks are slot masks.  ``TabledTreeDecomposition.decode``
-turns a node's slot mask back into an atom mask, for traces and tests.
+as a bitset over the slot subsets, an int of 2^(width+1) bits, up to width
+9 (see ``prim``).  The driver asks the algorithm for the form it runs at
+the decomposition's width (``for_width``).  The rules reach the table
+algorithms translated once per solve into ``BagRule``s, whose masks are
+slot masks.  ``TabledTreeDecomposition.decode`` turns a node's slot mask
+back into an atom mask, for traces and tests, and ``encode`` an atom mask
+into a node's slots, for the projection.
 
 Each table algorithm turns one node's child tables into the node's own table
 and reports, per emitted row, the child-row index sequences it came from.
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, NamedTuple, Protocol, Sequence
 
-from .decomposition import INTRODUCE, LEAF, REMOVE, NiceTreeDecomposition, assign_slots
+from .decomposition import INTRODUCE, LEAF, NiceTreeDecomposition, assign_slots
 from .program import Program, Rule
 
 
@@ -57,6 +60,10 @@ class TableAlgorithm(Protocol):
     ) -> dict[Any, set[tuple[int, ...]]]: ...
 
     def interp(self, row: Any) -> int: ...
+
+    def for_width(self, width: int) -> "TableAlgorithm":
+        """The algorithm to run on a nice decomposition of this width."""
+        ...
 
     def format_row(self, row: Any, program: Program, decode: Callable[[int], int]) -> str: ...
 
@@ -101,23 +108,14 @@ class TabledTreeDecomposition:
                 out |= 1 << a
         return out
 
-    def slot_masks(self, atoms: int) -> list[int]:
-        """Per node, the slot mask of its bag atoms that are in the atom mask
-        ``atoms``: one top-down pass, as the slots were assigned."""
-        nodes = self.td.nodes
+    def encode(self, t: int, atoms: int) -> int:
+        """The slot mask of the atoms of the atom mask that are in node t's
+        bag: the inverse of ``decode``."""
         slots = self.slots
-        member = bin(atoms)[:1:-1]  # member[a] == "1" iff atom a is in atoms
-        out = [0] * len(nodes)
-        for t in reversed(self.post_order):
-            nd = nodes[t]
-            mask = out[t]
-            if nd.kind == REMOVE:
-                if nd.atom < len(member) and member[nd.atom] == "1":  # type: ignore[operator]
-                    mask |= 1 << slots[nd.atom]  # type: ignore[index]
-            elif nd.kind == INTRODUCE:
-                mask &= ~(1 << slots[nd.atom])  # type: ignore[index]
-            for c in nd.children:
-                out[c] = mask
+        out = 0
+        for a in self.td.nodes[t].bag:
+            if atoms >> a & 1:
+                out |= 1 << slots[a]
         return out
 
 
@@ -158,7 +156,9 @@ def entering_rules(program: Program, td: NiceTreeDecomposition, slots: Sequence[
 
 
 def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> TabledTreeDecomposition:
-    """Run the table algorithm over all nodes in post-order."""
+    """Run the table algorithm, as chosen for the decomposition's width,
+    over all nodes in post-order."""
+    alg = alg.for_width(td.width)
     order = td.post_order()
     slots = assign_slots(td, program.n_atoms)
     rules = entering_rules(program, td, slots)

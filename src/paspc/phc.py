@@ -83,6 +83,9 @@ class PhcAlgorithm:
     def interp(row: PhcRow) -> int:
         return row.interp
 
+    def for_width(self, width: int) -> PhcAlgorithm:
+        return self
+
     def _orders(self, order: tuple[int, ...], atom: int) -> list[tuple[int, ...]]:
         """Orderings with the introduced true atom: insertions among the atoms
         of its own component, or the ordering unchanged for an acyclic atom."""

@@ -20,28 +20,41 @@ transition is a few big-int operations:
   ``r.neg_mask & W == 0`` of ``OR_{s in head} B_s | ~AND_{s in pos} B_s``;
 - remove slot s: ``(C & ~B_s) | ((C & B_s) >> b)``;
 - join: ``(C1 & C2) | ((1 << W) & (C1 | C2))``.
+
+The bitset costs 2^(width+1) bits per row however few counters the row
+has, and so do B_s, R_W and ``1 << W``.  ``run_dp`` therefore keeps it only
+up to ``DENSE_MAX_WIDTH``: at width 9 a counter bitset has 1,024 bits, no
+larger than an empty frozenset.  A wider decomposition runs
+``SparsePrimAlgorithm``, whose C is a frozenset of slot masks tested against
+the reduct one by one, so its rows cost what their counters cost.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .decomposition import INTRODUCE, JOIN, LEAF, REMOVE
 from .engine import BagRule, NodeTable
 from .program import Program, is_model, iter_bits
 
 
+# the widest decomposition on which run_dp keeps counter sets as bitsets
+DENSE_MAX_WIDTH = 9
+
+
 class PrimRow(NamedTuple):
     witness: int
-    counters: int
+    counters: int | frozenset[int]  # a subset bitset, or a frozenset of slot masks
 
 
 class PrimAlgorithm:
-    """``prim`` for one solve.  It keeps the bitsets B_s over the subsets
-    of the slots introduced so far and extends them when a higher slot is
-    introduced: it is built before the decomposition, so the width is not
-    known yet, and every slot of a counter subset was introduced below, so
-    the bitsets always cover the counters they are applied to."""
+    """``prim`` for one solve, with each counter set a subset bitset.  It
+    keeps the bitsets B_s over the subsets of the slots introduced so far
+    and extends them when a higher slot is introduced: every slot of a
+    counter subset was introduced below, so the bitsets always cover the
+    counters they are applied to, and a narrow subtree works on narrow
+    ints.  ``for_width`` hands a decomposition wider than
+    ``DENSE_MAX_WIDTH`` to ``SparsePrimAlgorithm``."""
 
     name = "prim"
     solution_row = PrimRow(0, 0)
@@ -52,6 +65,9 @@ class PrimAlgorithm:
     @staticmethod
     def interp(row: PrimRow) -> int:
         return row.witness
+
+    def for_width(self, width: int) -> PrimAlgorithm | SparsePrimAlgorithm:
+        return self if width <= DENSE_MAX_WIDTH else SparsePrimAlgorithm()
 
     def _subsets_with(self, slots: int) -> list[int]:
         """B_s for every slot s, over the subsets of at least ``slots``
@@ -138,7 +154,89 @@ class PrimAlgorithm:
 
     @staticmethod
     def format_row(row: PrimRow, program: Program, decode: Callable[[int], int]) -> str:
-        m = ",".join(program.names(decode(row.witness)))
-        counters = sorted(decode(n) for n in iter_bits(row.counters))
-        cs = " ".join("{" + ",".join(program.names(n)) + "}" for n in counters)
-        return f"M={{{m}}} C=[{cs}]"
+        return _format_row(row.witness, iter_bits(row.counters), program, decode)  # type: ignore[arg-type]
+
+
+class SparsePrimAlgorithm:
+    """``prim`` for one solve with each counter set a frozenset of slot
+    masks, for decompositions wider than ``DENSE_MAX_WIDTH``."""
+
+    name = "prim"
+    solution_row = PrimRow(0, frozenset())
+
+    @staticmethod
+    def interp(row: PrimRow) -> int:
+        return row.witness
+
+    def for_width(self, width: int) -> SparsePrimAlgorithm:
+        return self
+
+    @staticmethod
+    def node_table(
+        kind: str,
+        atom: int | None,
+        slot: int | None,
+        rules: Sequence[BagRule],
+        child_tables: Sequence[NodeTable],
+    ) -> dict[PrimRow, set[tuple[int, ...]]]:
+        out: dict[PrimRow, set[tuple[int, ...]]] = {}
+        if kind == LEAF:
+            if is_model(0, rules):
+                out[PrimRow(0, frozenset())] = {()}
+        elif kind == INTRODUCE:
+            bit = 1 << slot  # type: ignore[operator]
+            # per witness, the (head, positive body) of the reduct's rules;
+            # None if the witness is no model
+            reducts: dict[int, list[tuple[int, int]] | None] = {}
+            for ci, row in enumerate(child_tables[0].rows):
+                for witness in (row.witness, row.witness | bit):
+                    if witness in reducts:
+                        reduct = reducts[witness]
+                    else:
+                        reduct = None
+                        if is_model(witness, rules):
+                            reduct = [(r.head_mask, r.pos_mask) for r in rules if not r.neg_mask & witness]
+                        reducts[witness] = reduct
+                    if reduct is None:
+                        continue
+                    candidates = set(row.counters)
+                    if witness & bit:
+                        # as in the bitset form: every counter with and
+                        # without the new slot, and the old witness
+                        candidates.update([n | bit for n in candidates])
+                        candidates.add(row.witness)
+                    counters = frozenset(
+                        n for n in candidates if all(head & n or pos & ~n for head, pos in reduct)
+                    )
+                    out.setdefault(PrimRow(witness, counters), set()).add((ci,))
+        elif kind == REMOVE:
+            keep = ~(1 << slot)  # type: ignore[operator]
+            for ci, row in enumerate(child_tables[0].rows):
+                new = PrimRow(row.witness & keep, frozenset([n & keep for n in row.counters]))
+                out.setdefault(new, set()).add((ci,))
+        elif kind == JOIN:
+            right: dict[int, list[int]] = {}
+            right_rows = child_tables[1].rows
+            for cj, row in enumerate(right_rows):
+                right.setdefault(row.witness, []).append(cj)
+            for ci, row in enumerate(child_tables[0].rows):
+                for cj in right.get(row.witness, ()):
+                    c1, c2 = row.counters, right_rows[cj].counters
+                    merged = c1 & c2
+                    if row.witness in c1 or row.witness in c2:
+                        merged |= {row.witness}
+                    out.setdefault(PrimRow(row.witness, merged), set()).add((ci, cj))
+        else:
+            raise ValueError(f"unknown node kind {kind!r}")
+        return out
+
+    @staticmethod
+    def format_row(row: PrimRow, program: Program, decode: Callable[[int], int]) -> str:
+        return _format_row(row.witness, row.counters, program, decode)  # type: ignore[arg-type]
+
+
+def _format_row(witness: int, counters: Iterable[int], program: Program, decode: Callable[[int], int]) -> str:
+    """A row with its counter subsets sorted by decoded atom mask."""
+    m = ",".join(program.names(decode(witness)))
+    cs = " ".join("{" + ",".join(program.names(n)) + "}" for n in sorted(map(decode, counters)))
+    return f"M={{{m}}} C=[{cs}]"

@@ -194,13 +194,12 @@ def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
     ttd = purged.ttd
     td = ttd.td
     alg = ttd.alg
-    slot_pmasks = ttd.slot_masks(pmask)
     nodes: list[NodeCounts | None] = [None] * len(td.nodes)
 
     for t in ttd.post_order:
         rows = purged.rows[t]
         nd = td.nodes[t]
-        partition = buckets([alg.interp(r) for r in rows], slot_pmasks[t])
+        partition = buckets([alg.interp(r) for r in rows], ttd.encode(t, pmask))
         node = NodeCounts(partition, [0] * len(rows), [0] * len(rows), [], [])
         for bi, bucket in enumerate(partition):
             for pos, j in enumerate(bucket):

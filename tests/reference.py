@@ -354,8 +354,10 @@ def reference_prim_tables(program: Program, td: NiceTreeDecomposition) -> list[N
 
 def decoded_prim_row(ttd: TabledTreeDecomposition, t: int, row: Any) -> PrimRow:
     """A slot-encoded ``prim`` row of node t as a ``ReferencePrim`` row: bit
-    n of the counter bitset stands for the slot subset n."""
-    return PrimRow(ttd.decode(t, row.witness), frozenset(ttd.decode(t, n) for n in ids_of(row.counters)))
+    n of a counter bitset stands for the slot subset n, and a sparse counter
+    set holds the slot subsets themselves."""
+    subsets = row.counters if isinstance(row.counters, frozenset) else ids_of(row.counters)
+    return PrimRow(ttd.decode(t, row.witness), frozenset(ttd.decode(t, n) for n in subsets))
 
 
 # --- decomposition ------------------------------------------------------------

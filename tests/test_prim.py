@@ -1,10 +1,13 @@
 import random
 
+import pytest
+
 import helpers
 from paspc import oracle, pipeline
 from paspc.decomposition import decompose, make_nice, primal_graph
-from paspc.engine import has_solution, run_dp
-from paspc.prim import PrimAlgorithm
+from paspc.engine import format_table, has_solution, run_dp
+from paspc.formats import parse_program
+from paspc.prim import DENSE_MAX_WIDTH, PrimAlgorithm, SparsePrimAlgorithm
 from paspc.program import Program, iter_bits
 from reference import PrimRow as DecodedRow, decoded_prim_row, reference_prim_tables
 
@@ -97,14 +100,36 @@ class TestFuzz:
                     assert all(not n & ~ttd.td.nodes[t].bag_mask for n in decoded.counters)
 
 
+def assert_tables_equal_reference(ttd, p, note=()):
+    """Every node's decoded rows, their emission order and their origins
+    equal those of ``reference.ReferencePrim``."""
+    reference = reference_prim_tables(p, ttd.td)
+    for t in ttd.post_order:
+        tab = ttd.table(t)
+        assert [decoded_prim_row(ttd, t, r) for r in tab.rows] == reference[t].rows, (*note, t)
+        assert tab.origins == reference[t].origins, (*note, t)
+
+
+def exactly_one(n, head_cycle=False):
+    """One of n atoms: a disjunctive fact over all of them and a constraint
+    per pair, so one bag holds every atom and the width is n - 1, while a
+    table has at most n + 1 rows.  The head cycle a1 <-> a2 makes the
+    program disjunctive, and a1 and a2 can no longer be the one atom."""
+    atoms = [f"a{i}" for i in range(1, n + 1)]
+    text = " | ".join(atoms) + ".\n" + "".join(f":- {a}, {b}.\n" for i, a in enumerate(atoms) for b in atoms[i + 1 :])
+    if head_cycle:
+        text += "a1 :- a2. a2 :- a1.\n"
+    return parse_program(text)
+
+
 class TestAgainstReference:
-    """The subset-bitset ``prim`` against the frozenset one it replaced
-    (``reference.ReferencePrim``): on every node, the decoded rows, their
-    emission order and their origins."""
+    """Both counter forms against the frozenset ``prim`` on atom ids that
+    the slot encoding replaced (``reference.ReferencePrim``)."""
 
     def test_decoded_tables_equal_reference(self):
         # rules of up to five atoms make bags of up to seven atoms; at width
-        # 6 a counter bitset has 2^7 = 128 bits
+        # 6 a counter bitset has 2^7 = 128 bits.  The sparse form runs on
+        # the same decompositions, below the width at which run_dp picks it.
         rng = random.Random(7070)
         widest = 0
         for i in range(200):
@@ -116,11 +141,29 @@ class TestAgainstReference:
                 if nice.width > 6:
                     continue
                 ttd = run_dp(PrimAlgorithm(), p, nice)
-                reference = reference_prim_tables(p, nice)
-                for t in ttd.post_order:
-                    tab = ttd.table(t)
-                    assert [decoded_prim_row(ttd, t, r) for r in tab.rows] == reference[t].rows, (i, seed, t)
-                    assert tab.origins == reference[t].origins, (i, seed, t)
-                    widest = max([widest] + [r.counters.bit_length() for r in tab.rows])
+                assert_tables_equal_reference(ttd, p, (i, seed))
+                widest = max([widest] + [r.counters.bit_length() for t in ttd.post_order for r in ttd.table(t).rows])
+                assert_tables_equal_reference(run_dp(SparsePrimAlgorithm(), p, nice), p, (i, seed, "sparse"))
                 assert pipeline.solve(p, algorithm="prim", seed=seed).count == want, (i, seed)
         assert widest > 64
+
+    def test_both_forms_print_alike(self):
+        # traces print counters sorted by decoded atom mask in either form
+        p = parse_program(helpers.HEAD_CYCLE_TEXT)
+        nice = make_nice(decompose(primal_graph(p)))
+        dense, sparse = run_dp(PrimAlgorithm(), p, nice), run_dp(SparsePrimAlgorithm(), p, nice)
+        assert [format_table(dense, t) for t in dense.post_order] == [format_table(sparse, t) for t in sparse.post_order]
+
+    @pytest.mark.parametrize("n", [DENSE_MAX_WIDTH + 1, DENSE_MAX_WIDTH + 2, 27])
+    def test_counter_form_follows_width(self, n):
+        # bitsets up to DENSE_MAX_WIDTH, frozensets beyond: at width 26 a
+        # bitset row would cost 2^27 bits whatever its counters
+        p = exactly_one(n, head_cycle=True)
+        result = pipeline.solve(p)
+        assert result.stats.width == n - 1
+        dense = n - 1 <= DENSE_MAX_WIDTH
+        assert isinstance(result.ttd.alg, PrimAlgorithm if dense else SparsePrimAlgorithm)
+        assert result.count == n - 2
+        assert_tables_equal_reference(result.ttd, p, (n,))
+        if n <= 12:
+            assert result.count == oracle.projected_count(p)
