@@ -161,8 +161,9 @@ def _dump_trace(result, directory: str) -> None:
             names = ",".join(sorted(result.program.names(nd.bag_mask)))
             fh.write(f"node {t} kind={nd.kind} bag={{{names}}} rows={len(result.purged.rows[t])}\n")
             decode = partial(ttd.decode, t)
+            origins = result.purged.origins(t)
             for i, row in enumerate(result.purged.rows[t]):
-                fh.write(f"  {i}: {ttd.alg.format_row(row, result.program, decode)} origins={result.purged.origins[t][i]}\n")
+                fh.write(f"  {i}: {ttd.alg.format_row(row, result.program, decode)} origins={origins[i]}\n")
     with open(os.path.join(directory, "proj.txt"), "w", encoding="utf-8") as fh:
         for t in ttd.post_order:
             table = result.proj_tables.tables[t]

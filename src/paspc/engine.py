@@ -9,8 +9,7 @@ as a bitset over the slot subsets, an int of 2^(width+1) bits, up to width
 the decomposition's width (``for_width``).  The rules reach the table
 algorithms translated once per solve into ``BagRule``s, whose masks are
 slot masks.  ``TabledTreeDecomposition.decode`` turns a node's slot mask
-back into an atom mask, for traces and tests, and ``encode`` an atom mask
-into a node's slots, for the projection.
+back into an atom mask, for traces and tests.
 
 Each table algorithm turns one node's child tables into the node's own table
 and reports, per emitted row, the child-row index sequences it came from.
@@ -19,7 +18,9 @@ a bag there: the rules of an introduced atom that fit its bag, and the
 atomless rules at a leaf.  Every other rule that fits the bag was checked
 below, on the same interpretation of its atoms.  The driver records tables
 and origin links in the order the algorithm emitted them; a later top-down
-pass (purge) keeps only rows reachable from the solution row at the root.
+pass (purge) marks the rows reachable from the solution row at the root and
+keeps their table indices, so the projection pass reads the kept rows'
+origins in place.
 """
 
 from __future__ import annotations
@@ -108,16 +109,6 @@ class TabledTreeDecomposition:
                 out |= 1 << a
         return out
 
-    def encode(self, t: int, atoms: int) -> int:
-        """The slot mask of the atoms of the atom mask that are in node t's
-        bag: the inverse of ``decode``."""
-        slots = self.slots
-        out = 0
-        for a in self.td.nodes[t].bag:
-            if atoms >> a & 1:
-                out |= 1 << slots[a]
-        return out
-
 
 def bag_rule(r: Rule, slots: Sequence[int]) -> BagRule:
     """The rule with its atom sets as slot masks."""
@@ -175,14 +166,25 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
 
 @dataclass
 class PurgedTables:
-    """Per-node surviving rows (in table order) with re-indexed origins."""
+    """Per-node surviving rows: their table indices, ascending, and the rows
+    themselves.  A kept row's origins point at kept child rows only."""
 
     ttd: TabledTreeDecomposition
-    rows: list[list]  # per node
-    origins: list[list[list[tuple[int, ...]]]]  # per node, per row
+    kept: list[list[int]]  # per node: table indices of the kept rows
+    rows: list[list]  # per node: the kept rows, in table order
 
     def max_rows(self) -> int:
         return max((len(r) for r in self.rows), default=0)
+
+    def origins(self, t: int) -> list[list[tuple[int, ...]]]:
+        """Per kept row of node t, its origins re-indexed to the children's
+        kept rows, sorted: a copy for traces and tests."""
+        tab = self.ttd.table(t)
+        new_index = [{j: i for i, j in enumerate(self.kept[c])} for c in self.ttd.td.nodes[t].children]
+        return [
+            sorted(tuple(new_index[i][x] for i, x in enumerate(seq)) for seq in tab.origins[j])
+            for j in self.kept[t]
+        ]
 
 
 def has_solution(ttd: TabledTreeDecomposition) -> bool:
@@ -202,34 +204,20 @@ def purge(ttd: TabledTreeDecomposition) -> PurgedTables:
     if has_solution(ttd):
         marked[root].add(ttd.table(root).rows.index(ttd.alg.solution_row))
 
+    kept: list[list[int]] = [[] for _ in td.nodes]
+    rows: list[list] = [[] for _ in td.nodes]
     for t in reversed(ttd.post_order):
         if not marked[t]:
             continue
-        nd = td.nodes[t]
         tab = ttd.table(t)
-        for u in marked[t]:
-            for seq in tab.origins[u]:
-                for i, j in enumerate(seq):
-                    marked[nd.children[i]].add(j)
-
-    rows: list[list] = [[] for _ in td.nodes]
-    new_index: list[dict[int, int]] = [{} for _ in td.nodes]
-    origins_out: list[list[list[tuple[int, ...]]]] = [[] for _ in td.nodes]
-    for t in ttd.post_order:
-        tab = ttd.table(t)
-        keep = sorted(marked[t])
-        new_index[t] = {j: i for i, j in enumerate(keep)}
+        keep = kept[t] = sorted(marked[t])
         rows[t] = [tab.rows[j] for j in keep]
-        nd = td.nodes[t]
-        remapped = []
-        for j in keep:
-            seqs = [
-                tuple(new_index[nd.children[i]][x] for i, x in enumerate(seq))
-                for seq in tab.origins[j]
-            ]
-            remapped.append(sorted(seqs))  # sorted also trims the list to its size
-        origins_out[t] = remapped
-    return PurgedTables(ttd, rows, origins_out)
+        child_marks = [marked[c] for c in td.nodes[t].children]
+        for u in keep:
+            for seq in tab.origins[u]:
+                for mark, j in zip(child_marks, seq):
+                    mark.add(j)
+    return PurgedTables(ttd, kept, rows)
 
 
 def format_table(ttd: TabledTreeDecomposition, t: int) -> str:

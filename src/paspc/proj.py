@@ -1,4 +1,4 @@
-"""Projected counting pass over purged tables.
+"""Projected counting pass over the DP tables' kept rows, read in place.
 
 Rows of a purged table are grouped into buckets by the projection of their
 interpretation part; every nonempty subset of a bucket (a sub-bucket) gets an
@@ -9,9 +9,9 @@ principle over origin subsets, and the root entry is the projected count.
 All counts are exact arbitrary-precision integers.  ``run_proj`` evaluates
 the defining per-entry formulas (kept as the reference in the tests)
 bucket-wise, which turns the per-entry exponential enumeration into one
-shared pass per bucket.  Each bucket stores two arrays indexed by local row
-mask: the projected (union) counts and the intersection counts derived from
-them.
+shared pass per bucket.  Each bucket stores one array indexed by local row
+mask: the projected (union) counts; the intersection counts are their
+subset Moebius transform, derived where they are read.
 
 A row set's projected count sums, per child bucket its origins fall into,
 the size of the union of those origins' sets.  Below a one-child node that
@@ -22,10 +22,10 @@ pairs from buckets (b1, b2) has
     |U_{(i,j) in S} A_i x B_j| = sum over nonempty I of e(I) * P2(N_S(I)),
 
 where e(I) is the size of the Venn region "in exactly the A_i with i in I"
-(the superset Moebius transform of b1's intersection counts, computed once
-per bucket pair and kept where nonzero), N_S(I) is the set of right partners
-of I's rows in S, and P2 the stored union counts of b2 (zero for no
-partners).  One read costs O(regions * rows) whatever the number of pairs.
+(derived from b1's union counts once per bucket pair, kept where nonzero),
+N_S(I) is the set of right partners of I's rows in S, and P2 the stored
+union counts of b2 (zero for no partners).  One read costs O(regions *
+rows) whatever the number of pairs.
 """
 
 from __future__ import annotations
@@ -43,10 +43,9 @@ class NodeCounts:
     """One node's projection counts, bucket by bucket."""
 
     buckets: list[list[int]]  # purged-row indices per bucket, ascending
-    bucket_of: list[int]  # per purged row: its bucket id
-    pos_in_bucket: list[int]  # per purged row: its bit in the bucket's masks
+    bucket_of: list[int]  # per table row, kept rows only: its bucket id
+    pos_in_bucket: list[int]  # per table row, kept rows only: its bit in the bucket's masks
     pcnts: list[list[int]]  # per bucket, by local row mask: projected counts
-    vals: list[list[int]]  # per bucket, by local row mask: intersection counts
 
 
 @dataclass
@@ -57,13 +56,14 @@ class ProjTables:
 
     @cached_property
     def tables(self) -> list[dict[frozenset[int], int]]:
-        """Per node, sub-bucket (as a set of purged-row indices) -> stored
-        intersection count: a view built on first access, for traces and
-        tests."""
+        """Per node, sub-bucket (as a set of purged-row indices) ->
+        intersection count, derived from the stored projected counts: a
+        view built on first access, for traces and tests."""
         out = []
         for node in self.nodes:
             table = {}
-            for bucket, vals in zip(node.buckets, node.vals):
+            for bucket, pcnts in zip(node.buckets, node.pcnts):
+                vals = _bucket_values(pcnts, len(bucket))
                 for m in range(1, 1 << len(bucket)):
                     table[frozenset(j for i, j in enumerate(bucket) if m >> i & 1)] = vals[m]
             out.append(table)
@@ -84,9 +84,9 @@ def _bucket_pcnts(
     children: Sequence[NodeCounts],
 ) -> list[int]:
     """Projected counts for every nonempty subset of one bucket (by local
-    mask): per child bucket (one child) or for the one bucket pair (two
-    children) its rows' origins fall into, the size of the union of the
-    origins' sets.
+    mask), the bucket's rows given as indices into ``origins``: per child
+    bucket (one child) or for the one bucket pair (two children) its rows'
+    origins fall into, the size of the union of the origins' sets.
 
     One child: the child's stored union count.  Two children: the Venn-region
     sum of the module docstring, O(regions * rows) per row subset instead of
@@ -137,7 +137,7 @@ def _bucket_pcnts(
                 raise ValueError(f"join row {u} has origins outside child buckets ({b1}, {b2})")
             mask |= 1 << (c1.pos_in_bucket[i] * stride + c2.pos_in_bucket[j])
         row_pairs.append(mask)
-    regions = _venn_regions(c1.vals[b1], len(c1.buckets[b1]), stride)
+    regions = _venn_regions(c1.pcnts[b1], len(c1.buckets[b1]), stride)
     pc2 = c2.pcnts[b2]
     full = len(pc2) - 1
     pairs = [0] * size  # per row subset: the union of its rows' pair masks
@@ -155,17 +155,21 @@ def _bucket_pcnts(
     return out
 
 
-def _venn_regions(vals: list[int], b: int, stride: int) -> list[tuple[int, list[int]]]:
+def _venn_regions(pcnts: list[int], b: int, stride: int) -> list[tuple[int, list[int]]]:
     """The nonempty Venn regions of a bucket's row sets, as (size, shifts):
     one per row subset I whose region "in exactly the sets of I" is not
-    empty, with the pair-bit offset pos * stride of each row of I.  The sizes
-    are the superset Moebius transform of the bucket's intersection counts."""
-    e = list(vals)
+    empty, with the pair-bit offset pos * stride of each row of I.
+
+    g(S) = pcnts[full] - pcnts[full ^ S] counts the elements of the union
+    that lie in no set outside S, i.e. the regions of the nonempty subsets
+    of S, so the region sizes are the subset Moebius transform of g."""
+    full = len(pcnts) - 1
+    e = [pcnts[full] - pcnts[full ^ m] for m in range(len(pcnts))]
     for i in range(b):
         bit = 1 << i
         for m in range(len(e)):
-            if not m & bit:
-                e[m] -= e[m | bit]
+            if m & bit:
+                e[m] -= e[m ^ bit]
     return [(e[m], [p * stride for p in range(b) if m >> p & 1]) for m in range(1, len(e)) if e[m]]
 
 
@@ -194,34 +198,37 @@ def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
     ttd = purged.ttd
     td = ttd.td
     alg = ttd.alg
+    # per atom: its slot bit if projected, else 0 (bin() keeps this linear)
+    projected = bin(pmask)[:1:-1]
+    proj_bits = [(projected[a : a + 1] == "1") << s for a, s in enumerate(ttd.slots)]
     nodes: list[NodeCounts | None] = [None] * len(td.nodes)
 
     for t in ttd.post_order:
-        rows = purged.rows[t]
+        kept = purged.kept[t]
         nd = td.nodes[t]
-        partition = buckets([alg.interp(r) for r in rows], ttd.encode(t, pmask))
-        node = NodeCounts(partition, [0] * len(rows), [0] * len(rows), [], [])
+        tab = ttd.table(t)
+        smask = 0
+        for a in nd.bag:
+            smask |= proj_bits[a]
+        partition = buckets([alg.interp(r) for r in purged.rows[t]], smask)
+        node = NodeCounts(partition, [0] * len(tab), [0] * len(tab), [])
         for bi, bucket in enumerate(partition):
-            for pos, j in enumerate(bucket):
-                node.bucket_of[j] = bi
-                node.pos_in_bucket[j] = pos
+            for pos, u in enumerate(bucket):
+                node.bucket_of[kept[u]] = bi
+                node.pos_in_bucket[kept[u]] = pos
         children = [nodes[c] for c in nd.children]
         for bucket in partition:
             if nd.kind == LEAF:
                 # every row of a leaf stands for the one empty projected
-                # answer set: all union and intersection counts are one
-                pcnts = [0] + [1] * ((1 << len(bucket)) - 1)
-                vals = pcnts
+                # answer set: all union counts are one
+                node.pcnts.append([0] + [1] * ((1 << len(bucket)) - 1))
             else:
-                pcnts = _bucket_pcnts(bucket, purged.origins[t], children)  # type: ignore[arg-type]
-                vals = _bucket_values(pcnts, len(bucket))
-            node.pcnts.append(pcnts)
-            node.vals.append(vals)
+                node.pcnts.append(_bucket_pcnts([kept[u] for u in bucket], tab.origins, children))  # type: ignore[arg-type]
         nodes[t] = node
     return ProjTables(nodes)  # type: ignore[arg-type]
 
 
 def final_count(proj: ProjTables, purged: PurgedTables) -> int:
-    """Projected answer-set count: the stored count at the root (its bag is
-    empty, so it holds at most one row; zero when it is empty)."""
-    return sum(sum(vals) for vals in proj.nodes[purged.ttd.td.root].vals)
+    """Projected answer-set count: the union count of the root's one bucket
+    (its bag is empty; zero when the root keeps no row)."""
+    return sum(pcnts[-1] for pcnts in proj.nodes[purged.ttd.td.root].pcnts)

@@ -135,7 +135,7 @@ def reference_proj_table(
 
 def union_counts(vals: Sequence[int], b: int) -> list[int]:
     """Union counts per row subset of one bucket: the inclusion-exclusion
-    (-1)^(|T|-1) sum of its stored intersection counts, materialized with
+    (-1)^(|T|-1) sum of its intersection counts, materialized with
     one subset-sum pass."""
     arr = [0] * (1 << b)
     for m in range(1, 1 << b):

@@ -204,7 +204,7 @@ class TestPurge:
         for t in ttd.post_order:
             for ci, c in enumerate(td.nodes[t].children):
                 reached = set()
-                for seqs in purged.origins[t]:
+                for seqs in purged.origins(t):
                     for seq in seqs:
                         reached.add(seq[ci])
                 assert reached == set(range(len(purged.rows[c])))
@@ -219,13 +219,14 @@ def extension_interpretations(purged):
     ext: list[list[set[int]]] = [[] for _ in td.nodes]
     for t in ttd.post_order:
         nd = td.nodes[t]
+        origins = purged.origins(t)
         for i, row in enumerate(purged.rows[t]):
             interp = ttd.decode(t, alg.interp(row))
             if not nd.children:
                 ext[t].append({interp})
                 continue
             combos: set[int] = set()
-            for seq in purged.origins[t][i]:
+            for seq in origins[i]:
                 parts = [ext[nd.children[k]][j] for k, j in enumerate(seq)]
                 if len(parts) == 1:
                     combos.update(interp | x for x in parts[0])

@@ -1,14 +1,16 @@
+import dataclasses
 import random
+from collections import Counter
 
 import helpers
 import pytest
 from paspc import oracle, pipeline
 from paspc.decomposition import JOIN, decompose, make_nice, primal_graph
-from paspc.engine import purge, run_dp
+from paspc.engine import NodeTable, PurgedTables, purge, run_dp
 from paspc.formats import parse_program
 from paspc.phc import PhcRow
 from paspc.prim import PrimAlgorithm
-from paspc.proj import NodeCounts, _bucket_pcnts, _bucket_values, buckets, final_count, run_proj
+from paspc.proj import NodeCounts, _bucket_pcnts, _bucket_values, _venn_regions, buckets, final_count, run_proj
 from reference import ipmc, pcnt, reference_proj_table, sipmc, subbuckets, union_counts
 
 # the paper's full-ordering PHC; the programs below have at most 8 atoms
@@ -128,16 +130,14 @@ class TestBucketValues:
 
 def family_counts(bucket_sets):
     """A child's NodeCounts from explicit projected answer-set sets, bucket
-    by bucket: ``vals`` are the intersection sizes and ``pcnts`` the union
-    sizes of each row subset."""
-    node = NodeCounts([], [], [], [], [])
+    by bucket: ``pcnts`` are the union sizes of each row subset."""
+    node = NodeCounts([], [], [], [])
     for b, sets in enumerate(bucket_sets):
         node.buckets.append(list(range(len(node.bucket_of), len(node.bucket_of) + len(sets))))
         node.bucket_of += [b] * len(sets)
         node.pos_in_bucket += range(len(sets))
         picks = [[s for p, s in enumerate(sets) if m >> p & 1] for m in range(1 << len(sets))]
         node.pcnts.append([len(set().union(*ss)) for ss in picks])
-        node.vals.append([len(set.intersection(*ss)) if ss else 0 for ss in picks])
     return node
 
 
@@ -210,6 +210,36 @@ class TestTwoChildUnion:
         for rows in ([[(0, 0), (1, 0)]], [[(0, 0)], [(1, 0)]]):
             with pytest.raises(ValueError):
                 _bucket_pcnts(list(range(len(rows))), rows, [family_counts(left), family_counts(right)])
+
+
+class TestVennRegions:
+    """A join's left-bucket Venn regions, derived from the bucket's union
+    counts, against the regions counted from the explicit set family."""
+
+    @staticmethod
+    def check(sets, stride):
+        got = {}
+        for e, shifts in _venn_regions(family_counts([sets]).pcnts[0], len(sets), stride):
+            assert [s % stride for s in shifts] == [0] * len(shifts)
+            got[frozenset(s // stride for s in shifts)] = e
+        want = Counter(frozenset(i for i, s in enumerate(sets) if x in s) for x in set().union(*sets))
+        assert got == dict(want), sets
+
+    def test_explicit_families(self):
+        for sets in (
+            [{1, 2, 3}] * 4,  # identical: one region
+            [{1}, {2, 3}, {4, 5, 6}],  # disjoint: one region per set
+            [{1}, {1, 2}, {1, 2, 3}, {2, 3}],  # nested and overlapping: most regions empty
+            [{1, 2}, set(), {2, 5}],  # an empty set lies in no region
+            [{7}],
+        ):
+            for stride in (1, 3):
+                self.check(sets, stride)
+
+    def test_random_families(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            self.check([set(rng.sample(range(8), rng.randint(1, 6))) for _ in range(rng.randint(1, 6))], rng.randint(1, 5))
 
 
 def tight_chain(blocks, k):
@@ -291,20 +321,38 @@ class TestRunProj:
                     purged.rows[t],
                     lambda row: ttd.decode(t, alg.interp(row)),
                     pmask,
-                    purged.origins[t],
+                    purged.origins(t),
                     [proj.tables[c] for c in nd.children],
-                    [proj.nodes[c].bucket_of for c in nd.children],
+                    [[proj.nodes[c].bucket_of[j] for j in purged.kept[c]] for c in nd.children],
                 )
                 assert proj.tables[t] == want
 
-    def test_stored_pcnts_are_union_counts(self):
-        # a parent reads a child bucket's projected counts as the union
-        # counts of its intersection counts; both arrays are stored
-        for _, _, ttd, _, proj in self.seeded_fuzz():
-            for t in ttd.post_order:
-                node = proj.nodes[t]
-                for bucket, pcnts, vals in zip(node.buckets, node.pcnts, node.vals):
-                    assert pcnts == union_counts(vals, len(bucket))
+    def test_reads_only_kept_rows(self):
+        # purged rows and their origins stay in the DP tables; the pass must
+        # never read them, whatever its tables or the count
+        class Unread:
+            def fail(self, *args):
+                raise AssertionError("a purged row was read")
+
+            __getattr__ = __getitem__ = __iter__ = __len__ = __bool__ = __index__ = __and__ = __hash__ = fail
+
+        unread = 0
+        for _, pmask, ttd, purged, proj in self.seeded_fuzz():
+            tables = []
+            for t, tab in enumerate(ttd.tables):
+                keep = set(purged.kept[t])
+                unread += len(tab) - len(keep)
+                tables.append(
+                    NodeTable(
+                        [r if j in keep else Unread() for j, r in enumerate(tab.rows)],
+                        [o if j in keep else Unread() for j, o in enumerate(tab.origins)],
+                    )
+                )
+            masked = PurgedTables(dataclasses.replace(ttd, tables=tables), purged.kept, purged.rows)
+            got = run_proj(masked, pmask)
+            assert got.tables == proj.tables
+            assert final_count(got, masked) == final_count(proj, purged)
+        assert unread > 1000  # purge drops most rows of these tables: 7,221 of 8,233
 
     def test_memoized_ipmc_equals_naive_recursion(self):
         # recompute small sub-buckets with a memo-free recursion
@@ -333,12 +381,13 @@ class TestRunProj:
             for t in ttd.post_order:
                 nd = ttd.td.nodes[t]
                 child_tables = [proj.tables[c] for c in nd.children]
-                child_buckets = [proj.nodes[c].bucket_of for c in nd.children]
+                child_buckets = [[proj.nodes[c].bucket_of[j] for j in purged.kept[c]] for c in nd.children]
+                row_origins = purged.origins(t)
                 for rho, stored in proj.tables[t].items():
                     if len(rho) > 4:
                         continue
                     assert stored == naive_ipmc(
-                        nd.kind, rho, purged.origins[t], child_tables, child_buckets
+                        nd.kind, rho, row_origins, child_tables, child_buckets
                     )
 
     def test_counts_nonnegative_and_singletons_positive(self):
