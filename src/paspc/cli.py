@@ -128,6 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         stats["timings"] = {"parse": round(parse_s, 6), **stats["timings"]}
         sizes = [len(b) for node in result.proj_tables.nodes for b in node.buckets]
         stats["max_bucket"] = max(sizes, default=0)
+        stats["proj_buckets"] = len(sizes)
         stats["proj_entries"] = sum((1 << b) - 1 for b in sizes)
         stats["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
         print(json.dumps(stats), file=sys.stderr)

@@ -26,6 +26,11 @@ where e(I) is the size of the Venn region "in exactly the A_i with i in I"
 N_S(I) is the set of right partners of I's rows in S, and P2 the stored
 union counts of b2 (zero for no partners).  One read costs O(regions *
 rows) whatever the number of pairs.
+
+Most buckets have one row, and those need no inclusion-exclusion: the node
+loop takes their one count straight from the children's stored union
+counts, a single read for one origin and a product of two for one origin
+pair.  ``_bucket_pcnts`` evaluates every other bucket.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .decomposition import LEAF
 from .engine import PurgedTables
 
 
@@ -201,31 +205,72 @@ def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
     # per atom: its slot bit if projected, else 0 (bin() keeps this linear)
     projected = bin(pmask)[:1:-1]
     proj_bits = [(projected[a : a + 1] == "1") << s for a, s in enumerate(ttd.slots)]
-    nodes: list[NodeCounts | None] = [None] * len(td.nodes)
+    interp = alg.interp
+    # by node id, each set before its parent reads it (post-order)
+    nodes: list[NodeCounts] = [None] * len(td.nodes)  # type: ignore[list-item]
 
     for t in ttd.post_order:
         kept = purged.kept[t]
         nd = td.nodes[t]
         tab = ttd.table(t)
+        origins = tab.origins
         smask = 0
         for a in nd.bag:
             smask |= proj_bits[a]
-        partition = buckets([alg.interp(r) for r in purged.rows[t]], smask)
-        node = NodeCounts(partition, [0] * len(tab), [0] * len(tab), [])
-        for bi, bucket in enumerate(partition):
-            for pos, u in enumerate(bucket):
-                node.bucket_of[kept[u]] = bi
-                node.pos_in_bucket[kept[u]] = pos
+        classes: dict[int, list[int]] = {}
+        for u, r in enumerate(purged.rows[t]):
+            key = interp(r) & smask
+            bucket = classes.get(key)
+            if bucket is None:
+                classes[key] = [u]
+            else:
+                bucket.append(u)
+        partition = [classes[k] for k in sorted(classes)]
+        bucket_of = [0] * len(tab)
+        pos_in_bucket = [0] * len(tab)
+        pcnts: list[list[int]] = []
         children = [nodes[c] for c in nd.children]
-        for bucket in partition:
-            if nd.kind == LEAF:
+        if children:
+            # the child lookups of the one-row paths, read once per node (for
+            # a one-child node both triples are its child's)
+            of1, pos1, pc1 = children[0].bucket_of, children[0].pos_in_bucket, children[0].pcnts
+            of2, pos2, pc2 = children[-1].bucket_of, children[-1].pos_in_bucket, children[-1].pcnts
+        for bi, bucket in enumerate(partition):
+            if len(bucket) == 1 and children:
+                # a one-row bucket needs no inclusion-exclusion: its one union
+                # count is read off the children's stored union counts
+                j = kept[bucket[0]]
+                bucket_of[j] = bi
+                row_origins = origins[j]
+                if len(children) == 1:
+                    if len(row_origins) == 1:
+                        ((i,),) = row_origins
+                        pcnts.append([0, pc1[of1[i]][1 << pos1[i]]])
+                    else:
+                        # per child bucket its origins fall into, their union count
+                        masks: dict[int, int] = {}
+                        for (i,) in row_origins:
+                            masks[of1[i]] = masks.get(of1[i], 0) | 1 << pos1[i]
+                        pcnts.append([0, sum(pc1[cb][m] for cb, m in masks.items())])
+                    continue
+                if len(row_origins) == 1:
+                    # one origin pair (i, i2) stands for the product A_i x B_i2
+                    ((i, i2),) = row_origins
+                    pcnts.append([0, pc1[of1[i]][1 << pos1[i]] * pc2[of2[i2]][1 << pos2[i2]]])
+                    continue
+                # a join row of several origin pairs: the Venn-region sum
+            rows = [kept[u] for u in bucket]
+            for pos, j in enumerate(rows):
+                bucket_of[j] = bi
+                pos_in_bucket[j] = pos
+            if children:
+                pcnts.append(_bucket_pcnts(rows, origins, children))
+            else:
                 # every row of a leaf stands for the one empty projected
                 # answer set: all union counts are one
-                node.pcnts.append([0] + [1] * ((1 << len(bucket)) - 1))
-            else:
-                node.pcnts.append(_bucket_pcnts([kept[u] for u in bucket], tab.origins, children))  # type: ignore[arg-type]
-        nodes[t] = node
-    return ProjTables(nodes)  # type: ignore[arg-type]
+                pcnts.append([0] + [1] * ((1 << len(bucket)) - 1))
+        nodes[t] = NodeCounts(partition, bucket_of, pos_in_bucket, pcnts)
+    return ProjTables(nodes)
 
 
 def final_count(proj: ProjTables, purged: PurgedTables) -> int:

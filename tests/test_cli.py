@@ -165,7 +165,7 @@ class TestSideOutputs:
         assert list(stats["timings"]) == ["parse", "classify", "decompose", "make_nice", "dp", "purge", "proj"]
         assert set(stats) == {
             "width", "nodes", "max_table", "max_purged", "algorithm", "rows", "timings",
-            "max_bucket", "proj_entries", "peak_rss_mb",
+            "max_bucket", "proj_buckets", "proj_entries", "peak_rss_mb",
         }
         # the same solve's buckets, and its projection entries as the trace lists them
         result = solve(parse_program(EX1))
@@ -178,6 +178,7 @@ class TestSideOutputs:
         assert want["leaf"] >= 1 and want["int"] > 0
         sizes = [len(b) for node in result.proj_tables.nodes for b in node.buckets]
         assert stats["max_bucket"] == max(sizes) >= 1
+        assert stats["proj_buckets"] == sum(len(node.buckets) for node in result.proj_tables.nodes) >= 1
         assert stats["proj_entries"] == sum(len(t) for t in result.proj_tables.tables)
         assert stats["peak_rss_mb"] > 0
 

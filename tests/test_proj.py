@@ -276,6 +276,29 @@ class TestRunProj:
         assert (p.n_atoms, r.stats.width, r.count) == (84, 6, 7**6)
         assert pipeline.solve(p.with_projection(p.mask([f"p{i}" for i in range(6)]))).count == 7
 
+    def test_tight_chain_joins_one_row_buckets(self):
+        # joins of two one-row buckets whose union counts are both >= 2: a
+        # sum c1 + c2 - 1 in place of the product c1 * c2 gives 46 here
+        p = tight_chain(3, 3)
+        assert p.n_atoms == 24
+        assert oracle.projected_count(p) == 4**3
+        for algorithm in ("auto", "prim"):
+            r = pipeline.solve(p, algorithm=algorithm)
+            assert r.count == 4**3
+            factors = []  # per such join bucket, the smaller child count
+            for t in r.ttd.post_order:
+                nd = r.ttd.td.nodes[t]
+                if nd.kind != JOIN:
+                    continue
+                children = [r.proj_tables.nodes[c] for c in nd.children]
+                for b in r.proj_tables.nodes[t].buckets:
+                    row_origins = r.ttd.table(t).origins[r.purged.kept[t][b[0]]]
+                    if len(b) == 1 and len(row_origins) == 1:
+                        cbs = [c.bucket_of[i] for c, i in zip(children, row_origins[0])]
+                        if all(len(c.buckets[cb]) == 1 for c, cb in zip(children, cbs)):
+                            factors.append(min(c.pcnts[cb][1] for c, cb in zip(children, cbs)))
+            assert max(factors) >= 2
+
     def test_empty_tables_give_zero(self):
         from paspc.program import Program
 
@@ -310,6 +333,33 @@ class TestRunProj:
                 if ttd.td.nodes[t].kind == JOIN and any(len(b) > 1 for b in proj.nodes[t].buckets):
                     reached.add(isinstance(alg, PrimAlgorithm))
         assert reached == {False, True}
+
+    def test_fuzz_reaches_every_bucket_path(self, monkeypatch):
+        # a one-row bucket reads its count off the children's union counts,
+        # except for a join row of several origin pairs; every other bucket
+        # below a leaf goes through _bucket_pcnts
+        fallback = []
+
+        def counted(bucket, origins, children):
+            fallback.append(len(bucket))
+            return _bucket_pcnts(bucket, origins, children)
+
+        monkeypatch.setattr("paspc.proj._bucket_pcnts", counted)
+        reached = Counter()
+        for _, _, ttd, purged, got in self.seeded_fuzz():
+            for t in ttd.post_order:
+                nd = ttd.td.nodes[t]
+                for b in got.nodes[t].buckets if nd.children else ():
+                    n_origins = len(ttd.table(t).origins[purged.kept[t][b[0]]])
+                    if len(b) > 1:
+                        reached["several rows"] += 1
+                    elif len(nd.children) == 1:
+                        reached["one child, one origin" if n_origins == 1 else "one child, several origins"] += 1
+                    else:
+                        reached["join, one pair" if n_origins == 1 else "join, several pairs"] += 1
+        assert set(reached) >= {"several rows", "one child, one origin", "one child, several origins", "join, one pair"}
+        assert len(fallback) == reached["several rows"] + reached["join, several pairs"]
+        assert fallback.count(1) == reached["join, several pairs"]
 
     def test_matches_reference_formulas(self):
         # the bucket-wise evaluation must agree with the defining recursion
