@@ -21,15 +21,23 @@ and origin links in the order the algorithm emitted them; a later top-down
 pass (purge) marks the rows reachable from the solution row at the root and
 keeps their table indices, so the projection pass reads the kept rows'
 origins in place.
+
+A row's origins are a list in emission order.  No origin repeats: a
+one-child node visits each child row once and the rows one child row yields
+are distinct, and a join visits each pair of matching child rows once, left
+row outer and right row inner.  So each list comes out strictly ascending,
+and ``run_dp`` stores the lists as they are.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import compress
 from typing import Any, Callable, NamedTuple, Protocol, Sequence
 
-from .decomposition import INTRODUCE, LEAF, NiceTreeDecomposition, assign_slots
+from .decomposition import INTRODUCE, JOIN, LEAF, REMOVE, NiceTreeDecomposition, assign_slots
 from .program import Program, Rule
 
 
@@ -58,7 +66,7 @@ class TableAlgorithm(Protocol):
         slot: int | None,
         rules: Sequence[BagRule],
         child_tables: Sequence["NodeTable"],
-    ) -> dict[Any, set[tuple[int, ...]]]: ...
+    ) -> dict[Any, list[tuple[int, ...]]]: ...
 
     def interp(self, row: Any) -> int: ...
 
@@ -70,7 +78,8 @@ class TableAlgorithm(Protocol):
 
 
 class NodeTable:
-    """Rows in emission order plus per-row origin sequences (child indices)."""
+    """Rows in emission order plus per-row origin sequences (child indices),
+    each row's strictly ascending."""
 
     __slots__ = ("rows", "origins")
 
@@ -93,6 +102,7 @@ class TabledTreeDecomposition:
     rules: list[Sequence[BagRule]]  # per node: the rules entering there
     slots: list[int]  # per atom: its bag slot
     post_order: list[int] = field(default_factory=list)
+    seconds: dict[str, float] = field(default_factory=dict)  # wall seconds of run_dp per node kind
 
     def table(self, t: int) -> NodeTable:
         tab = self.tables[t]
@@ -154,14 +164,21 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
     slots = assign_slots(td, program.n_atoms)
     rules = entering_rules(program, td, slots)
     tables: list[NodeTable | None] = [None] * len(td.nodes)
+    seconds = dict.fromkeys((LEAF, INTRODUCE, REMOVE, JOIN), 0.0)
+    clock = time.perf_counter
+    start = clock()
     for t in order:
         nd = td.nodes[t]
         children = [tables[c] for c in nd.children]
         assert all(c is not None for c in children)
         slot = None if nd.atom is None else slots[nd.atom]
         produced = alg.node_table(nd.kind, nd.atom, slot, rules[t], children)  # type: ignore[arg-type]
-        tables[t] = NodeTable(list(produced), [list(seqs) for seqs in produced.values()])
-    return TabledTreeDecomposition(td, program, alg, tables, rules, slots, order)
+        tables[t] = NodeTable(list(produced), list(produced.values()))
+        # one clock read per node: its end is the next node's start
+        end = clock()
+        seconds[nd.kind] += end - start
+        start = end
+    return TabledTreeDecomposition(td, program, alg, tables, rules, slots, order, seconds)
 
 
 @dataclass
@@ -178,13 +195,11 @@ class PurgedTables:
 
     def origins(self, t: int) -> list[list[tuple[int, ...]]]:
         """Per kept row of node t, its origins re-indexed to the children's
-        kept rows, sorted: a copy for traces and tests."""
+        kept rows: a copy for traces and tests.  Re-indexing keeps the order
+        of the ascending kept indices, so the lists stay ascending."""
         tab = self.ttd.table(t)
         new_index = [{j: i for i, j in enumerate(self.kept[c])} for c in self.ttd.td.nodes[t].children]
-        return [
-            sorted(tuple(new_index[i][x] for i, x in enumerate(seq)) for seq in tab.origins[j])
-            for j in self.kept[t]
-        ]
+        return [[tuple(new_index[i][x] for i, x in enumerate(seq)) for seq in tab.origins[j]] for j in self.kept[t]]
 
 
 def has_solution(ttd: TabledTreeDecomposition) -> bool:
@@ -200,23 +215,34 @@ def purge(ttd: TabledTreeDecomposition) -> PurgedTables:
     An inconsistent instance yields empty tables everywhere."""
     td = ttd.td
     root = td.root
-    marked: list[set[int]] = [set() for _ in td.nodes]
+    # per node, one mark byte per table row, set by the kept parent rows
+    marked = [bytearray(len(ttd.table(t))) for t in range(len(td.nodes))]
     if has_solution(ttd):
-        marked[root].add(ttd.table(root).rows.index(ttd.alg.solution_row))
+        marked[root][ttd.table(root).rows.index(ttd.alg.solution_row)] = 1
 
     kept: list[list[int]] = [[] for _ in td.nodes]
     rows: list[list] = [[] for _ in td.nodes]
     for t in reversed(ttd.post_order):
-        if not marked[t]:
+        mark = marked[t]
+        keep = list(compress(range(len(mark)), mark))
+        if not keep:
             continue
         tab = ttd.table(t)
-        keep = kept[t] = sorted(marked[t])
-        rows[t] = [tab.rows[j] for j in keep]
-        child_marks = [marked[c] for c in td.nodes[t].children]
-        for u in keep:
-            for seq in tab.origins[u]:
-                for mark, j in zip(child_marks, seq):
-                    mark.add(j)
+        kept[t] = keep
+        # a table whose rows are all kept lends its row list: no copy
+        rows[t] = tab.rows if len(keep) == len(mark) else list(compress(tab.rows, mark))
+        children = td.nodes[t].children
+        if len(children) == 1:
+            child_mark = marked[children[0]]
+            for seqs in compress(tab.origins, mark):
+                for (j,) in seqs:
+                    child_mark[j] = 1
+        elif children:
+            left, right = (marked[c] for c in children)
+            for seqs in compress(tab.origins, mark):
+                for i, j in seqs:
+                    left[i] = 1
+                    right[j] = 1
     return PurgedTables(ttd, kept, rows)
 
 

@@ -51,7 +51,7 @@ def gp(interp: int, order: tuple[int, ...], rules: Sequence[BagRule], components
     own component strictly before it; body atoms missing from the ordering
     fail that condition.
     """
-    pos_at = {a: i for i, a in enumerate(order)}
+    pos_at = None  # atom -> position in the ordering, built for the first cyclic head atom
     proven = 0
     for r in rules:
         if r.pos_mask & ~interp or r.neg_mask & interp:
@@ -61,6 +61,8 @@ def gp(interp: int, order: tuple[int, ...], rules: Sequence[BagRule], components
                 continue
             c = components.get(a)
             if c is not None:
+                if pos_at is None:
+                    pos_at = {b: i for i, b in enumerate(order)}
                 ia = pos_at.get(a)
                 if ia is None:
                     continue
@@ -87,12 +89,10 @@ class PhcAlgorithm:
         return self
 
     def _orders(self, order: tuple[int, ...], atom: int) -> list[tuple[int, ...]]:
-        """Orderings with the introduced true atom: insertions among the atoms
-        of its own component, or the ordering unchanged for an acyclic atom."""
+        """Orderings with the introduced true cyclic atom: its insertions
+        among the atoms of its own component."""
         comp = self.components
-        c = comp.get(atom)
-        if c is None:
-            return [order]
+        c = comp[atom]
         start = bisect_left(order, c, key=comp.__getitem__)
         end = bisect_right(order, c, lo=start, key=comp.__getitem__)
         head, tail = order[:start], order[end:]
@@ -105,37 +105,56 @@ class PhcAlgorithm:
         slot: int | None,
         rules: Sequence[BagRule],
         child_tables: Sequence[NodeTable],
-    ) -> dict[PhcRow, set[tuple[int, ...]]]:
-        out: dict[PhcRow, set[tuple[int, ...]]] = {}
+    ) -> dict[PhcRow, list[tuple[int, ...]]]:
+        # Each row's origins are a list in emission order: no origin repeats,
+        # so it comes out ascending (see ``engine``).  Rows are built by the
+        # C tuple constructor: the NamedTuple's own __new__ is a Python
+        # function, about twice the cost per row.
+        out: dict[PhcRow, list[tuple[int, ...]]] = {}
+        new_row = tuple.__new__
         comp = self.components
         if kind == LEAF:
             if is_model(0, rules):
-                out[PhcRow(0, 0, ())] = {()}
+                out[PhcRow(0, 0, ())] = [()]
         elif kind == INTRODUCE:
             bit = 1 << slot
-            for ci, row in enumerate(child_tables[0].rows):
-                for interp in (row.interp, row.interp | bit):
+            cyclic = atom in comp
+            for ci, (base, proven, order) in enumerate(child_tables[0].rows):
+                for interp in (base, base | bit):
                     if not is_model(interp, rules):
                         continue
-                    orders = self._orders(row.order, atom) if interp & bit else [row.order]
-                    for order in orders:
-                        new = PhcRow(interp, row.proven | gp(interp, order, rules, comp), order)
-                        out.setdefault(new, set()).add((ci,))
+                    for new_order in self._orders(order, atom) if interp & bit and cyclic else (order,):
+                        new = new_row(PhcRow, (interp, proven | gp(interp, new_order, rules, comp), new_order))
+                        seqs = out.get(new)
+                        if seqs is None:
+                            out[new] = [(ci,)]
+                        else:
+                            seqs.append((ci,))
         elif kind == REMOVE:
             bit = 1 << slot
-            for ci, row in enumerate(child_tables[0].rows):
-                if row.proven & bit or not row.interp & bit:
-                    order = tuple(a for a in row.order if a != atom) if atom in comp else row.order
-                    new = PhcRow(row.interp & ~bit, row.proven & ~bit, order)
-                    out.setdefault(new, set()).add((ci,))
+            cyclic = atom in comp
+            for ci, (interp, proven, order) in enumerate(child_tables[0].rows):
+                if proven & bit or not interp & bit:
+                    if cyclic:
+                        order = tuple(a for a in order if a != atom)
+                    new = new_row(PhcRow, (interp & ~bit, proven & ~bit, order))
+                    seqs = out.get(new)
+                    if seqs is None:
+                        out[new] = [(ci,)]
+                    else:
+                        seqs.append((ci,))
         elif kind == JOIN:
-            right: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-            for cj, row in enumerate(child_tables[1].rows):
-                right.setdefault((row.interp, row.order), []).append(cj)
-            for ci, row in enumerate(child_tables[0].rows):
-                for cj in right.get((row.interp, row.order), ()):
-                    new = PhcRow(row.interp, row.proven | child_tables[1].rows[cj].proven, row.order)
-                    out.setdefault(new, set()).add((ci, cj))
+            right: dict[tuple[int, tuple[int, ...]], list[tuple[int, int]]] = {}
+            for cj, (interp, proven, order) in enumerate(child_tables[1].rows):
+                right.setdefault((interp, order), []).append((cj, proven))
+            for ci, (interp, proven, order) in enumerate(child_tables[0].rows):
+                for cj, proven2 in right.get((interp, order), ()):
+                    new = new_row(PhcRow, (interp, proven | proven2, order))
+                    seqs = out.get(new)
+                    if seqs is None:
+                        out[new] = [(ci, cj)]
+                    else:
+                        seqs.append((ci, cj))
         else:
             raise ValueError(f"unknown node kind {kind!r}")
         return out

@@ -27,6 +27,7 @@ class RunStats:
     max_purged: int = 0
     algorithm: str = ""
     rows: dict[str, int] = field(default_factory=dict)  # rows before purging, per node kind
+    dp_seconds: dict[str, float] = field(default_factory=dict)  # seconds of the dp pass, per node kind
     timings: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -37,6 +38,7 @@ class RunStats:
             "max_purged": self.max_purged,
             "algorithm": self.algorithm,
             "rows": dict(self.rows),
+            "dp_seconds": {k: round(v, 6) for k, v in self.dp_seconds.items()},
             "timings": {k: round(v, 6) for k, v in self.timings.items()},
         }
 
@@ -109,6 +111,7 @@ def solve(
         t0 = time.perf_counter()
         ttd = engine.run_dp(alg, program, nice)
         stats.timings["dp"] = time.perf_counter() - t0
+        stats.dp_seconds = dict(ttd.seconds)
         stats.rows = dict.fromkeys((LEAF, INTRODUCE, REMOVE, JOIN), 0)
         for t in ttd.post_order:
             n = len(ttd.table(t))

@@ -31,7 +31,7 @@ the reduct one by one, so its rows cost what their counters cost.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .decomposition import INTRODUCE, JOIN, LEAF, REMOVE
 from .engine import BagRule, NodeTable
@@ -88,11 +88,13 @@ class PrimAlgorithm:
         slot: int | None,
         rules: Sequence[BagRule],
         child_tables: Sequence[NodeTable],
-    ) -> dict[PrimRow, set[tuple[int, ...]]]:
-        out: dict[PrimRow, set[tuple[int, ...]]] = {}
+    ) -> dict[PrimRow, list[tuple[int, ...]]]:
+        # origins and row construction as in ``phc.PhcAlgorithm.node_table``
+        out: dict[PrimRow, list[tuple[int, ...]]] = {}
+        new_row = tuple.__new__
         if kind == LEAF:
             if is_model(0, rules):
-                out[PrimRow(0, 0)] = {()}
+                out[PrimRow(0, 0)] = [()]
         elif kind == INTRODUCE:
             bit = 1 << slot  # type: ignore[operator]
             with_slot = self._subsets_with(slot + 1)  # type: ignore[operator]
@@ -107,8 +109,8 @@ class PrimAlgorithm:
                     body &= with_slot[s]
                 satisfied.append((r.neg_mask, head | ~body))
             reduct_models: dict[int, int | None] = {}  # R_W by witness; None if W is no model
-            for ci, row in enumerate(child_tables[0].rows):
-                for witness in (row.witness, row.witness | bit):
+            for ci, (base, c) in enumerate(child_tables[0].rows):
+                for witness in (base, base | bit):
                     if witness in reduct_models:
                         r_w = reduct_models[witness]
                     else:
@@ -121,33 +123,42 @@ class PrimAlgorithm:
                         reduct_models[witness] = r_w
                     if r_w is None:
                         continue
-                    c = row.counters
                     if witness & bit:
                         # every counter with and without the new slot, and the
                         # old witness: it lacks the new atom, so it is now a
                         # strictly smaller model candidate
-                        counters = ((c | c << bit) & r_w) | (r_w & 1 << row.witness)
+                        counters = ((c | c << bit) & r_w) | (r_w & 1 << base)
                     else:
                         counters = c & r_w
-                    out.setdefault(PrimRow(witness, counters), set()).add((ci,))
+                    new = new_row(PrimRow, (witness, counters))
+                    seqs = out.get(new)
+                    if seqs is None:
+                        out[new] = [(ci,)]
+                    else:
+                        seqs.append((ci,))
         elif kind == REMOVE:
             bit = 1 << slot  # type: ignore[operator]
             with_s = self._subsets_with(slot + 1)[slot]  # type: ignore[operator, index]
             without_s = ~with_s
-            for ci, row in enumerate(child_tables[0].rows):
-                c = row.counters
-                new = PrimRow(row.witness & ~bit, (c & without_s) | (c & with_s) >> bit)
-                out.setdefault(new, set()).add((ci,))
+            for ci, (witness, c) in enumerate(child_tables[0].rows):
+                new = new_row(PrimRow, (witness & ~bit, (c & without_s) | (c & with_s) >> bit))
+                seqs = out.get(new)
+                if seqs is None:
+                    out[new] = [(ci,)]
+                else:
+                    seqs.append((ci,))
         elif kind == JOIN:
-            right: dict[int, list[int]] = {}
-            right_rows = child_tables[1].rows
-            for cj, row in enumerate(right_rows):
-                right.setdefault(row.witness, []).append(cj)
-            for ci, row in enumerate(child_tables[0].rows):
-                for cj in right.get(row.witness, ()):
-                    c1, c2 = row.counters, right_rows[cj].counters
-                    new = PrimRow(row.witness, (c1 & c2) | ((1 << row.witness) & (c1 | c2)))
-                    out.setdefault(new, set()).add((ci, cj))
+            right: dict[int, list[tuple[int, Any]]] = {}
+            for cj, (witness, c2) in enumerate(child_tables[1].rows):
+                right.setdefault(witness, []).append((cj, c2))
+            for ci, (witness, c1) in enumerate(child_tables[0].rows):
+                for cj, c2 in right.get(witness, ()):
+                    new = new_row(PrimRow, (witness, (c1 & c2) | ((1 << witness) & (c1 | c2))))
+                    seqs = out.get(new)
+                    if seqs is None:
+                        out[new] = [(ci, cj)]
+                    else:
+                        seqs.append((ci, cj))
         else:
             raise ValueError(f"unknown node kind {kind!r}")
         return out
@@ -178,18 +189,20 @@ class SparsePrimAlgorithm:
         slot: int | None,
         rules: Sequence[BagRule],
         child_tables: Sequence[NodeTable],
-    ) -> dict[PrimRow, set[tuple[int, ...]]]:
-        out: dict[PrimRow, set[tuple[int, ...]]] = {}
+    ) -> dict[PrimRow, list[tuple[int, ...]]]:
+        # origins and row construction as in ``phc.PhcAlgorithm.node_table``
+        out: dict[PrimRow, list[tuple[int, ...]]] = {}
+        new_row = tuple.__new__
         if kind == LEAF:
             if is_model(0, rules):
-                out[PrimRow(0, frozenset())] = {()}
+                out[PrimRow(0, frozenset())] = [()]
         elif kind == INTRODUCE:
             bit = 1 << slot  # type: ignore[operator]
             # per witness, the (head, positive body) of the reduct's rules;
             # None if the witness is no model
             reducts: dict[int, list[tuple[int, int]] | None] = {}
-            for ci, row in enumerate(child_tables[0].rows):
-                for witness in (row.witness, row.witness | bit):
+            for ci, (base, c) in enumerate(child_tables[0].rows):
+                for witness in (base, base | bit):
                     if witness in reducts:
                         reduct = reducts[witness]
                     else:
@@ -199,33 +212,45 @@ class SparsePrimAlgorithm:
                         reducts[witness] = reduct
                     if reduct is None:
                         continue
-                    candidates = set(row.counters)
+                    candidates = set(c)
                     if witness & bit:
                         # as in the bitset form: every counter with and
                         # without the new slot, and the old witness
                         candidates.update([n | bit for n in candidates])
-                        candidates.add(row.witness)
+                        candidates.add(base)
                     counters = frozenset(
                         n for n in candidates if all(head & n or pos & ~n for head, pos in reduct)
                     )
-                    out.setdefault(PrimRow(witness, counters), set()).add((ci,))
+                    new = new_row(PrimRow, (witness, counters))
+                    seqs = out.get(new)
+                    if seqs is None:
+                        out[new] = [(ci,)]
+                    else:
+                        seqs.append((ci,))
         elif kind == REMOVE:
             keep = ~(1 << slot)  # type: ignore[operator]
-            for ci, row in enumerate(child_tables[0].rows):
-                new = PrimRow(row.witness & keep, frozenset([n & keep for n in row.counters]))
-                out.setdefault(new, set()).add((ci,))
+            for ci, (witness, counters) in enumerate(child_tables[0].rows):
+                new = new_row(PrimRow, (witness & keep, frozenset([n & keep for n in counters])))
+                seqs = out.get(new)
+                if seqs is None:
+                    out[new] = [(ci,)]
+                else:
+                    seqs.append((ci,))
         elif kind == JOIN:
-            right: dict[int, list[int]] = {}
-            right_rows = child_tables[1].rows
-            for cj, row in enumerate(right_rows):
-                right.setdefault(row.witness, []).append(cj)
-            for ci, row in enumerate(child_tables[0].rows):
-                for cj in right.get(row.witness, ()):
-                    c1, c2 = row.counters, right_rows[cj].counters
+            right: dict[int, list[tuple[int, Any]]] = {}
+            for cj, (witness, c2) in enumerate(child_tables[1].rows):
+                right.setdefault(witness, []).append((cj, c2))
+            for ci, (witness, c1) in enumerate(child_tables[0].rows):
+                for cj, c2 in right.get(witness, ()):
                     merged = c1 & c2
-                    if row.witness in c1 or row.witness in c2:
-                        merged |= {row.witness}
-                    out.setdefault(PrimRow(row.witness, merged), set()).add((ci, cj))
+                    if witness in c1 or witness in c2:
+                        merged |= {witness}
+                    new = new_row(PrimRow, (witness, merged))
+                    seqs = out.get(new)
+                    if seqs is None:
+                        out[new] = [(ci, cj)]
+                    else:
+                        seqs.append((ci, cj))
         else:
             raise ValueError(f"unknown node kind {kind!r}")
         return out

@@ -21,23 +21,16 @@ def mask_of(ids: Iterable[int]) -> int:
 
 
 def ids_of(mask: int) -> tuple[int, ...]:
-    out = []
-    a = 0
-    while mask:
-        if mask & 1:
-            out.append(a)
-        mask >>= 1
-        a += 1
-    return tuple(out)
+    return tuple(iter_bits(mask))
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    a = 0
+    """The positions of the set bits, ascending.  Each step peels the lowest
+    set bit, so a call takes one step per set bit, not one per position."""
     while mask:
-        if mask & 1:
-            yield a
-        mask >>= 1
-        a += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,20 @@ def random_mixed(rng: random.Random, n_atoms: int, n_rules: int, max_head: int =
     return Program.from_specs(_random_rule(rng, names, max_head, max_size) for _ in range(n_rules))
 
 
+def random_guessed(rng: random.Random, n_guess: int, n_rules: int, max_head: int = 2) -> Program:
+    """Atoms x_i each guessed by an even loop with nx_i, then random rules
+    over the x_i and as many atoms d_i that only the rules derive.  Many
+    answer sets survive, and rows of one projection bucket that differ on
+    unprojected atoms often stand for different numbers of them."""
+    names = _atom_names(n_guess)
+    specs = []
+    for a in names:
+        specs += [((a,), (), (f"n{a}",)), ((f"n{a}",), (), (a,))]
+    derived = [f"d{i}" for i in range(n_guess)]
+    specs.extend(_random_rule(rng, names + derived, max_head) for _ in range(n_rules))
+    return Program.from_specs(specs)
+
+
 def random_tight(rng: random.Random, n_atoms: int, n_rules: int) -> Program:
     """Positive bodies draw only from lower-indexed atoms, so the positive
     dependency digraph is acyclic by construction."""

@@ -294,11 +294,11 @@ class ReferencePrim:
         atom: int | None,
         rules: Sequence[Rule],
         child_tables: Sequence[NodeTable],
-    ) -> dict[PrimRow, set[tuple[int, ...]]]:
-        out: dict[PrimRow, set[tuple[int, ...]]] = {}
+    ) -> dict[PrimRow, list[tuple[int, ...]]]:
+        out: dict[PrimRow, list[tuple[int, ...]]] = {}
         if kind == LEAF:
             if is_model(0, rules):
-                out[PrimRow(0, frozenset())] = {()}
+                out[PrimRow(0, frozenset())] = [()]
         elif kind == INTRODUCE:
             bit = 1 << atom
             for ci, row in enumerate(child_tables[0].rows):
@@ -317,12 +317,12 @@ class ReferencePrim:
                         # strictly smaller model candidate
                         counters.add(row.witness)
                     new = PrimRow(witness, frozenset(counters))
-                    out.setdefault(new, set()).add((ci,))
+                    out.setdefault(new, []).append((ci,))
         elif kind == REMOVE:
             bit = 1 << atom
             for ci, row in enumerate(child_tables[0].rows):
                 new = PrimRow(row.witness & ~bit, frozenset(n & ~bit for n in row.counters))
-                out.setdefault(new, set()).add((ci,))
+                out.setdefault(new, []).append((ci,))
         elif kind == JOIN:
             right: dict[int, list[int]] = {}
             for cj, row in enumerate(child_tables[1].rows):
@@ -333,7 +333,7 @@ class ReferencePrim:
                     full = frozenset((row.witness,))
                     merged = (c1 & c2) | (full & (c1 | c2))
                     new = PrimRow(row.witness, merged)
-                    out.setdefault(new, set()).add((ci, cj))
+                    out.setdefault(new, []).append((ci, cj))
         else:
             raise ValueError(f"unknown node kind {kind!r}")
         return out
@@ -348,7 +348,7 @@ def reference_prim_tables(program: Program, td: NiceTreeDecomposition) -> list[N
         nd = td.nodes[t]
         source = [r.source for r in rules[t]]
         produced = ReferencePrim.node_table(nd.kind, nd.atom, source, [tables[c] for c in nd.children])
-        tables[t] = NodeTable(list(produced), [list(seqs) for seqs in produced.values()])
+        tables[t] = NodeTable(list(produced), list(produced.values()))
     return tables
 
 

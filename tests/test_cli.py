@@ -164,9 +164,13 @@ class TestSideOutputs:
         assert stats["max_purged"] <= stats["max_table"]
         assert list(stats["timings"]) == ["parse", "classify", "decompose", "make_nice", "dp", "purge", "proj"]
         assert set(stats) == {
-            "width", "nodes", "max_table", "max_purged", "algorithm", "rows", "timings",
+            "width", "nodes", "max_table", "max_purged", "algorithm", "rows", "dp_seconds", "timings",
             "max_bucket", "proj_buckets", "proj_entries", "peak_rss_mb",
         }
+        # the dp pass's seconds per node kind, within its total
+        assert list(stats["dp_seconds"]) == ["leaf", "int", "rem", "join"]
+        assert all(s >= 0 for s in stats["dp_seconds"].values())
+        assert sum(stats["dp_seconds"].values()) <= stats["timings"]["dp"]
         # the same solve's buckets, and its projection entries as the trace lists them
         result = solve(parse_program(EX1))
         # rows before purging per node kind, as the bench counts engine.rows.<kind>

@@ -1,14 +1,16 @@
 import random
+from bisect import bisect_left
+from collections import Counter
 
 import pytest
 
 import helpers
-from paspc import oracle
+from paspc import oracle, pipeline
 from paspc.decomposition import assign_slots, decompose, make_nice, primal_graph
 from paspc.engine import entering_rules, purge, run_dp
 from paspc.phc import PhcRow
-from paspc.prim import PrimAlgorithm
-from paspc.program import Program
+from paspc.prim import DENSE_MAX_WIDTH, PrimAlgorithm, SparsePrimAlgorithm
+from paspc.program import Program, ProgramKind, classify
 from reference import definitional_origins, node_scope, origins, origins_table, verify_origins
 
 # the paper's full-ordering PHC; the programs below have at most 8 atoms
@@ -168,6 +170,79 @@ class TestOrigins:
                 p = helpers.random_mixed(rng, rng.randint(1, 5), rng.randint(1, 6))
                 ttd = run_dp(alg, p, make_nice(decompose(primal_graph(p))))
                 assert verify_origins(ttd) == []
+
+
+def origin_fuzz():
+    """(form, tabled decomposition) pairs on seeded programs: ``phc`` and the
+    paper's full-ordering PHC on the programs that are not disjunctive, and
+    both ``prim`` forms on every program, the frozenset form forced on the
+    same narrow decompositions; then ``prim`` on decompositions wider than
+    ``DENSE_MAX_WIDTH``, where ``run_dp`` picks the frozenset form itself.
+    The narrow programs of 6-12 atoms branch in their decompositions, so
+    join rows of several origin pairs occur."""
+    rng = random.Random(6060)
+    for _ in range(40):
+        p = helpers.random_mixed(rng, rng.randint(6, 12), rng.randint(5, 11))
+        nice = make_nice(decompose(primal_graph(p)))
+        if classify(p).kind is not ProgramKind.DISJUNCTIVE:
+            yield "phc", run_dp(pipeline.pick_algorithm(p, "phc"), p, nice)
+            yield "paper phc", run_dp(helpers.paper_phc(p.n_atoms), p, nice)
+        yield "prim bitsets", run_dp(PrimAlgorithm(), p, nice)
+        yield "prim frozensets", run_dp(SparsePrimAlgorithm(), p, nice)
+    rng = random.Random(2)
+    for _ in range(6):
+        p = helpers.random_disjunctive(rng, rng.randint(14, 18), rng.randint(8, 12), max_size=8)
+        nice = make_nice(decompose(primal_graph(p)))
+        if nice.width > DENSE_MAX_WIDTH:
+            ttd = run_dp(PrimAlgorithm(), p, nice)
+            assert isinstance(ttd.alg, SparsePrimAlgorithm)
+            yield "prim frozensets, wide", ttd
+
+
+def strictly_ascending(seqs):
+    return all(a < b for a, b in zip(seqs, seqs[1:]))
+
+
+class TestOriginLists:
+    """Each row's origins are listed in emission order, which is strictly
+    ascending: a one-child node visits each child row once and the rows one
+    child row yields are distinct, and a join visits each matching pair once,
+    left row outer."""
+
+    def test_strictly_ascending(self):
+        # a join row whose pairs a right-outer loop would list in another
+        # order, per form: there a swapped join loop shows.  Such rows are
+        # rare under phc; tests/test_phc.py pins one by hand.
+        swap_visible = Counter()
+        for form, ttd in origin_fuzz():
+            swap_visible[form] += 0
+            for t in ttd.post_order:
+                tab = ttd.table(t)
+                for seqs in tab.origins:
+                    assert seqs and strictly_ascending(seqs), (form, t, seqs)
+                if ttd.td.nodes[t].kind == "join":
+                    swap_visible[form] += sum(sorted(seqs, key=lambda s: s[::-1]) != seqs for seqs in tab.origins)
+        assert set(swap_visible) == {"phc", "paper phc", "prim bitsets", "prim frozensets", "prim frozensets, wide"}
+        assert {form for form, n in swap_visible.items() if n} == {"prim bitsets", "prim frozensets", "prim frozensets, wide"}
+
+    def test_purged_origins_are_the_lists_reindexed(self):
+        # the kept child rows are ascending, so re-indexing keeps each list
+        # ascending and no sort is needed
+        for form, ttd in origin_fuzz():
+            purged = purge(ttd)
+            for t in ttd.post_order:
+                children = ttd.td.nodes[t].children
+                want = []
+                for j in purged.kept[t]:
+                    seqs = []
+                    for seq in ttd.table(t).origins[j]:
+                        at = tuple(bisect_left(purged.kept[c], x) for c, x in zip(children, seq))
+                        assert all(purged.kept[c][i] == x for c, i, x in zip(children, at, seq)), (form, t)
+                        seqs.append(at)
+                    want.append(seqs)
+                got = purged.origins(t)
+                assert got == want, (form, t)
+                assert all(strictly_ascending(seqs) for seqs in got), (form, t)
 
 
 class TestPurge:

@@ -87,13 +87,13 @@ def single_row_table(row):
 class TestPhcTransitions:
     def test_leaf(self):
         out = PHC.node_table("leaf", None, None, [], [])
-        assert out == {PhcRow(0, 0, ()): {()}}
+        assert out == {PhcRow(0, 0, ()): [()]}
 
     def test_introduce_without_rules(self):
         child = single_row_table(PhcRow(0, 0, ()))
         out = PHC.node_table("int", 0, 0, [], [child])
         assert set(out) == {PhcRow(0, 0, ()), PhcRow(1, 0, (0,))}
-        assert all(origin == {(0,)} for origin in out.values())
+        assert all(origin == [(0,)] for origin in out.values())
 
     def test_introduce_filters_non_models(self):
         # introducing b over {a} with rule a | b: the all-false row dies
@@ -128,7 +128,15 @@ class TestPhcTransitions:
         left = NodeTable([r1], [[()]])
         right = NodeTable([r2, r3], [[()], [()]])
         out = PHC.node_table("join", None, None, [], [left, right])
-        assert out == {PhcRow(0b11, 0b11, (0, 1)): {(0, 0)}}
+        assert out == {PhcRow(0b11, 0b11, (0, 1)): [(0, 0)]}
+
+    def test_join_lists_pairs_left_row_outer(self):
+        # every pair proves both atoms, so one row takes all four pairs, in
+        # ascending order: the left row outer, the right row inner
+        left = NodeTable([PhcRow(0b11, 0b01, ()), PhcRow(0b11, 0b11, ())], [[()], [()]])
+        right = NodeTable([PhcRow(0b11, 0b11, ()), PhcRow(0b11, 0b10, ())], [[()], [()]])
+        out = PHC.node_table("join", None, None, [], [left, right])
+        assert out == {PhcRow(0b11, 0b11, ()): [(0, 0), (0, 1), (1, 0), (1, 1)]}
 
 
 class TestConsistent:

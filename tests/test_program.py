@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -11,12 +12,31 @@ from paspc.program import (
     dependency_digraph,
     gl_reduct,
     is_model,
+    iter_bits,
     satisfies,
 )
 
 
 def rule_of(p, head, pos=(), neg=()):
     return Rule.make([p.atom_id(a) for a in head], [p.atom_id(a) for a in pos], [p.atom_id(a) for a in neg])
+
+
+class TestIterBits:
+    def test_matches_scan_on_seeded_masks(self):
+        rng = random.Random(31)
+        masks = [0, 1, 0b1011, 1 << 64, (1 << 100_003) | 0b101, (1 << 100_100) - 1]
+        masks += [rng.getrandbits(n) for n in (1, 7, 64, 65, 1000) for _ in range(20)]
+        masks.append(rng.getrandbits(100_200) & rng.getrandbits(100_200))
+        for m in masks:
+            n = m.bit_length()
+            assert list(iter_bits(m)) == [i for i in range(n) if m >> i & 1]
+
+    def test_one_high_bit_is_cheap(self):
+        # one step per set bit: shifting the mask one bit at a time takes
+        # over 10 s here
+        start = time.perf_counter()
+        assert list(iter_bits(1 << 1_000_000)) == [1_000_000]
+        assert time.perf_counter() - start < 1
 
 
 class TestSatisfies:

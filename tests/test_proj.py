@@ -313,12 +313,20 @@ class TestRunProj:
     def seeded_fuzz():
         """The seeded projection fuzz: both algorithms, random projections.
         The second stream's sparser programs of 10-12 atoms branch in their
-        decompositions, so join buckets of several rows occur."""
-        for seed, atoms, rules in ((909, (1, 6), (1, 8)), (4, (10, 12), (8, 11))):
+        decompositions, so join buckets of several rows occur.  The third
+        stream's guessed atoms give child buckets whose rows have different
+        singleton counts, with a one-row bucket above reading a row at a
+        position > 0 of such a bucket."""
+        streams = (
+            (909, helpers.random_mixed, (1, 6), (1, 8)),
+            (4, helpers.random_mixed, (10, 12), (8, 11)),
+            (6, helpers.random_guessed, (2, 3), (2, 5)),
+        )
+        for seed, gen, atoms, rules in streams:
             rng = random.Random(seed)
             for prim in (False, True):
                 for _ in range(25):
-                    p = helpers.random_mixed(rng, rng.randint(*atoms), rng.randint(*rules))
+                    p = gen(rng, rng.randint(*atoms), rng.randint(*rules))
                     alg = PrimAlgorithm() if prim else helpers.paper_phc(max(p.n_atoms, 8))
                     pmask = helpers.random_projection(rng, p)
                     ttd = run_dp(alg, p, make_nice(decompose(primal_graph(p))))
@@ -355,9 +363,23 @@ class TestRunProj:
                         reached["several rows"] += 1
                     elif len(nd.children) == 1:
                         reached["one child, one origin" if n_origins == 1 else "one child, several origins"] += 1
+                        if n_origins == 1:
+                            # the origin's singleton count against that of
+                            # its child bucket's first row
+                            ((i,),) = ttd.table(t).origins[purged.kept[t][b[0]]]
+                            child = got.nodes[nd.children[0]]
+                            pcnts, pos = child.pcnts[child.bucket_of[i]], child.pos_in_bucket[i]
+                            if pcnts[1 << pos] != pcnts[1]:
+                                reached["one child, one origin of another count than its bucket's first"] += 1
                     else:
                         reached["join, one pair" if n_origins == 1 else "join, several pairs"] += 1
-        assert set(reached) >= {"several rows", "one child, one origin", "one child, several origins", "join, one pair"}
+        assert set(reached) >= {
+            "several rows",
+            "one child, one origin",
+            "one child, one origin of another count than its bucket's first",
+            "one child, several origins",
+            "join, one pair",
+        }
         assert len(fallback) == reached["several rows"] + reached["join, several pairs"]
         assert fallback.count(1) == reached["join, several pairs"]
 
@@ -402,7 +424,7 @@ class TestRunProj:
             got = run_proj(masked, pmask)
             assert got.tables == proj.tables
             assert final_count(got, masked) == final_count(proj, purged)
-        assert unread > 1000  # purge drops most rows of these tables: 7,221 of 8,233
+        assert unread > 1000  # purge drops most rows of these tables: 9,218 of 11,760
 
     def test_memoized_ipmc_equals_naive_recursion(self):
         # recompute small sub-buckets with a memo-free recursion
