@@ -47,7 +47,44 @@ class TestParseProgram:
         assert p.atom_names == ("q", "r", "s", "t")
 
 
+RESERVED = "'not' is reserved and cannot be used as an atom"
+
+# (source, line, column, message) of every kind of parse failure; columns
+# count characters, so a tab is one column and a '\r' before '\n' ends a line
+DIAGNOSTICS = [
+    # an unknown character fails before an earlier syntax error
+    ("a :- .\r\n% a comment\n\tb & c.\n", 3, 4, "unknown token '&'"),
+    ("a.\nb :- c, not d.\n:- e,\t#projectx.", 3, 7, "unknown token '#'"),
+    ("a :- b.\r\n\tc :- é.", 2, 7, "unknown token 'é'"),
+    ("a.\r\n% trailing\nb :- c,\t", 3, 9, "expected atom, found end of input"),
+    ("a.\n#project", 2, 9, "expected atom, found end of input"),
+    ("a :- not", 1, 9, "expected atom, found end of input"),
+    ("a :- b.\n  c |\t.\n", 2, 7, "expected atom, found '.'"),
+    (":- .", 1, 4, "expected atom, found '.'"),
+    ("% c\r\nnot :- a.\n", 2, 1, RESERVED),
+    ("a.\nb | not.", 2, 5, RESERVED),
+    ("a :- b,\n\tnot not c.", 2, 6, RESERVED),
+    ("a.\n#project a,\r\n  not.", 3, 3, RESERVED),
+    ("a :- b\n% x\nc.", 3, 1, "missing terminating period"),
+    ("#project a b.\na.", 1, 12, "missing terminating period"),
+    ("a.\nb :- c\t% no period\n", 3, 1, "missing terminating period"),
+    ("a :- b\r\n", 2, 1, "missing terminating period"),
+    ("a.\r\n\t.\n", 2, 2, "empty rule: no head and no body"),
+    ("a.\n% c\n, b.", 3, 1, "expected rule, found ','"),
+    ("a.\n\t| b.", 2, 2, "expected rule, found '|'"),
+    ("#project a.\r\na :- b.\n% second\n#project b,\tz.\n", 4, 13, "projection atom 'z' does not occur in any rule"),
+]
+
+
 class TestParseDiagnostics:
+    @pytest.mark.parametrize("source, line, column, message", DIAGNOSTICS)
+    def test_exact_diagnostic(self, source, line, column, message):
+        with pytest.raises(ParseError) as err:
+            parse_program(source)
+        d = err.value.diagnostic
+        assert (d.line, d.column, d.message) == (line, column, message)
+        assert str(err.value) == f"line {line}, column {column}: {message}"
+
     def test_unknown_token(self):
         with pytest.raises(ParseError) as err:
             parse_program("a & b.")
