@@ -16,10 +16,15 @@ import resource
 import sys
 import time
 from functools import partial
+from typing import Callable
 
 from . import formats, oracle
 from .decomposition import primal_graph, validate_td
+from .engine import PurgedTables, TabledTreeDecomposition
+from .phc import PhcRow
 from .pipeline import ALGORITHMS, AlgorithmMismatchError, solve
+from .prim import PrimRow
+from .program import Program, iter_bits
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -101,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
         heuristic = "min-fill"
     elif args.td not in ("min-fill", "min-degree"):
         print(f"error: unknown --td value {args.td!r}", file=sys.stderr)
-        return EXIT_TD
+        return EXIT_PARSE
 
     try:
         result = solve(program, algorithm=args.algorithm, heuristic=heuristic, seed=args.seed, td=td)
@@ -149,28 +154,61 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dump_trace(result, directory: str) -> None:
-    from . import engine
-
     os.makedirs(directory, exist_ok=True)
     ttd = result.ttd
     with open(os.path.join(directory, "tables.txt"), "w", encoding="utf-8") as fh:
         for t in ttd.post_order:
-            fh.write(engine.format_table(ttd, t) + "\n")
+            fh.write(format_table(ttd, t) + "\n")
     with open(os.path.join(directory, "purged.txt"), "w", encoding="utf-8") as fh:
         for t in ttd.post_order:
-            nd = ttd.td.nodes[t]
-            names = ",".join(sorted(result.program.names(nd.bag_mask)))
-            fh.write(f"node {t} kind={nd.kind} bag={{{names}}} rows={len(result.purged.rows[t])}\n")
-            decode = partial(ttd.decode, t)
-            origins = result.purged.origins(t)
-            for i, row in enumerate(result.purged.rows[t]):
-                fh.write(f"  {i}: {ttd.alg.format_row(row, result.program, decode)} origins={origins[i]}\n")
+            fh.write(format_table(ttd, t, result.purged) + "\n")
     with open(os.path.join(directory, "proj.txt"), "w", encoding="utf-8") as fh:
         for t in ttd.post_order:
             table = result.proj_tables.tables[t]
             fh.write(f"node {t} entries={len(table)}\n")
             for key in sorted(table, key=sorted):
                 fh.write(f"  {sorted(key)}: {table[key]}\n")
+
+
+def format_table(ttd: TabledTreeDecomposition, t: int, purged: PurgedTables | None = None) -> str:
+    """Trace dump of node t's table or, given ``purged``, of its kept rows
+    with their origins re-indexed to the children's kept rows."""
+    nd = ttd.td.nodes[t]
+    if purged is None:
+        tab = ttd.table(t)
+        rows, origins = tab.rows, tab.origins
+    else:
+        rows, origins = purged.rows[t], purged_origins(purged, t)
+    names = ",".join(sorted(ttd.program.names(nd.bag_mask)))
+    lines = [f"node {t} kind={nd.kind} bag={{{names}}} rows={len(rows)}"]
+    decode = partial(ttd.decode, t)
+    for i, row in enumerate(rows):
+        lines.append(f"  {i}: {_format_row(row, ttd.program, decode)} origins={origins[i]}")
+    return "\n".join(lines)
+
+
+def _format_row(row: PhcRow | PrimRow, program: Program, decode: Callable[[int], int]) -> str:
+    """A row with atom names for slots; a ``prim`` row lists its counter
+    subsets sorted by decoded atom mask."""
+    if isinstance(row, PhcRow):
+        i = ",".join(program.names(decode(row.interp)))
+        p = ",".join(program.names(decode(row.proven)))
+        s = ",".join(program.atom_names[a] for a in row.order)
+        return f"I={{{i}}} P={{{p}}} s=<{s}>"
+    # the bitset form keeps counters as subset bits, the sparse form as masks
+    counters = iter_bits(row.counters) if isinstance(row.counters, int) else row.counters
+    m = ",".join(program.names(decode(row.witness)))
+    cs = " ".join("{" + ",".join(program.names(n)) + "}" for n in sorted(map(decode, counters)))
+    return f"M={{{m}}} C=[{cs}]"
+
+
+def purged_origins(purged: PurgedTables, t: int) -> list[list[tuple[int, ...]]]:
+    """Per kept row of node t, its origins re-indexed to the children's kept
+    rows.  Re-indexing keeps the order of the ascending kept indices, so the
+    lists stay ascending."""
+    tab = purged.ttd.table(t)
+    new_index = [{j: i for i, j in enumerate(purged.kept[c])} for c in purged.ttd.td.nodes[t].children]
+    return [[tuple(new_index[i][x] for i, x in enumerate(seq)) for seq in tab.origins[j]] for j in purged.kept[t]]
 
 
 def entry() -> None:

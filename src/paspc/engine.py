@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import compress
-from typing import Any, Callable, NamedTuple, Protocol, Sequence
+from typing import Any, NamedTuple, Protocol, Sequence
 
 from .decomposition import INTRODUCE, JOIN, LEAF, REMOVE, NiceTreeDecomposition, assign_slots
 from .program import Program, Rule
@@ -73,8 +72,6 @@ class TableAlgorithm(Protocol):
     def for_width(self, width: int) -> "TableAlgorithm":
         """The algorithm to run on a nice decomposition of this width."""
         ...
-
-    def format_row(self, row: Any, program: Program, decode: Callable[[int], int]) -> str: ...
 
 
 class NodeTable:
@@ -193,14 +190,6 @@ class PurgedTables:
     def max_rows(self) -> int:
         return max((len(r) for r in self.rows), default=0)
 
-    def origins(self, t: int) -> list[list[tuple[int, ...]]]:
-        """Per kept row of node t, its origins re-indexed to the children's
-        kept rows: a copy for traces and tests.  Re-indexing keeps the order
-        of the ascending kept indices, so the lists stay ascending."""
-        tab = self.ttd.table(t)
-        new_index = [{j: i for i, j in enumerate(self.kept[c])} for c in self.ttd.td.nodes[t].children]
-        return [[tuple(new_index[i][x] for i, x in enumerate(seq)) for seq in tab.origins[j]] for j in self.kept[t]]
-
 
 def has_solution(ttd: TabledTreeDecomposition) -> bool:
     """Whether the algorithm's solution row reached the root table, i.e. the
@@ -245,15 +234,3 @@ def purge(ttd: TabledTreeDecomposition) -> PurgedTables:
                     right[j] = 1
     return PurgedTables(ttd, kept, rows)
 
-
-def format_table(ttd: TabledTreeDecomposition, t: int) -> str:
-    """Human-readable dump of one node table (trace output)."""
-    nd = ttd.td.nodes[t]
-    names = ",".join(sorted(ttd.program.names(nd.bag_mask)))
-    head = f"node {t} kind={nd.kind} bag={{{names}}} rows={len(ttd.table(t))}"
-    lines = [head]
-    tab = ttd.table(t)
-    decode = partial(ttd.decode, t)
-    for i, row in enumerate(tab.rows):
-        lines.append(f"  {i}: {ttd.alg.format_row(row, ttd.program, decode)} origins={tab.origins[i]}")
-    return "\n".join(lines)

@@ -16,25 +16,32 @@ Program grammar (whitespace-insensitive, ``%`` starts a line comment)::
 
 ``not`` is reserved and cannot name an atom.  Multiple #project directives
 union; without any directive the projection defaults to all atoms.
+
+The source is tokenized in one regex pass into ``(kind, lexeme, offset)``
+tuples, and the grammar walk reads that list by index.  A diagnostic's line
+and column are worked out from its offset only when it is raised.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .decomposition import TreeDecomposition
 from .program import Program, iter_bits
 
+# Whitespace and comments match no group and are dropped; the catch-all
+# ``bad`` takes any other character.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>%[^\n]*)
+    r"""\s+ | %[^\n]*
       | (?P<ident>[a-zA-Z_][a-zA-Z0-9_]*)
       | (?P<project>\#project\b)
       | (?P<arrow>:-)
       | (?P<pipe>\|)
       | (?P<comma>,)
       | (?P<dot>\.)
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -56,122 +63,85 @@ class ParseError(Exception):
         self.diagnostic = diagnostic
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # ident | project | arrow | pipe | comma | dot | end
-    text: str
-    line: int
-    column: int
+def _fail(text: str, offset: int, message: str) -> NoReturn:
+    """Raise a diagnostic at a character offset, with 1-based line and
+    column (a tab is one column)."""
+    line = text.count("\n", 0, offset) + 1
+    raise ParseError(ParseDiagnostic(line, offset - text.rfind("\n", 0, offset), message))
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(ParseDiagnostic(line, col, f"unknown token {text[pos]!r}"))
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind not in ("ws", "comment"):
-            toks.append(_Tok(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    toks.append(_Tok("end", "", line, col))
-    return toks
-
-
-class _Parser:
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
-        self.i = 0
-
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
-
-    def next(self) -> _Tok:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def fail(self, tok: _Tok, message: str) -> None:
-        raise ParseError(ParseDiagnostic(tok.line, tok.column, message))
-
-    def expect_atom(self) -> _Tok:
-        t = self.next()
-        if t.kind != "ident":
-            self.fail(t, f"expected atom, found {t.text!r}" if t.text else "expected atom, found end of input")
-        if t.text == "not":
-            self.fail(t, "'not' is reserved and cannot be used as an atom")
-        return t
-
-    def expect_dot(self) -> None:
-        t = self.next()
-        if t.kind != "dot":
-            self.fail(t, "missing terminating period")
+def _atom(text: str, tok: tuple[str, str, int]) -> str:
+    """The atom the token names; a diagnostic if it names none."""
+    kind, lexeme, offset = tok
+    if kind != "ident":
+        _fail(text, offset, f"expected atom, found {lexeme!r}" if lexeme else "expected atom, found end of input")
+    if lexeme == "not":
+        _fail(text, offset, "'not' is reserved and cannot be used as an atom")
+    return lexeme
 
 
 def parse_program(text: str) -> Program:
-    """Parse program source; raises ParseError with a positioned diagnostic."""
-    p = _Parser(_tokenize(text))
+    """Parse program source; raises ParseError with a positioned diagnostic.
+    An unknown character anywhere fails before any syntax error."""
+    toks = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text) if m.lastgroup]
+    for kind, lexeme, offset in toks:
+        if kind == "bad":
+            _fail(text, offset, f"unknown token {lexeme!r}")
+    toks.append(("end", "", len(text)))
+
     rule_specs: list[tuple[list[str], list[str], list[str]]] = []
-    project_names: list[_Tok] = []
-
-    while p.peek().kind != "end":
-        tok = p.peek()
-        if tok.kind == "project":
-            p.next()
-            project_names.append(p.expect_atom())
-            while p.peek().kind == "comma":
-                p.next()
-                project_names.append(p.expect_atom())
-            p.expect_dot()
-            continue
-        if tok.kind == "dot":
-            p.fail(tok, "empty rule: no head and no body")
-
-        head: list[str] = []
-        if tok.kind == "ident":
-            head.append(p.expect_atom().text)
-            while p.peek().kind == "pipe":
-                p.next()
-                head.append(p.expect_atom().text)
-        elif tok.kind != "arrow":
-            p.fail(tok, f"expected rule, found {tok.text!r}")
-
-        pos_body: list[str] = []
-        neg_body: list[str] = []
-        if p.peek().kind == "arrow":
-            p.next()
-            while True:
-                t = p.peek()
-                if t.kind == "ident" and t.text == "not":
-                    p.next()
-                    neg_body.append(p.expect_atom().text)
-                else:
-                    pos_body.append(p.expect_atom().text)
-                if p.peek().kind == "comma":
-                    p.next()
-                    continue
-                break
-        p.expect_dot()
-        rule_specs.append((head, pos_body, neg_body))
+    project_toks: list[tuple[str, str, int]] = []
+    i = 0
+    while True:
+        kind, lexeme, offset = toks[i]
+        if kind == "end":
+            break
+        if kind == "project":
+            while True:  # i is at the directive or a comma
+                _atom(text, toks[i + 1])
+                project_toks.append(toks[i + 1])
+                i += 2
+                if toks[i][0] != "comma":
+                    break
+        else:
+            if kind == "dot":
+                _fail(text, offset, "empty rule: no head and no body")
+            head: list[str] = []
+            if kind == "ident":
+                head.append(_atom(text, toks[i]))
+                i += 1
+                while toks[i][0] == "pipe":
+                    head.append(_atom(text, toks[i + 1]))
+                    i += 2
+            elif kind != "arrow":
+                _fail(text, offset, f"expected rule, found {lexeme!r}")
+            pos_body: list[str] = []
+            neg_body: list[str] = []
+            if toks[i][0] == "arrow":
+                i += 1
+                while True:
+                    if toks[i][1] == "not":  # only an ident reads "not"
+                        neg_body.append(_atom(text, toks[i + 1]))
+                        i += 2
+                    else:
+                        pos_body.append(_atom(text, toks[i]))
+                        i += 1
+                    if toks[i][0] != "comma":
+                        break
+                    i += 1
+            rule_specs.append((head, pos_body, neg_body))
+        if toks[i][0] != "dot":
+            _fail(text, toks[i][2], "missing terminating period")
+        i += 1
 
     program = Program.from_specs(rule_specs, projection=None)
-    if project_names:
+    if project_toks:
         pmask = 0
-        for tok in project_names:
-            if tok.text not in program._index:
-                raise ParseError(
-                    ParseDiagnostic(tok.line, tok.column, f"projection atom {tok.text!r} does not occur in any rule")
-                )
-            pmask |= 1 << program.atom_id(tok.text)
+        for _, name, offset in project_toks:
+            try:
+                pmask |= 1 << program.atom_id(name)
+            except KeyError:
+                _fail(text, offset, f"projection atom {name!r} does not occur in any rule")
         program = program.with_projection(pmask)
     return program
 

@@ -16,11 +16,11 @@ is the paper's algorithm, which orders every true bag atom.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .decomposition import INTRODUCE, JOIN, LEAF, REMOVE
 from .engine import BagRule, NodeTable
-from .program import Program, is_model
+from .program import is_model
 
 
 class PhcRow(NamedTuple):
@@ -158,10 +158,3 @@ class PhcAlgorithm:
         else:
             raise ValueError(f"unknown node kind {kind!r}")
         return out
-
-    @staticmethod
-    def format_row(row: PhcRow, program: Program, decode: Callable[[int], int]) -> str:
-        i = ",".join(program.names(decode(row.interp)))
-        p = ",".join(program.names(decode(row.proven)))
-        s = ",".join(program.atom_names[a] for a in row.order)
-        return f"I={{{i}}} P={{{p}}} s=<{s}>"

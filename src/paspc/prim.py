@@ -31,11 +31,11 @@ the reduct one by one, so its rows cost what their counters cost.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .decomposition import INTRODUCE, JOIN, LEAF, REMOVE
 from .engine import BagRule, NodeTable
-from .program import Program, is_model, iter_bits
+from .program import is_model, iter_bits
 
 
 # the widest decomposition on which run_dp keeps counter sets as bitsets
@@ -163,10 +163,6 @@ class PrimAlgorithm:
             raise ValueError(f"unknown node kind {kind!r}")
         return out
 
-    @staticmethod
-    def format_row(row: PrimRow, program: Program, decode: Callable[[int], int]) -> str:
-        return _format_row(row.witness, iter_bits(row.counters), program, decode)  # type: ignore[arg-type]
-
 
 class SparsePrimAlgorithm:
     """``prim`` for one solve with each counter set a frozenset of slot
@@ -254,14 +250,3 @@ class SparsePrimAlgorithm:
         else:
             raise ValueError(f"unknown node kind {kind!r}")
         return out
-
-    @staticmethod
-    def format_row(row: PrimRow, program: Program, decode: Callable[[int], int]) -> str:
-        return _format_row(row.witness, row.counters, program, decode)  # type: ignore[arg-type]
-
-
-def _format_row(witness: int, counters: Iterable[int], program: Program, decode: Callable[[int], int]) -> str:
-    """A row with its counter subsets sorted by decoded atom mask."""
-    m = ",".join(program.names(decode(witness)))
-    cs = " ".join("{" + ",".join(program.names(n)) + "}" for n in sorted(map(decode, counters)))
-    return f"M={{{m}}} C=[{cs}]"

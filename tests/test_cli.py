@@ -96,6 +96,17 @@ class TestExitCodes:
         assert code == 3
         assert "invalid decomposition" in err
 
+    def test_unreadable_td_file(self, ex1_file, tmp_path, capsys):
+        code, _, err = run(capsys, "solve", ex1_file, "--td", f"file:{tmp_path / 'missing.td'}")
+        assert code == 3
+        assert "cannot read decomposition" in err
+
+    def test_unknown_td_value(self, ex1_file, capsys):
+        # an invalid option value exits 2, as argparse's own rejections do
+        code, _, err = run(capsys, "solve", ex1_file, "--td", "bogus")
+        assert code == 2
+        assert "unknown --td value 'bogus'" in err
+
     def test_disconnected_td_file(self, ex1_file, tmp_path, capsys):
         td = tmp_path / "forest.td"
         td.write_text("s td 2 5 5\nb 1 1 2 3 4 5\nb 2\n")

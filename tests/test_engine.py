@@ -6,6 +6,7 @@ import pytest
 
 import helpers
 from paspc import oracle, pipeline
+from paspc.cli import purged_origins
 from paspc.decomposition import assign_slots, decompose, make_nice, primal_graph
 from paspc.engine import entering_rules, purge, run_dp
 from paspc.phc import PhcRow
@@ -240,7 +241,7 @@ class TestOriginLists:
                         assert all(purged.kept[c][i] == x for c, i, x in zip(children, at, seq)), (form, t)
                         seqs.append(at)
                     want.append(seqs)
-                got = purged.origins(t)
+                got = purged_origins(purged, t)
                 assert got == want, (form, t)
                 assert all(strictly_ascending(seqs) for seqs in got), (form, t)
 
@@ -279,7 +280,7 @@ class TestPurge:
         for t in ttd.post_order:
             for ci, c in enumerate(td.nodes[t].children):
                 reached = set()
-                for seqs in purged.origins(t):
+                for seqs in purged_origins(purged, t):
                     for seq in seqs:
                         reached.add(seq[ci])
                 assert reached == set(range(len(purged.rows[c])))
@@ -294,7 +295,7 @@ def extension_interpretations(purged):
     ext: list[list[set[int]]] = [[] for _ in td.nodes]
     for t in ttd.post_order:
         nd = td.nodes[t]
-        origins = purged.origins(t)
+        origins = purged_origins(purged, t)
         for i, row in enumerate(purged.rows[t]):
             interp = ttd.decode(t, alg.interp(row))
             if not nd.children:

@@ -4,8 +4,9 @@ import pytest
 
 import helpers
 from paspc import oracle, pipeline
+from paspc.cli import format_table
 from paspc.decomposition import decompose, make_nice, primal_graph
-from paspc.engine import format_table, has_solution, run_dp
+from paspc.engine import has_solution, run_dp
 from paspc.formats import parse_program
 from paspc.prim import DENSE_MAX_WIDTH, PrimAlgorithm, SparsePrimAlgorithm
 from paspc.program import Program, iter_bits

@@ -5,6 +5,7 @@ from collections import Counter
 import helpers
 import pytest
 from paspc import oracle, pipeline
+from paspc.cli import purged_origins
 from paspc.decomposition import JOIN, decompose, make_nice, primal_graph
 from paspc.engine import NodeTable, PurgedTables, purge, run_dp
 from paspc.formats import parse_program
@@ -393,7 +394,7 @@ class TestRunProj:
                     purged.rows[t],
                     lambda row: ttd.decode(t, alg.interp(row)),
                     pmask,
-                    purged.origins(t),
+                    purged_origins(purged, t),
                     [proj.tables[c] for c in nd.children],
                     [[proj.nodes[c].bucket_of[j] for j in purged.kept[c]] for c in nd.children],
                 )
@@ -454,7 +455,7 @@ class TestRunProj:
                 nd = ttd.td.nodes[t]
                 child_tables = [proj.tables[c] for c in nd.children]
                 child_buckets = [[proj.nodes[c].bucket_of[j] for j in purged.kept[c]] for c in nd.children]
-                row_origins = purged.origins(t)
+                row_origins = purged_origins(purged, t)
                 for rho, stored in proj.tables[t].items():
                     if len(rho) > 4:
                         continue
