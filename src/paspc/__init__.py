@@ -16,7 +16,7 @@ from .oracle import enumerate_answer_sets, projected_count
 from .phc import PhcAlgorithm
 from .pipeline import SolveResult, pick_algorithm, solve
 from .prim import PrimAlgorithm
-from .program import Program, ProgramClass, ProgramKind, Rule, classify, gl_reduct, satisfies
+from .program import Program, ProgramClass, ProgramKind, Rule, classify
 from .proj import ProjTables, final_count, run_proj
 
 __version__ = "0.1.0"
@@ -51,8 +51,6 @@ __all__ = [
     "ProgramKind",
     "Rule",
     "classify",
-    "gl_reduct",
-    "satisfies",
     "ProjTables",
     "final_count",
     "run_proj",

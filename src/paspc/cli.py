@@ -19,10 +19,9 @@ from functools import partial
 from typing import Callable
 
 from . import formats, oracle
-from .decomposition import primal_graph, validate_td
 from .engine import PurgedTables, TabledTreeDecomposition
 from .phc import PhcRow
-from .pipeline import ALGORITHMS, AlgorithmMismatchError, solve
+from .pipeline import ALGORITHMS, AlgorithmMismatchError, InvalidDecompositionError, solve
 from .prim import PrimRow
 from .program import Program, iter_bits
 
@@ -99,10 +98,6 @@ def main(argv: list[str] | None = None) -> int:
         except formats.ParseError as exc:
             print(f"invalid decomposition: {exc.diagnostic}", file=sys.stderr)
             return EXIT_TD
-        problems = validate_td(primal_graph(program), td)
-        if problems:
-            print("invalid decomposition: " + "; ".join(problems), file=sys.stderr)
-            return EXIT_TD
         heuristic = "min-fill"
     elif args.td not in ("min-fill", "min-degree"):
         print(f"error: unknown --td value {args.td!r}", file=sys.stderr)
@@ -110,6 +105,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         result = solve(program, algorithm=args.algorithm, heuristic=heuristic, seed=args.seed, td=td)
+    except InvalidDecompositionError as exc:
+        print(f"invalid decomposition: {exc}", file=sys.stderr)
+        return EXIT_TD
     except AlgorithmMismatchError as exc:
         print(f"algorithm mismatch: {exc}", file=sys.stderr)
         return EXIT_ALGORITHM
@@ -179,7 +177,7 @@ def format_table(ttd: TabledTreeDecomposition, t: int, purged: PurgedTables | No
         rows, origins = tab.rows, tab.origins
     else:
         rows, origins = purged.rows[t], purged_origins(purged, t)
-    names = ",".join(sorted(ttd.program.names(nd.bag_mask)))
+    names = ",".join(sorted(ttd.program.atom_names[a] for a in nd.bag))
     lines = [f"node {t} kind={nd.kind} bag={{{names}}} rows={len(rows)}"]
     decode = partial(ttd.decode, t)
     for i, row in enumerate(rows):

@@ -237,7 +237,6 @@ class NiceNode:
     bag: frozenset[int]
     atom: int | None
     children: tuple[int, ...]
-    bag_mask: int
 
 
 @dataclass
@@ -246,10 +245,7 @@ class NiceTreeDecomposition:
     root: int = -1
 
     def add(self, kind: str, bag: frozenset[int], atom: int | None, children: tuple[int, ...]) -> int:
-        mask = 0
-        for a in bag:
-            mask |= 1 << a
-        self.nodes.append(NiceNode(kind, bag, atom, children, mask))
+        self.nodes.append(NiceNode(kind, bag, atom, children))
         return len(self.nodes) - 1
 
     def post_order(self) -> list[int]:
@@ -298,7 +294,8 @@ def assign_slots(ntd: NiceTreeDecomposition, n_atoms: int) -> list[int]:
 
 
 def check_nice(ntd: NiceTreeDecomposition) -> list[str]:
-    """Structural checks for the nice shape; used by tests and make_nice."""
+    """Structural checks for the nice shape, joins over empty bags included;
+    used by tests and make_nice."""
     problems = []
     for t, nd in enumerate(ntd.nodes):
         if nd.kind == LEAF:
@@ -321,8 +318,6 @@ def check_nice(ntd: NiceTreeDecomposition) -> list[str]:
         elif nd.kind == JOIN:
             if len(nd.children) != 2:
                 problems.append(f"node {t}: join needs two children")
-            elif not nd.bag:
-                problems.append(f"node {t}: join over empty bag")
             elif any(ntd.nodes[c].bag != nd.bag for c in nd.children):
                 problems.append(f"node {t}: join children bags differ")
         else:
@@ -334,12 +329,13 @@ def check_nice(ntd: NiceTreeDecomposition) -> list[str]:
 
 def make_nice(td: TreeDecomposition, root: int | None = None) -> NiceTreeDecomposition:
     """Normalize a valid decomposition to a nice one of the same width.
+    The input is not checked: the walk below never ends on a bag graph with
+    a cycle, so callers run ``validate_td`` first.
 
     The designated root defaults to the node with the largest id.  Between
     original bags, removals come first and introductions second, both in
-    ascending atom order.  Multi-child nodes become chains of binary joins;
-    a would-be join over an empty bag is restructured into a chain by
-    grafting one subtree in place of a leaf of the other.
+    ascending atom order.  Multi-child nodes become chains of binary joins,
+    over an empty bag too.
     """
     ntd = NiceTreeDecomposition()
     n = len(td.bags)
@@ -368,16 +364,6 @@ def make_nice(td: TreeDecomposition, root: int | None = None) -> NiceTreeDecompo
         top = ntd.add(LEAF, frozenset(), None, ())
         return chain_up(top, frozenset(), bag)
 
-    def graft(host: int, piece: int) -> None:
-        """Replace the first reachable leaf under ``host`` with ``piece``."""
-        parent, t = -1, host
-        while ntd.nodes[t].kind != LEAF:
-            parent, t = t, ntd.nodes[t].children[0]
-        if parent == -1:
-            raise AssertionError("cannot graft into a bare leaf")
-        nd = ntd.nodes[parent]
-        nd.children = tuple(piece if c == t else c for c in nd.children)
-
     # iterative post-order over the original tree
     order: list[tuple[int, int]] = []
     stack = [(root, -1)]
@@ -399,36 +385,11 @@ def make_nice(td: TreeDecomposition, root: int | None = None) -> NiceTreeDecompo
         tops = [chain_up(built[c], td.bags[c], bag) for c in kids]
         cur = tops[0]
         for other in tops[1:]:
-            if bag:
-                cur = ntd.add(JOIN, bag, None, tuple(sorted((cur, other))))
-            else:
-                # disconnected components: stack one subtree below the other
-                host_node = ntd.nodes[other]
-                if host_node.kind == LEAF:
-                    pass  # the bare leaf adds nothing
-                else:
-                    graft(other, cur)
-                    cur = other
+            cur = ntd.add(JOIN, bag, None, tuple(sorted((cur, other))))
         built[t] = cur
 
     top = chain_up(built[root], td.bags[root], frozenset())
     ntd.root = top
-
-    # grafting replaces leaves and can orphan nodes; drop everything the
-    # root no longer reaches and renumber
-    reachable = set()
-    stack2 = [ntd.root]
-    while stack2:
-        x = stack2.pop()
-        reachable.add(x)
-        stack2.extend(ntd.nodes[x].children)
-    if len(reachable) != len(ntd.nodes):
-        keep = sorted(reachable)
-        remap = {old: new for new, old in enumerate(keep)}
-        ntd.nodes = [ntd.nodes[old] for old in keep]
-        for nd in ntd.nodes:
-            nd.children = tuple(remap[c] for c in nd.children)
-        ntd.root = remap[ntd.root]
 
     problems = check_nice(ntd)
     if problems:

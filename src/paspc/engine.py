@@ -134,22 +134,22 @@ def entering_rules(program: Program, td: NiceTreeDecomposition, slots: Sequence[
     atomless rules, at an introduce node the rules of its atom that fit the
     bag, and none at remove and join nodes.  Each rule is translated to slot
     masks once, however many nodes it enters at."""
-    rules_by_atom: dict[int, list[BagRule]] = {}
+    rules_by_atom: dict[int, list[tuple[BagRule, tuple[int, ...]]]] = {}
     atomless = []
     for r in program.rules:
         br = bag_rule(r, slots)
-        if r.atom_mask == 0:
+        atoms = r.head + r.pos_body + r.neg_body
+        if not atoms:
             atomless.append(br)
-            continue
-        for a in sorted(set(r.head) | set(r.pos_body) | set(r.neg_body)):
-            rules_by_atom.setdefault(a, []).append(br)
+        for a in set(atoms):
+            rules_by_atom.setdefault(a, []).append((br, atoms))
 
     out: list[Sequence[BagRule]] = [()] * len(td.nodes)
     for t, nd in enumerate(td.nodes):
         if nd.kind == LEAF:
             out[t] = atomless
         elif nd.kind == INTRODUCE:
-            out[t] = [r for r in rules_by_atom.get(nd.atom, ()) if not (r.source.atom_mask & ~nd.bag_mask)]  # type: ignore[arg-type]
+            out[t] = [br for br, atoms in rules_by_atom.get(nd.atom, ()) if nd.bag.issuperset(atoms)]  # type: ignore[arg-type]
     return out
 
 

@@ -175,7 +175,7 @@ def print_program(program: Program) -> str:
 def read_td(text: str, n_vertices: int) -> TreeDecomposition:
     """Read a PACE-style decomposition.  Vertex j (1-based) maps to atom j-1;
     ``n_vertices`` must match the header's vertex count.  Only the syntax is
-    checked here; ``decomposition.validate_td`` checks the decomposition."""
+    checked here; ``pipeline.solve`` validates the decomposition."""
     header: tuple[int, int, int] | None = None
     bags: dict[int, set[int]] = {}
     edges: list[tuple[int, int]] = []

@@ -8,7 +8,7 @@ this package exists to test.
 
 from __future__ import annotations
 
-from .program import Program
+from .program import Program, mask_of
 
 MAX_ATOMS = 24
 
@@ -22,7 +22,8 @@ def enumerate_answer_sets(program: Program) -> list[int]:
     n = program.n_atoms
     if n > MAX_ATOMS:
         raise OracleSizeError(f"{n} atoms exceed the brute-force guard of {MAX_ATOMS}")
-    rules = [(r.head_mask, r.pos_mask, r.neg_mask) for r in program.rules]
+    # atom masks of at most MAX_ATOMS bits
+    rules = [(mask_of(r.head), mask_of(r.pos_body), mask_of(r.neg_body)) for r in program.rules]
     out = []
     for interp in range(1 << n):
         reduct = [(h, p) for h, p, ng in rules if not ng & interp]

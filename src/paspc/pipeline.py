@@ -7,7 +7,17 @@ import time
 from dataclasses import dataclass, field
 
 from . import engine, proj
-from .decomposition import INTRODUCE, JOIN, LEAF, REMOVE, TreeDecomposition, decompose, make_nice, primal_graph
+from .decomposition import (
+    INTRODUCE,
+    JOIN,
+    LEAF,
+    REMOVE,
+    TreeDecomposition,
+    decompose,
+    make_nice,
+    primal_graph,
+    validate_td,
+)
 from .phc import PhcAlgorithm
 from .prim import PrimAlgorithm
 from .program import Program, ProgramKind, classify
@@ -17,6 +27,11 @@ ALGORITHMS = ("auto", "phc", "prim")
 
 class AlgorithmMismatchError(ValueError):
     """Requested table algorithm is unsound for the program's class."""
+
+
+class InvalidDecompositionError(ValueError):
+    """A supplied decomposition violates the conditions ``validate_td``
+    checks; the message names every violation."""
 
 
 @dataclass
@@ -77,13 +92,18 @@ def solve(
 ) -> SolveResult:
     """Count the projected answer sets of the program.
 
-    A tree decomposition may be supplied; otherwise one is computed with the
-    given elimination heuristic and seed.  The algorithm defaults to the
-    strongest sound one for the program's class.
+    A tree decomposition may be supplied, and is then validated against the
+    program's primal graph before anything else runs; otherwise one is
+    computed with the given elimination heuristic and seed.  The algorithm
+    defaults to the strongest sound one for the program's class.
 
     The cyclic garbage collector is paused for the duration of the call,
     process-wide, and its previous state is restored on return or error.
     """
+    if td is not None:
+        problems = validate_td(primal_graph(program), td)
+        if problems:
+            raise InvalidDecompositionError("; ".join(problems))
     # The cyclic garbage collector would scan every live table row many times
     # per solve and find nothing to free: a solve builds no reference cycles,
     # so reference counting reclaims all of it.

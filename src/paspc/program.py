@@ -1,16 +1,20 @@
-"""Ground disjunctive logic programs: data model, satisfaction, reduct, classes.
+"""Ground disjunctive logic programs: data model and classes.
 
 Atoms are interned to dense integer ids (0..n-1, first-occurrence order).
 Interpretations and atom sets are plain ``int`` bitmasks over those ids:
-bit ``1 << a`` is set iff atom ``a`` is in the set.  Rules carry their atom
-sets both as sorted id tuples and as precomputed masks.
+bit ``1 << a`` is set iff atom ``a`` is in the set.  Rules keep their atom
+sets as sorted id tuples only; the table algorithms see them as slot masks
+(``engine.BagRule``), and the oracle builds its own atom masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from .engine import BagRule
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -40,29 +44,19 @@ class Rule:
     head: tuple[int, ...]
     pos_body: tuple[int, ...]
     neg_body: tuple[int, ...]
-    head_mask: int
-    pos_mask: int
-    neg_mask: int
-    atom_mask: int
 
     @staticmethod
     def make(head: Iterable[int], pos_body: Iterable[int], neg_body: Iterable[int]) -> "Rule":
-        h = tuple(sorted(set(head)))
-        p = tuple(sorted(set(pos_body)))
-        n = tuple(sorted(set(neg_body)))
-        hm, pm, nm = mask_of(h), mask_of(p), mask_of(n)
-        return Rule(h, p, n, hm, pm, nm, hm | pm | nm)
+        return Rule(tuple(sorted(set(head))), tuple(sorted(set(pos_body))), tuple(sorted(set(neg_body))))
 
     def key(self) -> tuple:
         return (self.head, self.pos_body, self.neg_body)
 
 
-def satisfies(interp: int, rule: Rule) -> bool:
-    """True iff the interpretation (bitmask) satisfies the rule."""
-    return bool((rule.head_mask | rule.neg_mask) & interp) or bool(rule.pos_mask & ~interp)
-
-
-def is_model(interp: int, rules: Sequence[Rule]) -> bool:
+def is_model(interp: int, rules: Sequence[BagRule]) -> bool:
+    """True iff the interpretation satisfies every rule.  It reads the
+    ``engine.BagRule`` masks, so ``interp`` is over the same slots (or atom
+    ids, for a ``BagRule`` built with each atom its own slot)."""
     for r in rules:
         if not ((r.head_mask | r.neg_mask) & interp or r.pos_mask & ~interp):
             return False
@@ -181,21 +175,6 @@ class Program:
 
     def __repr__(self) -> str:
         return f"Program(atoms={len(self.atom_names)}, rules={len(self.rules)})"
-
-
-def gl_reduct(program: Program, interp: int) -> Program:
-    """Reduct under an interpretation: drop rules whose negative body meets it,
-    strip negative bodies from the rest.  Atom table and projection carry over."""
-    kept = []
-    seen = set()
-    for r in program.rules:
-        if r.neg_mask & interp:
-            continue
-        rr = Rule(r.head, r.pos_body, (), r.head_mask, r.pos_mask, 0, r.head_mask | r.pos_mask)
-        if rr.key() not in seen:
-            seen.add(rr.key())
-            kept.append(rr)
-    return Program(program.atom_names, kept, program.projection)
 
 
 def dependency_digraph(program: Program) -> DependencyDigraph:

@@ -27,9 +27,9 @@ from paspc.decomposition import (
     TreeDecomposition,
     assign_slots,
 )
-from paspc.engine import NodeTable, TabledTreeDecomposition, entering_rules
+from paspc.engine import BagRule, NodeTable, TabledTreeDecomposition, bag_rule, entering_rules
 from paspc.phc import PhcAlgorithm
-from paspc.program import Program, Rule, ids_of, is_model
+from paspc.program import Program, Rule, ids_of, is_model, mask_of
 from paspc.proj import buckets
 
 ProjTable = dict[frozenset[int], int]
@@ -192,12 +192,12 @@ def node_scope(ttd: TabledTreeDecomposition, t: int) -> NodeScope:
     while stack:
         x = stack.pop()
         below_rules.update(r.source for r in ttd.rules[x])
-        below_atoms |= td.nodes[x].bag_mask
+        below_atoms |= mask_of(td.nodes[x].bag)
         stack.extend(td.nodes[x].children)
     return NodeScope(
         frozenset(below_rules),
         below_atoms,
-        below_atoms & ~td.nodes[t].bag_mask,
+        below_atoms & ~mask_of(td.nodes[t].bag),
     )
 
 
@@ -269,7 +269,7 @@ class PrimRow(NamedTuple):
     counters: frozenset[int]
 
 
-def _reduct_models(interp: int, reduct_rules: Sequence[Rule]) -> bool:
+def _reduct_models(interp: int, reduct_rules: Sequence[BagRule]) -> bool:
     for r in reduct_rules:
         if not (r.head_mask & interp or r.pos_mask & ~interp):
             return False
@@ -292,7 +292,7 @@ class ReferencePrim:
     def node_table(
         kind: str,
         atom: int | None,
-        rules: Sequence[Rule],
+        rules: Sequence[BagRule],
         child_tables: Sequence[NodeTable],
     ) -> dict[PrimRow, list[tuple[int, ...]]]:
         out: dict[PrimRow, list[tuple[int, ...]]] = {}
@@ -341,12 +341,13 @@ class ReferencePrim:
 
 def reference_prim_tables(program: Program, td: NiceTreeDecomposition) -> list[NodeTable]:
     """Per node, the table of ``ReferencePrim`` over the same entering rules
-    as ``paspc.engine.run_dp``, in their atom-id form."""
+    as ``paspc.engine.run_dp``, with atom-id masks: each atom its own slot."""
     rules = entering_rules(program, td, assign_slots(td, program.n_atoms))
+    ids = range(program.n_atoms)
     tables: list[NodeTable] = [None] * len(td.nodes)  # type: ignore[list-item]
     for t in td.post_order():
         nd = td.nodes[t]
-        source = [r.source for r in rules[t]]
+        source = [bag_rule(r.source, ids) for r in rules[t]]
         produced = ReferencePrim.node_table(nd.kind, nd.atom, source, [tables[c] for c in nd.children])
         tables[t] = NodeTable(list(produced), list(produced.values()))
     return tables

@@ -8,6 +8,7 @@ session and is shared by the tests that grade it.
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -16,7 +17,7 @@ from paspc import oracle, pipeline
 from paspc.decomposition import decompose, make_nice, primal_graph, validate_td
 from paspc.engine import has_solution, purge, run_dp
 from paspc.phc import PhcRow
-from paspc.program import Program
+from paspc.program import Program, mask_of
 from reference import ipmc, pcnt, reference_proj_table
 
 FUZZ_PER_CLASS = 500
@@ -189,7 +190,7 @@ def test_criterion_7_purging_fidelity(example1_td):
     # an answer set on the bag, and at least one table row was dropped
     purged = purge(ttd)
     answer_sets = oracle.enumerate_answer_sets(program)
-    bag_mask = ntd.nodes[t8].bag_mask
+    bag_mask = mask_of(ntd.nodes[t8].bag)
     ok = ok and len(purged.rows[t8]) < len(ttd.table(t8))
     ok = ok and all(
         any(ans & bag_mask == ttd.decode(t8, row.interp) for ans in answer_sets) for row in purged.rows[t8]
@@ -241,3 +242,25 @@ def test_criterion_8_linear_scaling():
         f"wall time vs node count fit exponent {slope:.2f} <= 1.3 over {points[0][2]}..{points[-1][2]} rules",
         slope <= 1.3,
     )
+
+
+def held_bytes_per_rule(blocks: int) -> float:
+    """Bytes still allocated, per rule, once ``chain_blocks(blocks)`` is
+    built, decomposed and made nice."""
+    tracemalloc.start()
+    try:
+        program = chain_blocks(blocks)
+        nice = make_nice(decompose(primal_graph(program)))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert nice.nodes
+    return held / len(program.rules)
+
+
+def test_memory_per_rule_does_not_grow():
+    # the family has constant width, so what a solve holds per rule before
+    # the tables must not grow with the program: nothing stored per rule or
+    # per nice node may be as wide as the atom count
+    small, large = held_bytes_per_rule(200), held_bytes_per_rule(1600)
+    assert large <= 1.2 * small, (small, large)

@@ -218,16 +218,18 @@ class TestMakeNice:
             assert ntd.width == td.width
             assert validate_td(g, ntd.to_tree_decomposition()) == []
 
-    def test_empty_bag_multi_child_becomes_chain(self):
-        # an empty-bag node with two children cannot become a join; the two
-        # subtrees are stacked instead
+    def test_empty_bag_multi_child_becomes_join(self):
+        # an empty-bag node with two children becomes a join over the empty
+        # bag, like any other multi-child node
         td = TreeDecomposition(
             [frozenset(), frozenset({0}), frozenset({1})], [(0, 1), (0, 2)]
         )
         g = PrimalGraph(2)
         ntd = make_nice(td, root=0)
         assert check_nice(ntd) == []
-        assert all(nd.kind != "join" for nd in ntd.nodes)
+        joins = [nd for nd in ntd.nodes if nd.kind == "join"]
+        assert [nd.bag for nd in joins] == [frozenset()]
+        assert ntd.nodes[ntd.root] is joins[0]
         assert validate_td(g, ntd.to_tree_decomposition()) == []
         assert ntd.width == 0
 

@@ -11,7 +11,7 @@ from paspc.decomposition import assign_slots, decompose, make_nice, primal_graph
 from paspc.engine import entering_rules, purge, run_dp
 from paspc.phc import PhcRow
 from paspc.prim import DENSE_MAX_WIDTH, PrimAlgorithm, SparsePrimAlgorithm
-from paspc.program import Program, ProgramKind, classify
+from paspc.program import Program, ProgramKind, classify, mask_of
 from reference import definitional_origins, node_scope, origins, origins_table, verify_origins
 
 # the paper's full-ordering PHC; the programs below have at most 8 atoms
@@ -69,19 +69,19 @@ class TestBagPrograms:
     def check_entering(p, td):
         rules = entering_rules(p, td, assign_slots(td, p.n_atoms))
 
-        def fitting(bag_mask):
-            return {r.key() for r in p.rules if not r.atom_mask & ~bag_mask}
+        def fitting(bag):
+            return {r.key() for r in p.rules if bag.issuperset(r.head + r.pos_body + r.neg_body)}
 
         entered = set()
         for t in td.post_order():
             nd = td.nodes[t]
             got = {r.source.key() for r in rules[t]}
             if nd.kind == "leaf":
-                assert got == fitting(0)
+                assert got == fitting(frozenset())
             elif nd.kind in ("rem", "join"):
                 assert got == set()
             else:
-                assert got == fitting(nd.bag_mask) - fitting(td.nodes[nd.children[0]].bag_mask)
+                assert got == fitting(nd.bag) - fitting(td.nodes[nd.children[0]].bag)
             entered |= got
         assert entered == {r.key() for r in p.rules}
 
@@ -266,7 +266,7 @@ class TestPurge:
         program, ids, ttd = run_example1(example1_td)
         purged = purge(ttd)
         t8 = ids["t8"]
-        bag_mask = ttd.td.nodes[t8].bag_mask
+        bag_mask = mask_of(ttd.td.nodes[t8].bag)
         answer_sets = oracle.enumerate_answer_sets(program)
         # some table row does not extend and must be gone
         assert len(purged.rows[t8]) < len(ttd.table(t8))

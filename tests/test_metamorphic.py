@@ -5,7 +5,9 @@ and under a random valid decomposition; every count must equal the oracle's.
 Renaming the atoms and shuffling the rules changes the atom ids, hence the
 decomposition and every slot, but not the count; duplicate rules change
 nothing; projecting onto all atoms counts the answer sets, and projecting
-onto none gives 1 for a consistent program and 0 otherwise."""
+onto none gives 1 for a consistent program and 0 otherwise.  A disjoint
+union of programs, each part decomposed on its own and all parts hung under
+one empty hub bag, is solved through joins over that empty bag."""
 
 import random
 
@@ -13,7 +15,7 @@ import pytest
 
 import helpers
 from paspc import oracle, pipeline
-from paspc.decomposition import primal_graph, validate_td
+from paspc.decomposition import TreeDecomposition, decompose, make_nice, primal_graph, validate_td
 from paspc.program import Program
 
 HEURISTICS = [(h, seed) for h in ("min-fill", "min-degree") for seed in (0, 1, 2)]
@@ -68,3 +70,46 @@ def test_counts_agree_across_decompositions_and_rewrites(gen):
         answer_sets = oracle.enumerate_answer_sets(p)
         assert pipeline.solve(p.with_projection(p.atom_mask)).count == len(answer_sets), i
         assert pipeline.solve(p.with_projection(0)).count == (1 if answer_sets else 0), i
+
+
+def hub_union(rng: random.Random, parts: list[Program]) -> tuple[Program, TreeDecomposition]:
+    """The disjoint union of the parts (part i's atoms renamed ``p<i>_<name>``)
+    and a decomposition of it: each part's own decomposition, with every part
+    hung from a random node under one empty hub bag, the last node."""
+    specs = []
+    for i, part in enumerate(parts):
+        names = [f"p{i}_{n}" for n in part.atom_names]
+        for r in part.rules:
+            specs.append(([names[a] for a in r.head], [names[a] for a in r.pos_body], [names[a] for a in r.neg_body]))
+    union = Program.from_specs(specs)
+    bags: list[frozenset[int]] = []
+    edges: list[tuple[int, int]] = []
+    hangs = []
+    for i, part in enumerate(parts):
+        ids = [union.atom_id(f"p{i}_{n}") for n in part.atom_names]
+        td = decompose(primal_graph(part))
+        off = len(bags)
+        bags += [frozenset(ids[a] for a in bag) for bag in td.bags]
+        edges += [(off + x, off + y) for x, y in td.edges]
+        hangs.append(off + rng.randrange(len(td.bags)))
+    edges += [(t, len(bags)) for t in hangs]
+    bags.append(frozenset())
+    return union, TreeDecomposition(bags, edges)
+
+
+def test_disjoint_parts_joined_over_an_empty_bag():
+    rng = random.Random(404)
+    empty_joins = 0
+    for i in range(300):
+        gen = rng.choice(list(GENERATORS))
+        parts = [gen(rng, rng.randint(1, 5), rng.randint(1, 6)) for _ in range(rng.randint(2, 3))]
+        p, td = hub_union(rng, parts)
+        p = p.with_projection(helpers.random_projection(rng, p))
+        assert validate_td(primal_graph(p), td) == []
+        nice = make_nice(td)
+        empty_joins += sum(nd.kind == "join" and not nd.bag for nd in nice.nodes)
+        want = oracle.projected_count(p)
+        # phc is sound on head-cycle-free unions, prim on every class
+        for algorithm in ("phc", "prim") if pipeline.pick_algorithm(p).name == "phc" else ("prim",):
+            assert pipeline.solve(p, algorithm=algorithm, td=td).count == want, (i, algorithm)
+    assert empty_joins >= 300

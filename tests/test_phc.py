@@ -9,7 +9,7 @@ from paspc.decomposition import decompose, make_nice, primal_graph
 from paspc.engine import NodeTable, bag_rule, has_solution, run_dp
 from paspc.formats import parse_program
 from paspc.phc import PhcRow, gp, ords
-from paspc.program import Program
+from paspc.program import Program, mask_of
 from reference import check_row_invariants
 
 # the paper's full-ordering PHC over enough atom ids for the programs below
@@ -246,5 +246,5 @@ class TestInvariants:
                 for seq in tab.origins[i]:
                     for ci, j in enumerate(seq):
                         c = nd.children[ci]
-                        kept = ttd.decode(c, ttd.table(c).rows[j].proven) & nd.bag_mask
+                        kept = ttd.decode(c, ttd.table(c).rows[j].proven) & mask_of(nd.bag)
                         assert kept & ~ttd.decode(t, row.proven) == 0

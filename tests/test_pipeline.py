@@ -4,8 +4,9 @@ import pytest
 
 import helpers
 from paspc import engine, oracle, pipeline
+from paspc.decomposition import TreeDecomposition
 from paspc.formats import parse_program
-from paspc.pipeline import AlgorithmMismatchError
+from paspc.pipeline import AlgorithmMismatchError, InvalidDecompositionError
 from paspc.program import Program
 
 
@@ -68,3 +69,31 @@ class TestAtomFreeConstraint:
         p = Program.from_specs([((), (), ())] + [((a,), (), ()) for a in facts])
         assert oracle.projected_count(p) == 0
         assert pipeline.solve(p, algorithm=algorithm).count == 0
+
+
+class TestSuppliedDecomposition:
+    """``solve`` validates a supplied decomposition before anything else."""
+
+    def test_uncovered_constraint_is_rejected(self):
+        # the constraint's atoms a, b share no bag, so it would never enter
+        # and the count would be 3
+        p = parse_program("a :- not b.\nb :- not a.\n:- a, b.\nc :- a.\n")
+        a, b, c = (p.atom_id(x) for x in "abc")
+        td = TreeDecomposition([frozenset({a}), frozenset({b}), frozenset({a, c})], [(0, 1), (1, 2)])
+        assert oracle.projected_count(p) == pipeline.solve(p).count == 2
+        with pytest.raises(InvalidDecompositionError, match=r"edge \(0,1\) inside no bag"):
+            pipeline.solve(p, td=td)
+
+    def test_cyclic_bag_graph_is_rejected(self):
+        # make_nice never finishes on a cycle of bags
+        p = parse_program("a :- b.\n")
+        bag = frozenset({p.atom_id("a"), p.atom_id("b")})
+        td = TreeDecomposition([bag, bag, bag], [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(InvalidDecompositionError, match="cycle"):
+            pipeline.solve(p, td=td)
+
+    def test_invalid_decomposition_reported_before_algorithm_mismatch(self):
+        p = parse_program("a | b.\na :- b.\nb :- a.\n")
+        td = TreeDecomposition([frozenset({0}), frozenset({1})], [(0, 1)])
+        with pytest.raises(InvalidDecompositionError):
+            pipeline.solve(p, algorithm="phc", td=td)

@@ -9,7 +9,7 @@ from paspc.decomposition import decompose, make_nice, primal_graph
 from paspc.engine import has_solution, run_dp
 from paspc.formats import parse_program
 from paspc.prim import DENSE_MAX_WIDTH, PrimAlgorithm, SparsePrimAlgorithm
-from paspc.program import Program, iter_bits
+from paspc.program import Program, iter_bits, mask_of
 from reference import PrimRow as DecodedRow, decoded_prim_row, reference_prim_tables
 
 
@@ -30,7 +30,7 @@ class TestTransitions:
         p = Program.from_specs([(("a", "b"), (), ())])
         ttd = run(p)
         full_node = next(
-            t for t in ttd.post_order if ttd.td.nodes[t].bag_mask == p.atom_mask
+            t for t in ttd.post_order if ttd.td.nodes[t].bag == frozenset(range(p.n_atoms))
         )
         rows = [decoded_prim_row(ttd, full_node, r) for r in ttd.table(full_node).rows]
         by_witness = {r.witness: r.counters for r in rows}
@@ -97,8 +97,9 @@ class TestFuzz:
                     assert not row.witness & ~bag_slots
                     assert all(not n & ~bag_slots for n in iter_bits(row.counters))
                     decoded = decoded_prim_row(ttd, t, row)
-                    assert not decoded.witness & ~ttd.td.nodes[t].bag_mask
-                    assert all(not n & ~ttd.td.nodes[t].bag_mask for n in decoded.counters)
+                    bag_mask = mask_of(ttd.td.nodes[t].bag)
+                    assert not decoded.witness & ~bag_mask
+                    assert all(not n & ~bag_mask for n in decoded.counters)
 
 
 def assert_tables_equal_reference(ttd, p, note=()):

@@ -4,16 +4,15 @@ import time
 import pytest
 
 import helpers
+from paspc.engine import bag_rule
 from paspc.program import (
     Program,
     ProgramKind,
     Rule,
     classify,
     dependency_digraph,
-    gl_reduct,
     is_model,
     iter_bits,
-    satisfies,
 )
 
 
@@ -40,47 +39,20 @@ class TestIterBits:
 
 
 class TestSatisfies:
+    """One rule's satisfaction, as ``is_model`` tests it on one rule with
+    atom-id masks."""
+
     def test_head_hit(self, example1):
         r = rule_of(example1, ["d", "e"], pos=["b"])
-        assert satisfies(example1.mask("bcd"), r)
+        assert is_model(example1.mask("bcd"), [bag_rule(r, range(example1.n_atoms))])
 
     def test_empty_constraint_unsatisfiable(self):
         r = Rule.make([], [], [])
-        assert not satisfies(0, r)
+        assert not is_model(0, [bag_rule(r, ())])
 
     def test_positive_body_met_head_missed(self):
         p = Program.from_specs([(("b",), ("a",), ())])
-        assert not satisfies(p.mask("a"), p.rules[0])
-
-
-class TestReduct:
-    def test_example1_under_be(self, example1):
-        red = gl_reduct(example1, example1.mask("be"))
-        expected = {
-            rule_of(example1, ["a", "b"]).key(),
-            rule_of(example1, ["c", "e"]).key(),
-            rule_of(example1, ["d", "e"], pos=["b"]).key(),
-            rule_of(example1, ["b"], pos=["e"]).key(),
-        }
-        assert {r.key() for r in red.rules} == expected
-
-    def test_empty_interpretation_keeps_all(self, example1):
-        red = gl_reduct(example1, 0)
-        assert len(red.rules) == len(example1.rules)
-        assert all(r.neg_mask == 0 for r in red.rules)
-
-    def test_identity_on_positive_programs(self):
-        p = Program.from_specs([(("a",), ("b",), ()), (("b", "c"), (), ())])
-        for interp in range(1 << p.n_atoms):
-            assert gl_reduct(p, interp).rules == p.rules
-
-    def test_reduct_model_equivalence_by_enumeration(self):
-        rng = random.Random(31)
-        for _ in range(30):
-            p = helpers.random_mixed(rng, rng.randint(1, 6), rng.randint(1, 8))
-            for interp in range(1 << p.n_atoms):
-                direct = all(satisfies(interp, r) for r in p.rules if not r.neg_mask & interp)
-                assert is_model(interp, gl_reduct(p, interp).rules) == direct
+        assert not is_model(p.mask("a"), [bag_rule(p.rules[0], range(p.n_atoms))])
 
 
 class TestClassify:
