@@ -1,5 +1,9 @@
 """Primal graphs, elimination-ordering tree decompositions, validation, and
-normalization to nice decompositions with empty root and leaf bags."""
+normalization to nice decompositions with empty root and leaf bags.
+
+``validate_td`` is the one decomposition check: ``pipeline.solve`` runs it on
+every supplied decomposition, and ``decompose`` builds valid ones.
+``make_nice`` is nice by construction and does not check its output."""
 
 from __future__ import annotations
 
@@ -262,11 +266,6 @@ class NiceTreeDecomposition:
     def width(self) -> int:
         return max(len(nd.bag) for nd in self.nodes) - 1
 
-    def to_tree_decomposition(self) -> TreeDecomposition:
-        bags = [nd.bag for nd in self.nodes]
-        edges = [(t, c) for t, nd in enumerate(self.nodes) for c in nd.children]
-        return TreeDecomposition(list(bags), edges)
-
 
 def assign_slots(ntd: NiceTreeDecomposition, n_atoms: int) -> list[int]:
     """A slot in 0..width per atom, distinct among the atoms of each bag.
@@ -293,40 +292,6 @@ def assign_slots(ntd: NiceTreeDecomposition, n_atoms: int) -> list[int]:
     return slots
 
 
-def check_nice(ntd: NiceTreeDecomposition) -> list[str]:
-    """Structural checks for the nice shape, joins over empty bags included;
-    used by tests and make_nice."""
-    problems = []
-    for t, nd in enumerate(ntd.nodes):
-        if nd.kind == LEAF:
-            if nd.children or nd.bag:
-                problems.append(f"node {t}: leaf must have no children and empty bag")
-        elif nd.kind == INTRODUCE:
-            if len(nd.children) != 1:
-                problems.append(f"node {t}: introduce needs one child")
-            else:
-                cb = ntd.nodes[nd.children[0]].bag
-                if nd.atom is None or nd.atom in cb or cb | {nd.atom} != nd.bag:
-                    problems.append(f"node {t}: bad introduce")
-        elif nd.kind == REMOVE:
-            if len(nd.children) != 1:
-                problems.append(f"node {t}: remove needs one child")
-            else:
-                cb = ntd.nodes[nd.children[0]].bag
-                if nd.atom is None or nd.atom in nd.bag or nd.bag | {nd.atom} != cb:
-                    problems.append(f"node {t}: bad remove")
-        elif nd.kind == JOIN:
-            if len(nd.children) != 2:
-                problems.append(f"node {t}: join needs two children")
-            elif any(ntd.nodes[c].bag != nd.bag for c in nd.children):
-                problems.append(f"node {t}: join children bags differ")
-        else:
-            problems.append(f"node {t}: unknown kind {nd.kind}")
-    if ntd.nodes[ntd.root].bag:
-        problems.append("root bag not empty")
-    return problems
-
-
 def make_nice(td: TreeDecomposition, root: int | None = None) -> NiceTreeDecomposition:
     """Normalize a valid decomposition to a nice one of the same width.
     The input is not checked: the walk below never ends on a bag graph with
@@ -336,6 +301,11 @@ def make_nice(td: TreeDecomposition, root: int | None = None) -> NiceTreeDecompo
     original bags, removals come first and introductions second, both in
     ascending atom order.  Multi-child nodes become chains of binary joins,
     over an empty bag too.
+
+    The output is nice by construction, so it is not checked either:
+    ``chain_up`` removes only atoms in the bag and introduces only atoms not
+    in it, starting from an empty leaf bag; a join only combines tops already
+    lifted to its bag; and the root chain ends on the empty bag.
     """
     ntd = NiceTreeDecomposition()
     n = len(td.bags)
@@ -388,10 +358,5 @@ def make_nice(td: TreeDecomposition, root: int | None = None) -> NiceTreeDecompo
             cur = ntd.add(JOIN, bag, None, tuple(sorted((cur, other))))
         built[t] = cur
 
-    top = chain_up(built[root], td.bags[root], frozenset())
-    ntd.root = top
-
-    problems = check_nice(ntd)
-    if problems:
-        raise AssertionError("make_nice produced a malformed tree: " + "; ".join(problems))
+    ntd.root = chain_up(built[root], td.bags[root], frozenset())
     return ntd

@@ -100,6 +100,8 @@ class TabledTreeDecomposition:
     slots: list[int]  # per atom: its bag slot
     post_order: list[int] = field(default_factory=list)
     seconds: dict[str, float] = field(default_factory=dict)  # wall seconds of run_dp per node kind
+    row_counts: dict[str, int] = field(default_factory=dict)  # rows of run_dp per node kind
+    max_table: int = 0  # rows of the largest table
 
     def table(self, t: int) -> NodeTable:
         tab = self.tables[t]
@@ -162,20 +164,24 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
     rules = entering_rules(program, td, slots)
     tables: list[NodeTable | None] = [None] * len(td.nodes)
     seconds = dict.fromkeys((LEAF, INTRODUCE, REMOVE, JOIN), 0.0)
+    row_counts = dict.fromkeys(seconds, 0)
+    max_table = 0
     clock = time.perf_counter
     start = clock()
+    # post-order: every child's table exists before its parent's
     for t in order:
         nd = td.nodes[t]
         children = [tables[c] for c in nd.children]
-        assert all(c is not None for c in children)
         slot = None if nd.atom is None else slots[nd.atom]
         produced = alg.node_table(nd.kind, nd.atom, slot, rules[t], children)  # type: ignore[arg-type]
         tables[t] = NodeTable(list(produced), list(produced.values()))
+        row_counts[nd.kind] += len(produced)
+        max_table = max(max_table, len(produced))
         # one clock read per node: its end is the next node's start
         end = clock()
         seconds[nd.kind] += end - start
         start = end
-    return TabledTreeDecomposition(td, program, alg, tables, rules, slots, order, seconds)
+    return TabledTreeDecomposition(td, program, alg, tables, rules, slots, order, seconds, row_counts, max_table)
 
 
 @dataclass

@@ -29,19 +29,6 @@ class PhcRow(NamedTuple):
     order: tuple[int, ...]
 
 
-def ords(order: tuple[int, ...], addition) -> list[tuple[int, ...]]:
-    """All insertions of the (at most one) added atom into the ordering."""
-    extra = list(addition)
-    if not extra:
-        return [order]
-    if len(extra) > 1:
-        raise ValueError("at most one atom can be inserted at a time")
-    a = extra[0]
-    if a in order:
-        raise ValueError("atom already ordered")
-    return [order[:i] + (a,) + order[i:] for i in range(len(order) + 1)]
-
-
 def gp(interp: int, order: tuple[int, ...], rules: Sequence[BagRule], components: Mapping[int, int]) -> int:
     """Atoms provable under the interpretation and ordering (as a slot mask).
 
@@ -90,13 +77,13 @@ class PhcAlgorithm:
 
     def _orders(self, order: tuple[int, ...], atom: int) -> list[tuple[int, ...]]:
         """Orderings with the introduced true cyclic atom: its insertions
-        among the atoms of its own component."""
+        among the atoms of its own component, whose block the ordering keeps
+        contiguous by component id; the other atoms keep their positions."""
         comp = self.components
         c = comp[atom]
         start = bisect_left(order, c, key=comp.__getitem__)
         end = bisect_right(order, c, lo=start, key=comp.__getitem__)
-        head, tail = order[:start], order[end:]
-        return [head + block + tail for block in ords(order[start:end], (atom,))]
+        return [order[:i] + (atom,) + order[i:] for i in range(start, end + 1)]
 
     def node_table(
         self,

@@ -7,17 +7,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import engine, proj
-from .decomposition import (
-    INTRODUCE,
-    JOIN,
-    LEAF,
-    REMOVE,
-    TreeDecomposition,
-    decompose,
-    make_nice,
-    primal_graph,
-    validate_td,
-)
+from .decomposition import TreeDecomposition, decompose, make_nice, primal_graph, validate_td
 from .phc import PhcAlgorithm
 from .prim import PrimAlgorithm
 from .program import Program, ProgramKind, classify
@@ -132,11 +122,8 @@ def solve(
         ttd = engine.run_dp(alg, program, nice)
         stats.timings["dp"] = time.perf_counter() - t0
         stats.dp_seconds = dict(ttd.seconds)
-        stats.rows = dict.fromkeys((LEAF, INTRODUCE, REMOVE, JOIN), 0)
-        for t in ttd.post_order:
-            n = len(ttd.table(t))
-            stats.rows[nice.nodes[t].kind] += n
-            stats.max_table = max(stats.max_table, n)
+        stats.rows = dict(ttd.row_counts)
+        stats.max_table = ttd.max_table
 
         t0 = time.perf_counter()
         purged = engine.purge(ttd)

@@ -24,10 +24,6 @@ def mask_of(ids: Iterable[int]) -> int:
     return m
 
 
-def ids_of(mask: int) -> tuple[int, ...]:
-    return tuple(iter_bits(mask))
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     """The positions of the set bits, ascending.  Each step peels the lowest
     set bit, so a call takes one step per set bit, not one per position."""

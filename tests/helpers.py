@@ -1,6 +1,7 @@
 """Shared test support: the running example, a hand-built 14-node nice
 decomposition for it, the paper's full-ordering PHC as a reference, random
-valid decompositions, and seeded random program generators per class."""
+valid decompositions, seeded random program generators per class, and the
+seeded projection fuzz draws."""
 
 from __future__ import annotations
 
@@ -213,3 +214,23 @@ def random_disjunctive(rng: random.Random, n_atoms: int, n_rules: int, max_size:
     p = Program.from_specs(specs)
     assert classify(p).kind is ProgramKind.DISJUNCTIVE
     return p
+
+
+def projection_fuzz():
+    """The seeded projection fuzz draws: per instance whether it runs under
+    ``prim`` (or else a PHC), the program and a random projection.  The second stream's sparser programs of 10-12 atoms branch
+    in their decompositions, so join buckets of several rows occur.  The
+    third stream's guessed atoms give child buckets whose rows have
+    different singleton counts, with a one-row bucket above reading a row
+    at a position > 0 of such a bucket."""
+    streams = (
+        (909, random_mixed, (1, 6), (1, 8)),
+        (4, random_mixed, (10, 12), (8, 11)),
+        (6, random_guessed, (2, 3), (2, 5)),
+    )
+    for seed, gen, atoms, rules in streams:
+        rng = random.Random(seed)
+        for prim in (False, True):
+            for _ in range(25):
+                p = gen(rng, rng.randint(*atoms), rng.randint(*rules))
+                yield prim, p, random_projection(rng, p)

@@ -2,12 +2,14 @@
 formulas of the projection pass, the union-count transform of a bucket's
 intersection counts, the engine's origin links as row tuples and their
 definitional recomputation, structural row checks on decoded rows, the
-``prim`` table algorithm with counter sets as frozensets of atom masks, and
-the first elimination-ordering decomposition.
+``prim`` table algorithm with counter sets as frozensets of atom masks, the
+first elimination-ordering decomposition, and the structural check of the
+nice shape.
 The library computes the same quantities bucket-wise (``paspc.proj``),
 records them during the table pass (``paspc.engine``), encodes rows in bag
-slots with counter sets as subset bitsets (``paspc.prim``) or selects and
-links bags with cheaper structures (``paspc.decomposition``)."""
+slots with counter sets as subset bitsets (``paspc.prim``), selects and
+links bags with cheaper structures, or builds nice decompositions that are
+nice by construction (``paspc.decomposition``)."""
 
 from __future__ import annotations
 
@@ -29,10 +31,14 @@ from paspc.decomposition import (
 )
 from paspc.engine import BagRule, NodeTable, TabledTreeDecomposition, bag_rule, entering_rules
 from paspc.phc import PhcAlgorithm
-from paspc.program import Program, Rule, ids_of, is_model, mask_of
+from paspc.program import Program, Rule, is_model, iter_bits, mask_of
 from paspc.proj import buckets
 
 ProjTable = dict[frozenset[int], int]
+
+
+def ids_of(mask: int) -> tuple[int, ...]:
+    return tuple(iter_bits(mask))
 
 
 # --- projection pass ----------------------------------------------------------
@@ -455,3 +461,44 @@ def reference_decompose(graph: PrimalGraph, heuristic: str = "min-fill", seed: i
                 edges.append((i, j))
                 break
     return TreeDecomposition(bags, edges)
+
+
+def to_tree_decomposition(ntd: NiceTreeDecomposition) -> TreeDecomposition:
+    """The nice decomposition as a plain one: the same bags, one edge per
+    parent-child pair."""
+    edges = [(t, c) for t, nd in enumerate(ntd.nodes) for c in nd.children]
+    return TreeDecomposition([nd.bag for nd in ntd.nodes], edges)
+
+
+def check_nice(ntd: NiceTreeDecomposition) -> list[str]:
+    """Structural checks for the nice shape, joins over empty bags included
+    (empty when nice)."""
+    problems = []
+    for t, nd in enumerate(ntd.nodes):
+        if nd.kind == LEAF:
+            if nd.children or nd.bag:
+                problems.append(f"node {t}: leaf must have no children and empty bag")
+        elif nd.kind == INTRODUCE:
+            if len(nd.children) != 1:
+                problems.append(f"node {t}: introduce needs one child")
+            else:
+                cb = ntd.nodes[nd.children[0]].bag
+                if nd.atom is None or nd.atom in cb or cb | {nd.atom} != nd.bag:
+                    problems.append(f"node {t}: bad introduce")
+        elif nd.kind == REMOVE:
+            if len(nd.children) != 1:
+                problems.append(f"node {t}: remove needs one child")
+            else:
+                cb = ntd.nodes[nd.children[0]].bag
+                if nd.atom is None or nd.atom in nd.bag or nd.bag | {nd.atom} != cb:
+                    problems.append(f"node {t}: bad remove")
+        elif nd.kind == JOIN:
+            if len(nd.children) != 2:
+                problems.append(f"node {t}: join needs two children")
+            elif any(ntd.nodes[c].bag != nd.bag for c in nd.children):
+                problems.append(f"node {t}: join children bags differ")
+        else:
+            problems.append(f"node {t}: unknown kind {nd.kind}")
+    if ntd.nodes[ntd.root].bag:
+        problems.append("root bag not empty")
+    return problems

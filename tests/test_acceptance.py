@@ -18,7 +18,7 @@ from paspc.decomposition import decompose, make_nice, primal_graph, validate_td
 from paspc.engine import has_solution, purge, run_dp
 from paspc.phc import PhcRow
 from paspc.program import Program, mask_of
-from reference import ipmc, pcnt, reference_proj_table
+from reference import ipmc, pcnt, reference_proj_table, to_tree_decomposition
 
 FUZZ_PER_CLASS = 500
 FUZZ_SEED = 20250810
@@ -164,7 +164,7 @@ def test_criterion_6_decomposition_quality(example1):
             ok = False
             break
         nice = make_nice(td)
-        if nice.width != td.width or validate_td(g, nice.to_tree_decomposition()):
+        if nice.width != td.width or validate_td(g, to_tree_decomposition(nice)):
             ok = False
             break
     report(6, "heuristic decompositions valid, width 2 on the example, nice form width-preserving", ok)

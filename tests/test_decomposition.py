@@ -8,7 +8,6 @@ from paspc.decomposition import (
     PrimalGraph,
     TreeDecomposition,
     assign_slots,
-    check_nice,
     decompose,
     make_nice,
     primal_graph,
@@ -16,7 +15,7 @@ from paspc.decomposition import (
 )
 from paspc.formats import read_td, write_td
 from paspc.program import Program
-from reference import reference_decompose
+from reference import check_nice, reference_decompose, to_tree_decomposition
 
 
 def random_graph(rng, n, density=0.3):
@@ -197,14 +196,14 @@ class TestMakeNice:
         assert ntd.width == 2
         assert len(ntd.nodes) == 14
         g = primal_graph(program)
-        assert validate_td(g, ntd.to_tree_decomposition()) == []
+        assert validate_td(g, to_tree_decomposition(ntd)) == []
 
     def test_idempotent_up_to_renaming(self):
         rng = random.Random(23)
         for _ in range(25):
             g = random_graph(rng, rng.randint(1, 9))
             ntd = make_nice(decompose(g, "min-fill", 0))
-            plain = ntd.to_tree_decomposition()
+            plain = to_tree_decomposition(ntd)
             again = make_nice(plain, root=ntd.root)
             assert shape_signature(ntd, ntd.root) == shape_signature(again, again.root)
 
@@ -216,7 +215,7 @@ class TestMakeNice:
             ntd = make_nice(td)
             assert check_nice(ntd) == []
             assert ntd.width == td.width
-            assert validate_td(g, ntd.to_tree_decomposition()) == []
+            assert validate_td(g, to_tree_decomposition(ntd)) == []
 
     def test_empty_bag_multi_child_becomes_join(self):
         # an empty-bag node with two children becomes a join over the empty
@@ -230,8 +229,34 @@ class TestMakeNice:
         joins = [nd for nd in ntd.nodes if nd.kind == "join"]
         assert [nd.bag for nd in joins] == [frozenset()]
         assert ntd.nodes[ntd.root] is joins[0]
-        assert validate_td(g, ntd.to_tree_decomposition()) == []
+        assert validate_td(g, to_tree_decomposition(ntd)) == []
         assert ntd.width == 0
+
+    def test_supplied_decompositions_at_random_roots(self):
+        # decompositions as a caller supplies them (random elimination order,
+        # shuffled node ids), also as read back from a --td file, rooted at a
+        # random bag: the nice form keeps the width
+        rng = random.Random(1313)
+        for _ in range(120):
+            p = helpers.random_mixed(rng, rng.randint(1, 12), rng.randint(1, 14), max_size=4)
+            td = helpers.random_decomposition(rng, primal_graph(p))
+            for plain in (td, read_td(write_td(td), p.n_atoms)):
+                ntd = make_nice(plain, root=rng.randrange(len(plain.bags)))
+                assert check_nice(ntd) == []
+                assert ntd.width == plain.width
+
+    def test_empty_hub_with_many_children(self):
+        # an empty bag linking four subtrees becomes three joins over the
+        # empty bag, whichever bag is the root
+        bags = [frozenset(), frozenset({0}), frozenset({1, 2}), frozenset({3}), frozenset({4, 5})]
+        td = TreeDecomposition(bags, [(0, 1), (0, 2), (0, 3), (0, 4)])
+        for root in range(len(bags)):
+            ntd = make_nice(td, root=root)
+            assert check_nice(ntd) == []
+            assert ntd.width == td.width == 1
+            joins = [nd for nd in ntd.nodes if nd.kind == "join"]
+            assert len(joins) == (3 if root == 0 else 2)
+            assert all(nd.bag == frozenset() for nd in joins)
 
     def test_root_and_leaf_bags_empty(self):
         rng = random.Random(13)

@@ -1,14 +1,12 @@
 import math
 import random
 
-import pytest
-
 import helpers
 from paspc import engine, oracle, pipeline
 from paspc.decomposition import decompose, make_nice, primal_graph
 from paspc.engine import NodeTable, bag_rule, has_solution, run_dp
 from paspc.formats import parse_program
-from paspc.phc import PhcRow, gp, ords
+from paspc.phc import PhcAlgorithm, PhcRow, gp
 from paspc.program import Program, mask_of
 from reference import check_row_invariants
 
@@ -66,18 +64,23 @@ class TestGp:
 
 
 class TestOrds:
-    def test_empty_addition(self):
-        assert ords((), ()) == [()]
+    """Insertions of an introduced cyclic atom into an ordering of three
+    components (ids 0, 2, 4), grouped by component id: only the atom's own
+    block changes."""
+
+    ALG = PhcAlgorithm({1: 0, 3: 0, 0: 2, 2: 2, 4: 2, 6: 3, 5: 4})
+    ORDER = (1, 0, 2, 5)
+
+    def test_empty_block(self):
+        # component 3 has no ordered atom yet: one position, between 2 and 4
+        assert self.ALG._orders(self.ORDER, 6) == [(1, 0, 2, 6, 5)]
+        assert self.ALG._orders((), 6) == [(6,)]
 
     def test_two_positions(self):
-        assert ords((1,), (3,)) == [(3, 1), (1, 3)]
+        assert self.ALG._orders(self.ORDER, 3) == [(3, 1, 0, 2, 5), (1, 3, 0, 2, 5)]
 
     def test_three_positions(self):
-        assert ords((0, 1), (2,)) == [(2, 0, 1), (0, 2, 1), (0, 1, 2)]
-
-    def test_rejects_multiple(self):
-        with pytest.raises(ValueError):
-            ords((), (1, 2))
+        assert self.ALG._orders(self.ORDER, 4) == [(1, 4, 0, 2, 5), (1, 0, 4, 2, 5), (1, 0, 2, 4, 5)]
 
 
 def single_row_table(row):

@@ -97,3 +97,20 @@ class TestSuppliedDecomposition:
         td = TreeDecomposition([frozenset({0}), frozenset({1})], [(0, 1)])
         with pytest.raises(InvalidDecompositionError):
             pipeline.solve(p, algorithm="phc", td=td)
+
+
+class TestRowStats:
+    def test_rows_and_max_table_match_a_recount(self):
+        # run_dp counts rows per node kind and the largest table as it goes;
+        # a recount over the tables must agree under both algorithms
+        seen = set()
+        for prim, p, pmask in helpers.projection_fuzz():
+            result = pipeline.solve(p.with_projection(pmask), algorithm="prim" if prim else "auto")
+            want = dict.fromkeys(("leaf", "int", "rem", "join"), 0)
+            for nd, tab in zip(result.ttd.td.nodes, result.ttd.tables):
+                want[nd.kind] += len(tab)
+            assert result.stats.rows == want
+            assert list(result.stats.rows) == list(want)
+            assert result.stats.max_table == max(len(tab) for tab in result.ttd.tables)
+            seen.add(result.stats.algorithm)
+        assert seen == {"phc", "prim"}

@@ -312,27 +312,13 @@ class TestRunProj:
 
     @staticmethod
     def seeded_fuzz():
-        """The seeded projection fuzz: both algorithms, random projections.
-        The second stream's sparser programs of 10-12 atoms branch in their
-        decompositions, so join buckets of several rows occur.  The third
-        stream's guessed atoms give child buckets whose rows have different
-        singleton counts, with a one-row bucket above reading a row at a
-        position > 0 of such a bucket."""
-        streams = (
-            (909, helpers.random_mixed, (1, 6), (1, 8)),
-            (4, helpers.random_mixed, (10, 12), (8, 11)),
-            (6, helpers.random_guessed, (2, 3), (2, 5)),
-        )
-        for seed, gen, atoms, rules in streams:
-            rng = random.Random(seed)
-            for prim in (False, True):
-                for _ in range(25):
-                    p = gen(rng, rng.randint(*atoms), rng.randint(*rules))
-                    alg = PrimAlgorithm() if prim else helpers.paper_phc(max(p.n_atoms, 8))
-                    pmask = helpers.random_projection(rng, p)
-                    ttd = run_dp(alg, p, make_nice(decompose(primal_graph(p))))
-                    purged = purge(ttd)
-                    yield alg, pmask, ttd, purged, run_proj(purged, pmask)
+        """The seeded projection fuzz (``helpers.projection_fuzz``) through
+        the table pass, purge and the projection pass."""
+        for prim, p, pmask in helpers.projection_fuzz():
+            alg = PrimAlgorithm() if prim else helpers.paper_phc(max(p.n_atoms, 8))
+            ttd = run_dp(alg, p, make_nice(decompose(primal_graph(p))))
+            purged = purge(ttd)
+            yield alg, pmask, ttd, purged, run_proj(purged, pmask)
 
     def test_fuzz_reaches_multi_row_join_buckets(self):
         # the two-child path is exercised under both algorithms
