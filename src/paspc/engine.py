@@ -11,22 +11,24 @@ algorithms translated once per solve into ``BagRule``s, whose masks are
 slot masks.  ``TabledTreeDecomposition.decode`` turns a node's slot mask
 back into an atom mask, for traces and tests.
 
-Each table algorithm turns one node's child tables into the node's own table
-and reports, per emitted row, the child-row index sequences it came from.
-It sees only the rules entering at the node, those whose atoms first all fit
-a bag there: the rules of an introduced atom that fit its bag, and the
-atomless rules at a leaf.  Every other rule that fits the bag was checked
-below, on the same interpretation of its atoms.  The driver records tables
-and origin links in the order the algorithm emitted them; a later top-down
-pass (purge) marks the rows reachable from the solution row at the root and
-keeps their table indices, so the projection pass reads the kept rows'
-origins in place.
+The engine owns the table contract.  ``node_table`` builds each node's
+table: a leaf holds the algorithm's ``solution_row`` (the empty row) if the
+atomless rules hold, and an introduce, remove or join node holds the rows
+that the algorithm's generator of that kind yields as (row, origin) pairs,
+an origin being the child-row indices the row came from.  An algorithm sees
+only the rules entering at the node, those whose atoms first all fit a bag
+there: the rules of an introduced atom that fit its bag, and the atomless
+rules at a leaf.  Every other rule that fits the bag was checked below, on
+the same interpretation of its atoms.  Tables keep their rows in the order
+the algorithm first emitted them; a later top-down pass (purge) marks the
+rows reachable from the solution row at the root and keeps their table
+indices, so the projection pass reads the kept rows' origins in place.
 
-A row's origins are a list in emission order.  No origin repeats: a
-one-child node visits each child row once and the rows one child row yields
-are distinct, and a join visits each pair of matching child rows once, left
-row outer and right row inner.  So each list comes out strictly ascending,
-and ``run_dp`` stores the lists as they are.
+A row's origins are a list in emission order, built by ``node_table`` alone.
+No origin repeats: a one-child node visits each child row once and the rows
+one child row yields are distinct, and a join visits each pair of matching
+child rows once, left row outer and right row inner.  So each list comes out
+strictly ascending, and ``run_dp`` stores the lists as they are.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Any, NamedTuple, Protocol, Sequence
+from typing import Any, Iterator, NamedTuple, Protocol, Sequence
 
 from .decomposition import INTRODUCE, JOIN, LEAF, REMOVE, NiceTreeDecomposition, assign_slots
-from .program import Program, Rule
+from .program import Program, Rule, is_model
 
 
 class BagRule(NamedTuple):
@@ -55,17 +57,22 @@ class BagRule(NamedTuple):
 
 
 class TableAlgorithm(Protocol):
+    """One table form.  ``solution_row`` is the empty row: both a leaf's one
+    row and, at the root, the witness that the program has an answer set.
+    ``introduce``, ``remove`` and ``join`` yield the (row, origin) pairs of
+    one node of their kind, each child row (or matching pair of child rows)
+    visited in table order; ``node_table`` turns them into the table."""
+
     name: str
     solution_row: Any
 
-    def node_table(
-        self,
-        kind: str,
-        atom: int | None,
-        slot: int | None,
-        rules: Sequence[BagRule],
-        child_tables: Sequence["NodeTable"],
-    ) -> dict[Any, list[tuple[int, ...]]]: ...
+    def introduce(
+        self, atom: int, slot: int, rules: Sequence[BagRule], child_rows: Sequence[Any]
+    ) -> Iterator[tuple[Any, tuple[int, ...]]]: ...
+
+    def remove(self, atom: int, slot: int, child_rows: Sequence[Any]) -> Iterator[tuple[Any, tuple[int, ...]]]: ...
+
+    def join(self, left_rows: Sequence[Any], right_rows: Sequence[Any]) -> Iterator[tuple[Any, tuple[int, ...]]]: ...
 
     def interp(self, row: Any) -> int: ...
 
@@ -155,6 +162,38 @@ def entering_rules(program: Program, td: NiceTreeDecomposition, slots: Sequence[
     return out
 
 
+def node_table(
+    alg: TableAlgorithm,
+    kind: str,
+    atom: int | None,
+    slot: int | None,
+    rules: Sequence[BagRule],
+    child_tables: Sequence[NodeTable],
+) -> dict[Any, list[tuple[int, ...]]]:
+    """One node's table: each row the algorithm emits, in first-emission
+    order, with the list of its origins in emission order."""
+    if kind == LEAF:
+        return {alg.solution_row: [()]} if is_model(0, rules) else {}
+    if kind == INTRODUCE:
+        pairs = alg.introduce(atom, slot, rules, child_tables[0].rows)  # type: ignore[arg-type]
+    elif kind == REMOVE:
+        pairs = alg.remove(atom, slot, child_tables[0].rows)  # type: ignore[arg-type]
+    elif kind == JOIN:
+        pairs = alg.join(child_tables[0].rows, child_tables[1].rows)
+    else:
+        raise ValueError(f"unknown node kind {kind!r}")
+    # the first origin creates the row's list and later ones are appended:
+    # no setdefault(row, []), which allocates a list per call
+    out: dict[Any, list[tuple[int, ...]]] = {}
+    for row, origin in pairs:
+        seqs = out.get(row)
+        if seqs is None:
+            out[row] = [origin]
+        else:
+            seqs.append(origin)
+    return out
+
+
 def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> TabledTreeDecomposition:
     """Run the table algorithm, as chosen for the decomposition's width,
     over all nodes in post-order."""
@@ -173,7 +212,7 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
         nd = td.nodes[t]
         children = [tables[c] for c in nd.children]
         slot = None if nd.atom is None else slots[nd.atom]
-        produced = alg.node_table(nd.kind, nd.atom, slot, rules[t], children)  # type: ignore[arg-type]
+        produced = node_table(alg, nd.kind, nd.atom, slot, rules[t], children)  # type: ignore[arg-type]
         tables[t] = NodeTable(list(produced), list(produced.values()))
         row_counts[nd.kind] += len(produced)
         max_table = max(max_table, len(produced))

@@ -16,10 +16,9 @@ is the paper's algorithm, which orders every true bag atom.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .decomposition import INTRODUCE, JOIN, LEAF, REMOVE
-from .engine import BagRule, NodeTable
+from .engine import BagRule
 from .program import is_model
 
 
@@ -85,63 +84,39 @@ class PhcAlgorithm:
         end = bisect_right(order, c, lo=start, key=comp.__getitem__)
         return [order[:i] + (atom,) + order[i:] for i in range(start, end + 1)]
 
-    def node_table(
-        self,
-        kind: str,
-        atom: int | None,
-        slot: int | None,
-        rules: Sequence[BagRule],
-        child_tables: Sequence[NodeTable],
-    ) -> dict[PhcRow, list[tuple[int, ...]]]:
-        # Each row's origins are a list in emission order: no origin repeats,
-        # so it comes out ascending (see ``engine``).  Rows are built by the
-        # C tuple constructor: the NamedTuple's own __new__ is a Python
-        # function, about twice the cost per row.
-        out: dict[PhcRow, list[tuple[int, ...]]] = {}
+    def introduce(
+        self, atom: int, slot: int, rules: Sequence[BagRule], child_rows: Sequence[PhcRow]
+    ) -> Iterator[tuple[PhcRow, tuple[int]]]:
+        # rows here and in ``prim`` are built by the C tuple constructor: the
+        # NamedTuple's own __new__ is a Python function, twice the cost per row
         new_row = tuple.__new__
         comp = self.components
-        if kind == LEAF:
-            if is_model(0, rules):
-                out[PhcRow(0, 0, ())] = [()]
-        elif kind == INTRODUCE:
-            bit = 1 << slot
-            cyclic = atom in comp
-            for ci, (base, proven, order) in enumerate(child_tables[0].rows):
-                for interp in (base, base | bit):
-                    if not is_model(interp, rules):
-                        continue
-                    for new_order in self._orders(order, atom) if interp & bit and cyclic else (order,):
-                        new = new_row(PhcRow, (interp, proven | gp(interp, new_order, rules, comp), new_order))
-                        seqs = out.get(new)
-                        if seqs is None:
-                            out[new] = [(ci,)]
-                        else:
-                            seqs.append((ci,))
-        elif kind == REMOVE:
-            bit = 1 << slot
-            cyclic = atom in comp
-            for ci, (interp, proven, order) in enumerate(child_tables[0].rows):
-                if proven & bit or not interp & bit:
-                    if cyclic:
-                        order = tuple(a for a in order if a != atom)
-                    new = new_row(PhcRow, (interp & ~bit, proven & ~bit, order))
-                    seqs = out.get(new)
-                    if seqs is None:
-                        out[new] = [(ci,)]
-                    else:
-                        seqs.append((ci,))
-        elif kind == JOIN:
-            right: dict[tuple[int, tuple[int, ...]], list[tuple[int, int]]] = {}
-            for cj, (interp, proven, order) in enumerate(child_tables[1].rows):
-                right.setdefault((interp, order), []).append((cj, proven))
-            for ci, (interp, proven, order) in enumerate(child_tables[0].rows):
-                for cj, proven2 in right.get((interp, order), ()):
-                    new = new_row(PhcRow, (interp, proven | proven2, order))
-                    seqs = out.get(new)
-                    if seqs is None:
-                        out[new] = [(ci, cj)]
-                    else:
-                        seqs.append((ci, cj))
-        else:
-            raise ValueError(f"unknown node kind {kind!r}")
-        return out
+        bit = 1 << slot
+        cyclic = atom in comp
+        for ci, (base, proven, order) in enumerate(child_rows):
+            origin = (ci,)
+            for interp in (base, base | bit):
+                if not is_model(interp, rules):
+                    continue
+                for new_order in self._orders(order, atom) if interp & bit and cyclic else (order,):
+                    yield new_row(PhcRow, (interp, proven | gp(interp, new_order, rules, comp), new_order)), origin
+
+    def remove(self, atom: int, slot: int, child_rows: Sequence[PhcRow]) -> Iterator[tuple[PhcRow, tuple[int]]]:
+        new_row = tuple.__new__
+        bit = 1 << slot
+        cyclic = atom in self.components
+        for ci, (interp, proven, order) in enumerate(child_rows):
+            if proven & bit or not interp & bit:
+                if cyclic:
+                    order = tuple(a for a in order if a != atom)
+                yield new_row(PhcRow, (interp & ~bit, proven & ~bit, order)), (ci,)
+
+    @staticmethod
+    def join(left_rows: Sequence[PhcRow], right_rows: Sequence[PhcRow]) -> Iterator[tuple[PhcRow, tuple[int, int]]]:
+        new_row = tuple.__new__
+        right: dict[tuple[int, tuple[int, ...]], list[tuple[int, int]]] = {}
+        for cj, (interp, proven, order) in enumerate(right_rows):
+            right.setdefault((interp, order), []).append((cj, proven))
+        for ci, (interp, proven, order) in enumerate(left_rows):
+            for cj, proven2 in right.get((interp, order), ()):
+                yield new_row(PhcRow, (interp, proven | proven2, order)), (ci, cj)

@@ -31,10 +31,9 @@ the reduct one by one, so its rows cost what their counters cost.
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
-from .decomposition import INTRODUCE, JOIN, LEAF, REMOVE
-from .engine import BagRule, NodeTable
+from .engine import BagRule
 from .program import is_model, iter_bits
 
 
@@ -81,87 +80,64 @@ class PrimAlgorithm:
             self._with_slot = with_slot
         return with_slot
 
-    def node_table(
-        self,
-        kind: str,
-        atom: int | None,
-        slot: int | None,
-        rules: Sequence[BagRule],
-        child_tables: Sequence[NodeTable],
-    ) -> dict[PrimRow, list[tuple[int, ...]]]:
-        # origins and row construction as in ``phc.PhcAlgorithm.node_table``
-        out: dict[PrimRow, list[tuple[int, ...]]] = {}
+    def introduce(
+        self, atom: int, slot: int, rules: Sequence[BagRule], child_rows: Sequence[PrimRow]
+    ) -> Iterator[tuple[PrimRow, tuple[int]]]:
         new_row = tuple.__new__
-        if kind == LEAF:
-            if is_model(0, rules):
-                out[PrimRow(0, 0)] = [()]
-        elif kind == INTRODUCE:
-            bit = 1 << slot  # type: ignore[operator]
-            with_slot = self._subsets_with(slot + 1)  # type: ignore[operator]
-            # per rule, the subsets satisfying it in a reduct: a head slot
-            # in the subset, or a positive body slot outside it
-            satisfied = []
-            for r in rules:
-                head, body = 0, -1
-                for s in iter_bits(r.head_mask):
-                    head |= with_slot[s]
-                for s in iter_bits(r.pos_mask):
-                    body &= with_slot[s]
-                satisfied.append((r.neg_mask, head | ~body))
-            reduct_models: dict[int, int | None] = {}  # R_W by witness; None if W is no model
-            for ci, (base, c) in enumerate(child_tables[0].rows):
-                for witness in (base, base | bit):
-                    if witness in reduct_models:
-                        r_w = reduct_models[witness]
-                    else:
-                        r_w = None
-                        if is_model(witness, rules):
-                            r_w = -1
-                            for neg, sat in satisfied:
-                                if not neg & witness:
-                                    r_w &= sat
-                        reduct_models[witness] = r_w
-                    if r_w is None:
-                        continue
-                    if witness & bit:
-                        # every counter with and without the new slot, and the
-                        # old witness: it lacks the new atom, so it is now a
-                        # strictly smaller model candidate
-                        counters = ((c | c << bit) & r_w) | (r_w & 1 << base)
-                    else:
-                        counters = c & r_w
-                    new = new_row(PrimRow, (witness, counters))
-                    seqs = out.get(new)
-                    if seqs is None:
-                        out[new] = [(ci,)]
-                    else:
-                        seqs.append((ci,))
-        elif kind == REMOVE:
-            bit = 1 << slot  # type: ignore[operator]
-            with_s = self._subsets_with(slot + 1)[slot]  # type: ignore[operator, index]
-            without_s = ~with_s
-            for ci, (witness, c) in enumerate(child_tables[0].rows):
-                new = new_row(PrimRow, (witness & ~bit, (c & without_s) | (c & with_s) >> bit))
-                seqs = out.get(new)
-                if seqs is None:
-                    out[new] = [(ci,)]
+        bit = 1 << slot
+        with_slot = self._subsets_with(slot + 1)
+        # per rule, the subsets satisfying it in a reduct: a head slot
+        # in the subset, or a positive body slot outside it
+        satisfied = []
+        for r in rules:
+            head, body = 0, -1
+            for s in iter_bits(r.head_mask):
+                head |= with_slot[s]
+            for s in iter_bits(r.pos_mask):
+                body &= with_slot[s]
+            satisfied.append((r.neg_mask, head | ~body))
+        reduct_models: dict[int, int | None] = {}  # R_W by witness; None if W is no model
+        for ci, (base, c) in enumerate(child_rows):
+            origin = (ci,)
+            for witness in (base, base | bit):
+                if witness in reduct_models:
+                    r_w = reduct_models[witness]
                 else:
-                    seqs.append((ci,))
-        elif kind == JOIN:
-            right: dict[int, list[tuple[int, Any]]] = {}
-            for cj, (witness, c2) in enumerate(child_tables[1].rows):
-                right.setdefault(witness, []).append((cj, c2))
-            for ci, (witness, c1) in enumerate(child_tables[0].rows):
-                for cj, c2 in right.get(witness, ()):
-                    new = new_row(PrimRow, (witness, (c1 & c2) | ((1 << witness) & (c1 | c2))))
-                    seqs = out.get(new)
-                    if seqs is None:
-                        out[new] = [(ci, cj)]
-                    else:
-                        seqs.append((ci, cj))
-        else:
-            raise ValueError(f"unknown node kind {kind!r}")
-        return out
+                    r_w = None
+                    if is_model(witness, rules):
+                        r_w = -1
+                        for neg, sat in satisfied:
+                            if not neg & witness:
+                                r_w &= sat
+                    reduct_models[witness] = r_w
+                if r_w is None:
+                    continue
+                if witness & bit:
+                    # every counter with and without the new slot, and the
+                    # old witness: it lacks the new atom, so it is now a
+                    # strictly smaller model candidate
+                    counters = ((c | c << bit) & r_w) | (r_w & 1 << base)
+                else:
+                    counters = c & r_w
+                yield new_row(PrimRow, (witness, counters)), origin
+
+    def remove(self, atom: int, slot: int, child_rows: Sequence[PrimRow]) -> Iterator[tuple[PrimRow, tuple[int]]]:
+        new_row = tuple.__new__
+        bit = 1 << slot
+        with_s = self._subsets_with(slot + 1)[slot]
+        without_s = ~with_s
+        for ci, (witness, c) in enumerate(child_rows):
+            yield new_row(PrimRow, (witness & ~bit, (c & without_s) | (c & with_s) >> bit)), (ci,)
+
+    @staticmethod
+    def join(left_rows: Sequence[PrimRow], right_rows: Sequence[PrimRow]) -> Iterator[tuple[PrimRow, tuple[int, int]]]:
+        new_row = tuple.__new__
+        right: dict[int, list[tuple[int, Any]]] = {}
+        for cj, (witness, c2) in enumerate(right_rows):
+            right.setdefault(witness, []).append((cj, c2))
+        for ci, (witness, c1) in enumerate(left_rows):
+            for cj, c2 in right.get(witness, ()):
+                yield new_row(PrimRow, (witness, (c1 & c2) | ((1 << witness) & (c1 | c2)))), (ci, cj)
 
 
 class SparsePrimAlgorithm:
@@ -179,74 +155,51 @@ class SparsePrimAlgorithm:
         return self
 
     @staticmethod
-    def node_table(
-        kind: str,
-        atom: int | None,
-        slot: int | None,
-        rules: Sequence[BagRule],
-        child_tables: Sequence[NodeTable],
-    ) -> dict[PrimRow, list[tuple[int, ...]]]:
-        # origins and row construction as in ``phc.PhcAlgorithm.node_table``
-        out: dict[PrimRow, list[tuple[int, ...]]] = {}
+    def introduce(
+        atom: int, slot: int, rules: Sequence[BagRule], child_rows: Sequence[PrimRow]
+    ) -> Iterator[tuple[PrimRow, tuple[int]]]:
         new_row = tuple.__new__
-        if kind == LEAF:
-            if is_model(0, rules):
-                out[PrimRow(0, frozenset())] = [()]
-        elif kind == INTRODUCE:
-            bit = 1 << slot  # type: ignore[operator]
-            # per witness, the (head, positive body) of the reduct's rules;
-            # None if the witness is no model
-            reducts: dict[int, list[tuple[int, int]] | None] = {}
-            for ci, (base, c) in enumerate(child_tables[0].rows):
-                for witness in (base, base | bit):
-                    if witness in reducts:
-                        reduct = reducts[witness]
-                    else:
-                        reduct = None
-                        if is_model(witness, rules):
-                            reduct = [(r.head_mask, r.pos_mask) for r in rules if not r.neg_mask & witness]
-                        reducts[witness] = reduct
-                    if reduct is None:
-                        continue
-                    candidates = set(c)
-                    if witness & bit:
-                        # as in the bitset form: every counter with and
-                        # without the new slot, and the old witness
-                        candidates.update([n | bit for n in candidates])
-                        candidates.add(base)
-                    counters = frozenset(
-                        n for n in candidates if all(head & n or pos & ~n for head, pos in reduct)
-                    )
-                    new = new_row(PrimRow, (witness, counters))
-                    seqs = out.get(new)
-                    if seqs is None:
-                        out[new] = [(ci,)]
-                    else:
-                        seqs.append((ci,))
-        elif kind == REMOVE:
-            keep = ~(1 << slot)  # type: ignore[operator]
-            for ci, (witness, counters) in enumerate(child_tables[0].rows):
-                new = new_row(PrimRow, (witness & keep, frozenset([n & keep for n in counters])))
-                seqs = out.get(new)
-                if seqs is None:
-                    out[new] = [(ci,)]
+        bit = 1 << slot
+        # per witness, the (head, positive body) of the reduct's rules;
+        # None if the witness is no model
+        reducts: dict[int, list[tuple[int, int]] | None] = {}
+        for ci, (base, c) in enumerate(child_rows):
+            origin = (ci,)
+            for witness in (base, base | bit):
+                if witness in reducts:
+                    reduct = reducts[witness]
                 else:
-                    seqs.append((ci,))
-        elif kind == JOIN:
-            right: dict[int, list[tuple[int, Any]]] = {}
-            for cj, (witness, c2) in enumerate(child_tables[1].rows):
-                right.setdefault(witness, []).append((cj, c2))
-            for ci, (witness, c1) in enumerate(child_tables[0].rows):
-                for cj, c2 in right.get(witness, ()):
-                    merged = c1 & c2
-                    if witness in c1 or witness in c2:
-                        merged |= {witness}
-                    new = new_row(PrimRow, (witness, merged))
-                    seqs = out.get(new)
-                    if seqs is None:
-                        out[new] = [(ci, cj)]
-                    else:
-                        seqs.append((ci, cj))
-        else:
-            raise ValueError(f"unknown node kind {kind!r}")
-        return out
+                    reduct = None
+                    if is_model(witness, rules):
+                        reduct = [(r.head_mask, r.pos_mask) for r in rules if not r.neg_mask & witness]
+                    reducts[witness] = reduct
+                if reduct is None:
+                    continue
+                candidates = set(c)
+                if witness & bit:
+                    # as in the bitset form: every counter with and
+                    # without the new slot, and the old witness
+                    candidates.update([n | bit for n in candidates])
+                    candidates.add(base)
+                counters = frozenset(n for n in candidates if all(head & n or pos & ~n for head, pos in reduct))
+                yield new_row(PrimRow, (witness, counters)), origin
+
+    @staticmethod
+    def remove(atom: int, slot: int, child_rows: Sequence[PrimRow]) -> Iterator[tuple[PrimRow, tuple[int]]]:
+        new_row = tuple.__new__
+        keep = ~(1 << slot)
+        for ci, (witness, counters) in enumerate(child_rows):
+            yield new_row(PrimRow, (witness & keep, frozenset([n & keep for n in counters]))), (ci,)
+
+    @staticmethod
+    def join(left_rows: Sequence[PrimRow], right_rows: Sequence[PrimRow]) -> Iterator[tuple[PrimRow, tuple[int, int]]]:
+        new_row = tuple.__new__
+        right: dict[int, list[tuple[int, Any]]] = {}
+        for cj, (witness, c2) in enumerate(right_rows):
+            right.setdefault(witness, []).append((cj, c2))
+        for ci, (witness, c1) in enumerate(left_rows):
+            for cj, c2 in right.get(witness, ()):
+                merged = c1 & c2
+                if witness in c1 or witness in c2:
+                    merged |= {witness}
+                yield new_row(PrimRow, (witness, merged)), (ci, cj)

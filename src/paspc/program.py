@@ -45,9 +45,6 @@ class Rule:
     def make(head: Iterable[int], pos_body: Iterable[int], neg_body: Iterable[int]) -> "Rule":
         return Rule(tuple(sorted(set(head))), tuple(sorted(set(pos_body))), tuple(sorted(set(neg_body))))
 
-    def key(self) -> tuple:
-        return (self.head, self.pos_body, self.neg_body)
-
 
 def is_model(interp: int, rules: Sequence[BagRule]) -> bool:
     """True iff the interpretation satisfies every rule.  It reads the
@@ -124,8 +121,8 @@ class Program:
         seen = set()
         for head, pos, neg in rule_specs:
             r = Rule.make([intern(a) for a in head], [intern(a) for a in pos], [intern(a) for a in neg])
-            if r.key() not in seen:
-                seen.add(r.key())
+            if r not in seen:
+                seen.add(r)
                 rules.append(r)
         if projection is None:
             pmask = (1 << len(names)) - 1

@@ -29,7 +29,7 @@ from paspc.decomposition import (
     TreeDecomposition,
     assign_slots,
 )
-from paspc.engine import BagRule, NodeTable, TabledTreeDecomposition, bag_rule, entering_rules
+from paspc.engine import BagRule, NodeTable, TabledTreeDecomposition, bag_rule, entering_rules, node_table
 from paspc.phc import PhcAlgorithm
 from paspc.program import Program, Rule, is_model, iter_bits, mask_of
 from paspc.proj import buckets
@@ -221,7 +221,7 @@ def definitional_origins(ttd: TabledTreeDecomposition, t: int, row: Any) -> set[
             for i, j in enumerate(combo)
         ]
         slot = None if nd.atom is None else ttd.slots[nd.atom]
-        produced = alg.node_table(nd.kind, nd.atom, slot, ttd.rules[t], singles)
+        produced = node_table(alg, nd.kind, nd.atom, slot, ttd.rules[t], singles)
         if row in produced:
             out.add(combo)
     return out

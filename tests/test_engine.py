@@ -7,11 +7,11 @@ import pytest
 import helpers
 from paspc import oracle, pipeline
 from paspc.cli import purged_origins
-from paspc.decomposition import assign_slots, decompose, make_nice, primal_graph
-from paspc.engine import entering_rules, purge, run_dp
+from paspc.decomposition import LEAF, assign_slots, decompose, make_nice, primal_graph
+from paspc.engine import bag_rule, entering_rules, node_table, purge, run_dp
 from paspc.phc import PhcRow
-from paspc.prim import DENSE_MAX_WIDTH, PrimAlgorithm, SparsePrimAlgorithm
-from paspc.program import Program, ProgramKind, classify, mask_of
+from paspc.prim import DENSE_MAX_WIDTH, PrimAlgorithm, PrimRow, SparsePrimAlgorithm
+from paspc.program import Program, ProgramKind, Rule, classify, mask_of
 from reference import definitional_origins, node_scope, origins, origins_table, verify_origins
 
 # the paper's full-ordering PHC; the programs below have at most 8 atoms
@@ -61,6 +61,20 @@ class TestRunDp:
         assert all((r,) not in survivors for r in dead)
 
 
+class TestNodeTable:
+    @pytest.mark.parametrize(
+        "alg, empty_row",
+        [(PHC, PhcRow(0, 0, ())), (PRIM, PrimRow(0, 0)), (SparsePrimAlgorithm(), PrimRow(0, frozenset()))],
+        ids=["phc", "prim", "sparse-prim"],
+    )
+    def test_leaf(self, alg, empty_row):
+        # a leaf's one row is the algorithm's empty row, with the empty
+        # origin, and only while the atomless rules hold
+        assert alg.solution_row == empty_row
+        assert node_table(alg, LEAF, None, None, [], []) == {empty_row: [()]}
+        assert node_table(alg, LEAF, None, None, [bag_rule(Rule((), (), ()), [])], []) == {}
+
+
 class TestBagPrograms:
     """A node's bag program, the rules that fit its bag, reaches the table
     algorithm split up: each rule enters where it first fits."""
@@ -70,12 +84,12 @@ class TestBagPrograms:
         rules = entering_rules(p, td, assign_slots(td, p.n_atoms))
 
         def fitting(bag):
-            return {r.key() for r in p.rules if bag.issuperset(r.head + r.pos_body + r.neg_body)}
+            return {r for r in p.rules if bag.issuperset(r.head + r.pos_body + r.neg_body)}
 
         entered = set()
         for t in td.post_order():
             nd = td.nodes[t]
-            got = {r.source.key() for r in rules[t]}
+            got = {r.source for r in rules[t]}
             if nd.kind == "leaf":
                 assert got == fitting(frozenset())
             elif nd.kind in ("rem", "join"):
@@ -83,7 +97,7 @@ class TestBagPrograms:
             else:
                 assert got == fitting(nd.bag) - fitting(td.nodes[nd.children[0]].bag)
             entered |= got
-        assert entered == {r.key() for r in p.rules}
+        assert entered == set(p.rules)
 
     def test_rules_enter_where_they_first_fit(self, example1_td):
         program, ntd, _ = example1_td
@@ -94,7 +108,7 @@ class TestBagPrograms:
         self.check_entering(p, td)
         leaves = [t for t in td.post_order() if td.nodes[t].kind == "leaf"]
         rules = entering_rules(p, td, assign_slots(td, p.n_atoms))
-        assert all([r.source.key() for r in rules[t]] == [((), (), ())] for t in leaves)
+        assert all([r.source for r in rules[t]] == [Rule((), (), ())] for t in leaves)
 
     def test_two_rules_enter_at_t8(self, example1_td):
         # introducing e over {b,d}: "d | e :- b." and "b :- e, not d." become
@@ -102,8 +116,8 @@ class TestBagPrograms:
         program, ntd, ids = example1_td
         rules = entering_rules(program, ntd, assign_slots(ntd, program.n_atoms))
         b, d, e = (program.atom_id(x) for x in "bde")
-        want = {(tuple(sorted((d, e))), (b,), ()), ((b,), (e,), (d,))}
-        assert {r.source.key() for r in rules[ids["t8"]]} == want
+        want = {Rule(tuple(sorted((d, e))), (b,), ()), Rule((b,), (e,), (d,))}
+        assert {r.source for r in rules[ids["t8"]]} == want
 
     def test_scope_at_root_is_whole_program(self, example1_td):
         program, ids, ttd = run_example1(example1_td)

@@ -4,7 +4,7 @@ import random
 import helpers
 from paspc import engine, oracle, pipeline
 from paspc.decomposition import decompose, make_nice, primal_graph
-from paspc.engine import NodeTable, bag_rule, has_solution, run_dp
+from paspc.engine import NodeTable, bag_rule, has_solution, node_table, run_dp
 from paspc.formats import parse_program
 from paspc.phc import PhcAlgorithm, PhcRow, gp
 from paspc.program import Program, mask_of
@@ -55,7 +55,7 @@ class TestGp:
         p = Program.from_specs([(("b",), ("e",), ("d",)), (("d", "e"), ("b",), ())])
         b, e = p.atom_id("b"), p.atom_id("e")
         child = single_row_table(PhcRow(1 << e, 1 << e, (e,)))
-        out = PHC.node_table("int", b, b, one_bag_rules(p), [child])
+        out = node_table(PHC, "int", b, b, one_bag_rules(p), [child])
         with_b = {row for row in out if row.interp == p.mask("be")}
         assert with_b == {
             PhcRow(p.mask("be"), 1 << e, (b, e)),
@@ -88,13 +88,9 @@ def single_row_table(row):
 
 
 class TestPhcTransitions:
-    def test_leaf(self):
-        out = PHC.node_table("leaf", None, None, [], [])
-        assert out == {PhcRow(0, 0, ()): [()]}
-
     def test_introduce_without_rules(self):
         child = single_row_table(PhcRow(0, 0, ()))
-        out = PHC.node_table("int", 0, 0, [], [child])
+        out = node_table(PHC, "int", 0, 0, [], [child])
         assert set(out) == {PhcRow(0, 0, ()), PhcRow(1, 0, (0,))}
         assert all(origin == [(0,)] for origin in out.values())
 
@@ -103,7 +99,7 @@ class TestPhcTransitions:
         p = Program.from_specs([(("a", "b"), (), ())])
         a, b = p.atom_id("a"), p.atom_id("b")
         child = NodeTable([PhcRow(0, 0, ()), PhcRow(1 << a, 0, (a,))], [[()], [()]])
-        out = PHC.node_table("int", b, b, one_bag_rules(p), [child])
+        out = node_table(PHC, "int", b, b, one_bag_rules(p), [child])
         interps = {row.interp for row in out}
         assert 0 not in interps
         assert interps == {p.mask("a"), p.mask("b"), p.mask("ab")}
@@ -121,7 +117,7 @@ class TestPhcTransitions:
             PhcRow(p.mask("ab"), 0, (b, a)),
         ]
         child = NodeTable(rows, [[()]] * 4)
-        out = PHC.node_table("rem", a, a, [], [child])
+        out = node_table(PHC, "rem", a, a, [], [child])
         assert set(out) == {PhcRow(0, 0, ()), PhcRow(1 << b, 1 << b, (b,))}
 
     def test_join_matches_interpretation_and_order(self):
@@ -130,7 +126,7 @@ class TestPhcTransitions:
         r3 = PhcRow(0b11, 0b10, (1, 0))
         left = NodeTable([r1], [[()]])
         right = NodeTable([r2, r3], [[()], [()]])
-        out = PHC.node_table("join", None, None, [], [left, right])
+        out = node_table(PHC, "join", None, None, [], [left, right])
         assert out == {PhcRow(0b11, 0b11, (0, 1)): [(0, 0)]}
 
     def test_join_lists_pairs_left_row_outer(self):
@@ -138,7 +134,7 @@ class TestPhcTransitions:
         # ascending order: the left row outer, the right row inner
         left = NodeTable([PhcRow(0b11, 0b01, ()), PhcRow(0b11, 0b11, ())], [[()], [()]])
         right = NodeTable([PhcRow(0b11, 0b11, ()), PhcRow(0b11, 0b10, ())], [[()], [()]])
-        out = PHC.node_table("join", None, None, [], [left, right])
+        out = node_table(PHC, "join", None, None, [], [left, right])
         assert out == {PhcRow(0b11, 0b11, ()): [(0, 0), (0, 1), (1, 0), (1, 1)]}
 
 

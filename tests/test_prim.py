@@ -18,12 +18,6 @@ def run(p):
 
 
 class TestTransitions:
-    def test_leaf(self):
-        ((row, origins),) = PrimAlgorithm().node_table("leaf", None, None, [], []).items()
-        # a leaf's bag is empty: its witness and every counter subset decode
-        # to the empty atom mask
-        assert (row.witness, frozenset(iter_bits(row.counters)), origins) == (0, frozenset(), [()])
-
     def test_disjunctive_fact_witnesses(self):
         # a | b: the two singleton witnesses reach the root clean, while the
         # two-atom witness drags both proper submodels along as counters
