@@ -59,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
@@ -90,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 td_text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read decomposition {path}: {exc}", file=sys.stderr)
             return EXIT_TD
         try:

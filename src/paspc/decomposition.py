@@ -100,6 +100,9 @@ def validate_td(graph: PrimalGraph, td: TreeDecomposition) -> list[str]:
     for t, bag in enumerate(td.bags):
         for v in bag:
             holders.setdefault(v, []).append(t)
+    for v in holders:
+        if not 0 <= v < graph.n:
+            problems.append(f"bag vertex {v} is not a vertex of the graph")
     for v in range(graph.n):
         if v not in holders:
             problems.append(f"vertex {v} in no bag")

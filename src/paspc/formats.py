@@ -174,9 +174,12 @@ def print_program(program: Program) -> str:
 
 def read_td(text: str, n_vertices: int) -> TreeDecomposition:
     """Read a PACE-style decomposition.  Vertex j (1-based) maps to atom j-1;
-    ``n_vertices`` must match the header's vertex count.  Only the syntax is
-    checked here; ``pipeline.solve`` validates the decomposition."""
+    ``n_vertices`` must match the header's vertex count.  Besides the syntax
+    only the bag count is checked here, so that an impossible one fails
+    before the bags are built: a tree on N bags needs N-1 edges.
+    ``pipeline.solve`` validates the decomposition."""
     header: tuple[int, int, int] | None = None
+    header_line = 0
     bags: dict[int, set[int]] = {}
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -193,6 +196,7 @@ def read_td(text: str, n_vertices: int) -> TreeDecomposition:
                 header = (int(parts[2]), int(parts[3]), int(parts[4]))
             except ValueError:
                 raise ParseError(ParseDiagnostic(lineno, 1, "malformed solution line")) from None
+            header_line = lineno
             if header[2] != n_vertices:
                 raise ParseError(
                     ParseDiagnostic(lineno, 1, f"header declares {header[2]} vertices, expected {n_vertices}")
@@ -228,6 +232,9 @@ def read_td(text: str, n_vertices: int) -> TreeDecomposition:
         raise ParseError(ParseDiagnostic(1, 1, "missing solution line"))
 
     n_bags = header[0]
+    if n_bags > len(edges) + 1:
+        message = f"header declares {n_bags} bags but {len(edges)} edges: the bag tree is disconnected"
+        raise ParseError(ParseDiagnostic(header_line, 1, message))
     bag_list = [frozenset(bags.get(i + 1, ())) for i in range(n_bags)]
     return TreeDecomposition(bag_list, edges)
 

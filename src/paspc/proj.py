@@ -14,30 +14,30 @@ mask: the projected (union) counts; the intersection counts are their
 subset Moebius transform, derived where they are read.
 
 A row set's projected count sums, per child bucket its origins fall into,
-the size of the union of those origins' sets.  Below a one-child node that
-union count is stored in the child.  Below a join an origin pair (i, j)
-stands for the product A_i x B_j of the children's sets, and a set S of
-pairs from buckets (b1, b2) has
+the size of the union of those origins' sets.  ``_bucket_pcnts`` ORs one
+origin mask per row over every row subset and reads each subset's mask as
+that count.  Below a one-child node the origins meet at most two child
+buckets, with disjoint sets, so a read adds two stored union counts.  Below
+a join an origin pair (i, j) stands for the product A_i x B_j of the
+children's sets, and a set S of pairs from buckets (b1, b2) has
 
     |U_{(i,j) in S} A_i x B_j| = sum over nonempty I of e(I) * P2(N_S(I)),
 
 where e(I) is the size of the Venn region "in exactly the A_i with i in I"
 (derived from b1's union counts once per bucket pair, kept where nonzero),
 N_S(I) is the set of right partners of I's rows in S, and P2 the stored
-union counts of b2 (zero for no partners).  One read costs O(regions *
-rows) whatever the number of pairs.
+union counts of b2 (zero for no partners).
 
-Most buckets have one row, and those need no inclusion-exclusion: the node
-loop takes their one count straight from the children's stored union
-counts, a single read for one origin and a product of two for one origin
-pair.  ``_bucket_pcnts`` evaluates every other bucket.
+A bucket of one row with one origin, as most are, needs no
+inclusion-exclusion: the node loop reads its count as the product of the
+origin's singleton counts over the node's children.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .engine import PurgedTables
 
@@ -67,18 +67,22 @@ class ProjTables:
         for node in self.nodes:
             table = {}
             for bucket, pcnts in zip(node.buckets, node.pcnts):
-                vals = _bucket_values(pcnts, len(bucket))
+                vals = _bucket_values(pcnts)
                 for m in range(1, 1 << len(bucket)):
                     table[frozenset(j for i, j in enumerate(bucket) if m >> i & 1)] = vals[m]
             out.append(table)
         return out
 
 
-def buckets(row_interps: Sequence[int], pmask: int) -> list[list[int]]:
+def buckets(row_interps: Iterable[int], pmask: int) -> list[list[int]]:
     """Partition row indices into classes with equal projected interpretation."""
     classes: dict[int, list[int]] = {}
     for j, interp in enumerate(row_interps):
-        classes.setdefault(interp & pmask, []).append(j)
+        bucket = classes.get(interp & pmask)
+        if bucket is None:
+            classes[interp & pmask] = [j]
+        else:
+            bucket.append(j)
     return [classes[k] for k in sorted(classes)]
 
 
@@ -88,75 +92,81 @@ def _bucket_pcnts(
     children: Sequence[NodeCounts],
 ) -> list[int]:
     """Projected counts for every nonempty subset of one bucket (by local
-    mask), the bucket's rows given as indices into ``origins``: per child
-    bucket (one child) or for the one bucket pair (two children) its rows'
-    origins fall into, the size of the union of the origins' sets.
-
-    One child: the child's stored union count.  Two children: the Venn-region
-    sum of the module docstring, O(regions * rows) per row subset instead of
-    inclusion-exclusion over the pairs' 2^u subsets.  Raises ``ValueError``
-    when a join bucket's origins span several child bucket pairs."""
-    size = 1 << len(bucket)
-    out = [0] * size
+    mask), the bucket's rows given as indices into ``origins``: one mask per
+    row over its origins' bits, ORed per row subset and read as the union
+    count of the module docstring.  Raises ``ValueError`` when the origins
+    meet a third child bucket (one child) or a second bucket pair (join)."""
+    c1, c2 = children[0], children[-1]
+    first = origins[bucket[0]][0]
+    b1, b2 = c1.bucket_of[first[0]], c2.bucket_of[first[-1]]
+    row_masks = []
     if len(children) == 1:
-        child = children[0]
-        per_row: list[dict[int, int]] = []
+        # the origins of a remove node's bucket may differ in the removed
+        # projected atom: two child buckets, with disjoint sets; origin j in
+        # the k-th of them is bit k * |b1| + pos(j)
+        stride = len(c1.buckets[b1])
+        cbs = [b1]  # the child buckets met, in bit order
         for u in bucket:
-            g: dict[int, int] = {}
+            mask = 0
             for (j,) in origins[u]:
-                cb = child.bucket_of[j]
-                g[cb] = g.get(cb, 0) | (1 << child.pos_in_bucket[j])
-            per_row.append(g)
-        for m in range(1, size):
-            low = m & -m
-            k = low.bit_length() - 1
-            rest = m ^ low
-            merged = dict(per_row[k])
-            mm = rest
-            while mm:
-                lo = mm & -mm
-                for cb, mask in per_row[lo.bit_length() - 1].items():
-                    merged[cb] = merged.get(cb, 0) | mask
-                mm ^= lo
-            total = 0
-            for cb, mask in merged.items():
-                # origins within one child bucket: their union count is stored
-                total += child.pcnts[cb][mask]
-            out[m] = total
-        return out
+                if c1.bucket_of[j] not in cbs:
+                    cbs.append(c1.bucket_of[j])
+                mask |= 1 << (cbs.index(c1.bucket_of[j]) * stride + c1.pos_in_bucket[j])
+            row_masks.append(mask)
+        if len(cbs) > 2:
+            raise ValueError(f"a one-child bucket's origins meet child buckets {cbs}")
+        p1, p2 = c1.pcnts[b1], c1.pcnts[cbs[-1]] if len(cbs) == 2 else [0]
+        full = len(p1) - 1
 
-    c1, c2 = children
-    # a join's children share its bag and its rows keep their children's
-    # interpretation, so all origin pairs of a bucket fall into one child
-    # bucket pair (b1, b2); a row's pairs (i, j) are bits pos(i) * |b2| +
-    # pos(j) of one mask, so left row i's partners are one slice
-    i0, j0 = origins[bucket[0]][0]
-    b1, b2 = c1.bucket_of[i0], c2.bucket_of[j0]
-    stride = len(c2.buckets[b2])
-    row_pairs = []
-    for u in bucket:
-        mask = 0
-        for i, j in origins[u]:
-            if c1.bucket_of[i] != b1 or c2.bucket_of[j] != b2:
-                raise ValueError(f"join row {u} has origins outside child buckets ({b1}, {b2})")
-            mask |= 1 << (c1.pos_in_bucket[i] * stride + c2.pos_in_bucket[j])
-        row_pairs.append(mask)
-    regions = _venn_regions(c1.pcnts[b1], len(c1.buckets[b1]), stride)
-    pc2 = c2.pcnts[b2]
-    full = len(pc2) - 1
-    pairs = [0] * size  # per row subset: the union of its rows' pair masks
-    for m in range(1, size):
+        def read(mask: int) -> int:
+            return p1[mask & full] + p2[mask >> stride]
+
+    else:
+        # a join's children share its bag and its rows keep their children's
+        # interpretation, so all origin pairs of a bucket fall into one child
+        # bucket pair; pair (i, j) is bit pos(i) * |b2| + pos(j), so left
+        # row i's partners are one slice of a mask
+        stride = len(c2.buckets[b2])
+        for u in bucket:
+            mask = 0
+            for i, j in origins[u]:
+                if c1.bucket_of[i] != b1 or c2.bucket_of[j] != b2:
+                    raise ValueError(f"join row {u} has origins outside child buckets ({b1}, {b2})")
+                mask |= 1 << (c1.pos_in_bucket[i] * stride + c2.pos_in_bucket[j])
+            row_masks.append(mask)
+        regions = _venn_regions(c1.pcnts[b1], len(c1.buckets[b1]), stride)
+        pc2 = c2.pcnts[b2]
+        full = len(pc2) - 1
+
+        def read(mask: int) -> int:
+            # each Venn region of b1 times the union count of its partners
+            total = 0
+            for e, shifts in regions:
+                n = 0
+                for s in shifts:
+                    n |= mask >> s
+                total += e * pc2[n & full]
+            return total
+
+    acc = [0] * (1 << len(bucket))  # per row subset: the union of its rows' masks
+    out = [0] * len(acc)
+    for m in range(1, len(acc)):
         low = m & -m
-        mask = pairs[m] = pairs[m ^ low] | row_pairs[low.bit_length() - 1]
-        # each Venn region of b1 times the union count of its partners
-        total = 0
-        for e, shifts in regions:
-            n = 0
-            for s in shifts:
-                n |= mask >> s
-            total += e * pc2[n & full]
-        out[m] = total
+        acc[m] = mask = acc[m ^ low] | row_masks[low.bit_length() - 1]
+        out[m] = read(mask)
     return out
+
+
+def _moebius(vals: list[int]) -> list[int]:
+    """The subset Moebius transform of an array indexed by mask, in place:
+    vals[m] becomes the sum over T subset of m of (-1)^(|m| - |T|) vals[T]."""
+    bit = 1
+    while bit < len(vals):
+        for m in range(len(vals)):
+            if m & bit:
+                vals[m] -= vals[m ^ bit]
+        bit <<= 1
+    return vals
 
 
 def _venn_regions(pcnts: list[int], b: int, stride: int) -> list[tuple[int, list[int]]]:
@@ -168,31 +178,17 @@ def _venn_regions(pcnts: list[int], b: int, stride: int) -> list[tuple[int, list
     that lie in no set outside S, i.e. the regions of the nonempty subsets
     of S, so the region sizes are the subset Moebius transform of g."""
     full = len(pcnts) - 1
-    e = [pcnts[full] - pcnts[full ^ m] for m in range(len(pcnts))]
-    for i in range(b):
-        bit = 1 << i
-        for m in range(len(e)):
-            if m & bit:
-                e[m] -= e[m ^ bit]
+    e = _moebius([pcnts[full] - pcnts[full ^ m] for m in range(len(pcnts))])
     return [(e[m], [p * stride for p in range(b) if m >> p & 1]) for m in range(1, len(e)) if e[m]]
 
 
-def _bucket_values(pcnts: list[int], b: int) -> list[int]:
+def _bucket_values(pcnts: list[int]) -> list[int]:
     """Intersection counts for every nonempty subset of a bucket.
 
     The rows stand for sets whose union sizes are ``pcnts``, so the size of
     an intersection is, up to its sign, the subset Moebius transform of the
-    union sizes: |sum over T subset of m of (-1)^(|m| - |T|) pcnts[T]|.  A
-    single row's intersection is its union."""
-    if b == 1:
-        return pcnts
-    vals = list(pcnts)
-    for i in range(b):
-        bit = 1 << i
-        for m in range(len(vals)):
-            if m & bit:
-                vals[m] -= vals[m ^ bit]
-    return list(map(abs, vals))
+    union sizes: |sum over T subset of m of (-1)^(|m| - |T|) pcnts[T]|."""
+    return list(map(abs, _moebius(list(pcnts))))
 
 
 def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
@@ -217,48 +213,28 @@ def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
         smask = 0
         for a in nd.bag:
             smask |= proj_bits[a]
-        classes: dict[int, list[int]] = {}
-        for u, r in enumerate(purged.rows[t]):
-            key = interp(r) & smask
-            bucket = classes.get(key)
-            if bucket is None:
-                classes[key] = [u]
-            else:
-                bucket.append(u)
-        partition = [classes[k] for k in sorted(classes)]
+        partition = buckets(map(interp, purged.rows[t]), smask)
         bucket_of = [0] * len(tab)
         pos_in_bucket = [0] * len(tab)
         pcnts: list[list[int]] = []
         children = [nodes[c] for c in nd.children]
         if children:
-            # the child lookups of the one-row paths, read once per node (for
+            # the child lookups of the one-row read, taken once per node (for
             # a one-child node both triples are its child's)
             of1, pos1, pc1 = children[0].bucket_of, children[0].pos_in_bucket, children[0].pcnts
             of2, pos2, pc2 = children[-1].bucket_of, children[-1].pos_in_bucket, children[-1].pcnts
         for bi, bucket in enumerate(partition):
-            if len(bucket) == 1 and children:
-                # a one-row bucket needs no inclusion-exclusion: its one union
-                # count is read off the children's stored union counts
-                j = kept[bucket[0]]
+            j = kept[bucket[0]]
+            if len(bucket) == 1 and len(origins[j]) == 1 and children:
+                # one row of one origin needs no inclusion-exclusion: the
+                # product of the origin's singleton counts in the children
                 bucket_of[j] = bi
-                row_origins = origins[j]
-                if len(children) == 1:
-                    if len(row_origins) == 1:
-                        ((i,),) = row_origins
-                        pcnts.append([0, pc1[of1[i]][1 << pos1[i]]])
-                    else:
-                        # per child bucket its origins fall into, their union count
-                        masks: dict[int, int] = {}
-                        for (i,) in row_origins:
-                            masks[of1[i]] = masks.get(of1[i], 0) | 1 << pos1[i]
-                        pcnts.append([0, sum(pc1[cb][m] for cb, m in masks.items())])
-                    continue
-                if len(row_origins) == 1:
-                    # one origin pair (i, i2) stands for the product A_i x B_i2
-                    ((i, i2),) = row_origins
-                    pcnts.append([0, pc1[of1[i]][1 << pos1[i]] * pc2[of2[i2]][1 << pos2[i2]]])
-                    continue
-                # a join row of several origin pairs: the Venn-region sum
+                seq = origins[j][0]
+                count = pc1[of1[seq[0]]][1 << pos1[seq[0]]]
+                if len(seq) == 2:
+                    count *= pc2[of2[seq[1]]][1 << pos2[seq[1]]]
+                pcnts.append([0, count])
+                continue
             rows = [kept[u] for u in bucket]
             for pos, j in enumerate(rows):
                 bucket_of[j] = bi

@@ -101,6 +101,27 @@ class TestExitCodes:
         assert code == 3
         assert "cannot read decomposition" in err
 
+    def test_td_header_declaring_too_many_bags(self, ex1_file, tmp_path, capsys):
+        td = tmp_path / "huge.td"
+        td.write_text("s td 1000000000000 5 5\nb 1 1 2 3 4 5\n")
+        code, _, err = run(capsys, "solve", ex1_file, "--td", f"file:{td}")
+        assert code == 3
+        assert "invalid decomposition: line 1, column 1: header declares 1000000000000 bags" in err
+
+    def test_non_utf8_program(self, tmp_path, capsys):
+        path = tmp_path / "latin1.lp"
+        path.write_bytes(b"a :- not b.\nb :- not \xe4.\n")
+        code, _, err = run(capsys, "solve", str(path))
+        assert code == 2
+        assert f"cannot read {path}" in err
+
+    def test_non_utf8_td_file(self, ex1_file, tmp_path, capsys):
+        td = tmp_path / "latin1.td"
+        td.write_bytes(b"c \xe4\ns td 1 5 5\nb 1 1 2 3 4 5\n")
+        code, _, err = run(capsys, "solve", ex1_file, "--td", f"file:{td}")
+        assert code == 3
+        assert f"cannot read decomposition {td}" in err
+
     def test_unknown_td_value(self, ex1_file, capsys):
         # an invalid option value exits 2, as argparse's own rejections do
         code, _, err = run(capsys, "solve", ex1_file, "--td", "bogus")

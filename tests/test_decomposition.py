@@ -116,9 +116,10 @@ class TestValidateTd:
         assert any("disconnected" in p for p in validate_td(g, td))
 
     def test_disconnected_tree_read_from_text(self):
-        # read_td checks only the syntax; the tree shape is validate_td's
-        td = read_td("s td 2 1 2\nb 1 1\nb 2 2", 2)
-        assert any("disconnected" in p for p in validate_td(PrimalGraph(2), td))
+        # read_td checks the syntax and the bag count; the tree shape is
+        # validate_td's: N-1 edges, one of them twice, leave bag 3 apart
+        td = read_td("s td 3 1 3\nb 1 1\nb 2 2\nb 3 3\n1 2\n2 1", 3)
+        assert any("disconnected" in p for p in validate_td(PrimalGraph(3), td))
 
     def test_cycle(self):
         td = TreeDecomposition([frozenset({0})] * 3, [(0, 1), (1, 2), (2, 0)])

@@ -160,6 +160,15 @@ class TestTdFormat:
                     g.add_edge(verts[i], verts[j])
         assert validate_td(g, td) == []
 
+    def test_more_bags_than_edges_allow(self):
+        # a tree on N bags needs N-1 edges; an impossible count fails before
+        # the bags are built, however large it is
+        for text in ("s td 1000000000000 1 1", "s td 3 1 1\nb 1 1\n1 2"):
+            with pytest.raises(ParseError) as err:
+                read_td(text, 1)
+            assert err.value.diagnostic.line == 1
+            assert "the bag tree is disconnected" in err.value.diagnostic.message
+
     def test_bag_id_out_of_range(self):
         with pytest.raises(ParseError):
             read_td("s td 2 1 1\nb 3 1\nb 1 1\n1 2", 1)

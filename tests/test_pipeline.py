@@ -92,6 +92,15 @@ class TestSuppliedDecomposition:
         with pytest.raises(InvalidDecompositionError, match="cycle"):
             pipeline.solve(p, td=td)
 
+    @pytest.mark.parametrize("vertex", (-1, 5))
+    def test_bag_vertex_outside_the_graph_is_rejected(self, vertex):
+        # -1 used to count 3 where there are 2 answer sets, 5 to fail with an
+        # IndexError deep in the pipeline
+        p = parse_program("a :- not b. b :- not a.")
+        td = TreeDecomposition([frozenset({0, 1, vertex})], [])
+        with pytest.raises(InvalidDecompositionError, match=rf"bag vertex {vertex} is not a vertex of the graph"):
+            pipeline.solve(p, td=td)
+
     def test_invalid_decomposition_reported_before_algorithm_mismatch(self):
         p = parse_program("a | b.\na :- b.\nb :- a.\n")
         td = TreeDecomposition([frozenset({0}), frozenset({1})], [(0, 1)])

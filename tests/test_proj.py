@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from collections import Counter
 
@@ -126,7 +127,7 @@ class TestBucketValues:
                     low = m & -m
                     ors[m] = ors[m ^ low] | sets[low.bit_length() - 1]
                 pcnts = [x.bit_count() for x in ors]
-                assert union_counts(_bucket_values(pcnts, b), b) == pcnts
+                assert union_counts(_bucket_values(pcnts), b) == pcnts
 
 
 def family_counts(bucket_sets):
@@ -145,6 +146,51 @@ def family_counts(bucket_sets):
 def tagged(bucket_sets):
     """Sets of different buckets stand for different projected answer sets."""
     return [[{(b, x) for x in s} for s in sets] for b, sets in enumerate(bucket_sets)]
+
+
+class TestOneChildUnion:
+    """A one-child node's projected counts against the enumerated union of
+    its rows' origin sets."""
+
+    @staticmethod
+    def check(child, row_origins):
+        child = tagged(child)
+        sets = [s for bucket in child for s in bucket]
+        out = _bucket_pcnts(list(range(len(row_origins))), row_origins, [family_counts(child)])
+        for m in range(1, 1 << len(row_origins)):
+            js = {j for u, seqs in enumerate(row_origins) if m >> u & 1 for (j,) in seqs}
+            assert out[m] == len(set().union(*(sets[j] for j in js))), (m, js)
+
+    def test_one_child_bucket(self):
+        # the introduce shape: every origin in one child bucket
+        child = [[{1, 2}, {2, 3}, {4}, {1, 2, 3, 4, 5}]]
+        self.check(child, [[(0,), (2,)], [(1,)], [(0,), (1,), (3,)], [(2,)]])
+
+    def test_two_child_buckets(self):
+        # the remove shape: a projected atom removed, its two child buckets
+        # merge, and a row's origins may lie in either or both; the first
+        # origin read may be in the second bucket
+        child = [[{1}, {1, 2}, {3}], [{1, 2}, {5}]]
+        self.check(child, [[(0,), (3,)], [(1,), (2,)], [(4,)], [(2,), (3,), (4,)]])
+        self.check(child, [[(4,)], [(0,), (3,)], [(1,)]])
+
+    def test_random_families(self):
+        # three child buckets; each one-child bucket reads one or two of them
+        rng = random.Random(23)
+        for _ in range(40):
+            child = [[set(rng.sample(range(6), rng.randint(1, 4))) for _ in range(rng.randint(1, 4))] for _ in range(3)]
+            starts = [sum(map(len, child[:b])) for b in range(3)]
+            ids = [j for b in rng.sample(range(3), rng.randint(1, 2)) for j in range(starts[b], starts[b] + len(child[b]))]
+            rows = [sorted({(rng.choice(ids),) for _ in range(rng.randint(1, 4))}) for _ in range(rng.randint(1, 5))]
+            self.check(child, rows)
+
+    def test_origins_in_a_third_child_bucket_rejected(self):
+        # a one-child row keeps its child's projected interpretation up to
+        # the removed atom, so a third child bucket means corrupt tables
+        child = family_counts(tagged([[{1}], [{2}], [{3}]]))
+        for rows in ([[(0,), (1,), (2,)]], [[(0,)], [(1,)], [(2,)]], [[(2,), (0,)], [(1,)]]):
+            with pytest.raises(ValueError):
+                _bucket_pcnts(list(range(len(rows))), rows, [child])
 
 
 class TestTwoChildUnion:
@@ -330,45 +376,52 @@ class TestRunProj:
         assert reached == {False, True}
 
     def test_fuzz_reaches_every_bucket_path(self, monkeypatch):
-        # a one-row bucket reads its count off the children's union counts,
-        # except for a join row of several origin pairs; every other bucket
-        # below a leaf goes through _bucket_pcnts
-        fallback = []
+        # a one-row bucket whose row has one origin holds the product of the
+        # origin's singleton counts over the node's children (an empty
+        # product at a leaf); every other bucket below a leaf calls
+        # _bucket_pcnts exactly once
+        calls = Counter()
 
         def counted(bucket, origins, children):
-            fallback.append(len(bucket))
+            calls[id(origins), tuple(bucket)] += 1
             return _bucket_pcnts(bucket, origins, children)
 
         monkeypatch.setattr("paspc.proj._bucket_pcnts", counted)
         reached = Counter()
         for _, _, ttd, purged, got in self.seeded_fuzz():
+            want = Counter()
             for t in ttd.post_order:
-                nd = ttd.td.nodes[t]
-                for b in got.nodes[t].buckets if nd.children else ():
-                    n_origins = len(ttd.table(t).origins[purged.kept[t][b[0]]])
-                    if len(b) > 1:
-                        reached["several rows"] += 1
-                    elif len(nd.children) == 1:
-                        reached["one child, one origin" if n_origins == 1 else "one child, several origins"] += 1
-                        if n_origins == 1:
-                            # the origin's singleton count against that of
-                            # its child bucket's first row
-                            ((i,),) = ttd.table(t).origins[purged.kept[t][b[0]]]
-                            child = got.nodes[nd.children[0]]
-                            pcnts, pos = child.pcnts[child.bucket_of[i]], child.pos_in_bucket[i]
-                            if pcnts[1 << pos] != pcnts[1]:
-                                reached["one child, one origin of another count than its bucket's first"] += 1
-                    else:
-                        reached["join, one pair" if n_origins == 1 else "join, several pairs"] += 1
+                origins = ttd.table(t).origins
+                children = [got.nodes[c] for c in ttd.td.nodes[t].children]
+                shape = ("leaf", "one child", "join")[len(children)]
+                for b, pcnts in zip(got.nodes[t].buckets, got.nodes[t].pcnts):
+                    rows = [purged.kept[t][u] for u in b]
+                    seqs = [seq for j in rows for seq in origins[j]]
+                    if len(seqs) == 1:
+                        reached[f"{shape}, one row of one origin"] += 1
+                        reads = [(c.pcnts[c.bucket_of[i]], c.pos_in_bucket[i]) for c, i in zip(children, seqs[0])]
+                        assert pcnts == [0, math.prod(pc[1 << pos] for pc, pos in reads)]
+                        if any(pc[1 << pos] != pc[1] for pc, pos in reads):
+                            # the origin's count differs from that of its
+                            # child bucket's first row
+                            reached[f"{shape}, one origin of another count than its bucket's first"] += 1
+                        continue
+                    want[id(origins), tuple(rows)] += 1
+                    if any(len(origins[j]) > 1 for j in rows):
+                        reached[f"{shape}, a row of several origins"] += 1
+                    if len(children) == 1 and len({children[0].bucket_of[i] for (i,) in seqs}) == 2:
+                        reached["one child, two child buckets"] += 1
+            assert calls == want
+            calls.clear()
         assert set(reached) >= {
-            "several rows",
-            "one child, one origin",
+            "leaf, one row of one origin",
+            "one child, one row of one origin",
             "one child, one origin of another count than its bucket's first",
-            "one child, several origins",
-            "join, one pair",
+            "join, one row of one origin",
+            "one child, a row of several origins",
+            "one child, two child buckets",
+            "join, a row of several origins",
         }
-        assert len(fallback) == reached["several rows"] + reached["join, several pairs"]
-        assert fallback.count(1) == reached["join, several pairs"]
 
     def test_matches_reference_formulas(self):
         # the bucket-wise evaluation must agree with the defining recursion
