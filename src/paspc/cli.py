@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 parse error or invalid option value, 3 invalid or
 ill-matched decomposition file, 4 algorithm/class mismatch, 5 oracle-check
 mismatch, 6 an --emit-td or --trace path cannot be written, 7 --oracle-check
-on a program too large for the oracle.  The count is the final stdout line,
-formatted ``c <count>``; --stats emits JSON on stderr.
+on a program too large for the oracle, 8 out of memory while solving.  The
+count is the final stdout line, formatted ``c <count>``; --stats emits on
+stderr the JSON of ``RunStats.to_dict`` with the parse time and peak RSS.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_ALGORITHM = 4
 EXIT_ORACLE = 5
 EXIT_WRITE = 6
 EXIT_ORACLE_SIZE = 7
+EXIT_MEMORY = 8
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,6 +113,9 @@ def main(argv: list[str] | None = None) -> int:
     except AlgorithmMismatchError as exc:
         print(f"algorithm mismatch: {exc}", file=sys.stderr)
         return EXIT_ALGORITHM
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_MEMORY
 
     try:
         if args.emit_td:
@@ -125,14 +130,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_WRITE
 
     if args.stats:
-        # cost drivers read off the finished solve: the projection pass is
-        # exponential in the largest bucket
         stats = result.stats.to_dict()
         stats["timings"] = {"parse": round(parse_s, 6), **stats["timings"]}
-        sizes = [len(b) for node in result.proj_tables.nodes for b in node.buckets]
-        stats["max_bucket"] = max(sizes, default=0)
-        stats["proj_buckets"] = len(sizes)
-        stats["proj_entries"] = sum((1 << b) - 1 for b in sizes)
         stats["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
         print(json.dumps(stats), file=sys.stderr)
 

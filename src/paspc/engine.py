@@ -232,9 +232,6 @@ class PurgedTables:
     kept: list[list[int]]  # per node: table indices of the kept rows
     rows: list[list]  # per node: the kept rows, in table order
 
-    def max_rows(self) -> int:
-        return max((len(r) for r in self.rows), default=0)
-
 
 def has_solution(ttd: TabledTreeDecomposition) -> bool:
     """Whether the algorithm's solution row reached the root table, i.e. the

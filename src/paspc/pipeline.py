@@ -1,10 +1,10 @@
-"""End-to-end solving: classify, decompose, run both DP passes, count."""
+"""End-to-end solving: classify, decompose, run both DP passes, count; each pass's counts go to ``RunStats``."""
 
 from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import engine, proj
 from .decomposition import TreeDecomposition, decompose, make_nice, primal_graph, validate_td
@@ -26,6 +26,8 @@ class InvalidDecompositionError(ValueError):
 
 @dataclass
 class RunStats:
+    """What one solve cost, each figure counted by the pass that does the work."""
+
     width: int = 0
     nodes: int = 0
     max_table: int = 0
@@ -34,18 +36,14 @@ class RunStats:
     rows: dict[str, int] = field(default_factory=dict)  # rows before purging, per node kind
     dp_seconds: dict[str, float] = field(default_factory=dict)  # seconds of the dp pass, per node kind
     timings: dict[str, float] = field(default_factory=dict)
+    max_bucket: int = 0  # rows of the largest projection bucket
+    proj_buckets: int = 0
+    proj_entries: int = 0  # sum of 2^|b| - 1 over all projection buckets b
 
     def to_dict(self) -> dict:
-        return {
-            "width": self.width,
-            "nodes": self.nodes,
-            "max_table": self.max_table,
-            "max_purged": self.max_purged,
-            "algorithm": self.algorithm,
-            "rows": dict(self.rows),
-            "dp_seconds": {k: round(v, 6) for k, v in self.dp_seconds.items()},
-            "timings": {k: round(v, 6) for k, v in self.timings.items()},
-        }
+        """``--stats`` less the CLI's parse time and peak RSS, seconds rounded to 1 us."""
+        out = asdict(self)
+        return {k: {n: round(x, 6) for n, x in v.items()} if isinstance(v, dict) else v for k, v in out.items()}
 
 
 @dataclass
@@ -128,11 +126,12 @@ def solve(
         t0 = time.perf_counter()
         purged = engine.purge(ttd)
         stats.timings["purge"] = time.perf_counter() - t0
-        stats.max_purged = purged.max_rows()
+        stats.max_purged = max(map(len, purged.kept), default=0)
 
         t0 = time.perf_counter()
         tables = proj.run_proj(purged, program.projection)
         stats.timings["proj"] = time.perf_counter() - t0
+        stats.max_bucket, stats.proj_buckets, stats.proj_entries = tables.max_bucket, tables.buckets, tables.entries
 
         count = proj.final_count(tables, purged)
         return SolveResult(count, stats, program, ttd, purged, tables, td)

@@ -30,7 +30,9 @@ union counts of b2 (zero for no partners).
 
 A bucket of one row with one origin, as most are, needs no
 inclusion-exclusion: the node loop reads its count as the product of the
-origin's singleton counts over the node's children.
+origin's singleton counts over the node's children (none at a leaf, whose
+table holds at most the solution row).  The loop also counts the pass's
+work: buckets, the largest one, and entries, 2^|b| - 1 per bucket b.
 """
 
 from __future__ import annotations
@@ -54,9 +56,12 @@ class NodeCounts:
 
 @dataclass
 class ProjTables:
-    """Per-node bucket count arrays of one projection pass."""
+    """Per-node bucket count arrays of one projection pass, and its work."""
 
     nodes: list[NodeCounts]
+    buckets: int  # over all nodes
+    max_bucket: int  # rows of the largest bucket; the pass is exponential in it
+    entries: int  # sum of 2^|b| - 1 over all buckets b
 
     @cached_property
     def tables(self) -> list[dict[frozenset[int], int]]:
@@ -194,7 +199,8 @@ def _bucket_values(pcnts: list[int]) -> list[int]:
 def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
     """Bottom-up pass computing every node's bucket count arrays.  ``pmask``
     is the projection as an atom mask; rows are bucketed by its slot mask
-    at each node."""
+    at each node.  A bucket too large to allocate raises ``MemoryError``
+    naming it, its node and the node's kind."""
     ttd = purged.ttd
     td = ttd.td
     alg = ttd.alg
@@ -204,6 +210,7 @@ def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
     interp = alg.interp
     # by node id, each set before its parent reads it (post-order)
     nodes: list[NodeCounts] = [None] * len(td.nodes)  # type: ignore[list-item]
+    n_buckets = max_bucket = entries = 0
 
     for t in ttd.post_order:
         kept = purged.kept[t]
@@ -214,6 +221,7 @@ def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
         for a in nd.bag:
             smask |= proj_bits[a]
         partition = buckets(map(interp, purged.rows[t]), smask)
+        n_buckets += len(partition)
         bucket_of = [0] * len(tab)
         pos_in_bucket = [0] * len(tab)
         pcnts: list[list[int]] = []
@@ -225,28 +233,31 @@ def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
             of2, pos2, pc2 = children[-1].bucket_of, children[-1].pos_in_bucket, children[-1].pcnts
         for bi, bucket in enumerate(partition):
             j = kept[bucket[0]]
-            if len(bucket) == 1 and len(origins[j]) == 1 and children:
+            if len(bucket) == 1 and len(origins[j]) == 1:
                 # one row of one origin needs no inclusion-exclusion: the
-                # product of the origin's singleton counts in the children
+                # product of the origin's singleton counts in the children,
+                # none for a leaf's row, of origin ()
                 bucket_of[j] = bi
                 seq = origins[j][0]
-                count = pc1[of1[seq[0]]][1 << pos1[seq[0]]]
+                count = pc1[of1[seq[0]]][1 << pos1[seq[0]]] if seq else 1
                 if len(seq) == 2:
                     count *= pc2[of2[seq[1]]][1 << pos2[seq[1]]]
                 pcnts.append([0, count])
                 continue
+            entries += (1 << len(bucket)) - 2  # beyond its one entry, counted with n_buckets
+            max_bucket = max(max_bucket, len(bucket))
             rows = [kept[u] for u in bucket]
             for pos, j in enumerate(rows):
                 bucket_of[j] = bi
                 pos_in_bucket[j] = pos
-            if children:
+            try:
                 pcnts.append(_bucket_pcnts(rows, origins, children))
-            else:
-                # every row of a leaf stands for the one empty projected
-                # answer set: all union counts are one
-                pcnts.append([0] + [1] * ((1 << len(bucket)) - 1))
+            except MemoryError as exc:
+                b = len(rows)
+                raise MemoryError(f"node {t} ({nd.kind}): bucket of {b} rows, {(1 << b) - 1} entries") from exc
         nodes[t] = NodeCounts(partition, bucket_of, pos_in_bucket, pcnts)
-    return ProjTables(nodes)
+    # one-row reads skip max_bucket, which any bucket makes at least 1
+    return ProjTables(nodes, n_buckets, max(max_bucket, min(n_buckets, 1)), n_buckets + entries)
 
 
 def final_count(proj: ProjTables, purged: PurgedTables) -> int:

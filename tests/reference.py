@@ -3,13 +3,15 @@ formulas of the projection pass, the union-count transform of a bucket's
 intersection counts, the engine's origin links as row tuples and their
 definitional recomputation, structural row checks on decoded rows, the
 ``prim`` table algorithm with counter sets as frozensets of atom masks, the
-first elimination-ordering decomposition, and the structural check of the
-nice shape.
+first elimination-ordering decomposition, the structural check of the
+nice shape, and the brute-force oracle that builds every interpretation's
+reduct before checking it.
 The library computes the same quantities bucket-wise (``paspc.proj``),
 records them during the table pass (``paspc.engine``), encodes rows in bag
 slots with counter sets as subset bitsets (``paspc.prim``), selects and
-links bags with cheaper structures, or builds nice decompositions that are
-nice by construction (``paspc.decomposition``)."""
+links bags with cheaper structures, builds nice decompositions that are
+nice by construction (``paspc.decomposition``), or checks the program
+before building a reduct, and only for its models (``paspc.oracle``)."""
 
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from paspc.decomposition import (
     assign_slots,
 )
 from paspc.engine import BagRule, NodeTable, TabledTreeDecomposition, bag_rule, entering_rules, node_table
+from paspc.oracle import MAX_ATOMS, OracleSizeError
 from paspc.phc import PhcAlgorithm
 from paspc.program import Program, Rule, is_model, iter_bits, mask_of
 from paspc.proj import buckets
@@ -502,3 +505,46 @@ def check_nice(ntd: NiceTreeDecomposition) -> list[str]:
     if ntd.nodes[ntd.root].bag:
         problems.append("root bag not empty")
     return problems
+
+
+# --- brute-force oracle -------------------------------------------------------
+
+
+def enumerate_answer_sets(program: Program) -> list[int]:
+    """All answer sets as interpretation bitmasks, ascending: every
+    interpretation's reduct is built and checked, and each of its models
+    walks all its proper subsets for a smaller one."""
+    n = program.n_atoms
+    if n > MAX_ATOMS:
+        raise OracleSizeError(f"{n} atoms exceed the brute-force guard of {MAX_ATOMS}")
+    # atom masks of at most MAX_ATOMS bits
+    rules = [(mask_of(r.head), mask_of(r.pos_body), mask_of(r.neg_body)) for r in program.rules]
+    out = []
+    for interp in range(1 << n):
+        reduct = [(h, p) for h, p, ng in rules if not ng & interp]
+        ok = True
+        for h, p in reduct:
+            if not (h & interp or p & ~interp):
+                ok = False
+                break
+        if not ok:
+            continue
+        if interp:
+            minimal = True
+            sub = (interp - 1) & interp
+            while True:
+                good = True
+                for h, p in reduct:
+                    if not (h & sub or p & ~sub):
+                        good = False
+                        break
+                if good:
+                    minimal = False
+                    break
+                if sub == 0:
+                    break
+                sub = (sub - 1) & interp
+            if not minimal:
+                continue
+        out.append(interp)
+    return out

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,31 @@ from paspc import cli, parse_program, solve
 
 EX1 = helpers.EXAMPLE1_TEXT
 TRACES = Path(__file__).resolve().parent / "data" / "traces"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def fib_program(blocks: int, k: int) -> str:
+    """A tight program with F(blocks + 1)^k projected answer sets: per column
+    j, guessed x_i_j, p_i_j :- x_i_j, not x_(i-1)_j. onto which it projects,
+    and per block i >= 1 one rule over both blocks' x atoms, which puts them
+    into one bag and makes its projection buckets large."""
+    lines = []
+    for i in range(blocks):
+        for j in range(k):
+            lines += [f"x_{i}_{j} :- not y_{i}_{j}.", f"y_{i}_{j} :- not x_{i}_{j}."]
+            if i:
+                lines.append(f"p_{i}_{j} :- x_{i}_{j}, not x_{i - 1}_{j}.")
+        if i:
+            lines.append(f"w_{i} :- " + ", ".join(f"x_{b}_{j}" for b in (i, i - 1) for j in range(k)) + ".")
+    lines.append("#project " + ", ".join(f"p_{i}_{j}" for i in range(1, blocks) for j in range(k)) + ".")
+    return "\n".join(lines) + "\n"
+
+
+def limit_address_space(limit: int = 2 << 30) -> None:
+    """Cap the calling process's address space, as the benchmark worker does."""
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if hard == resource.RLIM_INFINITY or hard > limit:
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
 
 @pytest.fixture
@@ -70,6 +97,14 @@ class TestSolve:
         for projection in ("--project-none", "--project-all"):
             code, out, _ = run(capsys, "solve", str(path), projection, "--oracle-check")
             assert (code, out.splitlines()[-1]) == (0, "c 1")
+
+    def test_fib_family_counts_its_closed_form(self, tmp_path, capsys):
+        # F(3)^2 = 4 and F(4)^2 = 9; fib(2, 3) below is the same family
+        for blocks, want in ((2, 4), (3, 9)):
+            path = tmp_path / f"fib{blocks}.lp"
+            path.write_text(fib_program(blocks, 2))
+            code, out, _ = run(capsys, "solve", str(path), "--oracle-check")
+            assert (code, out.splitlines()[-1]) == (0, f"c {want}")
 
 
 class TestExitCodes:
@@ -185,6 +220,28 @@ class TestExitCodes:
         assert code == 7
         assert "25 atoms" in err
 
+    def test_bucket_too_large_for_memory(self, tmp_path):
+        # fib(2, 3): 16 atoms and 8 projected answer sets, but projection
+        # buckets of 32 rows and more, whose count arrays fail to allocate
+        # at once under a 2 GiB address space
+        path = tmp_path / "fib.lp"
+        path.write_text(fib_program(2, 3))
+        src = os.path.dirname(os.path.dirname(paspc.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "paspc", "solve", str(path)],
+            env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=limit_address_space,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (8, "")
+        pattern = r"error: out of memory: node \d+ \((int|rem|join)\): bucket of (\d+) rows, (\d+) entries\n"
+        m = re.fullmatch(pattern, proc.stderr)
+        assert m, proc.stderr
+        rows, entries = int(m[2]), int(m[3])
+        assert rows >= 32 and entries == 2**rows - 1
+
 
 class TestSideOutputs:
     def test_stats_json(self, ex1_file, capsys):
@@ -217,6 +274,14 @@ class TestSideOutputs:
         assert stats["proj_buckets"] == sum(len(node.buckets) for node in result.proj_tables.nodes) >= 1
         assert stats["proj_entries"] == sum(len(t) for t in result.proj_tables.tables)
         assert stats["peak_rss_mb"] > 0
+
+    def test_readme_lists_the_stats_keys(self, ex1_file, capsys):
+        # the key column of README's --stats table, in order, is what --stats prints
+        table = README.read_text(encoding="utf-8").split("`--stats` object")[1].split("\n\n")[1]
+        keys = re.findall(r"^\| `(\w+)` \|", table, re.M)
+        code, _, err = run(capsys, "solve", ex1_file, "--stats")
+        assert code == 0
+        assert keys == list(json.loads(err.splitlines()[-1]))
 
     def test_emit_and_reuse_td(self, ex1_file, tmp_path, capsys):
         td_path = str(tmp_path / "out.td")

@@ -123,3 +123,29 @@ class TestRowStats:
             assert result.stats.max_table == max(len(tab) for tab in result.ttd.tables)
             seen.add(result.stats.algorithm)
         assert seen == {"phc", "prim"}
+
+    def test_projection_counts_match_a_recount(self):
+        # solve reads the largest kept table off purge, and run_proj counts
+        # buckets, the largest bucket and entries in its node loop, one-row
+        # buckets included; a recount over the kept rows and buckets must agree
+        for prim, p, pmask in helpers.projection_fuzz():
+            result = pipeline.solve(p.with_projection(pmask), algorithm="prim" if prim else "auto")
+            sizes = [len(b) for node in result.proj_tables.nodes for b in node.buckets]
+            stats = result.stats
+            assert stats.max_purged == max(len(rows) for rows in result.purged.rows)
+            assert stats.max_bucket == max(sizes, default=0)
+            assert stats.proj_buckets == len(sizes)
+            assert stats.proj_entries == sum((1 << b) - 1 for b in sizes)
+
+    @pytest.mark.parametrize(
+        "text, want",
+        (
+            ("a :- not a.\n", (0, 0, 0, 0)),  # inconsistent: purge keeps no row
+            ("", (1, 1, 1, 1)),  # one leaf, holding the solution row
+            (helpers.EXAMPLE1_TEXT, (5, 3, 27, 49)),  # buckets of up to three rows
+        ),
+        ids=("inconsistent", "empty", "example1"),
+    )
+    def test_projection_counts_pinned(self, text, want):
+        stats = pipeline.solve(parse_program(text)).stats
+        assert (stats.max_purged, stats.max_bucket, stats.proj_buckets, stats.proj_entries) == want
