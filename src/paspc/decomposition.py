@@ -32,19 +32,18 @@ class PrimalGraph:
     def edges(self) -> list[tuple[int, int]]:
         return [(a, b) for a in range(self.n) for b in sorted(self.adj[a]) if a < b]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PrimalGraph):
-            return NotImplemented
-        return self.n == other.n and self.adj == other.adj
-
 
 def primal_graph(program: Program) -> PrimalGraph:
+    """One ``set.update`` per rule atom; the self-loops are dropped at the end."""
     g = PrimalGraph(program.n_atoms)
+    adj = g.adj
     for r in program.rules:
-        atoms = sorted(set(r.head) | set(r.pos_body) | set(r.neg_body))
-        for i in range(len(atoms)):
-            for j in range(i + 1, len(atoms)):
-                g.add_edge(atoms[i], atoms[j])
+        atoms = r.head + r.pos_body + r.neg_body
+        if len(atoms) > 1:
+            for a in atoms:
+                adj[a].update(atoms)
+    for a, ns in enumerate(adj):
+        ns.discard(a)
     return g
 
 

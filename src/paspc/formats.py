@@ -148,8 +148,8 @@ def parse_program(text: str) -> Program:
 
 def print_program(program: Program) -> str:
     """Canonical source text: head atoms by id, positive body first, 'not'
-    literals last, one statement per line.  A #project directive is emitted
-    only when the projection differs from the full atom set."""
+    literals last, one statement per line, #project only when the projection
+    is partial.  An empty projection and the atom-free constraint have none."""
     if program.projection == 0 and program.n_atoms > 0:
         raise ValueError("empty projection is not expressible in program text")
     lines = []
@@ -161,8 +161,10 @@ def print_program(program: Program) -> str:
             lines.append(f"{head} :- {', '.join(body)}.")
         elif head:
             lines.append(f"{head}.")
-        else:
+        elif body:
             lines.append(f":- {', '.join(body)}.")
+        else:
+            raise ValueError("the atom-free constraint is not expressible in program text")
     if program.projection != program.atom_mask:
         names = ", ".join(program.atom_names[a] for a in iter_bits(program.projection))
         lines.append(f"#project {names}.")

@@ -5,6 +5,11 @@ Interpretations and atom sets are plain ``int`` bitmasks over those ids:
 bit ``1 << a`` is set iff atom ``a`` is in the set.  Rules keep their atom
 sets as sorted id tuples only; the table algorithms see them as slot masks
 (``engine.BagRule``), and the oracle builds its own atom masks.
+
+A program's class (tight, head-cycle-free or disjunctive) is read off its
+positive dependency digraph, which is never built as an object of its own:
+``cyclic_components`` keeps one successor list per atom id and runs one
+Tarjan pass over them, and ``classify`` reads the components it returns.
 """
 
 from __future__ import annotations
@@ -67,14 +72,6 @@ class ProgramClass:
     kind: ProgramKind
     is_normal: bool
     components: dict[int, int] = field(compare=False)  # see cyclic_components
-
-
-@dataclass(frozen=True)
-class DependencyDigraph:
-    """Positive dependency digraph: edge (a, b) for a in B+ and b in H of a rule."""
-
-    vertices: frozenset[int]
-    edges: frozenset[tuple[int, int]]
 
 
 class Program:
@@ -170,77 +167,58 @@ class Program:
         return f"Program(atoms={len(self.atom_names)}, rules={len(self.rules)})"
 
 
-def dependency_digraph(program: Program) -> DependencyDigraph:
-    verts = set()
-    edges = set()
+def cyclic_components(program: Program) -> dict[int, int]:
+    """Component id of every atom on a positive cycle: the atoms of strongly
+    connected components of size > 1 and atoms with a positive self-loop.
+    One iterative Tarjan runs over per-atom successor lists of the positive
+    dependency digraph (a -> b for a in B+ and b in H of a rule), roots and
+    successors ascending; cyclic components are numbered as they complete."""
+    n = program.n_atoms
+    heads: list[set[int]] = [set() for _ in range(n)]
     for r in program.rules:
-        verts.update(r.head)
-        verts.update(r.pos_body)
         for a in r.pos_body:
-            for b in r.head:
-                edges.add((a, b))
-    return DependencyDigraph(frozenset(verts), frozenset(edges))
-
-
-def _sccs(vertices: Iterable[int], succ: dict[int, list[int]]) -> dict[int, int]:
-    """Iterative Tarjan; returns vertex -> component id."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    comp: dict[int, int] = {}
-    on_stack: set[int] = set()
+            heads[a].update(r.head)
+    succ = [sorted(s) for s in heads]
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
     stack: list[int] = []
-    counter = 0
-    n_comp = 0
-    for root in vertices:
-        if root in index:
+    comp: dict[int, int] = {}
+    counter = n_comp = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work = [(root, 0)]
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
+            v, todo = work[-1]
+            if index[v] < 0:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            for i in range(pi, len(succ.get(v, ()))):
-                w = succ[v][i]
-                if w not in index:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
+                on_stack[v] = True
+            for w in todo:
+                if index[w] < 0:
+                    work.append((w, iter(succ[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = n_comp
-                    if w == v:
-                        break
-                n_comp += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    i = len(stack) - 1  # scan from the top: ``stack.index`` searches from the bottom
+                    while stack[i] != v:
+                        i -= 1
+                    members = stack[i:]
+                    del stack[i:]
+                    for w in members:
+                        on_stack[w] = False
+                    if len(members) > 1 or v in heads[v]:
+                        comp.update(dict.fromkeys(members, n_comp))
+                        n_comp += 1
     return comp
-
-
-def cyclic_components(program: Program) -> dict[int, int]:
-    """Component id of every atom on a positive cycle: the atoms of strongly
-    connected components of size > 1 and atoms with a positive self-loop."""
-    dep = dependency_digraph(program)
-    succ: dict[int, list[int]] = {}
-    for a, b in sorted(dep.edges):
-        succ.setdefault(a, []).append(b)
-    comp = _sccs(sorted(dep.vertices), succ)
-    sizes: dict[int, int] = {}
-    for c in comp.values():
-        sizes[c] = sizes.get(c, 0) + 1
-    return {v: c for v, c in comp.items() if sizes[c] > 1 or v in succ.get(v, ())}
 
 
 def classify(program: Program) -> ProgramClass:
@@ -255,7 +233,8 @@ def classify(program: Program) -> ProgramClass:
     if not comp:
         return ProgramClass(ProgramKind.TIGHT, is_normal, comp)
     for r in program.rules:
-        head_comps = [comp[a] for a in r.head if a in comp]
-        if len(head_comps) != len(set(head_comps)):
-            return ProgramClass(ProgramKind.DISJUNCTIVE, is_normal, comp)
+        if len(r.head) > 1:
+            head_comps = [comp[a] for a in r.head if a in comp]
+            if len(head_comps) != len(set(head_comps)):
+                return ProgramClass(ProgramKind.DISJUNCTIVE, is_normal, comp)
     return ProgramClass(ProgramKind.HEAD_CYCLE_FREE, is_normal, comp)

@@ -1,7 +1,8 @@
 """Shared test support: the running example, a hand-built 14-node nice
 decomposition for it, the paper's full-ordering PHC as a reference, random
-valid decompositions, seeded random program generators per class, and the
-seeded projection fuzz draws."""
+valid decompositions, seeded random program generators per class, the
+seeded projection fuzz draws, and seeded draws with rules whose head or
+negative body meets their positive body."""
 
 from __future__ import annotations
 
@@ -234,3 +235,36 @@ def projection_fuzz():
             for _ in range(25):
                 p = gen(rng, rng.randint(*atoms), rng.randint(*rules))
                 yield prim, p, random_projection(rng, p)
+
+
+def _overlapping_rule(rng: random.Random, names: list[str]) -> tuple:
+    """A rule whose head or negative body meets its positive body, such as
+    ``a :- a.``, ``a | b :- a.``, ``a :- a, b.`` or ``b :- a, not a.``.
+    Every interpretation satisfies it, but the first three put a self-loop
+    on ``a`` in the positive dependency digraph.  ``b`` may be ``a``."""
+    a, b = rng.choice(names), rng.choice(names)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return (a,), (a,), ()
+    if kind == 1:
+        return (a, b), (a,), ()
+    if kind == 2:
+        return (a,), (a, b), ()
+    return (b,) if rng.randrange(2) else (), (a,), (a,)
+
+
+def overlap_fuzz():
+    """Seeded draws of every ``random_*`` generator with one to three
+    ``_overlapping_rule`` rules appended (the generators' own draws never
+    contain one) and a random projection.  Appended rules use the program's
+    own atoms, so atom ids stay as drawn."""
+    rng = random.Random(1717)
+    gens = (random_mixed, random_guessed, random_tight, random_normal, random_hcf, random_disjunctive)
+    for gen in gens:
+        for _ in range(20):
+            p = gen(rng, rng.randint(1, 3 if gen is random_guessed else 8), rng.randint(1, 8))
+            names = list(p.atom_names)
+            specs = [tuple(tuple(names[a] for a in part) for part in (r.head, r.pos_body, r.neg_body)) for r in p.rules]
+            specs.extend(_overlapping_rule(rng, names) for _ in range(rng.randint(1, 3)))
+            q = Program.from_specs(specs)
+            yield q.with_projection(random_projection(rng, q))

@@ -3,15 +3,18 @@ formulas of the projection pass, the union-count transform of a bucket's
 intersection counts, the engine's origin links as row tuples and their
 definitional recomputation, structural row checks on decoded rows, the
 ``prim`` table algorithm with counter sets as frozensets of atom masks, the
-first elimination-ordering decomposition, the structural check of the
-nice shape, and the brute-force oracle that builds every interpretation's
-reduct before checking it.
+positive dependency digraph as an edge set with its reachability closure,
+the primal graph built pair by pair, the first elimination-ordering
+decomposition, the structural check of the nice shape, and the brute-force
+oracle that builds every interpretation's reduct before checking it.
 The library computes the same quantities bucket-wise (``paspc.proj``),
 records them during the table pass (``paspc.engine``), encodes rows in bag
-slots with counter sets as subset bitsets (``paspc.prim``), selects and
-links bags with cheaper structures, builds nice decompositions that are
-nice by construction (``paspc.decomposition``), or checks the program
-before building a reduct, and only for its models (``paspc.oracle``)."""
+slots with counter sets as subset bitsets (``paspc.prim``), builds both
+program graphs on atom-indexed lists (``paspc.program``,
+``paspc.decomposition``), selects and links bags with cheaper structures,
+builds nice decompositions that are nice by construction
+(``paspc.decomposition``), or checks the program before building a reduct,
+and only for its models (``paspc.oracle``)."""
 
 from __future__ import annotations
 
@@ -368,6 +371,60 @@ def decoded_prim_row(ttd: TabledTreeDecomposition, t: int, row: Any) -> PrimRow:
     set holds the slot subsets themselves."""
     subsets = row.counters if isinstance(row.counters, frozenset) else ids_of(row.counters)
     return PrimRow(ttd.decode(t, row.witness), frozenset(ttd.decode(t, n) for n in subsets))
+
+
+# --- program graphs -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DependencyDigraph:
+    """Positive dependency digraph: edge (a, b) for a in B+ and b in H of a rule."""
+
+    vertices: frozenset[int]
+    edges: frozenset[tuple[int, int]]
+
+
+def dependency_digraph(program: Program) -> DependencyDigraph:
+    verts = set()
+    edges = set()
+    for r in program.rules:
+        verts.update(r.head)
+        verts.update(r.pos_body)
+        for a in r.pos_body:
+            for b in r.head:
+                edges.add((a, b))
+    return DependencyDigraph(frozenset(verts), frozenset(edges))
+
+
+def reachable(dep: DependencyDigraph) -> dict[int, set[int]]:
+    """Per vertex, the vertices it reaches by a path of one or more edges:
+    a vertex is in its own set iff it lies on a cycle."""
+    succ: dict[int, set[int]] = {}
+    for a, b in dep.edges:
+        succ.setdefault(a, set()).add(b)
+    out = {}
+    for src in dep.vertices:
+        seen: set[int] = set()
+        stack = [src]
+        while stack:
+            for w in succ.get(stack.pop(), ()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        out[src] = seen
+    return out
+
+
+def pairwise_primal_graph(program: Program) -> PrimalGraph:
+    """The primal graph as first written: one ``add_edge`` per pair of a
+    rule's atoms."""
+    g = PrimalGraph(program.n_atoms)
+    for r in program.rules:
+        atoms = sorted(set(r.head) | set(r.pos_body) | set(r.neg_body))
+        for i in range(len(atoms)):
+            for j in range(i + 1, len(atoms)):
+                g.add_edge(atoms[i], atoms[j])
+    return g
 
 
 # --- decomposition ------------------------------------------------------------

@@ -242,6 +242,19 @@ class TestExitCodes:
         rows, entries = int(m[2]), int(m[3])
         assert rows >= 32 and entries == 2**rows - 1
 
+    @pytest.mark.parametrize(
+        "doc",
+        (cli.__doc__, README.read_text(encoding="utf-8")),
+        ids=("cli-docstring", "readme"),
+    )
+    def test_documented_codes_are_the_constants(self, doc):
+        # each code opens its item of the "Exit codes:" paragraph, after the
+        # colon or after a comma
+        paragraph = doc.split("Exit codes:")[1].split("\n\n")[0]
+        listed = [int(c) for c in re.findall(r"(?:^|,)\s(\d+)\s", paragraph)]
+        constants = sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))
+        assert listed == constants
+
 
 class TestSideOutputs:
     def test_stats_json(self, ex1_file, capsys):

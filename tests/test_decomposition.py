@@ -15,7 +15,7 @@ from paspc.decomposition import (
 )
 from paspc.formats import read_td, write_td
 from paspc.program import Program
-from reference import check_nice, reference_decompose, to_tree_decomposition
+from reference import check_nice, pairwise_primal_graph, reference_decompose, to_tree_decomposition
 
 
 def random_graph(rng, n, density=0.3):
@@ -48,6 +48,14 @@ class TestPrimalGraph:
         p = Program.from_specs([(("a", "b"), ("c",), ())])
         g = primal_graph(p)
         assert len(g.edges()) == 3
+
+    def test_matches_pairwise_construction(self):
+        rng = random.Random(12)
+        programs = [p for _, p, _ in helpers.projection_fuzz()] + list(helpers.overlap_fuzz())
+        programs += [helpers.random_mixed(rng, rng.randint(1, 12), rng.randint(1, 10), 3, 6) for _ in range(60)]
+        for p in programs:
+            g, want = primal_graph(p), pairwise_primal_graph(p)
+            assert (g.n, g.adj) == (want.n, want.adj)
 
 
 class TestDecompose:

@@ -5,7 +5,7 @@ import pytest
 import helpers
 from paspc.decomposition import PrimalGraph, decompose, validate_td
 from paspc.formats import ParseError, parse_program, print_program, read_td, write_td
-from paspc.program import ProgramKind, classify
+from paspc.program import Program, ProgramKind, classify
 
 
 class TestParseProgram:
@@ -136,6 +136,14 @@ class TestPrintProgram:
     def test_empty_projection_unprintable(self, example1):
         with pytest.raises(ValueError):
             print_program(example1.with_projection(0))
+
+    def test_atom_free_constraint_unprintable(self):
+        # ``:- .`` would be its text, and the parser rejects it
+        with pytest.raises(ParseError, match="expected atom"):
+            parse_program(":- .")
+        for specs in ([((), (), ())], [(("a",), (), ()), ((), (), ())]):
+            with pytest.raises(ValueError, match="atom-free constraint"):
+                print_program(Program.from_specs(specs))
 
     def test_id_stability_across_reparses(self):
         text = "m | n :- k.\nk :- not m."

@@ -3,6 +3,7 @@ import gc
 import pytest
 
 import helpers
+import reference
 from paspc import engine, oracle, pipeline
 from paspc.decomposition import TreeDecomposition
 from paspc.formats import parse_program
@@ -69,6 +70,20 @@ class TestAtomFreeConstraint:
         p = Program.from_specs([((), (), ())] + [((a,), (), ()) for a in facts])
         assert oracle.projected_count(p) == 0
         assert pipeline.solve(p, algorithm=algorithm).count == 0
+
+
+class TestOverlappingRules:
+    """Rules whose head or negative body meets their positive body
+    (``helpers.overlap_fuzz``): ``a :- a.`` and its kin hold in every
+    interpretation but put a self-loop in the dependency digraph."""
+
+    def test_counts_match_both_oracles(self):
+        for p in helpers.overlap_fuzz():
+            answer_sets = oracle.enumerate_answer_sets(p)
+            assert answer_sets == reference.enumerate_answer_sets(p)
+            want = len({m & p.projection for m in answer_sets})
+            assert pipeline.solve(p).count == want
+            assert pipeline.solve(p, "prim").count == want
 
 
 class TestSuppliedDecomposition:

@@ -1,16 +1,18 @@
 import random
+import sys
 import time
 
 import pytest
 
 import helpers
+import reference
 from paspc.engine import bag_rule
 from paspc.program import (
     Program,
     ProgramKind,
     Rule,
     classify,
-    dependency_digraph,
+    cyclic_components,
     is_model,
     iter_bits,
 )
@@ -62,7 +64,7 @@ class TestClassify:
         assert not c.is_normal
 
     def test_example1_not_tight_has_be_cycle(self, example1):
-        dep = dependency_digraph(example1)
+        dep = reference.dependency_digraph(example1)
         b, e = example1.atom_id("b"), example1.atom_id("e")
         assert (b, e) in dep.edges and (e, b) in dep.edges
 
@@ -91,28 +93,11 @@ class TestClassify:
 def brute_force_has_head_cycle(p):
     """Reachability-based reference: two distinct head atoms of one rule lie
     on a common cycle iff they reach each other."""
-    dep = dependency_digraph(p)
-    succ = {}
-    for a, b in dep.edges:
-        succ.setdefault(a, set()).add(b)
-
-    def reaches(src, dst):
-        seen, stack = set(), [src]
-        while stack:
-            v = stack.pop()
-            for w in succ.get(v, ()):
-                if w == dst:
-                    return True
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
-
+    reach = reference.reachable(reference.dependency_digraph(p))
     for r in p.rules:
-        hs = [a for a in r.head if a in dep.vertices]
-        for i in range(len(hs)):
-            for j in range(i + 1, len(hs)):
-                if reaches(hs[i], hs[j]) and reaches(hs[j], hs[i]):
+        for a in r.head:
+            for b in r.head:
+                if a < b and b in reach[a] and a in reach[b]:
                     return True
     return False
 
@@ -123,6 +108,45 @@ def test_scc_head_cycle_agrees_with_brute_force():
         p = helpers.random_mixed(rng, rng.randint(1, 8), rng.randint(1, 10))
         got = classify(p).kind is ProgramKind.DISJUNCTIVE
         assert got == brute_force_has_head_cycle(p)
+
+
+class TestCyclicComponents:
+    """``cyclic_components`` against reachability in the reference digraph:
+    two cyclic atoms share a component iff each reaches the other, and an
+    atom is cyclic iff it reaches itself."""
+
+    @staticmethod
+    def check(p):
+        comp = cyclic_components(p)
+        reach = reference.reachable(reference.dependency_digraph(p))
+        for a in range(p.n_atoms):
+            assert (a in comp) == (a in reach.get(a, ()))
+            for b in comp if a in comp else ():
+                assert (comp[a] == comp[b]) == (b in reach[a] and a in reach[b])
+        return comp
+
+    def test_overlapping_rule_stream(self):
+        several = singletons = 0
+        for p in helpers.overlap_fuzz():
+            ids = list(self.check(p).values())
+            several += len(set(ids)) > 1
+            singletons += sum(ids.count(c) == 1 for c in ids)
+        # the stream reaches programs of several cyclic components, and
+        # self-loops, the only cyclic singletons
+        assert several > 10 and singletons > 10
+
+    def test_projection_fuzz_streams(self):
+        for _, p, _ in helpers.projection_fuzz():
+            self.check(p)
+
+    def test_long_cycle_is_one_component(self):
+        n = 50_000
+        assert sys.getrecursionlimit() < n
+        chain = [((f"x{i + 1}",), (f"x{i}",), ()) for i in range(n - 1)]
+        c = classify(Program.from_specs(chain + [(("x0",), (f"x{n - 1}",), ())]))
+        assert c.kind is ProgramKind.HEAD_CYCLE_FREE
+        assert len(c.components) == n and len(set(c.components.values())) == 1
+        assert classify(Program.from_specs(chain)).kind is ProgramKind.TIGHT
 
 
 def test_duplicate_rules_and_atoms_collapse():
