@@ -23,12 +23,6 @@ class PrimalGraph:
         self.n = n
         self.adj: list[set[int]] = [set() for _ in range(n)]
 
-    def add_edge(self, a: int, b: int) -> None:
-        if a == b:
-            return
-        self.adj[a].add(b)
-        self.adj[b].add(a)
-
     def edges(self) -> list[tuple[int, int]]:
         return [(a, b) for a in range(self.n) for b in sorted(self.adj[a]) if a < b]
 

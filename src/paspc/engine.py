@@ -15,28 +15,38 @@ The engine owns the table contract.  ``node_table`` builds each node's
 table: a leaf holds the algorithm's ``solution_row`` (the empty row) if the
 atomless rules hold, and an introduce, remove or join node holds the rows
 that the algorithm's generator of that kind yields as (row, origin) pairs,
-an origin being the child-row indices the row came from.  An algorithm sees
-only the rules entering at the node, those whose atoms first all fit a bag
-there: the rules of an introduced atom that fit its bag, and the atomless
-rules at a leaf.  Every other rule that fits the bag was checked below, on
+an origin being the child row, or pair of child rows, the row came from.
+An algorithm sees only the rules entering at the node, those whose atoms
+first all fit a bag there: the rules of an introduced atom that fit its
+bag, and the atomless rules at a leaf.  Every other rule that fits the bag was checked below, on
 the same interpretation of its atoms.  Tables keep their rows in the order
 the algorithm first emitted them; a later top-down pass (purge) marks the
 rows reachable from the solution row at the root and keeps their table
 indices, so the projection pass reads the kept rows' origins in place.
 
-A row's origins are a list in emission order, built by ``node_table`` alone.
-No origin repeats: a one-child node visits each child row once and the rows
-one child row yields are distinct, and a join visits each pair of matching
-child rows once, left row outer and right row inner.  So each list comes out
-strictly ascending, and ``run_dp`` stores the lists as they are.
+A row's origins are its child rows, each encoded as one int: the child
+row's index under one child, and ``i * len(right_rows) + j`` for the pair of
+left row i and right row j at a join.  No origin repeats: a one-child node
+visits each child row once and the rows one child row yields are distinct,
+and a join visits each pair of matching child rows once, left row outer and
+right row inner.  So each row's origins come out strictly ascending, and
+``node_table`` stores them as they come: every row's first origin in one
+``array('q')`` per node, and the rarer further ones in a map from the row's
+index to a tuple of them.  A node whose rows all have one origin builds no
+map but holds one empty map that all such nodes share.
+``NodeTable.origins`` decodes the store back into lists of child-index
+tuples, one row per access, for traces and tests.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import compress
-from typing import Any, Iterator, NamedTuple, Protocol, Sequence
+from itertools import chain, compress
+from types import MappingProxyType
+from typing import Any, NamedTuple, Protocol
 
 from .decomposition import INTRODUCE, JOIN, LEAF, REMOVE, NiceTreeDecomposition, assign_slots
 from .program import Program, Rule, is_model
@@ -61,18 +71,20 @@ class TableAlgorithm(Protocol):
     row and, at the root, the witness that the program has an answer set.
     ``introduce``, ``remove`` and ``join`` yield the (row, origin) pairs of
     one node of their kind, each child row (or matching pair of child rows)
-    visited in table order; ``node_table`` turns them into the table."""
+    visited in table order; ``node_table`` turns them into the table.  An
+    origin is an int: the child row's index, or ``i * len(right_rows) + j``
+    for left row i and right row j at a join."""
 
     name: str
     solution_row: Any
 
     def introduce(
         self, atom: int, slot: int, rules: Sequence[BagRule], child_rows: Sequence[Any]
-    ) -> Iterator[tuple[Any, tuple[int, ...]]]: ...
+    ) -> Iterator[tuple[Any, int]]: ...
 
-    def remove(self, atom: int, slot: int, child_rows: Sequence[Any]) -> Iterator[tuple[Any, tuple[int, ...]]]: ...
+    def remove(self, atom: int, slot: int, child_rows: Sequence[Any]) -> Iterator[tuple[Any, int]]: ...
 
-    def join(self, left_rows: Sequence[Any], right_rows: Sequence[Any]) -> Iterator[tuple[Any, tuple[int, ...]]]: ...
+    def join(self, left_rows: Sequence[Any], right_rows: Sequence[Any]) -> Iterator[tuple[Any, int]]: ...
 
     def interp(self, row: Any) -> int: ...
 
@@ -81,18 +93,60 @@ class TableAlgorithm(Protocol):
         ...
 
 
+# the side store of every node whose rows all have one origin, read-only
+NO_MORE: Mapping[int, tuple[int, ...]] = MappingProxyType({})
+
+
 class NodeTable:
-    """Rows in emission order plus per-row origin sequences (child indices),
-    each row's strictly ascending."""
+    """Rows in emission order and their int-encoded origins (see the module
+    docstring): ``first[j]`` is row j's first origin, and ``more[j]``, where
+    present, the tuple of its further ones, all strictly ascending.
+    ``arity`` is the node's number of children, and ``stride`` the right
+    child's row count at a join (0 elsewhere): origin o of a join row decodes to
+    ``divmod(o, stride)``, of a one-child row to ``(o,)``, and of a leaf's
+    row, stored as 0, to ``()``."""
 
-    __slots__ = ("rows", "origins")
+    __slots__ = ("rows", "first", "more", "arity", "stride")
 
-    def __init__(self, rows: list, origins: list[list[tuple[int, ...]]]):
+    def __init__(
+        self, rows: list, first: Sequence[int], more: Mapping[int, tuple[int, ...]], arity: int, stride: int
+    ):
         self.rows = rows
-        self.origins = origins
+        self.first = first
+        self.more = more
+        self.arity = arity
+        self.stride = stride
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    @property
+    def origins(self) -> OriginLists:
+        return OriginLists(self)
+
+
+class OriginLists(Sequence):
+    """A read-only view of a table's origins in the form of a list per row
+    of child-index tuples, ``[(i,), ...]`` under one child and ``[(i, j),
+    ...]`` at a join, decoded from the store one row per access."""
+
+    __slots__ = ("_tab",)
+
+    def __init__(self, tab: NodeTable):
+        self._tab = tab
+
+    def __len__(self) -> int:
+        return len(self._tab.rows)
+
+    def __getitem__(self, j: int) -> list[tuple[int, ...]]:  # type: ignore[override]
+        tab = self._tab
+        j = range(len(tab.rows))[j]  # a negative index counts from the end
+        if tab.arity == 0:
+            return [()]
+        seq = (tab.first[j],) + tab.more.get(j, ())
+        if tab.arity == 1:
+            return [(o,) for o in seq]
+        return [divmod(o, tab.stride) for o in seq]
 
 
 @dataclass
@@ -109,6 +163,7 @@ class TabledTreeDecomposition:
     seconds: dict[str, float] = field(default_factory=dict)  # wall seconds of run_dp per node kind
     row_counts: dict[str, int] = field(default_factory=dict)  # rows of run_dp per node kind
     max_table: int = 0  # rows of the largest table
+    origin_links: int = 0  # origins held by all tables
 
     def table(self, t: int) -> NodeTable:
         tab = self.tables[t]
@@ -169,29 +224,39 @@ def node_table(
     slot: int | None,
     rules: Sequence[BagRule],
     child_tables: Sequence[NodeTable],
-) -> dict[Any, list[tuple[int, ...]]]:
+) -> NodeTable:
     """One node's table: each row the algorithm emits, in first-emission
-    order, with the list of its origins in emission order."""
+    order, with its origins in emission order."""
     if kind == LEAF:
-        return {alg.solution_row: [()]} if is_model(0, rules) else {}
+        rows = [alg.solution_row] if is_model(0, rules) else []
+        return NodeTable(rows, array("q", [0] * len(rows)), NO_MORE, 0, 0)
+    arity, stride = 1, 0
     if kind == INTRODUCE:
         pairs = alg.introduce(atom, slot, rules, child_tables[0].rows)  # type: ignore[arg-type]
     elif kind == REMOVE:
         pairs = alg.remove(atom, slot, child_tables[0].rows)  # type: ignore[arg-type]
     elif kind == JOIN:
         pairs = alg.join(child_tables[0].rows, child_tables[1].rows)
+        arity, stride = 2, len(child_tables[1].rows)
     else:
         raise ValueError(f"unknown node kind {kind!r}")
-    # the first origin creates the row's list and later ones are appended:
-    # no setdefault(row, []), which allocates a list per call
-    out: dict[Any, list[tuple[int, ...]]] = {}
+    index: dict[Any, int] = {}  # row -> its table index
+    place = index.setdefault  # one hash per pair: a new row takes the next index
+    first = array("q")
+    add_first = first.append
+    more = NO_MORE  # a dict from the first row of several origins on
+    n = 0
     for row, origin in pairs:
-        seqs = out.get(row)
-        if seqs is None:
-            out[row] = [origin]
+        j = place(row, n)
+        if j == n:
+            add_first(origin)
+            n += 1
+        elif more is NO_MORE:
+            more = {j: (origin,)}
         else:
-            seqs.append(origin)
-    return out
+            further = more.get(j)
+            more[j] = (origin,) if further is None else further + (origin,)
+    return NodeTable(list(index), first, more, arity, stride)
 
 
 def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> TabledTreeDecomposition:
@@ -204,7 +269,7 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
     tables: list[NodeTable | None] = [None] * len(td.nodes)
     seconds = dict.fromkeys((LEAF, INTRODUCE, REMOVE, JOIN), 0.0)
     row_counts = dict.fromkeys(seconds, 0)
-    max_table = 0
+    max_table = origin_links = 0
     clock = time.perf_counter
     start = clock()
     # post-order: every child's table exists before its parent's
@@ -212,15 +277,21 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
         nd = td.nodes[t]
         children = [tables[c] for c in nd.children]
         slot = None if nd.atom is None else slots[nd.atom]
-        produced = node_table(alg, nd.kind, nd.atom, slot, rules[t], children)  # type: ignore[arg-type]
-        tables[t] = NodeTable(list(produced), list(produced.values()))
-        row_counts[nd.kind] += len(produced)
-        max_table = max(max_table, len(produced))
+        tab = tables[t] = node_table(alg, nd.kind, nd.atom, slot, rules[t], children)  # type: ignore[arg-type]
+        n = len(tab.rows)
+        row_counts[nd.kind] += n
+        max_table = max(max_table, n)
+        # one origin per row, and a row's further ones in the side store
+        origin_links += n
+        if tab.more:
+            origin_links += sum(map(len, tab.more.values()))
         # one clock read per node: its end is the next node's start
         end = clock()
         seconds[nd.kind] += end - start
         start = end
-    return TabledTreeDecomposition(td, program, alg, tables, rules, slots, order, seconds, row_counts, max_table)
+    return TabledTreeDecomposition(
+        td, program, alg, tables, rules, slots, order, seconds, row_counts, max_table, origin_links
+    )
 
 
 @dataclass
@@ -263,16 +334,22 @@ def purge(ttd: TabledTreeDecomposition) -> PurgedTables:
         # a table whose rows are all kept lends its row list: no copy
         rows[t] = tab.rows if len(keep) == len(mark) else list(compress(tab.rows, mark))
         children = td.nodes[t].children
+        if not children:
+            continue
+        # the kept rows' first origins, then their further ones
+        origins: Iterable[int] = compress(tab.first, mark)
+        if tab.more:
+            origins = chain(origins, [o for j, seq in tab.more.items() if mark[j] for o in seq])
         if len(children) == 1:
             child_mark = marked[children[0]]
-            for seqs in compress(tab.origins, mark):
-                for (j,) in seqs:
-                    child_mark[j] = 1
-        elif children:
+            for o in origins:
+                child_mark[o] = 1
+        else:
             left, right = (marked[c] for c in children)
-            for seqs in compress(tab.origins, mark):
-                for i, j in seqs:
-                    left[i] = 1
-                    right[j] = 1
+            stride = tab.stride
+            for o in origins:
+                i, j = divmod(o, stride)
+                left[i] = 1
+                right[j] = 1
     return PurgedTables(ttd, kept, rows)
 

@@ -86,7 +86,7 @@ class PhcAlgorithm:
 
     def introduce(
         self, atom: int, slot: int, rules: Sequence[BagRule], child_rows: Sequence[PhcRow]
-    ) -> Iterator[tuple[PhcRow, tuple[int]]]:
+    ) -> Iterator[tuple[PhcRow, int]]:
         # rows here and in ``prim`` are built by the C tuple constructor: the
         # NamedTuple's own __new__ is a Python function, twice the cost per row
         new_row = tuple.__new__
@@ -94,14 +94,13 @@ class PhcAlgorithm:
         bit = 1 << slot
         cyclic = atom in comp
         for ci, (base, proven, order) in enumerate(child_rows):
-            origin = (ci,)
             for interp in (base, base | bit):
                 if not is_model(interp, rules):
                     continue
                 for new_order in self._orders(order, atom) if interp & bit and cyclic else (order,):
-                    yield new_row(PhcRow, (interp, proven | gp(interp, new_order, rules, comp), new_order)), origin
+                    yield new_row(PhcRow, (interp, proven | gp(interp, new_order, rules, comp), new_order)), ci
 
-    def remove(self, atom: int, slot: int, child_rows: Sequence[PhcRow]) -> Iterator[tuple[PhcRow, tuple[int]]]:
+    def remove(self, atom: int, slot: int, child_rows: Sequence[PhcRow]) -> Iterator[tuple[PhcRow, int]]:
         new_row = tuple.__new__
         bit = 1 << slot
         cyclic = atom in self.components
@@ -109,14 +108,16 @@ class PhcAlgorithm:
             if proven & bit or not interp & bit:
                 if cyclic:
                     order = tuple(a for a in order if a != atom)
-                yield new_row(PhcRow, (interp & ~bit, proven & ~bit, order)), (ci,)
+                yield new_row(PhcRow, (interp & ~bit, proven & ~bit, order)), ci
 
     @staticmethod
-    def join(left_rows: Sequence[PhcRow], right_rows: Sequence[PhcRow]) -> Iterator[tuple[PhcRow, tuple[int, int]]]:
+    def join(left_rows: Sequence[PhcRow], right_rows: Sequence[PhcRow]) -> Iterator[tuple[PhcRow, int]]:
         new_row = tuple.__new__
         right: dict[tuple[int, tuple[int, ...]], list[tuple[int, int]]] = {}
         for cj, (interp, proven, order) in enumerate(right_rows):
             right.setdefault((interp, order), []).append((cj, proven))
+        stride = len(right_rows)
         for ci, (interp, proven, order) in enumerate(left_rows):
+            base = ci * stride
             for cj, proven2 in right.get((interp, order), ()):
-                yield new_row(PhcRow, (interp, proven | proven2, order)), (ci, cj)
+                yield new_row(PhcRow, (interp, proven | proven2, order)), base + cj

@@ -34,6 +34,7 @@ class RunStats:
     max_purged: int = 0
     algorithm: str = ""
     rows: dict[str, int] = field(default_factory=dict)  # rows before purging, per node kind
+    origin_links: int = 0  # origins the tables hold, one or more per row
     dp_seconds: dict[str, float] = field(default_factory=dict)  # seconds of the dp pass, per node kind
     timings: dict[str, float] = field(default_factory=dict)
     max_bucket: int = 0  # rows of the largest projection bucket
@@ -122,6 +123,7 @@ def solve(
         stats.dp_seconds = dict(ttd.seconds)
         stats.rows = dict(ttd.row_counts)
         stats.max_table = ttd.max_table
+        stats.origin_links = ttd.origin_links
 
         t0 = time.perf_counter()
         purged = engine.purge(ttd)

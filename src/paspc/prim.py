@@ -82,7 +82,7 @@ class PrimAlgorithm:
 
     def introduce(
         self, atom: int, slot: int, rules: Sequence[BagRule], child_rows: Sequence[PrimRow]
-    ) -> Iterator[tuple[PrimRow, tuple[int]]]:
+    ) -> Iterator[tuple[PrimRow, int]]:
         new_row = tuple.__new__
         bit = 1 << slot
         with_slot = self._subsets_with(slot + 1)
@@ -98,7 +98,6 @@ class PrimAlgorithm:
             satisfied.append((r.neg_mask, head | ~body))
         reduct_models: dict[int, int | None] = {}  # R_W by witness; None if W is no model
         for ci, (base, c) in enumerate(child_rows):
-            origin = (ci,)
             for witness in (base, base | bit):
                 if witness in reduct_models:
                     r_w = reduct_models[witness]
@@ -119,25 +118,27 @@ class PrimAlgorithm:
                     counters = ((c | c << bit) & r_w) | (r_w & 1 << base)
                 else:
                     counters = c & r_w
-                yield new_row(PrimRow, (witness, counters)), origin
+                yield new_row(PrimRow, (witness, counters)), ci
 
-    def remove(self, atom: int, slot: int, child_rows: Sequence[PrimRow]) -> Iterator[tuple[PrimRow, tuple[int]]]:
+    def remove(self, atom: int, slot: int, child_rows: Sequence[PrimRow]) -> Iterator[tuple[PrimRow, int]]:
         new_row = tuple.__new__
         bit = 1 << slot
         with_s = self._subsets_with(slot + 1)[slot]
         without_s = ~with_s
         for ci, (witness, c) in enumerate(child_rows):
-            yield new_row(PrimRow, (witness & ~bit, (c & without_s) | (c & with_s) >> bit)), (ci,)
+            yield new_row(PrimRow, (witness & ~bit, (c & without_s) | (c & with_s) >> bit)), ci
 
     @staticmethod
-    def join(left_rows: Sequence[PrimRow], right_rows: Sequence[PrimRow]) -> Iterator[tuple[PrimRow, tuple[int, int]]]:
+    def join(left_rows: Sequence[PrimRow], right_rows: Sequence[PrimRow]) -> Iterator[tuple[PrimRow, int]]:
         new_row = tuple.__new__
         right: dict[int, list[tuple[int, Any]]] = {}
         for cj, (witness, c2) in enumerate(right_rows):
             right.setdefault(witness, []).append((cj, c2))
+        stride = len(right_rows)
         for ci, (witness, c1) in enumerate(left_rows):
+            base = ci * stride
             for cj, c2 in right.get(witness, ()):
-                yield new_row(PrimRow, (witness, (c1 & c2) | ((1 << witness) & (c1 | c2)))), (ci, cj)
+                yield new_row(PrimRow, (witness, (c1 & c2) | ((1 << witness) & (c1 | c2)))), base + cj
 
 
 class SparsePrimAlgorithm:
@@ -157,14 +158,13 @@ class SparsePrimAlgorithm:
     @staticmethod
     def introduce(
         atom: int, slot: int, rules: Sequence[BagRule], child_rows: Sequence[PrimRow]
-    ) -> Iterator[tuple[PrimRow, tuple[int]]]:
+    ) -> Iterator[tuple[PrimRow, int]]:
         new_row = tuple.__new__
         bit = 1 << slot
         # per witness, the (head, positive body) of the reduct's rules;
         # None if the witness is no model
         reducts: dict[int, list[tuple[int, int]] | None] = {}
         for ci, (base, c) in enumerate(child_rows):
-            origin = (ci,)
             for witness in (base, base | bit):
                 if witness in reducts:
                     reduct = reducts[witness]
@@ -182,24 +182,26 @@ class SparsePrimAlgorithm:
                     candidates.update([n | bit for n in candidates])
                     candidates.add(base)
                 counters = frozenset(n for n in candidates if all(head & n or pos & ~n for head, pos in reduct))
-                yield new_row(PrimRow, (witness, counters)), origin
+                yield new_row(PrimRow, (witness, counters)), ci
 
     @staticmethod
-    def remove(atom: int, slot: int, child_rows: Sequence[PrimRow]) -> Iterator[tuple[PrimRow, tuple[int]]]:
+    def remove(atom: int, slot: int, child_rows: Sequence[PrimRow]) -> Iterator[tuple[PrimRow, int]]:
         new_row = tuple.__new__
         keep = ~(1 << slot)
         for ci, (witness, counters) in enumerate(child_rows):
-            yield new_row(PrimRow, (witness & keep, frozenset([n & keep for n in counters]))), (ci,)
+            yield new_row(PrimRow, (witness & keep, frozenset([n & keep for n in counters]))), ci
 
     @staticmethod
-    def join(left_rows: Sequence[PrimRow], right_rows: Sequence[PrimRow]) -> Iterator[tuple[PrimRow, tuple[int, int]]]:
+    def join(left_rows: Sequence[PrimRow], right_rows: Sequence[PrimRow]) -> Iterator[tuple[PrimRow, int]]:
         new_row = tuple.__new__
         right: dict[int, list[tuple[int, Any]]] = {}
         for cj, (witness, c2) in enumerate(right_rows):
             right.setdefault(witness, []).append((cj, c2))
+        stride = len(right_rows)
         for ci, (witness, c1) in enumerate(left_rows):
+            base = ci * stride
             for cj, c2 in right.get(witness, ()):
                 merged = c1 & c2
                 if witness in c1 or witness in c2:
                     merged |= {witness}
-                yield new_row(PrimRow, (witness, merged)), (ci, cj)
+                yield new_row(PrimRow, (witness, merged)), base + cj

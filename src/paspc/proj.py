@@ -13,6 +13,13 @@ shared pass per bucket.  Each bucket stores one array indexed by local row
 mask: the projected (union) counts; the intersection counts are their
 subset Moebius transform, derived where they are read.
 
+The pass reads the origins where the DP tables store them, one int each
+(see ``engine``): a row's first origin from the node's ``first`` array, its
+further ones from the side store ``more``, which most rows are not in.
+Under one child an origin is the child row's index; at a join, origin o is
+the pair (i, j) = divmod(o, stride) of left row i and right row j, stride
+being the right child's row count.
+
 A row set's projected count sums, per child bucket its origins fall into,
 the size of the union of those origins' sets.  ``_bucket_pcnts`` ORs one
 origin mask per row over every row subset and reads each subset's mask as
@@ -28,10 +35,10 @@ where e(I) is the size of the Venn region "in exactly the A_i with i in I"
 N_S(I) is the set of right partners of I's rows in S, and P2 the stored
 union counts of b2 (zero for no partners).
 
-A bucket of one row with one origin, as most are, needs no
-inclusion-exclusion: the node loop reads its count as the product of the
-origin's singleton counts over the node's children (none at a leaf, whose
-table holds at most the solution row).  The loop also counts the pass's
+A bucket of one row with one origin (no entry in ``more``), as most are,
+needs no inclusion-exclusion: the node loop reads its count as the product
+of the origin's singleton counts over the node's children (none at a leaf,
+whose table holds at most the solution row).  The loop also counts the pass's
 work: buckets, the largest one, and entries, 2^|b| - 1 per bucket b.
 """
 
@@ -41,7 +48,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .engine import PurgedTables
+from .engine import NodeTable, PurgedTables
 
 
 @dataclass
@@ -91,29 +98,25 @@ def buckets(row_interps: Iterable[int], pmask: int) -> list[list[int]]:
     return [classes[k] for k in sorted(classes)]
 
 
-def _bucket_pcnts(
-    bucket: list[int],
-    origins: list[list[tuple[int, ...]]],
-    children: Sequence[NodeCounts],
-) -> list[int]:
+def _bucket_pcnts(bucket: list[int], tab: NodeTable, children: Sequence[NodeCounts]) -> list[int]:
     """Projected counts for every nonempty subset of one bucket (by local
-    mask), the bucket's rows given as indices into ``origins``: one mask per
+    mask), the bucket's rows given as row indices of ``tab``: one mask per
     row over its origins' bits, ORed per row subset and read as the union
     count of the module docstring.  Raises ``ValueError`` when the origins
     meet a third child bucket (one child) or a second bucket pair (join)."""
     c1, c2 = children[0], children[-1]
-    first = origins[bucket[0]][0]
-    b1, b2 = c1.bucket_of[first[0]], c2.bucket_of[first[-1]]
+    first, more = tab.first, tab.more
     row_masks = []
     if len(children) == 1:
         # the origins of a remove node's bucket may differ in the removed
         # projected atom: two child buckets, with disjoint sets; origin j in
         # the k-th of them is bit k * |b1| + pos(j)
+        b1 = c1.bucket_of[first[bucket[0]]]
         stride = len(c1.buckets[b1])
         cbs = [b1]  # the child buckets met, in bit order
         for u in bucket:
             mask = 0
-            for (j,) in origins[u]:
+            for j in (first[u], *more.get(u, ())):
                 if c1.bucket_of[j] not in cbs:
                     cbs.append(c1.bucket_of[j])
                 mask |= 1 << (cbs.index(c1.bucket_of[j]) * stride + c1.pos_in_bucket[j])
@@ -131,10 +134,14 @@ def _bucket_pcnts(
         # interpretation, so all origin pairs of a bucket fall into one child
         # bucket pair; pair (i, j) is bit pos(i) * |b2| + pos(j), so left
         # row i's partners are one slice of a mask
+        split = tab.stride
+        i, j = divmod(first[bucket[0]], split)
+        b1, b2 = c1.bucket_of[i], c2.bucket_of[j]
         stride = len(c2.buckets[b2])
         for u in bucket:
             mask = 0
-            for i, j in origins[u]:
+            for o in (first[u], *more.get(u, ())):
+                i, j = divmod(o, split)
                 if c1.bucket_of[i] != b1 or c2.bucket_of[j] != b2:
                     raise ValueError(f"join row {u} has origins outside child buckets ({b1}, {b2})")
                 mask |= 1 << (c1.pos_in_bucket[i] * stride + c2.pos_in_bucket[j])
@@ -216,7 +223,7 @@ def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
         kept = purged.kept[t]
         nd = td.nodes[t]
         tab = ttd.table(t)
-        origins = tab.origins
+        first, more, split = tab.first, tab.more, tab.stride
         smask = 0
         for a in nd.bag:
             smask |= proj_bits[a]
@@ -226,6 +233,7 @@ def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
         pos_in_bucket = [0] * len(tab)
         pcnts: list[list[int]] = []
         children = [nodes[c] for c in nd.children]
+        arity = len(children)
         if children:
             # the child lookups of the one-row read, taken once per node (for
             # a one-child node both triples are its child's)
@@ -233,15 +241,19 @@ def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
             of2, pos2, pc2 = children[-1].bucket_of, children[-1].pos_in_bucket, children[-1].pcnts
         for bi, bucket in enumerate(partition):
             j = kept[bucket[0]]
-            if len(bucket) == 1 and len(origins[j]) == 1:
+            if len(bucket) == 1 and j not in more:
                 # one row of one origin needs no inclusion-exclusion: the
                 # product of the origin's singleton counts in the children,
-                # none for a leaf's row, of origin ()
+                # none for a leaf's row
                 bucket_of[j] = bi
-                seq = origins[j][0]
-                count = pc1[of1[seq[0]]][1 << pos1[seq[0]]] if seq else 1
-                if len(seq) == 2:
-                    count *= pc2[of2[seq[1]]][1 << pos2[seq[1]]]
+                o = first[j]
+                if arity == 1:
+                    count = pc1[of1[o]][1 << pos1[o]]
+                elif arity:
+                    i, o = divmod(o, split)
+                    count = pc1[of1[i]][1 << pos1[i]] * pc2[of2[o]][1 << pos2[o]]
+                else:
+                    count = 1
                 pcnts.append([0, count])
                 continue
             entries += (1 << len(bucket)) - 2  # beyond its one entry, counted with n_buckets
@@ -251,7 +263,7 @@ def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
                 bucket_of[j] = bi
                 pos_in_bucket[j] = pos
             try:
-                pcnts.append(_bucket_pcnts(rows, origins, children))
+                pcnts.append(_bucket_pcnts(rows, tab, children))
             except MemoryError as exc:
                 b = len(rows)
                 raise MemoryError(f"node {t} ({nd.kind}): bucket of {b} rows, {(1 << b) - 1} entries") from exc

@@ -1,6 +1,7 @@
 """Shared test support: the running example, a hand-built 14-node nice
 decomposition for it, the paper's full-ordering PHC as a reference, random
-valid decompositions, seeded random program generators per class, the
+valid decompositions, seeded random program generators per class, a
+disjunctive chain with a closed-form count, the
 seeded projection fuzz draws, and seeded draws with rules whose head or
 negative body meets their positive body."""
 
@@ -215,6 +216,22 @@ def random_disjunctive(rng: random.Random, n_atoms: int, n_rules: int, max_size:
     p = Program.from_specs(specs)
     assert classify(p).kind is ProgramKind.DISJUNCTIVE
     return p
+
+
+def disjunctive_chain(blocks: int, k: int) -> str:
+    """A disjunctive program of ``blocks`` blocks with k guessed columns
+    each; a column's x atoms are chained block to block, and p_i | q_i with
+    p_i <-> q_i makes a head cycle per block.  Each column picks the block
+    where x starts to hold, or none: (blocks + 1)^k answer sets."""
+    lines = []
+    for i in range(blocks):
+        for j in range(k):
+            lines.append(f"x{i}_{j} | y{i}_{j}.")
+            if i:
+                lines.append(f"x{i}_{j} :- x{i - 1}_{j}.")
+            lines.append(f"p{i} | q{i} :- x{i}_{j}.")
+        lines += [f"p{i} :- q{i}.", f"q{i} :- p{i}."]
+    return "\n".join(lines) + "\n"
 
 
 def projection_fuzz():

@@ -1,16 +1,17 @@
 """Reference formulations kept for the tests: the defining per-entry
 formulas of the projection pass, the union-count transform of a bucket's
-intersection counts, the engine's origin links as row tuples and their
-definitional recomputation, structural row checks on decoded rows, the
-``prim`` table algorithm with counter sets as frozensets of atom masks, the
-positive dependency digraph as an edge set with its reachability closure,
-the primal graph built pair by pair, the first elimination-ordering
-decomposition, the structural check of the nice shape, and the brute-force
-oracle that builds every interpretation's reduct before checking it.
+intersection counts, tables built from and read as lists of origin tuples,
+the engine's origin links as row tuples and their definitional
+recomputation, structural row checks on decoded rows, the ``prim`` table
+algorithm with counter sets as frozensets of atom masks, the positive
+dependency digraph as an edge set with its reachability closure, the primal
+graph built edge by edge, the first elimination-ordering decomposition, the
+structural check of the nice shape, and the brute-force oracle that builds
+every interpretation's reduct before checking it.
 The library computes the same quantities bucket-wise (``paspc.proj``),
-records them during the table pass (``paspc.engine``), encodes rows in bag
-slots with counter sets as subset bitsets (``paspc.prim``), builds both
-program graphs on atom-indexed lists (``paspc.program``,
+records them during the table pass as ints (``paspc.engine``), encodes rows
+in bag slots with counter sets as subset bitsets (``paspc.prim``), builds
+both program graphs on atom-indexed lists (``paspc.program``,
 ``paspc.decomposition``), selects and links bags with cheaper structures,
 builds nice decompositions that are nice by construction
 (``paspc.decomposition``), or checks the program before building a reduct,
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from array import array
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Any, Mapping, NamedTuple, Sequence
@@ -34,7 +36,7 @@ from paspc.decomposition import (
     TreeDecomposition,
     assign_slots,
 )
-from paspc.engine import BagRule, NodeTable, TabledTreeDecomposition, bag_rule, entering_rules, node_table
+from paspc.engine import NO_MORE, BagRule, NodeTable, TabledTreeDecomposition, bag_rule, entering_rules, node_table
 from paspc.oracle import MAX_ATOMS, OracleSizeError
 from paspc.phc import PhcAlgorithm
 from paspc.program import Program, Rule, is_model, iter_bits, mask_of
@@ -161,7 +163,24 @@ def union_counts(vals: Sequence[int], b: int) -> list[int]:
     return arr
 
 
-# --- engine: origins as rows, scopes and origin verification ----------------
+# --- engine: origins as lists and rows, scopes and origin verification ------
+
+
+def table_of(rows: list, origins: Sequence[Sequence[tuple[int, ...]]]) -> NodeTable:
+    """A table of the given rows whose origins decode to the given lists of
+    child-index tuples (``NodeTable.origins``).  The tuples' length is the
+    node's arity; a join pair (i, j) is stored as i * stride + j, with the
+    stride one more than the largest j."""
+    arity = len(origins[0][0]) if origins else 0
+    stride = 1 + max((j for seqs in origins for _, j in seqs), default=0) if arity == 2 else 0
+    encoded = [[seq[0] * stride + seq[1] if arity == 2 else (seq[0] if seq else 0) for seq in seqs] for seqs in origins]
+    more = {j: tuple(seq[1:]) for j, seq in enumerate(encoded) if len(seq) > 1}
+    return NodeTable(rows, array("q", [seq[0] for seq in encoded]), more or NO_MORE, arity, stride)
+
+
+def table_dict(tab: NodeTable) -> dict[Any, list[tuple[int, ...]]]:
+    """A table as row -> its origins, decoded to child-index tuples."""
+    return dict(zip(tab.rows, tab.origins))
 
 
 def origins(ttd: TabledTreeDecomposition, t: int, row: Any) -> set[tuple]:
@@ -222,13 +241,10 @@ def definitional_origins(ttd: TabledTreeDecomposition, t: int, row: Any) -> set[
     child_tables = [ttd.table(c) for c in nd.children]
     ranges = [range(len(tab)) for tab in child_tables]
     for combo in product(*ranges):
-        singles = [
-            NodeTable([child_tables[i].rows[j]], [child_tables[i].origins[j]])
-            for i, j in enumerate(combo)
-        ]
+        singles = [table_of([child_tables[i].rows[j]], [child_tables[i].origins[j]]) for i, j in enumerate(combo)]
         slot = None if nd.atom is None else ttd.slots[nd.atom]
         produced = node_table(alg, nd.kind, nd.atom, slot, ttd.rules[t], singles)
-        if row in produced:
+        if row in produced.rows:
             out.add(combo)
     return out
 
@@ -361,7 +377,7 @@ def reference_prim_tables(program: Program, td: NiceTreeDecomposition) -> list[N
         nd = td.nodes[t]
         source = [bag_rule(r.source, ids) for r in rules[t]]
         produced = ReferencePrim.node_table(nd.kind, nd.atom, source, [tables[c] for c in nd.children])
-        tables[t] = NodeTable(list(produced), list(produced.values()))
+        tables[t] = table_of(list(produced), list(produced.values()))
     return tables
 
 
@@ -415,6 +431,13 @@ def reachable(dep: DependencyDigraph) -> dict[int, set[int]]:
     return out
 
 
+def add_edge(g: PrimalGraph, a: int, b: int) -> None:
+    """Join two vertices of a graph built by hand; a loop is dropped."""
+    if a != b:
+        g.adj[a].add(b)
+        g.adj[b].add(a)
+
+
 def pairwise_primal_graph(program: Program) -> PrimalGraph:
     """The primal graph as first written: one ``add_edge`` per pair of a
     rule's atoms."""
@@ -423,7 +446,7 @@ def pairwise_primal_graph(program: Program) -> PrimalGraph:
         atoms = sorted(set(r.head) | set(r.pos_body) | set(r.neg_body))
         for i in range(len(atoms)):
             for j in range(i + 1, len(atoms)):
-                g.add_edge(atoms[i], atoms[j])
+                add_edge(g, atoms[i], atoms[j])
     return g
 
 

@@ -266,8 +266,8 @@ class TestSideOutputs:
         assert stats["max_purged"] <= stats["max_table"]
         assert list(stats["timings"]) == ["parse", "classify", "decompose", "make_nice", "dp", "purge", "proj"]
         assert set(stats) == {
-            "width", "nodes", "max_table", "max_purged", "algorithm", "rows", "dp_seconds", "timings",
-            "max_bucket", "proj_buckets", "proj_entries", "peak_rss_mb",
+            "width", "nodes", "max_table", "max_purged", "algorithm", "rows", "origin_links", "dp_seconds",
+            "timings", "max_bucket", "proj_buckets", "proj_entries", "peak_rss_mb",
         }
         # the dp pass's seconds per node kind, within its total
         assert list(stats["dp_seconds"]) == ["leaf", "int", "rem", "join"]
@@ -282,6 +282,9 @@ class TestSideOutputs:
             want[ttd.td.nodes[t].kind] += len(ttd.table(t))
         assert stats["rows"] == want
         assert want["leaf"] >= 1 and want["int"] > 0
+        # the origins the tables hold, as the bench counts engine.origin_links
+        links = sum(len(seqs) for t in ttd.post_order for seqs in ttd.table(t).origins)
+        assert stats["origin_links"] == links > sum(want.values())
         sizes = [len(b) for node in result.proj_tables.nodes for b in node.buckets]
         assert stats["max_bucket"] == max(sizes) >= 1
         assert stats["proj_buckets"] == sum(len(node.buckets) for node in result.proj_tables.nodes) >= 1
@@ -346,6 +349,21 @@ class TestGoldenTraces:
         "wide_hcf": (helpers.WIDE_HCF_TEXT, ("--project-all",)),  # phc, positive cycle x3 <-> x6
         "head_cycles": (helpers.HEAD_CYCLE_TEXT, ("--project-all",)),  # prim
     }
+
+    # per program, the origins its tables hold (--stats origin_links)
+    ORIGIN_LINKS = {"example1": 50, "wide_hcf": 30, "head_cycles": 79}
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_origin_links_count_the_golden_origins(self, name, tmp_path, capsys):
+        # one link per origin tuple that the golden tables.txt lists
+        text, args = self.CASES[name]
+        path = tmp_path / "p.lp"
+        path.write_text(text)
+        code, _, err = run(capsys, "solve", str(path), *args, "--stats")
+        assert code == 0
+        golden = (TRACES / name / "tables.txt").read_text(encoding="utf-8")
+        listed = sum(line.split(" origins=")[1].count("(") for line in golden.splitlines() if " origins=" in line)
+        assert json.loads(err.splitlines()[-1])["origin_links"] == listed == self.ORIGIN_LINKS[name]
 
     @pytest.mark.parametrize("name", CASES)
     def test_trace_matches_golden(self, name, tmp_path, capsys):

@@ -15,7 +15,7 @@ from paspc.decomposition import (
 )
 from paspc.formats import read_td, write_td
 from paspc.program import Program
-from reference import check_nice, pairwise_primal_graph, reference_decompose, to_tree_decomposition
+from reference import add_edge, check_nice, pairwise_primal_graph, reference_decompose, to_tree_decomposition
 
 
 def random_graph(rng, n, density=0.3):
@@ -23,7 +23,7 @@ def random_graph(rng, n, density=0.3):
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < density:
-                g.add_edge(i, j)
+                add_edge(g, i, j)
     return g
 
 
@@ -74,7 +74,7 @@ class TestDecompose:
         g = PrimalGraph(4)
         for i in range(4):
             for j in range(i + 1, 4):
-                g.add_edge(i, j)
+                add_edge(g, i, j)
         assert decompose(g, "min-fill", 0).width == 3
 
     def test_deterministic_per_seed(self):
@@ -110,7 +110,7 @@ class TestDecompose:
         chain = PrimalGraph(400)  # x, y, p, q per block; x chained block to block
         for b in range(0, 400, 4):
             for u, v in ((b, b + 1), (b, b + 2), (b + 2, b + 3)) + (((b - 4, b),) if b else ()):
-                chain.add_edge(u, v)
+                add_edge(chain, u, v)
         cases.append((chain, "min-fill", 1))
         for g, h, seed in cases:
             got, want = decompose(g, h, seed), reference_decompose(g, h, seed)
@@ -135,7 +135,7 @@ class TestValidateTd:
 
     def test_split_occurrences(self):
         g = PrimalGraph(2)
-        g.add_edge(0, 1)
+        add_edge(g, 0, 1)
         td = TreeDecomposition([frozenset({0, 1}), frozenset({1}), frozenset({0, 1})], [(0, 1), (1, 2)])
         assert validate_td(g, td) == ["occurrences of vertex 0 are not connected"]
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from bisect import bisect_left
 from collections import Counter
 
@@ -8,11 +9,12 @@ import helpers
 from paspc import oracle, pipeline
 from paspc.cli import purged_origins
 from paspc.decomposition import LEAF, assign_slots, decompose, make_nice, primal_graph
-from paspc.engine import bag_rule, entering_rules, node_table, purge, run_dp
+from paspc.engine import NO_MORE, bag_rule, entering_rules, node_table, purge, run_dp
+from paspc.formats import parse_program
 from paspc.phc import PhcRow
 from paspc.prim import DENSE_MAX_WIDTH, PrimAlgorithm, PrimRow, SparsePrimAlgorithm
 from paspc.program import Program, ProgramKind, Rule, classify, mask_of
-from reference import definitional_origins, node_scope, origins, origins_table, verify_origins
+from reference import definitional_origins, node_scope, origins, origins_table, table_dict, table_of, verify_origins
 
 # the paper's full-ordering PHC; the programs below have at most 8 atoms
 PHC = helpers.paper_phc(8)
@@ -71,8 +73,8 @@ class TestNodeTable:
         # a leaf's one row is the algorithm's empty row, with the empty
         # origin, and only while the atomless rules hold
         assert alg.solution_row == empty_row
-        assert node_table(alg, LEAF, None, None, [], []) == {empty_row: [()]}
-        assert node_table(alg, LEAF, None, None, [bag_rule(Rule((), (), ()), [])], []) == {}
+        assert table_dict(node_table(alg, LEAF, None, None, [], [])) == {empty_row: [()]}
+        assert table_dict(node_table(alg, LEAF, None, None, [bag_rule(Rule((), (), ()), [])], [])) == {}
 
 
 class TestBagPrograms:
@@ -258,6 +260,64 @@ class TestOriginLists:
                 got = purged_origins(purged, t)
                 assert got == want, (form, t)
                 assert all(strictly_ascending(seqs) for seqs in got), (form, t)
+
+
+def deep_size(obj, seen):
+    """``sys.getsizeof`` of an object and of every key, value and item it
+    holds, each object counted once over all calls sharing ``seen``."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, dict):
+        size += sum(deep_size(k, seen) + deep_size(v, seen) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        size += sum(deep_size(x, seen) for x in obj)
+    return size
+
+
+class TestOriginStore:
+    """A row's first origin sits in the node's array, its further ones in
+    the side store, keyed by row, which holds no other rows."""
+
+    def test_store_matches_the_decoded_lists(self):
+        for form, ttd in origin_fuzz():
+            links = 0
+            for t in ttd.post_order:
+                tab = ttd.table(t)
+                seqs = list(tab.origins)
+                assert tab.first.typecode == "q" and len(tab.first) == len(tab.rows), (form, t)
+                assert {j for j, s in enumerate(seqs) if len(s) > 1} == set(tab.more), (form, t)
+                if not tab.more:
+                    assert tab.more is NO_MORE, (form, t)
+                if ttd.td.nodes[t].kind == "join":
+                    assert tab.stride == len(ttd.table(ttd.td.nodes[t].children[1])), (form, t)
+                assert list(table_of(tab.rows, seqs).origins) == seqs, (form, t)
+                links += sum(map(len, seqs))
+            assert ttd.origin_links == links, form
+        assert NO_MORE == {}
+
+    def test_view_indexes_like_a_list(self, example1_td):
+        _, _, ttd = run_example1(example1_td)
+        for tab in ttd.tables:
+            seqs = list(tab.origins)
+            assert len(tab.origins) == len(seqs) == len(tab)
+            assert [tab.origins[j - len(seqs)] for j in range(len(seqs))] == seqs
+            with pytest.raises(IndexError):
+                tab.origins[len(seqs)]
+
+    def test_bytes_per_row_on_a_disjunctive_chain(self):
+        # every object the stores hold, keys and tuples of further origins
+        # included: about 30 bytes a row here, where one list of origin
+        # tuples per row took about 135
+        program = parse_program(helpers.disjunctive_chain(20, 3))
+        result = pipeline.solve(program)
+        assert result.count == 21**3
+        seen: set[int] = set()
+        size = sum(deep_size(tab.first, seen) + deep_size(tab.more, seen) for tab in result.ttd.tables)
+        rows = sum(map(len, result.ttd.tables))
+        assert rows > 10_000 and result.ttd.origin_links > rows
+        assert size / rows < 40
 
 
 class TestPurge:

@@ -4,11 +4,11 @@ import random
 import helpers
 from paspc import engine, oracle, pipeline
 from paspc.decomposition import decompose, make_nice, primal_graph
-from paspc.engine import NodeTable, bag_rule, has_solution, node_table, run_dp
+from paspc.engine import bag_rule, has_solution, node_table, run_dp
 from paspc.formats import parse_program
 from paspc.phc import PhcAlgorithm, PhcRow, gp
 from paspc.program import Program, mask_of
-from reference import check_row_invariants
+from reference import check_row_invariants, table_dict, table_of
 
 # the paper's full-ordering PHC over enough atom ids for the programs below
 PHC = helpers.paper_phc(8)
@@ -55,7 +55,7 @@ class TestGp:
         p = Program.from_specs([(("b",), ("e",), ("d",)), (("d", "e"), ("b",), ())])
         b, e = p.atom_id("b"), p.atom_id("e")
         child = single_row_table(PhcRow(1 << e, 1 << e, (e,)))
-        out = node_table(PHC, "int", b, b, one_bag_rules(p), [child])
+        out = table_dict(node_table(PHC, "int", b, b, one_bag_rules(p), [child]))
         with_b = {row for row in out if row.interp == p.mask("be")}
         assert with_b == {
             PhcRow(p.mask("be"), 1 << e, (b, e)),
@@ -84,13 +84,13 @@ class TestOrds:
 
 
 def single_row_table(row):
-    return NodeTable([row], [[()]])
+    return table_of([row], [[()]])
 
 
 class TestPhcTransitions:
     def test_introduce_without_rules(self):
         child = single_row_table(PhcRow(0, 0, ()))
-        out = node_table(PHC, "int", 0, 0, [], [child])
+        out = table_dict(node_table(PHC, "int", 0, 0, [], [child]))
         assert set(out) == {PhcRow(0, 0, ()), PhcRow(1, 0, (0,))}
         assert all(origin == [(0,)] for origin in out.values())
 
@@ -98,8 +98,8 @@ class TestPhcTransitions:
         # introducing b over {a} with rule a | b: the all-false row dies
         p = Program.from_specs([(("a", "b"), (), ())])
         a, b = p.atom_id("a"), p.atom_id("b")
-        child = NodeTable([PhcRow(0, 0, ()), PhcRow(1 << a, 0, (a,))], [[()], [()]])
-        out = node_table(PHC, "int", b, b, one_bag_rules(p), [child])
+        child = table_of([PhcRow(0, 0, ()), PhcRow(1 << a, 0, (a,))], [[()], [()]])
+        out = table_dict(node_table(PHC, "int", b, b, one_bag_rules(p), [child]))
         interps = {row.interp for row in out}
         assert 0 not in interps
         assert interps == {p.mask("a"), p.mask("b"), p.mask("ab")}
@@ -116,25 +116,25 @@ class TestPhcTransitions:
             PhcRow(p.mask("ab"), 0, (a, b)),
             PhcRow(p.mask("ab"), 0, (b, a)),
         ]
-        child = NodeTable(rows, [[()]] * 4)
-        out = node_table(PHC, "rem", a, a, [], [child])
+        child = table_of(rows, [[()]] * 4)
+        out = table_dict(node_table(PHC, "rem", a, a, [], [child]))
         assert set(out) == {PhcRow(0, 0, ()), PhcRow(1 << b, 1 << b, (b,))}
 
     def test_join_matches_interpretation_and_order(self):
         r1 = PhcRow(0b11, 0b01, (0, 1))
         r2 = PhcRow(0b11, 0b10, (0, 1))
         r3 = PhcRow(0b11, 0b10, (1, 0))
-        left = NodeTable([r1], [[()]])
-        right = NodeTable([r2, r3], [[()], [()]])
-        out = node_table(PHC, "join", None, None, [], [left, right])
+        left = table_of([r1], [[()]])
+        right = table_of([r2, r3], [[()], [()]])
+        out = table_dict(node_table(PHC, "join", None, None, [], [left, right]))
         assert out == {PhcRow(0b11, 0b11, (0, 1)): [(0, 0)]}
 
     def test_join_lists_pairs_left_row_outer(self):
         # every pair proves both atoms, so one row takes all four pairs, in
         # ascending order: the left row outer, the right row inner
-        left = NodeTable([PhcRow(0b11, 0b01, ()), PhcRow(0b11, 0b11, ())], [[()], [()]])
-        right = NodeTable([PhcRow(0b11, 0b11, ()), PhcRow(0b11, 0b10, ())], [[()], [()]])
-        out = node_table(PHC, "join", None, None, [], [left, right])
+        left = table_of([PhcRow(0b11, 0b01, ()), PhcRow(0b11, 0b11, ())], [[()], [()]])
+        right = table_of([PhcRow(0b11, 0b11, ()), PhcRow(0b11, 0b10, ())], [[()], [()]])
+        out = table_dict(node_table(PHC, "join", None, None, [], [left, right]))
         assert out == {PhcRow(0b11, 0b11, ()): [(0, 0), (0, 1), (1, 0), (1, 1)]}
 
 

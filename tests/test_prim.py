@@ -103,7 +103,7 @@ def assert_tables_equal_reference(ttd, p, note=()):
     for t in ttd.post_order:
         tab = ttd.table(t)
         assert [decoded_prim_row(ttd, t, r) for r in tab.rows] == reference[t].rows, (*note, t)
-        assert tab.origins == reference[t].origins, (*note, t)
+        assert list(tab.origins) == list(reference[t].origins), (*note, t)
 
 
 def exactly_one(n, head_cycle=False):

@@ -13,7 +13,7 @@ from paspc.formats import parse_program
 from paspc.phc import PhcRow
 from paspc.prim import PrimAlgorithm
 from paspc.proj import NodeCounts, _bucket_pcnts, _bucket_values, _venn_regions, buckets, final_count, run_proj
-from reference import ipmc, pcnt, reference_proj_table, sipmc, subbuckets, union_counts
+from reference import ipmc, pcnt, reference_proj_table, sipmc, subbuckets, table_of, union_counts
 
 # the paper's full-ordering PHC; the programs below have at most 8 atoms
 PHC = helpers.paper_phc(8)
@@ -143,6 +143,11 @@ def family_counts(bucket_sets):
     return node
 
 
+def origin_table(row_origins):
+    """A table known only by its rows' origins, as lists of child-index tuples."""
+    return table_of([None] * len(row_origins), row_origins)
+
+
 def tagged(bucket_sets):
     """Sets of different buckets stand for different projected answer sets."""
     return [[{(b, x) for x in s} for s in sets] for b, sets in enumerate(bucket_sets)]
@@ -156,7 +161,7 @@ class TestOneChildUnion:
     def check(child, row_origins):
         child = tagged(child)
         sets = [s for bucket in child for s in bucket]
-        out = _bucket_pcnts(list(range(len(row_origins))), row_origins, [family_counts(child)])
+        out = _bucket_pcnts(list(range(len(row_origins))), origin_table(row_origins), [family_counts(child)])
         for m in range(1, 1 << len(row_origins)):
             js = {j for u, seqs in enumerate(row_origins) if m >> u & 1 for (j,) in seqs}
             assert out[m] == len(set().union(*(sets[j] for j in js))), (m, js)
@@ -190,7 +195,7 @@ class TestOneChildUnion:
         child = family_counts(tagged([[{1}], [{2}], [{3}]]))
         for rows in ([[(0,), (1,), (2,)]], [[(0,)], [(1,)], [(2,)]], [[(2,), (0,)], [(1,)]]):
             with pytest.raises(ValueError):
-                _bucket_pcnts(list(range(len(rows))), rows, [child])
+                _bucket_pcnts(list(range(len(rows))), origin_table(rows), [child])
 
 
 class TestTwoChildUnion:
@@ -202,7 +207,7 @@ class TestTwoChildUnion:
         a = [s for sets in left for s in sets]
         b = [s for sets in right for s in sets]
         out = _bucket_pcnts(
-            list(range(len(row_pairs))), row_pairs, [family_counts(left), family_counts(right)]
+            list(range(len(row_pairs))), origin_table(row_pairs), [family_counts(left), family_counts(right)]
         )
         for m in range(1, 1 << len(row_pairs)):
             pairs = {pair for u, seqs in enumerate(row_pairs) if m >> u & 1 for pair in seqs}
@@ -256,7 +261,7 @@ class TestTwoChildUnion:
         left, right = [[{1}], [{2}]], [[{3}]]
         for rows in ([[(0, 0), (1, 0)]], [[(0, 0)], [(1, 0)]]):
             with pytest.raises(ValueError):
-                _bucket_pcnts(list(range(len(rows))), rows, [family_counts(left), family_counts(right)])
+                _bucket_pcnts(list(range(len(rows))), origin_table(rows), [family_counts(left), family_counts(right)])
 
 
 class TestVennRegions:
@@ -382,16 +387,17 @@ class TestRunProj:
         # _bucket_pcnts exactly once
         calls = Counter()
 
-        def counted(bucket, origins, children):
-            calls[id(origins), tuple(bucket)] += 1
-            return _bucket_pcnts(bucket, origins, children)
+        def counted(bucket, tab, children):
+            calls[id(tab), tuple(bucket)] += 1
+            return _bucket_pcnts(bucket, tab, children)
 
         monkeypatch.setattr("paspc.proj._bucket_pcnts", counted)
         reached = Counter()
         for _, _, ttd, purged, got in self.seeded_fuzz():
             want = Counter()
             for t in ttd.post_order:
-                origins = ttd.table(t).origins
+                tab = ttd.table(t)
+                origins = tab.origins
                 children = [got.nodes[c] for c in ttd.td.nodes[t].children]
                 shape = ("leaf", "one child", "join")[len(children)]
                 for b, pcnts in zip(got.nodes[t].buckets, got.nodes[t].pcnts):
@@ -406,7 +412,7 @@ class TestRunProj:
                             # child bucket's first row
                             reached[f"{shape}, one origin of another count than its bucket's first"] += 1
                         continue
-                    want[id(origins), tuple(rows)] += 1
+                    want[id(tab), tuple(rows)] += 1
                     if any(len(origins[j]) > 1 for j in rows):
                         reached[f"{shape}, a row of several origins"] += 1
                     if len(children) == 1 and len({children[0].bucket_of[i] for (i,) in seqs}) == 2:
@@ -441,7 +447,8 @@ class TestRunProj:
 
     def test_reads_only_kept_rows(self):
         # purged rows and their origins stay in the DP tables; the pass must
-        # never read them, whatever its tables or the count
+        # never read them, whatever its tables or the count: neither their
+        # rows, nor their first origins, nor their further ones
         class Unread:
             def fail(self, *args):
                 raise AssertionError("a purged row was read")
@@ -457,7 +464,10 @@ class TestRunProj:
                 tables.append(
                     NodeTable(
                         [r if j in keep else Unread() for j, r in enumerate(tab.rows)],
-                        [o if j in keep else Unread() for j, o in enumerate(tab.origins)],
+                        [o if j in keep else Unread() for j, o in enumerate(tab.first)],
+                        {j: seq if j in keep else Unread() for j, seq in tab.more.items()},
+                        tab.arity,
+                        tab.stride,
                     )
                 )
             masked = PurgedTables(dataclasses.replace(ttd, tables=tables), purged.kept, purged.rows)
