@@ -203,9 +203,9 @@ def purged_origins(purged: PurgedTables, t: int) -> list[list[tuple[int, ...]]]:
     """Per kept row of node t, its origins re-indexed to the children's kept
     rows.  Re-indexing keeps the order of the ascending kept indices, so the
     lists stay ascending."""
-    tab = purged.ttd.table(t)
+    origins = purged.ttd.table(t).origins  # decodes the whole table: read once
     new_index = [{j: i for i, j in enumerate(purged.kept[c])} for c in purged.ttd.td.nodes[t].children]
-    return [[tuple(new_index[i][x] for i, x in enumerate(seq)) for seq in tab.origins[j]] for j in purged.kept[t]]
+    return [[tuple(new_index[i][x] for i, x in enumerate(seq)) for seq in origins[j]] for j in purged.kept[t]]
 
 
 def entry() -> None:

@@ -18,11 +18,13 @@ that the algorithm's generator of that kind yields as (row, origin) pairs,
 an origin being the child row, or pair of child rows, the row came from.
 An algorithm sees only the rules entering at the node, those whose atoms
 first all fit a bag there: the rules of an introduced atom that fit its
-bag, and the atomless rules at a leaf.  Every other rule that fits the bag was checked below, on
-the same interpretation of its atoms.  Tables keep their rows in the order
-the algorithm first emitted them; a later top-down pass (purge) marks the
-rows reachable from the solution row at the root and keeps their table
-indices, so the projection pass reads the kept rows' origins in place.
+bag, and the atomless rules at a leaf.  Every other rule that fits the bag
+was checked below, on the same interpretation of its atoms.  ``run_dp``
+keeps the entering rules only while it runs; ``entering_rules`` rebuilds
+them.  Tables keep their rows in the order the algorithm first emitted
+them; a later top-down pass (purge) marks the rows reachable from the
+solution row at the root and keeps their table indices, and nothing else,
+so the projection pass reads the kept rows and their origins in place.
 
 A row's origins are its child rows, each encoded as one int: the child
 row's index under one child, and ``i * len(right_rows) + j`` for the pair of
@@ -34,8 +36,8 @@ right row inner.  So each row's origins come out strictly ascending, and
 ``array('q')`` per node, and the rarer further ones in a map from the row's
 index to a tuple of them.  A node whose rows all have one origin builds no
 map but holds one empty map that all such nodes share.
-``NodeTable.origins`` decodes the store back into lists of child-index
-tuples, one row per access, for traces and tests.
+``NodeTable.origins`` decodes the whole store back into lists of
+child-index tuples on each access, for traces and tests.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import time
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, compress
 from types import MappingProxyType
 from typing import Any, NamedTuple, Protocol
@@ -121,32 +124,16 @@ class NodeTable:
         return len(self.rows)
 
     @property
-    def origins(self) -> OriginLists:
-        return OriginLists(self)
-
-
-class OriginLists(Sequence):
-    """A read-only view of a table's origins in the form of a list per row
-    of child-index tuples, ``[(i,), ...]`` under one child and ``[(i, j),
-    ...]`` at a join, decoded from the store one row per access."""
-
-    __slots__ = ("_tab",)
-
-    def __init__(self, tab: NodeTable):
-        self._tab = tab
-
-    def __len__(self) -> int:
-        return len(self._tab.rows)
-
-    def __getitem__(self, j: int) -> list[tuple[int, ...]]:  # type: ignore[override]
-        tab = self._tab
-        j = range(len(tab.rows))[j]  # a negative index counts from the end
-        if tab.arity == 0:
-            return [()]
-        seq = (tab.first[j],) + tab.more.get(j, ())
-        if tab.arity == 1:
-            return [(o,) for o in seq]
-        return [divmod(o, tab.stride) for o in seq]
+    def origins(self) -> list[list[tuple[int, ...]]]:
+        """Per row, its origins as child-index tuples: ``[(i,), ...]`` under
+        one child, ``[(i, j), ...]`` at a join, ``[()]`` at a leaf.  Each
+        access decodes the whole table, so read it once per table."""
+        first, more = self.first, self.more
+        if self.arity == 0:
+            return [[()] for _ in first]
+        if self.arity == 1:
+            return [[(o,) for o in (f, *more.get(j, ()))] for j, f in enumerate(first)]
+        return [[divmod(o, self.stride) for o in (f, *more.get(j, ()))] for j, f in enumerate(first)]
 
 
 @dataclass
@@ -157,7 +144,6 @@ class TabledTreeDecomposition:
     program: Program
     alg: TableAlgorithm
     tables: list[NodeTable | None]
-    rules: list[Sequence[BagRule]]  # per node: the rules entering there
     slots: list[int]  # per atom: its bag slot
     post_order: list[int] = field(default_factory=list)
     seconds: dict[str, float] = field(default_factory=dict)  # wall seconds of run_dp per node kind
@@ -289,19 +275,22 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
         end = clock()
         seconds[nd.kind] += end - start
         start = end
-    return TabledTreeDecomposition(
-        td, program, alg, tables, rules, slots, order, seconds, row_counts, max_table, origin_links
-    )
+    return TabledTreeDecomposition(td, program, alg, tables, slots, order, seconds, row_counts, max_table, origin_links)
 
 
 @dataclass
 class PurgedTables:
-    """Per-node surviving rows: their table indices, ascending, and the rows
-    themselves.  A kept row's origins point at kept child rows only."""
+    """Per node, the table indices of its surviving rows, ascending.  A kept
+    row's origins point at kept child rows only."""
 
     ttd: TabledTreeDecomposition
     kept: list[list[int]]  # per node: table indices of the kept rows
-    rows: list[list]  # per node: the kept rows, in table order
+
+    @cached_property
+    def rows(self) -> list[list]:
+        """Per node, the kept rows in table order: a view built on first
+        access, for traces and tests."""
+        return [[self.ttd.table(t).rows[j] for j in kept] for t, kept in enumerate(self.kept)]
 
 
 def has_solution(ttd: TabledTreeDecomposition) -> bool:
@@ -323,7 +312,6 @@ def purge(ttd: TabledTreeDecomposition) -> PurgedTables:
         marked[root][ttd.table(root).rows.index(ttd.alg.solution_row)] = 1
 
     kept: list[list[int]] = [[] for _ in td.nodes]
-    rows: list[list] = [[] for _ in td.nodes]
     for t in reversed(ttd.post_order):
         mark = marked[t]
         keep = list(compress(range(len(mark)), mark))
@@ -331,8 +319,6 @@ def purge(ttd: TabledTreeDecomposition) -> PurgedTables:
             continue
         tab = ttd.table(t)
         kept[t] = keep
-        # a table whose rows are all kept lends its row list: no copy
-        rows[t] = tab.rows if len(keep) == len(mark) else list(compress(tab.rows, mark))
         children = td.nodes[t].children
         if not children:
             continue
@@ -351,5 +337,5 @@ def purge(ttd: TabledTreeDecomposition) -> PurgedTables:
                 i, j = divmod(o, stride)
                 left[i] = 1
                 right[j] = 1
-    return PurgedTables(ttd, kept, rows)
+    return PurgedTables(ttd, kept)
 

@@ -13,12 +13,12 @@ shared pass per bucket.  Each bucket stores one array indexed by local row
 mask: the projected (union) counts; the intersection counts are their
 subset Moebius transform, derived where they are read.
 
-The pass reads the origins where the DP tables store them, one int each
-(see ``engine``): a row's first origin from the node's ``first`` array, its
-further ones from the side store ``more``, which most rows are not in.
-Under one child an origin is the child row's index; at a join, origin o is
-the pair (i, j) = divmod(o, stride) of left row i and right row j, stride
-being the right child's row count.
+The pass reads the kept rows and their origins where the DP tables store
+them, the origins one int each (see ``engine``): a row's first origin from
+the node's ``first`` array, its further ones from the side store ``more``,
+which most rows are not in.  Under one child an origin is the child row's
+index; at a join, origin o is the pair (i, j) = divmod(o, stride) of left
+row i and right row j, stride being the right child's row count.
 
 A row set's projected count sums, per child bucket its origins fall into,
 the size of the union of those origins' sets.  ``_bucket_pcnts`` ORs one
@@ -40,6 +40,10 @@ needs no inclusion-exclusion: the node loop reads its count as the product
 of the origin's singleton counts over the node's children (none at a leaf,
 whose table holds at most the solution row).  The loop also counts the pass's
 work: buckets, the largest one, and entries, 2^|b| - 1 per bucket b.
+
+A node keeps per kept row its bucket and its bit there, and per bucket its
+count array, whose length 2^|b| gives the bucket's size; its partition into
+buckets lives only while the loop visits the node.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ from .engine import NodeTable, PurgedTables
 class NodeCounts:
     """One node's projection counts, bucket by bucket."""
 
-    buckets: list[list[int]]  # purged-row indices per bucket, ascending
     bucket_of: list[int]  # per table row, kept rows only: its bucket id
     pos_in_bucket: list[int]  # per table row, kept rows only: its bit in the bucket's masks
     pcnts: list[list[int]]  # per bucket, by local row mask: projected counts
@@ -66,6 +69,7 @@ class ProjTables:
     """Per-node bucket count arrays of one projection pass, and its work."""
 
     nodes: list[NodeCounts]
+    kept: list[list[int]]  # the purge's kept table indices, per node
     buckets: int  # over all nodes
     max_bucket: int  # rows of the largest bucket; the pass is exponential in it
     entries: int  # sum of 2^|b| - 1 over all buckets b
@@ -74,11 +78,15 @@ class ProjTables:
     def tables(self) -> list[dict[frozenset[int], int]]:
         """Per node, sub-bucket (as a set of purged-row indices) ->
         intersection count, derived from the stored projected counts: a
-        view built on first access, for traces and tests."""
+        view built on first access, for traces and tests.  A bucket's
+        members, ascending, are the kept rows with its id in ``bucket_of``."""
         out = []
-        for node in self.nodes:
+        for node, kept in zip(self.nodes, self.kept):
+            members: list[list[int]] = [[] for _ in node.pcnts]
+            for u, j in enumerate(kept):
+                members[node.bucket_of[j]].append(u)
             table = {}
-            for bucket, pcnts in zip(node.buckets, node.pcnts):
+            for bucket, pcnts in zip(members, node.pcnts):
                 vals = _bucket_values(pcnts)
                 for m in range(1, 1 << len(bucket)):
                     table[frozenset(j for i, j in enumerate(bucket) if m >> i & 1)] = vals[m]
@@ -112,7 +120,9 @@ def _bucket_pcnts(bucket: list[int], tab: NodeTable, children: Sequence[NodeCoun
         # projected atom: two child buckets, with disjoint sets; origin j in
         # the k-th of them is bit k * |b1| + pos(j)
         b1 = c1.bucket_of[first[bucket[0]]]
-        stride = len(c1.buckets[b1])
+        p1 = c1.pcnts[b1]
+        full = len(p1) - 1
+        stride = full.bit_length()  # |b1|
         cbs = [b1]  # the child buckets met, in bit order
         for u in bucket:
             mask = 0
@@ -123,8 +133,7 @@ def _bucket_pcnts(bucket: list[int], tab: NodeTable, children: Sequence[NodeCoun
             row_masks.append(mask)
         if len(cbs) > 2:
             raise ValueError(f"a one-child bucket's origins meet child buckets {cbs}")
-        p1, p2 = c1.pcnts[b1], c1.pcnts[cbs[-1]] if len(cbs) == 2 else [0]
-        full = len(p1) - 1
+        p2 = c1.pcnts[cbs[-1]] if len(cbs) == 2 else [0]
 
         def read(mask: int) -> int:
             return p1[mask & full] + p2[mask >> stride]
@@ -137,7 +146,9 @@ def _bucket_pcnts(bucket: list[int], tab: NodeTable, children: Sequence[NodeCoun
         split = tab.stride
         i, j = divmod(first[bucket[0]], split)
         b1, b2 = c1.bucket_of[i], c2.bucket_of[j]
-        stride = len(c2.buckets[b2])
+        pc1, pc2 = c1.pcnts[b1], c2.pcnts[b2]
+        full = len(pc2) - 1
+        stride = full.bit_length()  # |b2|
         for u in bucket:
             mask = 0
             for o in (first[u], *more.get(u, ())):
@@ -146,9 +157,7 @@ def _bucket_pcnts(bucket: list[int], tab: NodeTable, children: Sequence[NodeCoun
                     raise ValueError(f"join row {u} has origins outside child buckets ({b1}, {b2})")
                 mask |= 1 << (c1.pos_in_bucket[i] * stride + c2.pos_in_bucket[j])
             row_masks.append(mask)
-        regions = _venn_regions(c1.pcnts[b1], len(c1.buckets[b1]), stride)
-        pc2 = c2.pcnts[b2]
-        full = len(pc2) - 1
+        regions = _venn_regions(pc1, len(pc1).bit_length() - 1, stride)
 
         def read(mask: int) -> int:
             # each Venn region of b1 times the union count of its partners
@@ -227,7 +236,7 @@ def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
         smask = 0
         for a in nd.bag:
             smask |= proj_bits[a]
-        partition = buckets(map(interp, purged.rows[t]), smask)
+        partition = buckets((interp(tab.rows[j]) for j in kept), smask)
         n_buckets += len(partition)
         bucket_of = [0] * len(tab)
         pos_in_bucket = [0] * len(tab)
@@ -267,9 +276,9 @@ def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
             except MemoryError as exc:
                 b = len(rows)
                 raise MemoryError(f"node {t} ({nd.kind}): bucket of {b} rows, {(1 << b) - 1} entries") from exc
-        nodes[t] = NodeCounts(partition, bucket_of, pos_in_bucket, pcnts)
+        nodes[t] = NodeCounts(bucket_of, pos_in_bucket, pcnts)
     # one-row reads skip max_bucket, which any bucket makes at least 1
-    return ProjTables(nodes, n_buckets, max(max_bucket, min(n_buckets, 1)), n_buckets + entries)
+    return ProjTables(nodes, purged.kept, n_buckets, max(max_bucket, min(n_buckets, 1)), n_buckets + entries)
 
 
 def final_count(proj: ProjTables, purged: PurgedTables) -> int:

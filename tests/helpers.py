@@ -2,12 +2,13 @@
 decomposition for it, the paper's full-ordering PHC as a reference, random
 valid decompositions, seeded random program generators per class, a
 disjunctive chain with a closed-form count, the
-seeded projection fuzz draws, and seeded draws with rules whose head or
-negative body meets their positive body."""
+seeded projection fuzz draws, seeded draws with rules whose head or
+negative body meets their positive body, and a ``sys.getsizeof`` walk."""
 
 from __future__ import annotations
 
 import random
+import sys
 
 from paspc import engine, proj
 from paspc.decomposition import NiceTreeDecomposition, PrimalGraph, TreeDecomposition, decompose, make_nice, primal_graph
@@ -285,3 +286,20 @@ def overlap_fuzz():
             specs.extend(_overlapping_rule(rng, names) for _ in range(rng.randint(1, 3)))
             q = Program.from_specs(specs)
             yield q.with_projection(random_projection(rng, q))
+
+
+def deep_size(obj, seen: set[int]) -> int:
+    """``sys.getsizeof`` of an object and of every key, value and item it
+    holds, and of the attributes of an object with a ``__dict__``, each
+    object counted once over all calls sharing ``seen``."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, dict):
+        size += sum(deep_size(k, seen) + deep_size(v, seen) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        size += sum(deep_size(x, seen) for x in obj)
+    elif hasattr(obj, "__dict__"):
+        size += deep_size(vars(obj), seen)
+    return size

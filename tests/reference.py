@@ -1,7 +1,8 @@
 """Reference formulations kept for the tests: the defining per-entry
 formulas of the projection pass, the union-count transform of a bucket's
-intersection counts, tables built from and read as lists of origin tuples,
-the engine's origin links as row tuples and their definitional
+intersection counts, a node's bucket members rebuilt from the pass's
+per-row bucket ids and bits, tables built from and read as lists of origin
+tuples, the engine's origin links as row tuples and their definitional
 recomputation, structural row checks on decoded rows, the ``prim`` table
 algorithm with counter sets as frozensets of atom masks, the positive
 dependency digraph as an edge set with its reachability closure, the primal
@@ -40,7 +41,7 @@ from paspc.engine import NO_MORE, BagRule, NodeTable, TabledTreeDecomposition, b
 from paspc.oracle import MAX_ATOMS, OracleSizeError
 from paspc.phc import PhcAlgorithm
 from paspc.program import Program, Rule, is_model, iter_bits, mask_of
-from paspc.proj import buckets
+from paspc.proj import NodeCounts, buckets
 
 ProjTable = dict[frozenset[int], int]
 
@@ -147,6 +148,18 @@ def reference_proj_table(
     return table
 
 
+def bucket_members(node: NodeCounts, kept: Sequence[int]) -> list[list[int]]:
+    """A node's buckets as lists of purged-row indices, rebuilt from what
+    the pass keeps: purged row u (table row ``kept[u]``) sits in bucket
+    ``bucket_of[kept[u]]`` at bit ``pos_in_bucket[kept[u]]``, and a bucket's
+    count array has 2^|b| entries.  Each list is in bit order, which is
+    ascending; a slot no row claims stays ``None``."""
+    members: list[list] = [[None] * (len(pcnts).bit_length() - 1) for pcnts in node.pcnts]
+    for u, j in enumerate(kept):
+        members[node.bucket_of[j]][node.pos_in_bucket[j]] = u
+    return members
+
+
 def union_counts(vals: Sequence[int], b: int) -> list[int]:
     """Union counts per row subset of one bucket: the inclusion-exclusion
     (-1)^(|T|-1) sum of its intersection counts, materialized with
@@ -217,12 +230,13 @@ class NodeScope:
 
 def node_scope(ttd: TabledTreeDecomposition, t: int) -> NodeScope:
     td = ttd.td
+    rules = entering_rules(ttd.program, td, ttd.slots)
     below_rules: set[Rule] = set()
     below_atoms = 0
     stack = [t]
     while stack:
         x = stack.pop()
-        below_rules.update(r.source for r in ttd.rules[x])
+        below_rules.update(r.source for r in rules[x])
         below_atoms |= mask_of(td.nodes[x].bag)
         stack.extend(td.nodes[x].children)
     return NodeScope(
@@ -239,11 +253,13 @@ def definitional_origins(ttd: TabledTreeDecomposition, t: int, row: Any) -> set[
     alg = ttd.alg
     out = set()
     child_tables = [ttd.table(c) for c in nd.children]
+    child_origins = [tab.origins for tab in child_tables]
+    rules = entering_rules(ttd.program, ttd.td, ttd.slots)[t]
     ranges = [range(len(tab)) for tab in child_tables]
     for combo in product(*ranges):
-        singles = [table_of([child_tables[i].rows[j]], [child_tables[i].origins[j]]) for i, j in enumerate(combo)]
+        singles = [table_of([child_tables[i].rows[j]], [child_origins[i][j]]) for i, j in enumerate(combo)]
         slot = None if nd.atom is None else ttd.slots[nd.atom]
-        produced = node_table(alg, nd.kind, nd.atom, slot, ttd.rules[t], singles)
+        produced = node_table(alg, nd.kind, nd.atom, slot, rules, singles)
         if row in produced.rows:
             out.add(combo)
     return out
@@ -255,8 +271,9 @@ def verify_origins(ttd: TabledTreeDecomposition) -> list[str]:
     problems = []
     for t in ttd.post_order:
         tab = ttd.table(t)
+        seqs = tab.origins
         for i, row in enumerate(tab.rows):
-            recorded = set(tab.origins[i])
+            recorded = set(seqs[i])
             if not recorded:
                 problems.append(f"node {t} row {i}: no origin recorded")
                 continue

@@ -183,7 +183,7 @@ def test_criterion_7_purging_fidelity(example1_td):
         r for r in ttd.table(t3).rows if ttd.decode(t3, r.interp) & (1 << a) and not ttd.decode(t3, r.proven) & (1 << a)
     ]
     ok = ok and bool(violating)
-    survivors = {ttd.table(t3).rows[j] for i in range(len(ttd.table(t4))) for (j,) in ttd.table(t4).origins[i]}
+    survivors = {ttd.table(t3).rows[j] for seqs in ttd.table(t4).origins for (j,) in seqs}
     ok = ok and all(r not in survivors for r in violating)
 
     # at the node introducing e over the {b,d,e} bag, purged rows all match

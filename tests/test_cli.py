@@ -11,6 +11,7 @@ import pytest
 import helpers
 import paspc
 from paspc import cli, parse_program, solve
+from reference import bucket_members
 
 EX1 = helpers.EXAMPLE1_TEXT
 TRACES = Path(__file__).resolve().parent / "data" / "traces"
@@ -285,9 +286,10 @@ class TestSideOutputs:
         # the origins the tables hold, as the bench counts engine.origin_links
         links = sum(len(seqs) for t in ttd.post_order for seqs in ttd.table(t).origins)
         assert stats["origin_links"] == links > sum(want.values())
-        sizes = [len(b) for node in result.proj_tables.nodes for b in node.buckets]
+        members = [bucket_members(node, kept) for node, kept in zip(result.proj_tables.nodes, result.purged.kept)]
+        sizes = [len(b) for node in members for b in node]
         assert stats["max_bucket"] == max(sizes) >= 1
-        assert stats["proj_buckets"] == sum(len(node.buckets) for node in result.proj_tables.nodes) >= 1
+        assert stats["proj_buckets"] == sum(map(len, members)) >= 1
         assert stats["proj_entries"] == sum(len(t) for t in result.proj_tables.tables)
         assert stats["peak_rss_mb"] > 0
 

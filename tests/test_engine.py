@@ -1,5 +1,4 @@
 import random
-import sys
 from bisect import bisect_left
 from collections import Counter
 
@@ -177,8 +176,9 @@ class TestOrigins:
         program, ids, ttd = run_example1(example1_td)
         for t in ttd.post_order:
             tab = ttd.table(t)
+            row_origins = tab.origins
             for i, row in enumerate(tab.rows):
-                assert set(tab.origins[i]) == definitional_origins(ttd, t, row)
+                assert set(row_origins[i]) == definitional_origins(ttd, t, row)
 
     def test_recorded_origins_match_definition_fuzz(self):
         rng = random.Random(8)
@@ -249,10 +249,11 @@ class TestOriginLists:
             purged = purge(ttd)
             for t in ttd.post_order:
                 children = ttd.td.nodes[t].children
+                row_origins = ttd.table(t).origins
                 want = []
                 for j in purged.kept[t]:
                     seqs = []
-                    for seq in ttd.table(t).origins[j]:
+                    for seq in row_origins[j]:
                         at = tuple(bisect_left(purged.kept[c], x) for c, x in zip(children, seq))
                         assert all(purged.kept[c][i] == x for c, i, x in zip(children, at, seq)), (form, t)
                         seqs.append(at)
@@ -260,20 +261,6 @@ class TestOriginLists:
                 got = purged_origins(purged, t)
                 assert got == want, (form, t)
                 assert all(strictly_ascending(seqs) for seqs in got), (form, t)
-
-
-def deep_size(obj, seen):
-    """``sys.getsizeof`` of an object and of every key, value and item it
-    holds, each object counted once over all calls sharing ``seen``."""
-    if id(obj) in seen:
-        return 0
-    seen.add(id(obj))
-    size = sys.getsizeof(obj)
-    if isinstance(obj, dict):
-        size += sum(deep_size(k, seen) + deep_size(v, seen) for k, v in obj.items())
-    elif isinstance(obj, (list, tuple)):
-        size += sum(deep_size(x, seen) for x in obj)
-    return size
 
 
 class TestOriginStore:
@@ -314,7 +301,7 @@ class TestOriginStore:
         result = pipeline.solve(program)
         assert result.count == 21**3
         seen: set[int] = set()
-        size = sum(deep_size(tab.first, seen) + deep_size(tab.more, seen) for tab in result.ttd.tables)
+        size = sum(helpers.deep_size(tab.first, seen) + helpers.deep_size(tab.more, seen) for tab in result.ttd.tables)
         rows = sum(map(len, result.ttd.tables))
         assert rows > 10_000 and result.ttd.origin_links > rows
         assert size / rows < 40

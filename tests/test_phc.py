@@ -241,8 +241,9 @@ class TestInvariants:
         for t in ttd.post_order:
             nd = ttd.td.nodes[t]
             tab = ttd.table(t)
+            origins = tab.origins
             for i, row in enumerate(tab.rows):
-                for seq in tab.origins[i]:
+                for seq in origins[i]:
                     for ci, j in enumerate(seq):
                         c = nd.children[ci]
                         kept = ttd.decode(c, ttd.table(c).rows[j].proven) & mask_of(nd.bag)

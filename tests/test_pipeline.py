@@ -145,7 +145,8 @@ class TestRowStats:
         # buckets included; a recount over the kept rows and buckets must agree
         for prim, p, pmask in helpers.projection_fuzz():
             result = pipeline.solve(p.with_projection(pmask), algorithm="prim" if prim else "auto")
-            sizes = [len(b) for node in result.proj_tables.nodes for b in node.buckets]
+            nodes = zip(result.proj_tables.nodes, result.purged.kept)
+            sizes = [len(b) for node, kept in nodes for b in reference.bucket_members(node, kept)]
             stats = result.stats
             assert stats.max_purged == max(len(rows) for rows in result.purged.rows)
             assert stats.max_bucket == max(sizes, default=0)
@@ -164,3 +165,20 @@ class TestRowStats:
     def test_projection_counts_pinned(self, text, want):
         stats = pipeline.solve(parse_program(text)).stats
         assert (stats.max_purged, stats.max_bucket, stats.proj_buckets, stats.proj_entries) == want
+
+
+class TestRetainedMemory:
+    def test_purge_and_projection_bytes_per_kept_row(self):
+        # what the purge and the projection pass keep beyond the DP tables,
+        # before any view is read: the kept indices, and per node each kept
+        # row's bucket and bit and each bucket's count array.  About 228
+        # bytes a kept row here, where copies of the purged rows and
+        # per-bucket member lists took about 331
+        result = pipeline.solve(parse_program(helpers.disjunctive_chain(20, 3)))
+        assert result.count == 21**3
+        seen = {id(result.ttd)}
+        helpers.deep_size([tab.rows for tab in result.ttd.tables], seen)
+        size = helpers.deep_size(result.purged, seen) + helpers.deep_size(result.proj_tables, seen)
+        kept = sum(map(len, result.purged.kept))
+        assert kept > 4000
+        assert size / kept < 260

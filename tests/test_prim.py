@@ -43,8 +43,9 @@ class TestTransitions:
             if ttd.td.nodes[t].kind != "rem":
                 continue
             (c,) = ttd.td.nodes[t].children
+            origins = ttd.table(t).origins
             for i, row in enumerate(ttd.table(t).rows):
-                for seq in ttd.table(t).origins[i]:
+                for seq in origins[i]:
                     child = decoded_prim_row(ttd, c, ttd.table(c).rows[seq[0]])
                     # removal projects counters; it never filters or invents
                     keep = ~(1 << ttd.td.nodes[t].atom)

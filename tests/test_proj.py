@@ -13,7 +13,7 @@ from paspc.formats import parse_program
 from paspc.phc import PhcRow
 from paspc.prim import PrimAlgorithm
 from paspc.proj import NodeCounts, _bucket_pcnts, _bucket_values, _venn_regions, buckets, final_count, run_proj
-from reference import ipmc, pcnt, reference_proj_table, sipmc, subbuckets, table_of, union_counts
+from reference import bucket_members, ipmc, pcnt, reference_proj_table, sipmc, subbuckets, table_of, union_counts
 
 # the paper's full-ordering PHC; the programs below have at most 8 atoms
 PHC = helpers.paper_phc(8)
@@ -133,9 +133,8 @@ class TestBucketValues:
 def family_counts(bucket_sets):
     """A child's NodeCounts from explicit projected answer-set sets, bucket
     by bucket: ``pcnts`` are the union sizes of each row subset."""
-    node = NodeCounts([], [], [], [])
+    node = NodeCounts([], [], [])
     for b, sets in enumerate(bucket_sets):
-        node.buckets.append(list(range(len(node.bucket_of), len(node.bucket_of) + len(sets))))
         node.bucket_of += [b] * len(sets)
         node.pos_in_bucket += range(len(sets))
         picks = [[s for p, s in enumerate(sets) if m >> p & 1] for m in range(1 << len(sets))]
@@ -343,11 +342,12 @@ class TestRunProj:
                 if nd.kind != JOIN:
                     continue
                 children = [r.proj_tables.nodes[c] for c in nd.children]
-                for b in r.proj_tables.nodes[t].buckets:
-                    row_origins = r.ttd.table(t).origins[r.purged.kept[t][b[0]]]
+                origins = r.ttd.table(t).origins
+                for b in bucket_members(r.proj_tables.nodes[t], r.purged.kept[t]):
+                    row_origins = origins[r.purged.kept[t][b[0]]]
                     if len(b) == 1 and len(row_origins) == 1:
                         cbs = [c.bucket_of[i] for c, i in zip(children, row_origins[0])]
-                        if all(len(c.buckets[cb]) == 1 for c, cb in zip(children, cbs)):
+                        if all(len(c.pcnts[cb]) == 2 for c, cb in zip(children, cbs)):
                             factors.append(min(c.pcnts[cb][1] for c, cb in zip(children, cbs)))
             assert max(factors) >= 2
 
@@ -374,11 +374,22 @@ class TestRunProj:
     def test_fuzz_reaches_multi_row_join_buckets(self):
         # the two-child path is exercised under both algorithms
         reached = set()
-        for alg, _, ttd, _, proj in self.seeded_fuzz():
+        for alg, _, ttd, purged, proj in self.seeded_fuzz():
             for t in ttd.post_order:
-                if ttd.td.nodes[t].kind == JOIN and any(len(b) > 1 for b in proj.nodes[t].buckets):
+                members = bucket_members(proj.nodes[t], purged.kept[t])
+                if ttd.td.nodes[t].kind == JOIN and any(len(b) > 1 for b in members):
                     reached.add(isinstance(alg, PrimAlgorithm))
         assert reached == {False, True}
+
+    def test_bucket_members_are_the_partition(self):
+        # a node keeps each kept row's bucket and bit, not the partition:
+        # the members rebuilt from them are the buckets of the kept rows'
+        # projected interpretations, each in ascending order
+        for _, pmask, ttd, purged, proj in self.seeded_fuzz():
+            for t in ttd.post_order:
+                smask = sum(1 << ttd.slots[a] for a in ttd.td.nodes[t].bag if pmask >> a & 1)
+                partition = buckets(map(ttd.alg.interp, purged.rows[t]), smask)
+                assert bucket_members(proj.nodes[t], purged.kept[t]) == partition, t
 
     def test_fuzz_reaches_every_bucket_path(self, monkeypatch):
         # a one-row bucket whose row has one origin holds the product of the
@@ -400,7 +411,7 @@ class TestRunProj:
                 origins = tab.origins
                 children = [got.nodes[c] for c in ttd.td.nodes[t].children]
                 shape = ("leaf", "one child", "join")[len(children)]
-                for b, pcnts in zip(got.nodes[t].buckets, got.nodes[t].pcnts):
+                for b, pcnts in zip(bucket_members(got.nodes[t], purged.kept[t]), got.nodes[t].pcnts):
                     rows = [purged.kept[t][u] for u in b]
                     seqs = [seq for j in rows for seq in origins[j]]
                     if len(seqs) == 1:
@@ -446,9 +457,10 @@ class TestRunProj:
                 assert proj.tables[t] == want
 
     def test_reads_only_kept_rows(self):
-        # purged rows and their origins stay in the DP tables; the pass must
-        # never read them, whatever its tables or the count: neither their
-        # rows, nor their first origins, nor their further ones
+        # purged rows and their origins stay in the DP tables, and the pass
+        # reads the kept rows there too; it must never read the purged ones,
+        # whatever its tables or the count: neither their rows, nor their
+        # first origins, nor their further ones
         class Unread:
             def fail(self, *args):
                 raise AssertionError("a purged row was read")
@@ -470,7 +482,7 @@ class TestRunProj:
                         tab.stride,
                     )
                 )
-            masked = PurgedTables(dataclasses.replace(ttd, tables=tables), purged.kept, purged.rows)
+            masked = PurgedTables(dataclasses.replace(ttd, tables=tables), purged.kept)
             got = run_proj(masked, pmask)
             assert got.tables == proj.tables
             assert final_count(got, masked) == final_count(proj, purged)
