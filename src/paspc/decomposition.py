@@ -231,7 +231,7 @@ def decompose(graph: PrimalGraph, heuristic: str = "min-fill", seed: int = 0) ->
 LEAF, INTRODUCE, REMOVE, JOIN = "leaf", "int", "rem", "join"
 
 
-@dataclass
+@dataclass(slots=True)
 class NiceNode:
     kind: str
     bag: frozenset[int]

@@ -38,6 +38,13 @@ index to a tuple of them.  A node whose rows all have one origin builds no
 map but holds one empty map that all such nodes share.
 ``NodeTable.origins`` decodes the whole store back into lists of
 child-index tuples on each access, for traces and tests.
+
+Rows are immutable and slot-encoded, so the same few rows recur at node
+after node.  ``run_dp`` keeps one object per distinct row over all tables of
+a solve: a row pool, local to the call, re-points each new table's rows at
+the pooled ones, and its size is ``distinct_rows``.  Tables of one solve
+therefore share row objects, and no two solves share any but the
+algorithm's constant ``solution_row``.
 """
 
 from __future__ import annotations
@@ -150,6 +157,7 @@ class TabledTreeDecomposition:
     row_counts: dict[str, int] = field(default_factory=dict)  # rows of run_dp per node kind
     max_table: int = 0  # rows of the largest table
     origin_links: int = 0  # origins held by all tables
+    distinct_rows: int = 0  # distinct rows over all tables, one object each
 
     def table(self, t: int) -> NodeTable:
         tab = self.tables[t]
@@ -256,6 +264,8 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
     seconds = dict.fromkeys((LEAF, INTRODUCE, REMOVE, JOIN), 0.0)
     row_counts = dict.fromkeys(seconds, 0)
     max_table = origin_links = 0
+    # one object per distinct row over all tables, for this solve only
+    pool: dict[Any, Any] = {}
     clock = time.perf_counter
     start = clock()
     # post-order: every child's table exists before its parent's
@@ -264,6 +274,7 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
         children = [tables[c] for c in nd.children]
         slot = None if nd.atom is None else slots[nd.atom]
         tab = tables[t] = node_table(alg, nd.kind, nd.atom, slot, rules[t], children)  # type: ignore[arg-type]
+        tab.rows = list(map(pool.setdefault, tab.rows, tab.rows))
         n = len(tab.rows)
         row_counts[nd.kind] += n
         max_table = max(max_table, n)
@@ -275,7 +286,9 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
         end = clock()
         seconds[nd.kind] += end - start
         start = end
-    return TabledTreeDecomposition(td, program, alg, tables, slots, order, seconds, row_counts, max_table, origin_links)
+    return TabledTreeDecomposition(
+        td, program, alg, tables, slots, order, seconds, row_counts, max_table, origin_links, len(pool)
+    )
 
 
 @dataclass

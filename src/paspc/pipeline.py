@@ -35,6 +35,7 @@ class RunStats:
     algorithm: str = ""
     rows: dict[str, int] = field(default_factory=dict)  # rows before purging, per node kind
     origin_links: int = 0  # origins the tables hold, one or more per row
+    distinct_rows: int = 0  # distinct rows over all tables: the row objects a solve holds
     dp_seconds: dict[str, float] = field(default_factory=dict)  # seconds of the dp pass, per node kind
     timings: dict[str, float] = field(default_factory=dict)
     max_bucket: int = 0  # rows of the largest projection bucket
@@ -124,6 +125,7 @@ def solve(
         stats.rows = dict(ttd.row_counts)
         stats.max_table = ttd.max_table
         stats.origin_links = ttd.origin_links
+        stats.distinct_rows = ttd.distinct_rows
 
         t0 = time.perf_counter()
         purged = engine.purge(ttd)

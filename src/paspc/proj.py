@@ -43,7 +43,10 @@ work: buckets, the largest one, and entries, 2^|b| - 1 per bucket b.
 
 A node keeps per kept row its bucket and its bit there, and per bucket its
 count array, whose length 2^|b| gives the bucket's size; its partition into
-buckets lives only while the loop visits the node.
+buckets lives only while the loop visits the node.  The one-row read's
+arrays are tuples ``(0, count)``, one per count over the whole pass, shared
+by every bucket of that count; every other bucket owns its list.  Count
+arrays are read-only.
 """
 
 from __future__ import annotations
@@ -55,13 +58,13 @@ from typing import Iterable, Sequence
 from .engine import NodeTable, PurgedTables
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeCounts:
     """One node's projection counts, bucket by bucket."""
 
     bucket_of: list[int]  # per table row, kept rows only: its bucket id
     pos_in_bucket: list[int]  # per table row, kept rows only: its bit in the bucket's masks
-    pcnts: list[list[int]]  # per bucket, by local row mask: projected counts
+    pcnts: list[Sequence[int]]  # per bucket, by local row mask: projected counts
 
 
 @dataclass
@@ -190,7 +193,7 @@ def _moebius(vals: list[int]) -> list[int]:
     return vals
 
 
-def _venn_regions(pcnts: list[int], b: int, stride: int) -> list[tuple[int, list[int]]]:
+def _venn_regions(pcnts: Sequence[int], b: int, stride: int) -> list[tuple[int, list[int]]]:
     """The nonempty Venn regions of a bucket's row sets, as (size, shifts):
     one per row subset I whose region "in exactly the sets of I" is not
     empty, with the pair-bit offset pos * stride of each row of I.
@@ -203,7 +206,7 @@ def _venn_regions(pcnts: list[int], b: int, stride: int) -> list[tuple[int, list
     return [(e[m], [p * stride for p in range(b) if m >> p & 1]) for m in range(1, len(e)) if e[m]]
 
 
-def _bucket_values(pcnts: list[int]) -> list[int]:
+def _bucket_values(pcnts: Sequence[int]) -> list[int]:
     """Intersection counts for every nonempty subset of a bucket.
 
     The rows stand for sets whose union sizes are ``pcnts``, so the size of
@@ -227,6 +230,7 @@ def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
     # by node id, each set before its parent reads it (post-order)
     nodes: list[NodeCounts] = [None] * len(td.nodes)  # type: ignore[list-item]
     n_buckets = max_bucket = entries = 0
+    one_row: dict[int, tuple[int, int]] = {}  # count -> the one-row array shared by this pass
 
     for t in ttd.post_order:
         kept = purged.kept[t]
@@ -240,7 +244,7 @@ def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
         n_buckets += len(partition)
         bucket_of = [0] * len(tab)
         pos_in_bucket = [0] * len(tab)
-        pcnts: list[list[int]] = []
+        pcnts: list[Sequence[int]] = []
         children = [nodes[c] for c in nd.children]
         arity = len(children)
         if children:
@@ -263,7 +267,7 @@ def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
                     count = pc1[of1[i]][1 << pos1[i]] * pc2[of2[o]][1 << pos2[o]]
                 else:
                     count = 1
-                pcnts.append([0, count])
+                pcnts.append(one_row.setdefault(count, (0, count)))
                 continue
             entries += (1 << len(bucket)) - 2  # beyond its one entry, counted with n_buckets
             max_bucket = max(max_bucket, len(bucket))

@@ -290,8 +290,9 @@ def overlap_fuzz():
 
 def deep_size(obj, seen: set[int]) -> int:
     """``sys.getsizeof`` of an object and of every key, value and item it
-    holds, and of the attributes of an object with a ``__dict__``, each
-    object counted once over all calls sharing ``seen``."""
+    holds, and of its attributes, those in a ``__dict__`` and those named in
+    the ``__slots__`` of its class and their bases, each object counted once
+    over all calls sharing ``seen``."""
     if id(obj) in seen:
         return 0
     seen.add(id(obj))
@@ -300,6 +301,12 @@ def deep_size(obj, seen: set[int]) -> int:
         size += sum(deep_size(k, seen) + deep_size(v, seen) for k, v in obj.items())
     elif isinstance(obj, (list, tuple)):
         size += sum(deep_size(x, seen) for x in obj)
-    elif hasattr(obj, "__dict__"):
-        size += deep_size(vars(obj), seen)
+    else:
+        for cls in type(obj).__mro__:
+            names = cls.__dict__.get("__slots__", ())
+            for name in (names,) if isinstance(names, str) else names:
+                if name not in ("__dict__", "__weakref__") and hasattr(obj, name):
+                    size += deep_size(getattr(obj, name), seen)
+        if hasattr(obj, "__dict__"):
+            size += deep_size(vars(obj), seen)
     return size

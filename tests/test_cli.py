@@ -267,8 +267,8 @@ class TestSideOutputs:
         assert stats["max_purged"] <= stats["max_table"]
         assert list(stats["timings"]) == ["parse", "classify", "decompose", "make_nice", "dp", "purge", "proj"]
         assert set(stats) == {
-            "width", "nodes", "max_table", "max_purged", "algorithm", "rows", "origin_links", "dp_seconds",
-            "timings", "max_bucket", "proj_buckets", "proj_entries", "peak_rss_mb",
+            "width", "nodes", "max_table", "max_purged", "algorithm", "rows", "origin_links", "distinct_rows",
+            "dp_seconds", "timings", "max_bucket", "proj_buckets", "proj_entries", "peak_rss_mb",
         }
         # the dp pass's seconds per node kind, within its total
         assert list(stats["dp_seconds"]) == ["leaf", "int", "rem", "join"]
@@ -354,6 +354,8 @@ class TestGoldenTraces:
 
     # per program, the origins its tables hold (--stats origin_links)
     ORIGIN_LINKS = {"example1": 50, "wide_hcf": 30, "head_cycles": 79}
+    # per program, the distinct rows over all its tables (--stats distinct_rows)
+    DISTINCT_ROWS = {"example1": 17, "wide_hcf": 26, "head_cycles": 41}
 
     @pytest.mark.parametrize("name", CASES)
     def test_origin_links_count_the_golden_origins(self, name, tmp_path, capsys):
@@ -366,6 +368,19 @@ class TestGoldenTraces:
         golden = (TRACES / name / "tables.txt").read_text(encoding="utf-8")
         listed = sum(line.split(" origins=")[1].count("(") for line in golden.splitlines() if " origins=" in line)
         assert json.loads(err.splitlines()[-1])["origin_links"] == listed == self.ORIGIN_LINKS[name]
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_distinct_rows_count_the_set_of_rows(self, name, tmp_path, capsys):
+        # the size of run_dp's row pool, as a set of all tables' rows counts
+        # it; the projection does not change the tables
+        text, args = self.CASES[name]
+        path = tmp_path / "p.lp"
+        path.write_text(text)
+        code, _, err = run(capsys, "solve", str(path), *args, "--stats")
+        assert code == 0
+        ttd = solve(parse_program(text)).ttd
+        rows = {row for tab in ttd.tables for row in tab.rows}
+        assert json.loads(err.splitlines()[-1])["distinct_rows"] == len(rows) == self.DISTINCT_ROWS[name]
 
     @pytest.mark.parametrize("name", CASES)
     def test_trace_matches_golden(self, name, tmp_path, capsys):

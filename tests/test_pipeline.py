@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 
 import pytest
 
@@ -171,9 +172,10 @@ class TestRetainedMemory:
     def test_purge_and_projection_bytes_per_kept_row(self):
         # what the purge and the projection pass keep beyond the DP tables,
         # before any view is read: the kept indices, and per node each kept
-        # row's bucket and bit and each bucket's count array.  About 228
-        # bytes a kept row here, where copies of the purged rows and
-        # per-bucket member lists took about 331
+        # row's bucket and bit and each bucket's count array.  About 150
+        # bytes a kept row here, where a fresh array per one-row bucket and
+        # a dict per NodeCounts took about 228, and copies of the purged
+        # rows and per-bucket member lists about 331
         result = pipeline.solve(parse_program(helpers.disjunctive_chain(20, 3)))
         assert result.count == 21**3
         seen = {id(result.ttd)}
@@ -181,4 +183,64 @@ class TestRetainedMemory:
         size = helpers.deep_size(result.purged, seen) + helpers.deep_size(result.proj_tables, seen)
         kept = sum(map(len, result.purged.kept))
         assert kept > 4000
-        assert size / kept < 260
+        assert size / kept < 175
+
+    def test_bytes_held_after_solve_per_dp_row(self):
+        # everything a solve allocates and its result still holds, by
+        # tracemalloc: about 117 bytes a DP row here, where an object per
+        # table row and a fresh array per one-row bucket took about 213
+        program = parse_program(helpers.disjunctive_chain(20, 3))
+        tracemalloc.start()
+        try:
+            result = pipeline.solve(program)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.count == 21**3
+        rows = sum(map(len, result.ttd.tables))
+        assert rows > 14000
+        assert held / rows < 150
+
+
+SHARING_CASES = {
+    "example1": helpers.EXAMPLE1_TEXT,  # phc, #project d, e
+    "wide_hcf": helpers.WIDE_HCF_TEXT,  # phc, positive cycle
+    "head_cycles": helpers.HEAD_CYCLE_TEXT,  # prim
+    "disjunctive_chain": helpers.disjunctive_chain(6, 2),  # prim, many equal rows
+}
+
+
+class TestSharedObjects:
+    """Equal rows and equal one-row count arrays are one object within a
+    solve, and no object is shared between solves."""
+
+    @pytest.mark.parametrize("name", SHARING_CASES)
+    def test_equal_rows_are_one_object(self, name):
+        result = pipeline.solve(parse_program(SHARING_CASES[name]))
+        rows = [row for tab in result.ttd.tables for row in tab.rows]
+        assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+        assert result.stats.distinct_rows == len(set(rows))
+
+    @pytest.mark.parametrize("name", SHARING_CASES)
+    def test_one_row_arrays_are_shared_per_count(self, name):
+        # the arrays of one-row buckets whose row has one origin: one
+        # read-only tuple per count
+        result = pipeline.solve(parse_program(SHARING_CASES[name]))
+        arrays = []
+        for t, (node, kept) in enumerate(zip(result.proj_tables.nodes, result.purged.kept)):
+            more = result.ttd.table(t).more
+            for b, pcnts in zip(reference.bucket_members(node, kept), node.pcnts):
+                if len(b) == 1 and kept[b[0]] not in more:
+                    arrays.append(pcnts)
+        assert all(type(pcnts) is tuple for pcnts in arrays)
+        assert len({id(pcnts) for pcnts in arrays}) == len(set(arrays)) < len(arrays)
+
+    def test_live_solves_share_no_row(self):
+        # each solve pools its rows on its own: two programs' tables, both
+        # alive, have no row object in common but the algorithm's constant
+        # solution row, which every leaf table holds
+        for first, second in (("example1", "wide_hcf"), ("head_cycles", "disjunctive_chain")):
+            a, b = (pipeline.solve(parse_program(SHARING_CASES[name])) for name in (first, second))
+            assert a.ttd.alg.solution_row == b.ttd.alg.solution_row
+            ids = [{id(row) for tab in r.ttd.tables for row in tab.rows} for r in (a, b)]
+            assert ids[0] & ids[1] == {id(a.ttd.alg.solution_row)}

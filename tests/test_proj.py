@@ -417,7 +417,7 @@ class TestRunProj:
                     if len(seqs) == 1:
                         reached[f"{shape}, one row of one origin"] += 1
                         reads = [(c.pcnts[c.bucket_of[i]], c.pos_in_bucket[i]) for c, i in zip(children, seqs[0])]
-                        assert pcnts == [0, math.prod(pc[1 << pos] for pc, pos in reads)]
+                        assert list(pcnts) == [0, math.prod(pc[1 << pos] for pc, pos in reads)]
                         if any(pc[1 << pos] != pc[1] for pc, pos in reads):
                             # the origin's count differs from that of its
                             # child bucket's first row
