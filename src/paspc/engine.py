@@ -45,16 +45,30 @@ a solve: a row pool, local to the call, re-points each new table's rows at
 the pooled ones, and its size is ``distinct_rows``.  Tables of one solve
 therefore share row objects, and no two solves share any but the
 algorithm's constant ``solution_row``.
+
+A node's table is a function of its inputs alone: its child row lists
+and, at an introduce or remove node, what the algorithm's ``node_key``
+names of its kind, atom, slot and entering rules (a join reads nothing
+else, and a leaf only whether the atomless rules hold).  Pooled rows make
+row lists cheap to compare: equal rows are one object, so ``run_dp`` names
+each distinct row list by a small int, looked up by the tuple of its rows'
+ids, which stay valid because the pool keeps every row alive while it
+runs.  A memo, local to the call, maps node inputs to the table built for
+them, and a node whose inputs equal an earlier node's takes that table
+object instead of building its own: nodes of equal inputs share one
+read-only ``NodeTable``.  ``built_tables`` counts the tables built; every
+other count is per node, shared table or not.
 """
 
 from __future__ import annotations
 
 import time
 from array import array
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Any, NamedTuple, Protocol
 
@@ -88,6 +102,16 @@ class TableAlgorithm(Protocol):
     name: str
     solution_row: Any
 
+    def node_key(self, kind: str, atom: int | None, slot: int | None, rules: Sequence[BagRule]) -> Hashable:
+        """Every input of an introduce or remove node that its generator
+        reads, apart from the child rows: two such nodes with equal keys
+        and equal child row lists get equal tables, and ``run_dp`` builds
+        only the first.  A key that omits an input the generator reads
+        makes unequal nodes share a table and silently corrupts counts.
+        (A join reads only its child rows, and a leaf only whether the
+        atomless rules hold, so ``run_dp`` keys those itself.)"""
+        ...
+
     def introduce(
         self, atom: int, slot: int, rules: Sequence[BagRule], child_rows: Sequence[Any]
     ) -> Iterator[tuple[Any, int]]: ...
@@ -102,6 +126,9 @@ class TableAlgorithm(Protocol):
         """The algorithm to run on a nice decomposition of this width."""
         ...
 
+
+# a BagRule's slot masks (head_mask, pos_mask, neg_mask), as one tuple
+rule_masks = itemgetter(0, 1, 2)
 
 # the side store of every node whose rows all have one origin, read-only
 NO_MORE: Mapping[int, tuple[int, ...]] = MappingProxyType({})
@@ -150,7 +177,7 @@ class TabledTreeDecomposition:
     td: NiceTreeDecomposition
     program: Program
     alg: TableAlgorithm
-    tables: list[NodeTable | None]
+    tables: list[NodeTable | None]  # per node; nodes of equal inputs share one read-only table
     slots: list[int]  # per atom: its bag slot
     post_order: list[int] = field(default_factory=list)
     seconds: dict[str, float] = field(default_factory=dict)  # wall seconds of run_dp per node kind
@@ -158,6 +185,7 @@ class TabledTreeDecomposition:
     max_table: int = 0  # rows of the largest table
     origin_links: int = 0  # origins held by all tables
     distinct_rows: int = 0  # distinct rows over all tables, one object each
+    built_tables: int = 0  # tables built: nodes less those that took an equal-input node's table
 
     def table(self, t: int) -> NodeTable:
         tab = self.tables[t]
@@ -177,14 +205,15 @@ class TabledTreeDecomposition:
 
 def bag_rule(r: Rule, slots: Sequence[int]) -> BagRule:
     """The rule with its atom sets as slot masks."""
-    head_bits = tuple(1 << slots[a] for a in r.head)
+    head_bits = [1 << slots[a] for a in r.head]
     pos = 0
     for a in r.pos_body:
         pos |= 1 << slots[a]
     neg = 0
     for a in r.neg_body:
         neg |= 1 << slots[a]
-    return BagRule(sum(head_bits), pos, neg, r.head, head_bits, r.pos_body, r)
+    # the C tuple constructor: the NamedTuple's own __new__ is a Python function
+    return tuple.__new__(BagRule, (sum(head_bits), pos, neg, r.head, tuple(head_bits), r.pos_body, r))
 
 
 def entering_rules(program: Program, td: NiceTreeDecomposition, slots: Sequence[int]) -> list[Sequence[BagRule]]:
@@ -255,39 +284,61 @@ def node_table(
 
 def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> TabledTreeDecomposition:
     """Run the table algorithm, as chosen for the decomposition's width,
-    over all nodes in post-order."""
+    over all nodes in post-order.  A node whose inputs equal an earlier
+    node's takes that node's table (see the module docstring)."""
     alg = alg.for_width(td.width)
+    node_key = alg.node_key
+    nodes = td.nodes
     order = td.post_order()
-    slots = assign_slots(td, program.n_atoms)
+    slots = assign_slots(td, program.n_atoms, order)
     rules = entering_rules(program, td, slots)
-    tables: list[NodeTable | None] = [None] * len(td.nodes)
+    tables: list[NodeTable | None] = [None] * len(nodes)
+    lists = [0] * len(nodes)  # per node: the id of its table's row list
     seconds = dict.fromkeys((LEAF, INTRODUCE, REMOVE, JOIN), 0.0)
     row_counts = dict.fromkeys(seconds, 0)
     max_table = origin_links = 0
-    # one object per distinct row over all tables, for this solve only
+    # for this solve only: one object per distinct row over all tables, a
+    # small int per distinct row list (as the ids of its pooled rows), and
+    # per node inputs their table, its row list's id and its origin count
     pool: dict[Any, Any] = {}
+    list_ids: dict[tuple[int, ...], int] = {}
+    memo: dict[tuple, tuple[NodeTable, int, int]] = {}
     clock = time.perf_counter
     start = clock()
     # post-order: every child's table exists before its parent's
     for t in order:
-        nd = td.nodes[t]
-        children = [tables[c] for c in nd.children]
-        slot = None if nd.atom is None else slots[nd.atom]
-        tab = tables[t] = node_table(alg, nd.kind, nd.atom, slot, rules[t], children)  # type: ignore[arg-type]
-        tab.rows = list(map(pool.setdefault, tab.rows, tab.rows))
+        nd = nodes[t]
+        kind, atom, children = nd.kind, nd.atom, nd.children
+        slot = None if atom is None else slots[atom]
+        if kind == JOIN:
+            # a join reads its child rows and nothing else
+            key = JOIN, lists[children[0]], lists[children[1]]
+        elif children:
+            key = node_key(kind, atom, slot, rules[t]), lists[children[0]]
+        else:
+            # a leaf holds the solution row if the atomless rules hold
+            key = LEAF, is_model(0, rules[t])
+        hit = memo.get(key)
+        if hit is None:
+            tab = node_table(alg, kind, atom, slot, rules[t], [tables[c] for c in children])  # type: ignore[misc]
+            tab.rows = list(map(pool.setdefault, tab.rows, tab.rows))
+            # one origin per row, and a row's further ones in the side store
+            links = len(tab.rows)
+            if tab.more:
+                links += sum(map(len, tab.more.values()))
+            hit = memo[key] = tab, list_ids.setdefault(tuple(map(id, tab.rows)), len(list_ids)), links
+        tab, lists[t], links = hit
+        tables[t] = tab
         n = len(tab.rows)
-        row_counts[nd.kind] += n
+        row_counts[kind] += n
         max_table = max(max_table, n)
-        # one origin per row, and a row's further ones in the side store
-        origin_links += n
-        if tab.more:
-            origin_links += sum(map(len, tab.more.values()))
+        origin_links += links
         # one clock read per node: its end is the next node's start
         end = clock()
-        seconds[nd.kind] += end - start
+        seconds[kind] += end - start
         start = end
     return TabledTreeDecomposition(
-        td, program, alg, tables, slots, order, seconds, row_counts, max_table, origin_links, len(pool)
+        td, program, alg, tables, slots, order, seconds, row_counts, max_table, origin_links, len(pool), len(memo)
     )
 
 

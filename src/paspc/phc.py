@@ -16,9 +16,9 @@ is the paper's algorithm, which orders every true bag atom.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
 
-from .engine import BagRule
+from .engine import BagRule, rule_masks
 from .program import is_model
 
 
@@ -73,6 +73,27 @@ class PhcAlgorithm:
 
     def for_width(self, width: int) -> PhcAlgorithm:
         return self
+
+    def node_key(self, kind: str, atom: int | None, slot: int | None, rules: Sequence[BagRule]) -> Hashable:
+        """The node's kind, slot and its rules' slot masks, plus the cyclic
+        atom ids that the generators compare.  An acyclic atom only sets or
+        tests its bit, and each atom has one slot per solve, so its id adds
+        nothing.  A cyclic atom id enters the orderings (``_orders``, the
+        cyclic ``remove``) and is compared by component and position in
+        ``gp``; so the key holds the node's atom if it is cyclic and each
+        rule's cyclic head and positive-body atoms.  On a tight program no
+        atom is cyclic and the key is ``prim``'s."""
+        comp = self.components
+        if not comp:
+            return kind, slot, *map(rule_masks, rules)
+        cyclic = comp.__contains__
+        # by index: head_mask, pos_mask, neg_mask, head, pos_body
+        return (
+            kind,
+            slot,
+            atom if atom in comp else None,
+            *[(r[0], r[1], r[2], tuple(filter(cyclic, r[3])), tuple(filter(cyclic, r[5]))) for r in rules],
+        )
 
     def _orders(self, order: tuple[int, ...], atom: int) -> list[tuple[int, ...]]:
         """Orderings with the introduced true cyclic atom: its insertions

@@ -36,6 +36,7 @@ class RunStats:
     rows: dict[str, int] = field(default_factory=dict)  # rows before purging, per node kind
     origin_links: int = 0  # origins the tables hold, one or more per row
     distinct_rows: int = 0  # distinct rows over all tables: the row objects a solve holds
+    built_tables: int = 0  # node tables built: nodes less those that took an equal-input node's table
     dp_seconds: dict[str, float] = field(default_factory=dict)  # seconds of the dp pass, per node kind
     timings: dict[str, float] = field(default_factory=dict)
     max_bucket: int = 0  # rows of the largest projection bucket
@@ -126,6 +127,7 @@ def solve(
         stats.max_table = ttd.max_table
         stats.origin_links = ttd.origin_links
         stats.distinct_rows = ttd.distinct_rows
+        stats.built_tables = ttd.built_tables
 
         t0 = time.perf_counter()
         purged = engine.purge(ttd)

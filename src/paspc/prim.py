@@ -31,9 +31,9 @@ the reduct one by one, so its rows cost what their counters cost.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Any, Hashable, Iterator, NamedTuple, Sequence
 
-from .engine import BagRule
+from .engine import BagRule, rule_masks
 from .program import is_model, iter_bits
 
 
@@ -67,6 +67,15 @@ class PrimAlgorithm:
 
     def for_width(self, width: int) -> PrimAlgorithm | SparsePrimAlgorithm:
         return self if width <= DENSE_MAX_WIDTH else SparsePrimAlgorithm()
+
+    @staticmethod
+    def node_key(kind: str, atom: int | None, slot: int | None, rules: Sequence[BagRule]) -> Hashable:
+        """The node's kind, slot and its rules' slot masks: the generators
+        read rules only through those masks, and atoms only through their
+        slots, one per atom in a solve.  The B_s bitsets grown between two
+        nodes of one key change no row: they only add subsets beyond the
+        slots that the rows hold."""
+        return kind, slot, *map(rule_masks, rules)
 
     def _subsets_with(self, slots: int) -> list[int]:
         """B_s for every slot s, over the subsets of at least ``slots``
@@ -154,6 +163,8 @@ class SparsePrimAlgorithm:
 
     def for_width(self, width: int) -> SparsePrimAlgorithm:
         return self
+
+    node_key = staticmethod(PrimAlgorithm.node_key)  # the same inputs, read through the same masks
 
     @staticmethod
     def introduce(

@@ -268,7 +268,7 @@ class TestSideOutputs:
         assert list(stats["timings"]) == ["parse", "classify", "decompose", "make_nice", "dp", "purge", "proj"]
         assert set(stats) == {
             "width", "nodes", "max_table", "max_purged", "algorithm", "rows", "origin_links", "distinct_rows",
-            "dp_seconds", "timings", "max_bucket", "proj_buckets", "proj_entries", "peak_rss_mb",
+            "built_tables", "dp_seconds", "timings", "max_bucket", "proj_buckets", "proj_entries", "peak_rss_mb",
         }
         # the dp pass's seconds per node kind, within its total
         assert list(stats["dp_seconds"]) == ["leaf", "int", "rem", "join"]
@@ -356,6 +356,8 @@ class TestGoldenTraces:
     ORIGIN_LINKS = {"example1": 50, "wide_hcf": 30, "head_cycles": 79}
     # per program, the distinct rows over all its tables (--stats distinct_rows)
     DISTINCT_ROWS = {"example1": 17, "wide_hcf": 26, "head_cycles": 41}
+    # per program, (nodes, tables built): --stats nodes and built_tables
+    BUILT_TABLES = {"example1": (15, 13), "wide_hcf": (13, 13), "head_cycles": (17, 17)}
 
     @pytest.mark.parametrize("name", CASES)
     def test_origin_links_count_the_golden_origins(self, name, tmp_path, capsys):
@@ -381,6 +383,20 @@ class TestGoldenTraces:
         ttd = solve(parse_program(text)).ttd
         rows = {row for tab in ttd.tables for row in tab.rows}
         assert json.loads(err.splitlines()[-1])["distinct_rows"] == len(rows) == self.DISTINCT_ROWS[name]
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_built_tables_count_the_table_objects(self, name, tmp_path, capsys):
+        # nodes of equal inputs share one table, so the tables built are
+        # the distinct table objects
+        text, args = self.CASES[name]
+        path = tmp_path / "p.lp"
+        path.write_text(text)
+        code, _, err = run(capsys, "solve", str(path), *args, "--stats")
+        assert code == 0
+        stats = json.loads(err.splitlines()[-1])
+        ttd = solve(parse_program(text)).ttd
+        built = len({id(tab) for tab in ttd.tables})
+        assert (stats["nodes"], stats["built_tables"]) == (len(ttd.tables), built) == self.BUILT_TABLES[name]
 
     @pytest.mark.parametrize("name", CASES)
     def test_trace_matches_golden(self, name, tmp_path, capsys):

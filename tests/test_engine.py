@@ -7,10 +7,10 @@ import pytest
 import helpers
 from paspc import oracle, pipeline
 from paspc.cli import purged_origins
-from paspc.decomposition import LEAF, assign_slots, decompose, make_nice, primal_graph
+from paspc.decomposition import LEAF, TreeDecomposition, assign_slots, decompose, make_nice, primal_graph
 from paspc.engine import NO_MORE, bag_rule, entering_rules, node_table, purge, run_dp
 from paspc.formats import parse_program
-from paspc.phc import PhcRow
+from paspc.phc import PhcAlgorithm, PhcRow
 from paspc.prim import DENSE_MAX_WIDTH, PrimAlgorithm, PrimRow, SparsePrimAlgorithm
 from paspc.program import Program, ProgramKind, Rule, classify, mask_of
 from reference import definitional_origins, node_scope, origins, origins_table, table_dict, table_of, verify_origins
@@ -396,3 +396,69 @@ class TestExtensionCorrespondence:
                 ttd = run_dp(alg, p, make_nice(decompose(primal_graph(p))))
                 got = extension_interpretations(purge(ttd))
                 assert got == set(oracle.enumerate_answer_sets(p))
+
+
+def memo_fuzz():
+    """(form, tabled decomposition) pairs on the projection and overlap fuzz
+    programs: the library ``phc`` (with its cyclic components) and the
+    paper's full-ordering PHC on the programs that are not disjunctive, and
+    both ``prim`` forms on every program, the frozenset form called
+    directly on the same narrow decompositions."""
+    programs = [p for _, p, _ in helpers.projection_fuzz()] + list(helpers.overlap_fuzz())
+    for p in programs:
+        nice = make_nice(decompose(primal_graph(p)))
+        if classify(p).kind is not ProgramKind.DISJUNCTIVE:
+            yield "phc", run_dp(pipeline.pick_algorithm(p, "phc"), p, nice)
+            yield "paper phc", run_dp(helpers.paper_phc(p.n_atoms), p, nice)
+        yield "prim bitsets", run_dp(PrimAlgorithm(), p, nice)
+        yield "prim frozensets", run_dp(SparsePrimAlgorithm(), p, nice)
+
+
+class TestNodeMemo:
+    """``run_dp`` builds one table per distinct node input (kind, slot,
+    entering rules, as the algorithm's ``node_key`` names them, and child
+    row lists); a node whose inputs repeat takes the earlier table."""
+
+    @staticmethod
+    def check_fresh(form, ttd):
+        """Every node's table, shared or not, is what node_table builds from
+        that node's own child tables; one table object per build.  Returns
+        the number of nodes that took an earlier node's table."""
+        td = ttd.td
+        rules = entering_rules(ttd.program, td, ttd.slots)
+        for t in ttd.post_order:
+            nd = td.nodes[t]
+            slot = None if nd.atom is None else ttd.slots[nd.atom]
+            fresh = node_table(ttd.alg, nd.kind, nd.atom, slot, rules[t], [ttd.table(c) for c in nd.children])
+            tab = ttd.table(t)
+            assert tab.rows == fresh.rows, (form, t)
+            assert list(tab.first) == list(fresh.first) and dict(tab.more) == dict(fresh.more), (form, t)
+            assert (tab.arity, tab.stride) == (fresh.arity, fresh.stride), (form, t)
+        assert len({id(tab) for tab in ttd.tables}) == ttd.built_tables <= len(td.nodes), form
+        return len(td.nodes) - ttd.built_tables
+
+    def test_shared_tables_equal_a_fresh_build(self):
+        shared = Counter()
+        for form, ttd in memo_fuzz():
+            shared[form] += self.check_fresh(form, ttd)
+        assert set(shared) == {"phc", "paper phc", "prim bitsets", "prim frozensets"}
+        assert all(shared.values()), shared
+
+    @pytest.mark.parametrize("alg", [PhcAlgorithm({}), PRIM, SparsePrimAlgorithm()], ids=["phc", "prim", "sparse-prim"])
+    def test_rules_that_differ_in_their_negative_body_only(self, alg):
+        # two branches alike up to the rule entering at b and at d: its
+        # head and positive body masks are equal, its negative bodies not
+        # their rules, in a decomposition of one branch per component
+        p = parse_program("a :- not b.\nc :- not d, not c.\n")
+        a, b, c, d = map(p.atom_id, "abcd")
+        td = TreeDecomposition([frozenset({a, b}), frozenset({c, d}), frozenset()], [(0, 2), (1, 2)])
+        ttd = run_dp(alg, p, make_nice(td))
+        assert self.check_fresh(alg.name, ttd) > 0
+
+    def test_solves_share_no_table(self):
+        # the memo is local to one run_dp call: two live solves of one
+        # program hold tables of their own
+        p = parse_program(helpers.disjunctive_chain(4, 2))
+        first, second = pipeline.solve(p), pipeline.solve(p)
+        assert first.stats.built_tables < first.stats.nodes
+        assert not {id(tab) for tab in first.ttd.tables} & {id(tab) for tab in second.ttd.tables}

@@ -325,6 +325,8 @@ class TestRunProj:
         p = tight_chain(6, 6)
         r = pipeline.solve(p)
         assert (p.n_atoms, r.stats.width, r.count) == (84, 6, 7**6)
+        # the blocks repeat, and so do the inputs of most of their nodes
+        assert r.stats.built_tables < r.stats.nodes
         assert pipeline.solve(p.with_projection(p.mask([f"p{i}" for i in range(6)]))).count == 7
 
     def test_tight_chain_joins_one_row_buckets(self):
