@@ -446,9 +446,8 @@ class TestNodeMemo:
 
     @pytest.mark.parametrize("alg", [PhcAlgorithm({}), PRIM, SparsePrimAlgorithm()], ids=["phc", "prim", "sparse-prim"])
     def test_rules_that_differ_in_their_negative_body_only(self, alg):
-        # two branches alike up to the rule entering at b and at d: its
-        # head and positive body masks are equal, its negative bodies not
-        # their rules, in a decomposition of one branch per component
+        # one branch per component, alike up to the rule entering at b and
+        # at d: equal head and positive-body masks, unequal negative bodies
         p = parse_program("a :- not b.\nc :- not d, not c.\n")
         a, b, c, d = map(p.atom_id, "abcd")
         td = TreeDecomposition([frozenset({a, b}), frozenset({c, d}), frozenset()], [(0, 2), (1, 2)])
