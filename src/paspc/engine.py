@@ -46,15 +46,18 @@ the pooled ones, and its size is ``distinct_rows``.  Tables of one solve
 therefore share row objects, and no two solves share any but the
 algorithm's constant ``solution_row``.
 
-A node's table is a function of its inputs alone: its child row lists
-and, at an introduce or remove node, what the algorithm's ``node_key``
-names of its kind, atom, slot and entering rules (a join reads nothing
-else, and a leaf only whether the atomless rules hold).  Pooled rows make
-row lists cheap to compare: equal rows are one object, so ``run_dp`` names
-each distinct row list by a small int, looked up by the tuple of its rows'
-ids, which stay valid because the pool keeps every row alive while it
-runs.  A memo, local to the call, maps node inputs to the table built for
-them, and a node whose inputs equal an earlier node's takes that table
+A node's table is a function of its kind, its context and its child row
+lists.  The algorithm's ``context`` states everything an introduce or
+remove node reads of its atom, slot and entering rules; a leaf's context is
+whether the atomless rules hold, and a join's is None.  The generators read
+only the context, the child rows and an algorithm object that a solve never
+changes, and ``node_table`` builds each table from exactly that context, so
+the context is also the memo key.  Pooled rows make row lists cheap to
+compare: equal rows are one object, so ``run_dp`` names each distinct row
+list by a small int, looked up by the tuple of its rows' ids, which stay
+valid because the pool keeps every row alive while it runs.  A memo, local
+to the call, maps (kind, context, child row-list ids) to the table built
+for them, and a node whose key equals an earlier node's takes that table
 object instead of building its own: nodes of equal inputs share one
 read-only ``NodeTable``.  ``built_tables`` counts the tables built; every
 other count is per node, shared table or not.
@@ -77,16 +80,14 @@ from .program import Program, Rule, is_model
 
 
 class BagRule(NamedTuple):
-    """A rule as the table algorithms see it: its atom sets as slot masks.
-    The head and positive body also stay atom ids, for the atom orderings
-    of ``phc``, and ``head_bits`` holds each head atom's slot bit."""
+    """A rule as the table algorithms see it: its atom sets as slot masks,
+    and ``head_bits`` holding each head atom's slot bit, in the order of
+    ``source.head``."""
 
     head_mask: int
     pos_mask: int
     neg_mask: int
-    head: tuple[int, ...]
     head_bits: tuple[int, ...]
-    pos_body: tuple[int, ...]
     source: Rule
 
 
@@ -97,26 +98,26 @@ class TableAlgorithm(Protocol):
     one node of their kind, each child row (or matching pair of child rows)
     visited in table order; ``node_table`` turns them into the table.  An
     origin is an int: the child row's index, or ``i * len(right_rows) + j``
-    for left row i and right row j at a join."""
+    for left row i and right row j at a join.
+
+    A generator reads only its context, its child rows and the algorithm
+    object, which a solve never changes; so two nodes of one kind with
+    equal contexts and equal child row lists get equal tables, and
+    ``run_dp`` builds only the first.  Every rule in a context keeps its
+    (head, positive body, negative body) slot masks at positions 0 to 2,
+    where ``is_model`` reads them."""
 
     name: str
     solution_row: Any
 
-    def node_key(self, kind: str, atom: int | None, slot: int | None, rules: Sequence[BagRule]) -> Hashable:
-        """Every input of an introduce or remove node that its generator
-        reads, apart from the child rows: two such nodes with equal keys
-        and equal child row lists get equal tables, and ``run_dp`` builds
-        only the first.  A key that omits an input the generator reads
-        makes unequal nodes share a table and silently corrupts counts.
-        (A join reads only its child rows, and a leaf only whether the
-        atomless rules hold, so ``run_dp`` keys those itself.)"""
+    def context(self, kind: str, atom: int, slot: int, rules: Sequence[BagRule]) -> Hashable:
+        """What the generator of an introduce or remove node reads of the
+        node's atom, slot and entering rules, as one hashable value."""
         ...
 
-    def introduce(
-        self, atom: int, slot: int, rules: Sequence[BagRule], child_rows: Sequence[Any]
-    ) -> Iterator[tuple[Any, int]]: ...
+    def introduce(self, ctx: Any, child_rows: Sequence[Any]) -> Iterator[tuple[Any, int]]: ...
 
-    def remove(self, atom: int, slot: int, child_rows: Sequence[Any]) -> Iterator[tuple[Any, int]]: ...
+    def remove(self, ctx: Any, child_rows: Sequence[Any]) -> Iterator[tuple[Any, int]]: ...
 
     def join(self, left_rows: Sequence[Any], right_rows: Sequence[Any]) -> Iterator[tuple[Any, int]]: ...
 
@@ -127,7 +128,7 @@ class TableAlgorithm(Protocol):
         ...
 
 
-# a BagRule's slot masks (head_mask, pos_mask, neg_mask), as one tuple
+# a rule's slot masks (head_mask, pos_mask, neg_mask), as one tuple
 rule_masks = itemgetter(0, 1, 2)
 
 # the side store of every node whose rows all have one origin, read-only
@@ -213,7 +214,7 @@ def bag_rule(r: Rule, slots: Sequence[int]) -> BagRule:
     for a in r.neg_body:
         neg |= 1 << slots[a]
     # the C tuple constructor: the NamedTuple's own __new__ is a Python function
-    return tuple.__new__(BagRule, (sum(head_bits), pos, neg, r.head, tuple(head_bits), r.pos_body, r))
+    return tuple.__new__(BagRule, (sum(head_bits), pos, neg, tuple(head_bits), r))
 
 
 def entering_rules(program: Program, td: NiceTreeDecomposition, slots: Sequence[int]) -> list[Sequence[BagRule]]:
@@ -240,24 +241,18 @@ def entering_rules(program: Program, td: NiceTreeDecomposition, slots: Sequence[
     return out
 
 
-def node_table(
-    alg: TableAlgorithm,
-    kind: str,
-    atom: int | None,
-    slot: int | None,
-    rules: Sequence[BagRule],
-    child_tables: Sequence[NodeTable],
-) -> NodeTable:
-    """One node's table: each row the algorithm emits, in first-emission
-    order, with its origins in emission order."""
+def node_table(alg: TableAlgorithm, kind: str, ctx: Any, child_tables: Sequence[NodeTable]) -> NodeTable:
+    """One node's table, built from its context (see ``run_dp``): each row
+    the algorithm emits, in first-emission order, with its origins in
+    emission order."""
     if kind == LEAF:
-        rows = [alg.solution_row] if is_model(0, rules) else []
+        rows = [alg.solution_row] if ctx else []
         return NodeTable(rows, array("q", [0] * len(rows)), NO_MORE, 0, 0)
     arity, stride = 1, 0
     if kind == INTRODUCE:
-        pairs = alg.introduce(atom, slot, rules, child_tables[0].rows)  # type: ignore[arg-type]
+        pairs = alg.introduce(ctx, child_tables[0].rows)
     elif kind == REMOVE:
-        pairs = alg.remove(atom, slot, child_tables[0].rows)  # type: ignore[arg-type]
+        pairs = alg.remove(ctx, child_tables[0].rows)
     elif kind == JOIN:
         pairs = alg.join(child_tables[0].rows, child_tables[1].rows)
         arity, stride = 2, len(child_tables[1].rows)
@@ -284,10 +279,11 @@ def node_table(
 
 def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> TabledTreeDecomposition:
     """Run the table algorithm, as chosen for the decomposition's width,
-    over all nodes in post-order.  A node whose inputs equal an earlier
-    node's takes that node's table (see the module docstring)."""
+    over all nodes in post-order.  A node whose kind, context and child row
+    lists equal an earlier node's takes that node's table (see the module
+    docstring)."""
     alg = alg.for_width(td.width)
-    node_key = alg.node_key
+    context = alg.context
     nodes = td.nodes
     order = td.post_order()
     slots = assign_slots(td, program.n_atoms, order)
@@ -299,7 +295,7 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
     max_table = origin_links = 0
     # for this solve only: one object per distinct row over all tables, a
     # small int per distinct row list (as the ids of its pooled rows), and
-    # per node inputs their table, its row list's id and its origin count
+    # per node key its table, its row list's id and its origin count
     pool: dict[Any, Any] = {}
     list_ids: dict[tuple[int, ...], int] = {}
     memo: dict[tuple, tuple[NodeTable, int, int]] = {}
@@ -308,19 +304,19 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
     # post-order: every child's table exists before its parent's
     for t in order:
         nd = nodes[t]
-        kind, atom, children = nd.kind, nd.atom, nd.children
-        slot = None if atom is None else slots[atom]
+        kind, children = nd.kind, nd.children
         if kind == JOIN:
-            # a join reads its child rows and nothing else
-            key = JOIN, lists[children[0]], lists[children[1]]
+            ctx = None
+            key = kind, ctx, lists[children[0]], lists[children[1]]
         elif children:
-            key = node_key(kind, atom, slot, rules[t]), lists[children[0]]
+            ctx = context(kind, nd.atom, slots[nd.atom], rules[t])  # type: ignore[index]
+            key = kind, ctx, lists[children[0]]
         else:
-            # a leaf holds the solution row if the atomless rules hold
-            key = LEAF, is_model(0, rules[t])
+            ctx = is_model(0, rules[t])
+            key = kind, ctx
         hit = memo.get(key)
         if hit is None:
-            tab = node_table(alg, kind, atom, slot, rules[t], [tables[c] for c in children])  # type: ignore[misc]
+            tab = node_table(alg, kind, ctx, [tables[c] for c in children])  # type: ignore[misc]
             tab.rows = list(map(pool.setdefault, tab.rows, tab.rows))
             # one origin per row, and a row's further ones in the side store
             links = len(tab.rows)

@@ -47,64 +47,58 @@ class PrimRow(NamedTuple):
 
 
 class PrimAlgorithm:
-    """``prim`` for one solve, with each counter set a subset bitset.  It
-    keeps the bitsets B_s over the subsets of the slots introduced so far
-    and extends them when a higher slot is introduced: every slot of a
-    counter subset was introduced below, so the bitsets always cover the
-    counters they are applied to, and a narrow subtree works on narrow
-    ints.  ``for_width`` hands a decomposition wider than
-    ``DENSE_MAX_WIDTH`` to ``SparsePrimAlgorithm``."""
+    """``prim`` with each counter set a subset bitset, for decompositions
+    of width ``width`` at most: it holds the bitsets B_s over the subsets
+    of slots 0..width, built once, and a solve reads them only.
+    ``for_width`` hands a decomposition of another width up to
+    ``DENSE_MAX_WIDTH`` to a ``PrimAlgorithm`` of that width, and a wider
+    one to ``SparsePrimAlgorithm``."""
 
     name = "prim"
     solution_row = PrimRow(0, 0)
 
-    def __init__(self) -> None:
-        self._with_slot: list[int] = []  # B_s by slot s
+    def __init__(self, width: int = DENSE_MAX_WIDTH) -> None:
+        self.width = width
+        # B_s by slot s: a slot k added to slots 0..k-1 doubles the subsets,
+        # so each B_s repeats in the upper half, and B_k is the upper half
+        with_slot: list[int] = []
+        for k in range(width + 1):
+            half = 1 << k  # subsets of slots 0..k-1
+            with_slot = [x | x << half for x in with_slot]
+            with_slot.append(((1 << half) - 1) << half)
+        self.with_slot = tuple(with_slot)
 
     @staticmethod
     def interp(row: PrimRow) -> int:
         return row.witness
 
     def for_width(self, width: int) -> PrimAlgorithm | SparsePrimAlgorithm:
-        return self if width <= DENSE_MAX_WIDTH else SparsePrimAlgorithm()
+        if width > DENSE_MAX_WIDTH:
+            return SparsePrimAlgorithm()
+        return self if width == self.width else PrimAlgorithm(width)
 
     @staticmethod
-    def node_key(kind: str, atom: int | None, slot: int | None, rules: Sequence[BagRule]) -> Hashable:
-        """The node's kind, slot and its rules' slot masks: the generators
-        read rules only through those masks, and atoms only through their
-        slots, one per atom in a solve.  The B_s bitsets grown between two
-        nodes of one key change no row: they only add subsets beyond the
-        slots that the rows hold."""
-        return kind, slot, *map(rule_masks, rules)
+    def context(kind: str, atom: int, slot: int, rules: Sequence[BagRule]) -> Hashable:
+        """The slot and the rules' slot masks: the generators read rules
+        only through those masks, and atoms only through their slots, one
+        per atom in a solve."""
+        return slot, tuple(map(rule_masks, rules))
 
-    def _subsets_with(self, slots: int) -> list[int]:
-        """B_s for every slot s, over the subsets of at least ``slots``
-        slots.  A slot k added to slots 0..k-1 doubles the subsets: each
-        B_s repeats in the upper half, and B_k is the upper half."""
-        with_slot = self._with_slot
-        while len(with_slot) < slots:
-            half = 1 << len(with_slot)  # subsets of the slots so far
-            with_slot = [x | x << half for x in with_slot]
-            with_slot.append(((1 << half) - 1) << half)
-            self._with_slot = with_slot
-        return with_slot
-
-    def introduce(
-        self, atom: int, slot: int, rules: Sequence[BagRule], child_rows: Sequence[PrimRow]
-    ) -> Iterator[tuple[PrimRow, int]]:
+    def introduce(self, ctx: tuple, child_rows: Sequence[PrimRow]) -> Iterator[tuple[PrimRow, int]]:
         new_row = tuple.__new__
+        slot, rules = ctx
         bit = 1 << slot
-        with_slot = self._subsets_with(slot + 1)
+        with_slot = self.with_slot
         # per rule, the subsets satisfying it in a reduct: a head slot
         # in the subset, or a positive body slot outside it
         satisfied = []
-        for r in rules:
+        for head_mask, pos_mask, neg_mask in rules:
             head, body = 0, -1
-            for s in iter_bits(r.head_mask):
+            for s in iter_bits(head_mask):
                 head |= with_slot[s]
-            for s in iter_bits(r.pos_mask):
+            for s in iter_bits(pos_mask):
                 body &= with_slot[s]
-            satisfied.append((r.neg_mask, head | ~body))
+            satisfied.append((neg_mask, head | ~body))
         reduct_models: dict[int, int | None] = {}  # R_W by witness; None if W is no model
         for ci, (base, c) in enumerate(child_rows):
             for witness in (base, base | bit):
@@ -129,10 +123,11 @@ class PrimAlgorithm:
                     counters = c & r_w
                 yield new_row(PrimRow, (witness, counters)), ci
 
-    def remove(self, atom: int, slot: int, child_rows: Sequence[PrimRow]) -> Iterator[tuple[PrimRow, int]]:
+    def remove(self, ctx: tuple, child_rows: Sequence[PrimRow]) -> Iterator[tuple[PrimRow, int]]:
         new_row = tuple.__new__
+        slot = ctx[0]
         bit = 1 << slot
-        with_s = self._subsets_with(slot + 1)[slot]
+        with_s = self.with_slot[slot]
         without_s = ~with_s
         for ci, (witness, c) in enumerate(child_rows):
             yield new_row(PrimRow, (witness & ~bit, (c & without_s) | (c & with_s) >> bit)), ci
@@ -164,13 +159,12 @@ class SparsePrimAlgorithm:
     def for_width(self, width: int) -> SparsePrimAlgorithm:
         return self
 
-    node_key = staticmethod(PrimAlgorithm.node_key)  # the same inputs, read through the same masks
+    context = staticmethod(PrimAlgorithm.context)  # the same inputs, read through the same masks
 
     @staticmethod
-    def introduce(
-        atom: int, slot: int, rules: Sequence[BagRule], child_rows: Sequence[PrimRow]
-    ) -> Iterator[tuple[PrimRow, int]]:
+    def introduce(ctx: tuple, child_rows: Sequence[PrimRow]) -> Iterator[tuple[PrimRow, int]]:
         new_row = tuple.__new__
+        slot, rules = ctx
         bit = 1 << slot
         # per witness, the (head, positive body) of the reduct's rules;
         # None if the witness is no model
@@ -182,7 +176,7 @@ class SparsePrimAlgorithm:
                 else:
                     reduct = None
                     if is_model(witness, rules):
-                        reduct = [(r.head_mask, r.pos_mask) for r in rules if not r.neg_mask & witness]
+                        reduct = [(head, pos) for head, pos, neg in rules if not neg & witness]
                     reducts[witness] = reduct
                 if reduct is None:
                     continue
@@ -196,9 +190,9 @@ class SparsePrimAlgorithm:
                 yield new_row(PrimRow, (witness, counters)), ci
 
     @staticmethod
-    def remove(atom: int, slot: int, child_rows: Sequence[PrimRow]) -> Iterator[tuple[PrimRow, int]]:
+    def remove(ctx: tuple, child_rows: Sequence[PrimRow]) -> Iterator[tuple[PrimRow, int]]:
         new_row = tuple.__new__
-        keep = ~(1 << slot)
+        keep = ~(1 << ctx[0])
         for ci, (witness, counters) in enumerate(child_rows):
             yield new_row(PrimRow, (witness & keep, frozenset([n & keep for n in counters]))), ci
 

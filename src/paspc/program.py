@@ -16,10 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
-
-if TYPE_CHECKING:
-    from .engine import BagRule
+from typing import Iterable, Iterator, Sequence
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -51,12 +48,14 @@ class Rule:
         return Rule(tuple(sorted(set(head))), tuple(sorted(set(pos_body))), tuple(sorted(set(neg_body))))
 
 
-def is_model(interp: int, rules: Sequence[BagRule]) -> bool:
-    """True iff the interpretation satisfies every rule.  It reads the
-    ``engine.BagRule`` masks, so ``interp`` is over the same slots (or atom
-    ids, for a ``BagRule`` built with each atom its own slot)."""
+def is_model(interp: int, rules: Sequence[tuple]) -> bool:
+    """True iff the interpretation satisfies every rule.  It reads each
+    rule's (head, positive body, negative body) masks at positions 0 to 2,
+    as an ``engine.BagRule`` and every rule of a table algorithm's context
+    hold them, so ``interp`` is over the same slots (or atom ids, for a
+    ``BagRule`` built with each atom its own slot)."""
     for r in rules:
-        if not ((r.head_mask | r.neg_mask) & interp or r.pos_mask & ~interp):
+        if not ((r[0] | r[2]) & interp or r[1] & ~interp):
             return False
     return True
 

@@ -196,6 +196,18 @@ def table_dict(tab: NodeTable) -> dict[Any, list[tuple[int, ...]]]:
     return dict(zip(tab.rows, tab.origins))
 
 
+def node_context(ttd: TabledTreeDecomposition, t: int, rules: Sequence[BagRule]) -> Any:
+    """The context that ``run_dp`` builds node t's table from, given the
+    node's entering rules: at a leaf whether they hold, at a join None, and
+    elsewhere the algorithm's ``context`` of the node's atom and slot."""
+    nd = ttd.td.nodes[t]
+    if nd.kind == LEAF:
+        return is_model(0, rules)
+    if nd.kind == JOIN:
+        return None
+    return ttd.alg.context(nd.kind, nd.atom, ttd.slots[nd.atom], rules)
+
+
 def origins(ttd: TabledTreeDecomposition, t: int, row: Any) -> set[tuple]:
     """Originating child-row sequences of a row, as row tuples."""
     tab = ttd.table(t)
@@ -254,12 +266,11 @@ def definitional_origins(ttd: TabledTreeDecomposition, t: int, row: Any) -> set[
     out = set()
     child_tables = [ttd.table(c) for c in nd.children]
     child_origins = [tab.origins for tab in child_tables]
-    rules = entering_rules(ttd.program, ttd.td, ttd.slots)[t]
+    ctx = node_context(ttd, t, entering_rules(ttd.program, ttd.td, ttd.slots)[t])
     ranges = [range(len(tab)) for tab in child_tables]
     for combo in product(*ranges):
         singles = [table_of([child_tables[i].rows[j]], [child_origins[i][j]]) for i, j in enumerate(combo)]
-        slot = None if nd.atom is None else ttd.slots[nd.atom]
-        produced = node_table(alg, nd.kind, nd.atom, slot, rules, singles)
+        produced = node_table(alg, nd.kind, ctx, singles)
         if row in produced.rows:
             out.add(combo)
     return out

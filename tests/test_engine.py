@@ -1,3 +1,5 @@
+import copy
+import inspect
 import random
 from bisect import bisect_left
 from collections import Counter
@@ -8,12 +10,21 @@ import helpers
 from paspc import oracle, pipeline
 from paspc.cli import purged_origins
 from paspc.decomposition import LEAF, TreeDecomposition, assign_slots, decompose, make_nice, primal_graph
-from paspc.engine import NO_MORE, bag_rule, entering_rules, node_table, purge, run_dp
+from paspc.engine import NO_MORE, TableAlgorithm, bag_rule, entering_rules, node_table, purge, run_dp
 from paspc.formats import parse_program
 from paspc.phc import PhcAlgorithm, PhcRow
 from paspc.prim import DENSE_MAX_WIDTH, PrimAlgorithm, PrimRow, SparsePrimAlgorithm
-from paspc.program import Program, ProgramKind, Rule, classify, mask_of
-from reference import definitional_origins, node_scope, origins, origins_table, table_dict, table_of, verify_origins
+from paspc.program import Program, ProgramKind, Rule, classify, is_model, mask_of
+from reference import (
+    definitional_origins,
+    node_context,
+    node_scope,
+    origins,
+    origins_table,
+    table_dict,
+    table_of,
+    verify_origins,
+)
 
 # the paper's full-ordering PHC; the programs below have at most 8 atoms
 PHC = helpers.paper_phc(8)
@@ -72,8 +83,8 @@ class TestNodeTable:
         # a leaf's one row is the algorithm's empty row, with the empty
         # origin, and only while the atomless rules hold
         assert alg.solution_row == empty_row
-        assert table_dict(node_table(alg, LEAF, None, None, [], [])) == {empty_row: [()]}
-        assert table_dict(node_table(alg, LEAF, None, None, [bag_rule(Rule((), (), ()), [])], [])) == {}
+        assert table_dict(node_table(alg, LEAF, is_model(0, []), [])) == {empty_row: [()]}
+        assert table_dict(node_table(alg, LEAF, is_model(0, [bag_rule(Rule((), (), ()), [])]), [])) == {}
 
 
 class TestBagPrograms:
@@ -415,9 +426,10 @@ def memo_fuzz():
 
 
 class TestNodeMemo:
-    """``run_dp`` builds one table per distinct node input (kind, slot,
-    entering rules, as the algorithm's ``node_key`` names them, and child
-    row lists); a node whose inputs repeat takes the earlier table."""
+    """``run_dp`` builds one table per distinct node key (kind, context, as
+    the algorithm's ``context`` states the node's atom, slot and entering
+    rules, and child row lists); a node whose key repeats takes the earlier
+    table."""
 
     @staticmethod
     def check_fresh(form, ttd):
@@ -428,8 +440,7 @@ class TestNodeMemo:
         rules = entering_rules(ttd.program, td, ttd.slots)
         for t in ttd.post_order:
             nd = td.nodes[t]
-            slot = None if nd.atom is None else ttd.slots[nd.atom]
-            fresh = node_table(ttd.alg, nd.kind, nd.atom, slot, rules[t], [ttd.table(c) for c in nd.children])
+            fresh = node_table(ttd.alg, nd.kind, node_context(ttd, t, rules[t]), [ttd.table(c) for c in nd.children])
             tab = ttd.table(t)
             assert tab.rows == fresh.rows, (form, t)
             assert list(tab.first) == list(fresh.first) and dict(tab.more) == dict(fresh.more), (form, t)
@@ -461,3 +472,53 @@ class TestNodeMemo:
         first, second = pipeline.solve(p), pipeline.solve(p)
         assert first.stats.built_tables < first.stats.nodes
         assert not {id(tab) for tab in first.ttd.tables} & {id(tab) for tab in second.ttd.tables}
+
+
+# every table form the engine runs: the three classes, and what for_width
+# hands back on each side of DENSE_MAX_WIDTH
+TABLE_FORMS = [
+    helpers.paper_phc(8),
+    PrimAlgorithm(),
+    SparsePrimAlgorithm(),
+    *(
+        alg.for_width(w)
+        for alg in (PhcAlgorithm({}), PrimAlgorithm())
+        for w in (0, 3, DENSE_MAX_WIDTH, DENSE_MAX_WIDTH + 1)
+    ),
+]
+
+
+class TestTableContract:
+    """The table algorithms' side of the node memo: each states a node's
+    inputs once, as its ``context``, and a solve never changes it."""
+
+    @pytest.mark.parametrize("name", ["context", "introduce", "remove", "join"])
+    def test_forms_take_the_protocol_parameters(self, name):
+        want = list(inspect.signature(getattr(TableAlgorithm, name)).parameters)[1:]  # less self
+        for alg in TABLE_FORMS:
+            assert list(inspect.signature(getattr(alg, name)).parameters) == want, (type(alg).__name__, name)
+
+    def test_no_form_keys_nodes_apart_from_its_context(self):
+        for alg in TABLE_FORMS:
+            assert not hasattr(alg, "node_key") and not hasattr(type(alg), "node_key"), type(alg).__name__
+
+    @pytest.mark.parametrize(
+        "alg, text",
+        [
+            (pipeline.pick_algorithm(parse_program(helpers.WIDE_HCF_TEXT)), helpers.WIDE_HCF_TEXT),
+            (helpers.paper_phc(8), helpers.EXAMPLE1_TEXT),
+            (PrimAlgorithm(), helpers.HEAD_CYCLE_TEXT),
+            (SparsePrimAlgorithm(), helpers.disjunctive_chain(3, 2)),
+        ],
+        ids=["phc", "paper-phc", "prim", "sparse-prim"],
+    )
+    def test_a_solve_leaves_the_algorithm_unchanged(self, alg, text):
+        # the object run_dp runs, compared attribute by attribute before
+        # and after two solves
+        p = parse_program(text)
+        nice = make_nice(decompose(primal_graph(p)))
+        alg = alg.for_width(nice.width)
+        before = copy.deepcopy(vars(alg))
+        for _ in range(2):
+            assert run_dp(alg, p, nice).alg is alg
+        assert vars(alg) == before

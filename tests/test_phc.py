@@ -12,7 +12,6 @@ from reference import check_row_invariants, table_dict, table_of
 
 # the paper's full-ordering PHC over enough atom ids for the programs below
 PHC = helpers.paper_phc(8)
-FULL = PHC.components
 
 
 def masks(p, names):
@@ -26,11 +25,16 @@ def one_bag_rules(p):
     return [bag_rule(r, range(p.n_atoms)) for r in p.rules]
 
 
+def one_bag_gp_rules(p):
+    """``one_bag_rules`` as ``gp`` reads them, from PHC's context."""
+    return PHC.context("int", 0, 0, one_bag_rules(p))[2]
+
+
 class TestGp:
     def test_fact_disjunction_proves_only_chosen_atom(self):
         p = Program.from_specs([(("a", "b"), (), ())])
         b = p.atom_id("b")
-        got = gp(p.mask("b"), (b,), one_bag_rules(p), FULL)
+        got = gp(p.mask("b"), (b,), one_bag_gp_rules(p))
         assert got == p.mask("b")
 
     def test_ordering_blocks_proof(self):
@@ -39,7 +43,7 @@ class TestGp:
         p = Program.from_specs([(("b",), ("e",), ("d",)), (("d", "e"), ("b",), ())])
         b, e = p.atom_id("b"), p.atom_id("e")
         interp = p.mask("be")
-        assert gp(interp, (b, e), one_bag_rules(p), FULL) == p.mask("e")
+        assert gp(interp, (b, e), one_bag_gp_rules(p)) == p.mask("e")
 
     def test_ordering_enables_proof(self):
         # under <e,b> the body atom e precedes b, so b becomes provable;
@@ -47,7 +51,7 @@ class TestGp:
         p = Program.from_specs([(("b",), ("e",), ("d",)), (("d", "e"), ("b",), ())])
         b, e = p.atom_id("b"), p.atom_id("e")
         interp = p.mask("be")
-        assert gp(interp, (e, b), one_bag_rules(p), FULL) == p.mask("b")
+        assert gp(interp, (e, b), one_bag_gp_rules(p)) == p.mask("b")
 
     def test_accumulated_proofs_complete_the_row(self):
         # a child row that already proved e splits on the two insertions of
@@ -55,7 +59,7 @@ class TestGp:
         p = Program.from_specs([(("b",), ("e",), ("d",)), (("d", "e"), ("b",), ())])
         b, e = p.atom_id("b"), p.atom_id("e")
         child = single_row_table(PhcRow(1 << e, 1 << e, (e,)))
-        out = table_dict(node_table(PHC, "int", b, b, one_bag_rules(p), [child]))
+        out = table_dict(node_table(PHC, "int", PHC.context("int", b, b, one_bag_rules(p)), [child]))
         with_b = {row for row in out if row.interp == p.mask("be")}
         assert with_b == {
             PhcRow(p.mask("be"), 1 << e, (b, e)),
@@ -90,7 +94,7 @@ def single_row_table(row):
 class TestPhcTransitions:
     def test_introduce_without_rules(self):
         child = single_row_table(PhcRow(0, 0, ()))
-        out = table_dict(node_table(PHC, "int", 0, 0, [], [child]))
+        out = table_dict(node_table(PHC, "int", PHC.context("int", 0, 0, []), [child]))
         assert set(out) == {PhcRow(0, 0, ()), PhcRow(1, 0, (0,))}
         assert all(origin == [(0,)] for origin in out.values())
 
@@ -99,7 +103,7 @@ class TestPhcTransitions:
         p = Program.from_specs([(("a", "b"), (), ())])
         a, b = p.atom_id("a"), p.atom_id("b")
         child = table_of([PhcRow(0, 0, ()), PhcRow(1 << a, 0, (a,))], [[()], [()]])
-        out = table_dict(node_table(PHC, "int", b, b, one_bag_rules(p), [child]))
+        out = table_dict(node_table(PHC, "int", PHC.context("int", b, b, one_bag_rules(p)), [child]))
         interps = {row.interp for row in out}
         assert 0 not in interps
         assert interps == {p.mask("a"), p.mask("b"), p.mask("ab")}
@@ -117,7 +121,7 @@ class TestPhcTransitions:
             PhcRow(p.mask("ab"), 0, (b, a)),
         ]
         child = table_of(rows, [[()]] * 4)
-        out = table_dict(node_table(PHC, "rem", a, a, [], [child]))
+        out = table_dict(node_table(PHC, "rem", PHC.context("rem", a, a, []), [child]))
         assert set(out) == {PhcRow(0, 0, ()), PhcRow(1 << b, 1 << b, (b,))}
 
     def test_join_matches_interpretation_and_order(self):
@@ -126,7 +130,7 @@ class TestPhcTransitions:
         r3 = PhcRow(0b11, 0b10, (1, 0))
         left = table_of([r1], [[()]])
         right = table_of([r2, r3], [[()], [()]])
-        out = table_dict(node_table(PHC, "join", None, None, [], [left, right]))
+        out = table_dict(node_table(PHC, "join", None, [left, right]))
         assert out == {PhcRow(0b11, 0b11, (0, 1)): [(0, 0)]}
 
     def test_join_lists_pairs_left_row_outer(self):
@@ -134,7 +138,7 @@ class TestPhcTransitions:
         # ascending order: the left row outer, the right row inner
         left = table_of([PhcRow(0b11, 0b01, ()), PhcRow(0b11, 0b11, ())], [[()], [()]])
         right = table_of([PhcRow(0b11, 0b11, ()), PhcRow(0b11, 0b10, ())], [[()], [()]])
-        out = table_dict(node_table(PHC, "join", None, None, [], [left, right]))
+        out = table_dict(node_table(PHC, "join", None, [left, right]))
         assert out == {PhcRow(0b11, 0b11, ()): [(0, 0), (0, 1), (1, 0), (1, 1)]}
 
 
