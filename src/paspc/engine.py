@@ -341,10 +341,11 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
 @dataclass
 class PurgedTables:
     """Per node, the table indices of its surviving rows, ascending.  A kept
-    row's origins point at kept child rows only."""
+    row's origins point at kept child rows only.  Equal kept lists of one
+    solve are one read-only tuple."""
 
     ttd: TabledTreeDecomposition
-    kept: list[list[int]]  # per node: table indices of the kept rows
+    kept: list[tuple[int, ...]]  # per node: table indices of the kept rows
 
     @cached_property
     def rows(self) -> list[list]:
@@ -363,7 +364,10 @@ def has_solution(ttd: TabledTreeDecomposition) -> bool:
 def purge(ttd: TabledTreeDecomposition) -> PurgedTables:
     """Keep only rows reachable from the root solution row via origin links.
 
-    An inconsistent instance yields empty tables everywhere."""
+    Each kept list is an exact-size tuple, and a pool local to the call
+    keeps one object per distinct list, so nodes of equal kept lists share
+    it (the projection pass keys its plans by that object).  An
+    inconsistent instance yields empty tables everywhere."""
     td = ttd.td
     root = td.root
     # per node, one mark byte per table row, set by the kept parent rows
@@ -371,14 +375,15 @@ def purge(ttd: TabledTreeDecomposition) -> PurgedTables:
     if has_solution(ttd):
         marked[root][ttd.table(root).rows.index(ttd.alg.solution_row)] = 1
 
-    kept: list[list[int]] = [[] for _ in td.nodes]
+    kept: list[tuple[int, ...]] = [()] * len(td.nodes)
+    pool: dict[tuple[int, ...], tuple[int, ...]] = {}
     for t in reversed(ttd.post_order):
         mark = marked[t]
-        keep = list(compress(range(len(mark)), mark))
+        keep = tuple(compress(range(len(mark)), mark))
         if not keep:
             continue
         tab = ttd.table(t)
-        kept[t] = keep
+        kept[t] = pool.setdefault(keep, keep)
         children = td.nodes[t].children
         if not children:
             continue

@@ -37,6 +37,7 @@ class RunStats:
     origin_links: int = 0  # origins the tables hold, one or more per row
     distinct_rows: int = 0  # distinct rows over all tables: the row objects a solve holds
     built_tables: int = 0  # node tables built: nodes less those that took an equal-input node's table
+    proj_plans: int = 0  # projection plans built: nodes less those whose shape equals an earlier node's
     dp_seconds: dict[str, float] = field(default_factory=dict)  # seconds of the dp pass, per node kind
     timings: dict[str, float] = field(default_factory=dict)
     max_bucket: int = 0  # rows of the largest projection bucket
@@ -138,6 +139,7 @@ def solve(
         tables = proj.run_proj(purged, program.projection)
         stats.timings["proj"] = time.perf_counter() - t0
         stats.max_bucket, stats.proj_buckets, stats.proj_entries = tables.max_bucket, tables.buckets, tables.entries
+        stats.proj_plans = tables.plans
 
         count = proj.final_count(tables, purged)
         return SolveResult(count, stats, program, ttd, purged, tables, td)

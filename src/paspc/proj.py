@@ -21,46 +21,73 @@ index; at a join, origin o is the pair (i, j) = divmod(o, stride) of left
 row i and right row j, stride being the right child's row count.
 
 A row set's projected count sums, per child bucket its origins fall into,
-the size of the union of those origins' sets.  ``_bucket_pcnts`` ORs one
-origin mask per row over every row subset and reads each subset's mask as
-that count.  Below a one-child node the origins meet at most two child
-buckets, with disjoint sets, so a read adds two stored union counts.  Below
-a join an origin pair (i, j) stands for the product A_i x B_j of the
-children's sets, and a set S of pairs from buckets (b1, b2) has
+the size of the union of those origins' sets.  One origin mask per row,
+ORed over every row subset, gives each subset's mask, read as that count.
+Below a one-child node the origins meet at most two child buckets, with
+disjoint sets, so a read adds two stored union counts.  Below a join an
+origin pair (i, j) stands for the product A_i x B_j of the children's sets,
+and a set S of pairs from buckets (b1, b2) has
 
     |U_{(i,j) in S} A_i x B_j| = sum over nonempty I of e(I) * P2(N_S(I)),
 
 where e(I) is the size of the Venn region "in exactly the A_i with i in I"
-(derived from b1's union counts once per bucket pair, kept where nonzero),
-N_S(I) is the set of right partners of I's rows in S, and P2 the stored
-union counts of b2 (zero for no partners).
+(derived from b1's union counts once per evaluated bucket, kept where
+nonzero), N_S(I) is the set of right partners of I's rows in S, and P2 the
+stored union counts of b2 (zero for no partners).
 
-A bucket of one row with one origin (no entry in ``more``), as most are,
-needs no inclusion-exclusion: the node loop reads its count as the product
-of the origin's singleton counts over the node's children (none at a leaf,
-whose table holds at most the solution row).  The loop also counts the pass's
-work: buckets, the largest one, and entries, 2^|b| - 1 per bucket b.
+Each node's work is split into a plan and its evaluation.  The plan is
+what the node's shape fixes: the partition of its kept rows into buckets,
+each kept row's bucket and bit there (``bucket_of``, ``pos_in_bucket``),
+each bucket's reads of its children's count arrays, and the work counts:
+buckets, the largest one, and entries, 2^|b| - 1 per bucket b.  A bucket
+reads:
 
-A node keeps per kept row its bucket and its bit there, and per bucket its
-count array, whose length 2^|b| gives the bucket's size; its partition into
-buckets lives only while the loop visits the node.  The one-row read's
-arrays are tuples ``(0, count)``, one per count over the whole pass, shared
-by every bucket of that count; every other bucket owns its list.  Count
-arrays are read-only.
+- one row of one origin (no entry in ``more``), as most are: the origin's
+  singleton entry in each child, (child bucket, bit), whose product is the
+  count (none at a leaf, whose table holds at most the solution row); below
+  one child, when that child bucket has one row, its whole array;
+- one row of several origins below one child: the one or two entries of
+  its mask;
+- several rows below one child: every row subset's mask, whose low and
+  high parts are the entries (p1, p2) it reads in the two child buckets;
+- at a join otherwise: every row subset's ORed pair mask.
+
+The evaluation is the numbers only: the entries read, and at a join the
+Venn regions, which depend on b1's counts.  A node's shape is its table,
+its kept rows, its projected slot mask and its children's partitions, a
+partition being a node's (table, kept rows, slot mask).  A memo local to
+``run_proj`` maps each shape to its plan, keyed by those objects
+themselves: a table is hashed and compared by identity, a kept list by its
+few ints, and ``purge`` keeps one object per distinct kept list, so a
+key refers only to objects the solve holds anyway.  A node whose shape
+equals an earlier node's, its table shared by ``run_dp``, evaluates that
+plan without planning; a node that misses plans and evaluates each bucket
+in the same loop, and the memo keeps the plan only if a later node has
+the same table.  ``plans`` counts the plans built.
+
+A node keeps per kept row its bucket and its bit there, the arrays of its
+plan, which the nodes of one plan share, and per bucket its count array,
+whose length 2^|b| gives the bucket's size.  A one-row bucket's array is
+the tuple ``(0, count)``, one per count over the whole pass, shared by
+every one-row bucket of that count; every other bucket owns its list.
+Plans, bucket maps and count arrays are read-only.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from operator import add
+from typing import Any, Callable, Iterable, Sequence
 
 from .engine import NodeTable, PurgedTables
 
 
 @dataclass(slots=True)
 class NodeCounts:
-    """One node's projection counts, bucket by bucket."""
+    """One node's projection counts, bucket by bucket; the nodes of one plan
+    share its ``bucket_of`` and ``pos_in_bucket``."""
 
     bucket_of: list[int]  # per table row, kept rows only: its bucket id
     pos_in_bucket: list[int]  # per table row, kept rows only: its bit in the bucket's masks
@@ -72,10 +99,11 @@ class ProjTables:
     """Per-node bucket count arrays of one projection pass, and its work."""
 
     nodes: list[NodeCounts]
-    kept: list[list[int]]  # the purge's kept table indices, per node
+    kept: list[tuple[int, ...]]  # the purge's kept table indices, per node
     buckets: int  # over all nodes
     max_bucket: int  # rows of the largest bucket; the pass is exponential in it
     entries: int  # sum of 2^|b| - 1 over all buckets b
+    plans: int  # node plans built: distinct node shapes
 
     @cached_property
     def tables(self) -> list[dict[frozenset[int], int]]:
@@ -109,12 +137,27 @@ def buckets(row_interps: Iterable[int], pmask: int) -> list[list[int]]:
     return [classes[k] for k in sorted(classes)]
 
 
-def _bucket_pcnts(bucket: list[int], tab: NodeTable, children: Sequence[NodeCounts]) -> list[int]:
-    """Projected counts for every nonempty subset of one bucket (by local
-    mask), the bucket's rows given as row indices of ``tab``: one mask per
-    row over its origins' bits, ORed per row subset and read as the union
-    count of the module docstring.  Raises ``ValueError`` when the origins
-    meet a third child bucket (one child) or a second bucket pair (join)."""
+# What one bucket reads of its children's count arrays, by its shape (see
+# the module docstring): below one child, the index of the one-row child
+# bucket whose array it takes, else a tuple whose first item names the
+# shape.  Below one child both children are the one child.
+_LEAF = 0  # (_LEAF,): a leaf's row, count 1
+_PRODUCT = 1  # (_PRODUCT, cb1, m1, cb2, m2): entry m1 of left bucket cb1 times entry m2 of right bucket cb2
+_READ = 2  # (_READ, cb1, m1, cb2, m2): entry m1 of child bucket cb1 plus entry m2 of child bucket cb2
+_UNION = 3  # (_UNION, acc, cb1, cb2, s): per row subset, its mask's low s bits in cb1 plus the rest in cb2 (None: 0)
+_JOIN = 4  # (_JOIN, acc, cb1, cb2): per row subset m, pair mask acc[m] read through cb1's Venn regions
+_LEAF_READS = (_LEAF,)
+
+
+def _bucket_reads(rows: Sequence[int], tab: NodeTable, children: Sequence[NodeCounts]) -> tuple:
+    """What a bucket reads of its children's count arrays, the bucket's rows
+    given as row indices of ``tab``: one mask per row over its origins'
+    bits, ORed per row subset.  Below one child a one-row bucket reduces to
+    one or two entries (``_READ``), and a larger one keeps its subsets'
+    masks, whose low and high parts index the two child buckets
+    (``_UNION``); a join bucket keeps its subsets' pair masks (``_JOIN``).
+    Raises ``ValueError`` when the origins meet a third child bucket (one
+    child) or a second bucket pair (join)."""
     c1, c2 = children[0], children[-1]
     first, more = tab.first, tab.more
     row_masks = []
@@ -122,63 +165,93 @@ def _bucket_pcnts(bucket: list[int], tab: NodeTable, children: Sequence[NodeCoun
         # the origins of a remove node's bucket may differ in the removed
         # projected atom: two child buckets, with disjoint sets; origin j in
         # the k-th of them is bit k * |b1| + pos(j)
-        b1 = c1.bucket_of[first[bucket[0]]]
-        p1 = c1.pcnts[b1]
-        full = len(p1) - 1
-        stride = full.bit_length()  # |b1|
-        cbs = [b1]  # the child buckets met, in bit order
-        for u in bucket:
+        of, pos = c1.bucket_of, c1.pos_in_bucket
+        cbs = [of[first[rows[0]]]]  # the child buckets met, in bit order
+        stride = (len(c1.pcnts[cbs[0]]) - 1).bit_length()  # |b1|
+        for u in rows:
             mask = 0
             for j in (first[u], *more.get(u, ())):
-                if c1.bucket_of[j] not in cbs:
-                    cbs.append(c1.bucket_of[j])
-                mask |= 1 << (cbs.index(c1.bucket_of[j]) * stride + c1.pos_in_bucket[j])
+                if of[j] not in cbs:
+                    cbs.append(of[j])
+                mask |= 1 << (cbs.index(of[j]) * stride + pos[j])
             row_masks.append(mask)
         if len(cbs) > 2:
             raise ValueError(f"a one-child bucket's origins meet child buckets {cbs}")
-        p2 = c1.pcnts[cbs[-1]] if len(cbs) == 2 else [0]
+        if len(rows) == 1:
+            # one child bucket: the second read is its entry 0, which is 0
+            mask = row_masks[0]
+            return _READ, cbs[0], mask & (1 << stride) - 1, cbs[-1], mask >> stride
+        return _UNION, _subset_ors(row_masks), cbs[0], cbs[1] if len(cbs) == 2 else None, stride
+    # a join's children share its bag and its rows keep their children's
+    # interpretation, so all origin pairs of a bucket fall into one child
+    # bucket pair; pair (i, j) is bit pos(i) * |b2| + pos(j), so left row
+    # i's partners are one slice of a mask
+    split = tab.stride
+    i, j = divmod(first[rows[0]], split)
+    b1, b2 = c1.bucket_of[i], c2.bucket_of[j]
+    stride = (len(c2.pcnts[b2]) - 1).bit_length()  # |b2|
+    for u in rows:
+        mask = 0
+        for o in (first[u], *more.get(u, ())):
+            i, j = divmod(o, split)
+            if c1.bucket_of[i] != b1 or c2.bucket_of[j] != b2:
+                raise ValueError(f"join row {u} has origins outside child buckets ({b1}, {b2})")
+            mask |= 1 << (c1.pos_in_bucket[i] * stride + c2.pos_in_bucket[j])
+        row_masks.append(mask)
+    return _JOIN, _subset_ors(row_masks), b1, b2
 
-        def read(mask: int) -> int:
-            return p1[mask & full] + p2[mask >> stride]
 
-    else:
-        # a join's children share its bag and its rows keep their children's
-        # interpretation, so all origin pairs of a bucket fall into one child
-        # bucket pair; pair (i, j) is bit pos(i) * |b2| + pos(j), so left
-        # row i's partners are one slice of a mask
-        split = tab.stride
-        i, j = divmod(first[bucket[0]], split)
-        b1, b2 = c1.bucket_of[i], c2.bucket_of[j]
-        pc1, pc2 = c1.pcnts[b1], c2.pcnts[b2]
-        full = len(pc2) - 1
-        stride = full.bit_length()  # |b2|
-        for u in bucket:
-            mask = 0
-            for o in (first[u], *more.get(u, ())):
-                i, j = divmod(o, split)
-                if c1.bucket_of[i] != b1 or c2.bucket_of[j] != b2:
-                    raise ValueError(f"join row {u} has origins outside child buckets ({b1}, {b2})")
-                mask |= 1 << (c1.pos_in_bucket[i] * stride + c2.pos_in_bucket[j])
-            row_masks.append(mask)
-        regions = _venn_regions(pc1, len(pc1).bit_length() - 1, stride)
+def _subset_ors(row_masks: list[int]) -> Sequence[int]:
+    """Per row subset (by local mask), the OR of its rows' masks; as an
+    unsigned 64-bit array when they fit, which a plan keeps at 8 bytes an
+    entry where a list of large ints takes 40."""
+    acc = [0] * (1 << len(row_masks))
+    for m in range(1, len(acc)):
+        low = m & -m
+        acc[m] = acc[m ^ low] | row_masks[low.bit_length() - 1]
+    return array("Q", acc) if acc[-1] >> 64 == 0 else acc
 
-        def read(mask: int) -> int:
-            # each Venn region of b1 times the union count of its partners
+
+def _bucket_counts(
+    reads: tuple, pc1: Sequence[Sequence[int]], pc2: Sequence[Sequence[int]], one_row: dict[int, tuple[int, int]]
+) -> Sequence[int]:
+    """A bucket's projected counts, by local row mask, from its reads (a
+    tuple: the node loops take a child bucket's array themselves) and its
+    children's count arrays (``pc1`` and ``pc2`` are the same one below one
+    child).  A one-row bucket's array is its count's tuple in ``one_row``,
+    which the call adds when missing."""
+    shape = reads[0]
+    if shape == _UNION:
+        _, acc, cb1, cb2, stride = reads
+        if cb2 is None:
+            return list(map(pc1[cb1].__getitem__, acc))
+        low = map(((1 << stride) - 1).__and__, acc)
+        return list(map(add, map(pc1[cb1].__getitem__, low), map(pc1[cb2].__getitem__, map(stride.__rrshift__, acc))))
+    if shape == _JOIN:
+        _, acc, cb1, cb2 = reads
+        left, right = pc1[cb1], pc2[cb2]
+        full = len(right) - 1
+        regions = _venn_regions(left, len(left).bit_length() - 1, full.bit_length())
+        out = []
+        for mask in acc:
+            # each Venn region of the left bucket times the union count of its partners
             total = 0
             for e, shifts in regions:
                 n = 0
                 for s in shifts:
                     n |= mask >> s
-                total += e * pc2[n & full]
-            return total
-
-    acc = [0] * (1 << len(bucket))  # per row subset: the union of its rows' masks
-    out = [0] * len(acc)
-    for m in range(1, len(acc)):
-        low = m & -m
-        acc[m] = mask = acc[m ^ low] | row_masks[low.bit_length() - 1]
-        out[m] = read(mask)
-    return out
+                total += e * right[n & full]
+            out.append(total)
+        if len(out) > 2:
+            return out
+        count = out[1]
+    elif shape == _READ:
+        count = pc1[reads[1]][reads[2]] + pc1[reads[3]][reads[4]]
+    elif shape == _PRODUCT:
+        count = pc1[reads[1]][reads[2]] * pc2[reads[3]][reads[4]]
+    else:
+        count = 1
+    return one_row.setdefault(count, (0, count))
 
 
 def _moebius(vals: list[int]) -> list[int]:
@@ -215,74 +288,159 @@ def _bucket_values(pcnts: Sequence[int]) -> list[int]:
     return list(map(abs, _moebius(list(pcnts))))
 
 
-def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
-    """Bottom-up pass computing every node's bucket count arrays.  ``pmask``
-    is the projection as an atom mask; rows are bucketed by its slot mask
-    at each node.  A bucket too large to allocate raises ``MemoryError``
-    naming it, its node and the node's kind."""
-    ttd = purged.ttd
-    td = ttd.td
-    alg = ttd.alg
-    # per atom: its slot bit if projected, else 0 (bin() keeps this linear)
-    projected = bin(pmask)[:1:-1]
-    proj_bits = [(projected[a : a + 1] == "1") << s for a, s in enumerate(ttd.slots)]
-    interp = alg.interp
-    # by node id, each set before its parent reads it (post-order)
-    nodes: list[NodeCounts] = [None] * len(td.nodes)  # type: ignore[list-item]
-    n_buckets = max_bucket = entries = 0
-    one_row: dict[int, tuple[int, int]] = {}  # count -> the one-row array shared by this pass
+class _Plan:
+    """What one node's shape fixes (see the module docstring): its kept
+    rows' buckets and bits, per bucket its reads (a one-row child bucket's
+    index, or a tuple), and its work counts: the sum of 2^|b| - 1 over its
+    buckets b, and the rows of its largest bucket."""
 
-    for t in ttd.post_order:
-        kept = purged.kept[t]
-        nd = td.nodes[t]
-        tab = ttd.table(t)
-        first, more, split = tab.first, tab.more, tab.stride
-        smask = 0
-        for a in nd.bag:
-            smask |= proj_bits[a]
-        partition = buckets((interp(tab.rows[j]) for j in kept), smask)
-        n_buckets += len(partition)
-        bucket_of = [0] * len(tab)
-        pos_in_bucket = [0] * len(tab)
-        pcnts: list[Sequence[int]] = []
-        children = [nodes[c] for c in nd.children]
-        arity = len(children)
-        if children:
-            # the child lookups of the one-row read, taken once per node (for
-            # a one-child node both triples are its child's)
-            of1, pos1, pc1 = children[0].bucket_of, children[0].pos_in_bucket, children[0].pcnts
-            of2, pos2, pc2 = children[-1].bucket_of, children[-1].pos_in_bucket, children[-1].pcnts
-        for bi, bucket in enumerate(partition):
-            j = kept[bucket[0]]
-            if len(bucket) == 1 and j not in more:
-                # one row of one origin needs no inclusion-exclusion: the
-                # product of the origin's singleton counts in the children,
-                # none for a leaf's row
-                bucket_of[j] = bi
-                o = first[j]
-                if arity == 1:
-                    count = pc1[of1[o]][1 << pos1[o]]
-                elif arity:
-                    i, o = divmod(o, split)
-                    count = pc1[of1[i]][1 << pos1[i]] * pc2[of2[o]][1 << pos2[o]]
-                else:
-                    count = 1
-                pcnts.append(one_row.setdefault(count, (0, count)))
+    __slots__ = ("bucket_of", "pos_in_bucket", "reads", "entries", "max_bucket")
+
+    def __init__(self, bucket_of: list[int], pos_in_bucket: list[int], reads: list, entries: int, max_bucket: int):
+        self.bucket_of = bucket_of
+        self.pos_in_bucket = pos_in_bucket
+        self.reads = reads
+        self.entries = entries
+        self.max_bucket = max_bucket
+
+
+def _memory_error(t: int, kind: str, b: int) -> MemoryError:
+    return MemoryError(f"node {t} ({kind}): bucket of {b} rows, {(1 << b) - 1} entries")
+
+
+def _plan(
+    t: int,
+    kind: str,
+    tab: NodeTable,
+    kept: Sequence[int],
+    smask: int,
+    interp: Callable[[Any], int],
+    children: Sequence[NodeCounts],
+    one_row: dict[int, tuple[int, int]],
+) -> tuple[_Plan, list[Sequence[int]]]:
+    """Node t's plan (its kept rows bucketed by ``smask``, and each bucket's
+    reads) and its count arrays, evaluated as each bucket is planned.  A
+    bucket too large to allocate raises ``MemoryError`` naming it."""
+    partition = buckets(map(interp, map(tab.rows.__getitem__, kept)), smask)
+    bucket_of = [0] * len(tab.rows)
+    pos_in_bucket = [0] * len(tab.rows)
+    plan_reads: list[int | tuple] = [0] * len(partition)
+    plan = _Plan(bucket_of, pos_in_bucket, plan_reads, len(partition), min(len(partition), 1))
+    pcnts: list[Sequence[int]] = [()] * len(partition)
+    first, more, split = tab.first, tab.more, tab.stride
+    arity = len(children)
+    pc1 = pc2 = ()
+    if arity:
+        # the child lookups of the one-row reads, taken once per node (for
+        # a one-child node both triples are its child's)
+        of1, pos1, pc1 = children[0].bucket_of, children[0].pos_in_bucket, children[0].pcnts
+        of2, pos2, pc2 = children[-1].bucket_of, children[-1].pos_in_bucket, children[-1].pcnts
+    for bi, bucket in enumerate(partition):
+        j = kept[bucket[0]]
+        if len(bucket) == 1 and j not in more:
+            # one row of one origin: the origin's singleton count in each
+            # child, which below one child is a one-row child bucket's whole
+            # array or one entry of a larger one
+            bucket_of[j] = bi
+            o = first[j]
+            if arity == 1 and len(pc1[of1[o]]) == 2:
+                plan_reads[bi] = of1[o]
+                pcnts[bi] = pc1[of1[o]]
                 continue
-            entries += (1 << len(bucket)) - 2  # beyond its one entry, counted with n_buckets
-            max_bucket = max(max_bucket, len(bucket))
+            if arity == 1:
+                reads: tuple = _READ, of1[o], 1 << pos1[o], of1[o], 0
+            elif arity:
+                i, o = divmod(o, split)
+                reads = _PRODUCT, of1[i], 1 << pos1[i], of2[o], 1 << pos2[o]
+            else:
+                reads = _LEAF_READS
+            pcnts[bi] = _bucket_counts(reads, pc1, pc2, one_row)
+        else:
             rows = [kept[u] for u in bucket]
             for pos, j in enumerate(rows):
                 bucket_of[j] = bi
                 pos_in_bucket[j] = pos
+            plan.entries += (1 << len(rows)) - 2  # beyond its one entry, counted with the buckets
+            plan.max_bucket = max(plan.max_bucket, len(rows))
             try:
-                pcnts.append(_bucket_pcnts(rows, tab, children))
+                reads = _bucket_reads(rows, tab, children)
+                pcnts[bi] = _bucket_counts(reads, pc1, pc2, one_row)
             except MemoryError as exc:
-                b = len(rows)
-                raise MemoryError(f"node {t} ({nd.kind}): bucket of {b} rows, {(1 << b) - 1} entries") from exc
-        nodes[t] = NodeCounts(bucket_of, pos_in_bucket, pcnts)
-    # one-row reads skip max_bucket, which any bucket makes at least 1
-    return ProjTables(nodes, purged.kept, n_buckets, max(max_bucket, min(n_buckets, 1)), n_buckets + entries)
+                raise _memory_error(t, kind, len(rows)) from exc
+        plan_reads[bi] = reads
+    return plan, pcnts
+
+
+def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
+    """Bottom-up pass computing every node's bucket count arrays, planning
+    each node shape once (see the module docstring).  ``pmask`` is the
+    projection as an atom mask; rows are bucketed by its slot mask at each
+    node.  A bucket too large to allocate raises ``MemoryError`` naming it,
+    its node and the node's kind."""
+    ttd = purged.ttd
+    td = ttd.td
+    interp = ttd.alg.interp
+    tables = ttd.tables
+    # per atom: its slot bit if projected, else 0 (bin() keeps this linear)
+    projected = bin(pmask)[:1:-1]
+    proj_bits = [(projected[a : a + 1] == "1") << s for a, s in enumerate(ttd.slots)]
+    # by node id, each set before its parent reads it (post-order)
+    nodes: list[NodeCounts] = [None] * len(td.nodes)  # type: ignore[list-item]
+    smasks = [0] * len(td.nodes)  # per node: its projected slot mask
+    n_buckets = max_bucket = entries = n_plans = 0
+    # for this pass only: per node shape, its plan, and per count the shared
+    # one-row array.  A shape is keyed by the objects that fix it, the node's
+    # (table, kept list, slot mask) followed by each child's: a table is
+    # hashed and compared by identity, a kept list by its ints
+    plans: dict[tuple, _Plan] = {}
+    one_row: dict[int, tuple[int, int]] = {}
+    kept_of = purged.kept
+    # per table, the last node that has it: only a plan whose table a later
+    # node has can be read again, so only such plans are kept
+    last_node = dict(zip(map(tables.__getitem__, ttd.post_order), ttd.post_order))
+
+    for t in ttd.post_order:
+        kept = kept_of[t]
+        nd = td.nodes[t]
+        tab = tables[t]
+        smask = 0
+        for a in nd.bag:
+            smask |= proj_bits[a]
+        smasks[t] = smask
+        children = nd.children
+        if len(children) == 1:
+            c = children[0]
+            key: tuple = tab, kept, smask, tables[c], kept_of[c], smasks[c]
+        elif children:
+            c, d = children
+            key = tab, kept, smask, tables[c], kept_of[c], smasks[c], tables[d], kept_of[d], smasks[d]
+        else:
+            key = tab, kept, smask
+        plan = plans.get(key)
+        if plan is None:
+            plan, pcnts = _plan(t, nd.kind, tab, kept, smask, interp, [nodes[c] for c in children], one_row)
+            n_plans += 1
+            if last_node[tab] != t:
+                plans[key] = plan
+        else:
+            pcnts = []
+            pc1 = nodes[children[0]].pcnts if children else ()
+            pc2 = nodes[children[-1]].pcnts if children else ()
+            for reads in plan.reads:
+                if isinstance(reads, int):
+                    pcnts.append(pc1[reads])
+                    continue
+                try:
+                    pcnts.append(_bucket_counts(reads, pc1, pc2, one_row))
+                except MemoryError as exc:
+                    # a bucket of several rows holds its per-subset reads at index 1
+                    b = len(reads[1]).bit_length() - 1 if reads[0] in (_UNION, _JOIN) else 1
+                    raise _memory_error(t, nd.kind, b) from exc
+        n_buckets += len(plan.reads)
+        entries += plan.entries
+        max_bucket = max(max_bucket, plan.max_bucket)
+        nodes[t] = NodeCounts(plan.bucket_of, plan.pos_in_bucket, pcnts)
+    return ProjTables(nodes, purged.kept, n_buckets, max_bucket, entries, n_plans)
 
 
 def final_count(proj: ProjTables, purged: PurgedTables) -> int:

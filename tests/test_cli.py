@@ -268,7 +268,8 @@ class TestSideOutputs:
         assert list(stats["timings"]) == ["parse", "classify", "decompose", "make_nice", "dp", "purge", "proj"]
         assert set(stats) == {
             "width", "nodes", "max_table", "max_purged", "algorithm", "rows", "origin_links", "distinct_rows",
-            "built_tables", "dp_seconds", "timings", "max_bucket", "proj_buckets", "proj_entries", "peak_rss_mb",
+            "built_tables", "proj_plans", "dp_seconds", "timings", "max_bucket", "proj_buckets", "proj_entries",
+            "peak_rss_mb",
         }
         # the dp pass's seconds per node kind, within its total
         assert list(stats["dp_seconds"]) == ["leaf", "int", "rem", "join"]
@@ -358,6 +359,8 @@ class TestGoldenTraces:
     DISTINCT_ROWS = {"example1": 17, "wide_hcf": 26, "head_cycles": 41}
     # per program, (nodes, tables built): --stats nodes and built_tables
     BUILT_TABLES = {"example1": (15, 13), "wide_hcf": (13, 13), "head_cycles": (17, 17)}
+    # per program, (nodes, projection plans built): --stats nodes and proj_plans
+    PROJ_PLANS = {"example1": (15, 13), "wide_hcf": (13, 13), "head_cycles": (17, 17)}
 
     @pytest.mark.parametrize("name", CASES)
     def test_origin_links_count_the_golden_origins(self, name, tmp_path, capsys):
@@ -397,6 +400,23 @@ class TestGoldenTraces:
         ttd = solve(parse_program(text)).ttd
         built = len({id(tab) for tab in ttd.tables})
         assert (stats["nodes"], stats["built_tables"]) == (len(ttd.tables), built) == self.BUILT_TABLES[name]
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_proj_plans_count_the_bucket_maps(self, name, tmp_path, capsys):
+        # nodes of one shape share one plan and its bucket map, so the plans
+        # built are the distinct bucket_of objects
+        text, args = self.CASES[name]
+        path = tmp_path / "p.lp"
+        path.write_text(text)
+        code, _, err = run(capsys, "solve", str(path), *args, "--stats")
+        assert code == 0
+        stats = json.loads(err.splitlines()[-1])
+        program = parse_program(text)
+        if "--project-all" in args:
+            program = program.with_projection(program.atom_mask)
+        nodes = solve(program).proj_tables.nodes
+        plans = len({id(node.bucket_of) for node in nodes})
+        assert (stats["nodes"], stats["proj_plans"]) == (len(nodes), plans) == self.PROJ_PLANS[name]
 
     @pytest.mark.parametrize("name", CASES)
     def test_trace_matches_golden(self, name, tmp_path, capsys):

@@ -172,10 +172,11 @@ class TestRetainedMemory:
     def test_purge_and_projection_bytes_per_kept_row(self):
         # what the purge and the projection pass keep beyond the DP tables,
         # before any view is read: the kept indices, and per node each kept
-        # row's bucket and bit and each bucket's count array.  About 150
-        # bytes a kept row here, where a fresh array per one-row bucket and
-        # a dict per NodeCounts took about 228, and copies of the purged
-        # rows and per-bucket member lists about 331
+        # row's bucket and bit and each bucket's count array.  About 63
+        # bytes a kept row here, where a kept list and a bucket map per node
+        # took about 150, a fresh array per one-row bucket and a dict per
+        # NodeCounts about 228, and copies of the purged rows and per-bucket
+        # member lists about 331
         result = pipeline.solve(parse_program(helpers.disjunctive_chain(20, 3)))
         assert result.count == 21**3
         seen = {id(result.ttd)}
@@ -187,9 +188,10 @@ class TestRetainedMemory:
 
     def test_bytes_held_after_solve_per_dp_row(self):
         # everything a solve allocates and its result still holds, by
-        # tracemalloc: about 85 bytes a DP row here, 117 when every node
-        # built its own table, and about 213 with, in addition, an object
-        # per table row and a fresh array per one-row bucket
+        # tracemalloc: about 60 bytes a DP row here, 85 when every node kept
+        # its own kept list and bucket map, 117 when every node also built
+        # its own table, and about 213 with, in addition, an object per
+        # table row and a fresh array per one-row bucket
         program = parse_program(helpers.disjunctive_chain(20, 3))
         tracemalloc.start()
         try:
@@ -212,8 +214,8 @@ SHARING_CASES = {
 
 
 class TestSharedObjects:
-    """Equal rows and equal one-row count arrays are one object within a
-    solve, and no object is shared between solves."""
+    """Equal rows, equal kept lists and equal one-row count arrays are one
+    object within a solve, and no object is shared between solves."""
 
     @pytest.mark.parametrize("name", SHARING_CASES)
     def test_equal_rows_are_one_object(self, name):
@@ -224,17 +226,31 @@ class TestSharedObjects:
 
     @pytest.mark.parametrize("name", SHARING_CASES)
     def test_one_row_arrays_are_shared_per_count(self, name):
-        # the arrays of one-row buckets whose row has one origin: one
-        # read-only tuple per count
+        # the arrays of all one-row buckets, whatever their row's origins:
+        # one read-only tuple per count
         result = pipeline.solve(parse_program(SHARING_CASES[name]))
         arrays = []
-        for t, (node, kept) in enumerate(zip(result.proj_tables.nodes, result.purged.kept)):
-            more = result.ttd.table(t).more
+        for node, kept in zip(result.proj_tables.nodes, result.purged.kept):
             for b, pcnts in zip(reference.bucket_members(node, kept), node.pcnts):
-                if len(b) == 1 and kept[b[0]] not in more:
+                if len(b) == 1:
                     arrays.append(pcnts)
         assert all(type(pcnts) is tuple for pcnts in arrays)
         assert len({id(pcnts) for pcnts in arrays}) == len(set(arrays)) < len(arrays)
+
+    @pytest.mark.parametrize("name", SHARING_CASES)
+    def test_equal_kept_lists_are_one_object(self, name):
+        # purge keeps one read-only tuple per distinct list of kept rows
+        kept = pipeline.solve(parse_program(SHARING_CASES[name])).purged.kept
+        assert all(type(rows) is tuple and rows for rows in kept)
+        assert len({id(rows) for rows in kept}) == len(set(kept)) < len(kept)
+
+    def test_live_solves_share_no_kept_list(self):
+        # each solve pools its kept lists on its own: two solves, both
+        # alive, have equal kept lists but no kept list object in common
+        for first, second in (("example1", "wide_hcf"), ("head_cycles", "disjunctive_chain")):
+            a, b = (pipeline.solve(parse_program(SHARING_CASES[name])).purged for name in (first, second))
+            assert set(a.kept) & set(b.kept)
+            assert {id(rows) for rows in a.kept}.isdisjoint({id(rows) for rows in b.kept})
 
     def test_live_solves_share_no_row(self):
         # each solve pools its rows on its own: two programs' tables, both

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from array import array
 from collections import Counter
 
 import helpers
@@ -12,7 +13,17 @@ from paspc.engine import NodeTable, PurgedTables, purge, run_dp
 from paspc.formats import parse_program
 from paspc.phc import PhcRow
 from paspc.prim import PrimAlgorithm
-from paspc.proj import NodeCounts, _bucket_pcnts, _bucket_values, _venn_regions, buckets, final_count, run_proj
+from paspc.proj import (
+    NodeCounts,
+    _bucket_counts,
+    _bucket_reads,
+    _bucket_values,
+    _plan,
+    _venn_regions,
+    buckets,
+    final_count,
+    run_proj,
+)
 from reference import bucket_members, ipmc, pcnt, reference_proj_table, sipmc, subbuckets, table_of, union_counts
 
 # the paper's full-ordering PHC; the programs below have at most 8 atoms
@@ -142,6 +153,12 @@ def family_counts(bucket_sets):
     return node
 
 
+def bucket_pcnts(rows, tab, children):
+    """One bucket's projected counts: its reads, evaluated against its
+    children's count arrays."""
+    return _bucket_counts(_bucket_reads(rows, tab, children), children[0].pcnts, children[-1].pcnts, {})
+
+
 def origin_table(row_origins):
     """A table known only by its rows' origins, as lists of child-index tuples."""
     return table_of([None] * len(row_origins), row_origins)
@@ -160,7 +177,7 @@ class TestOneChildUnion:
     def check(child, row_origins):
         child = tagged(child)
         sets = [s for bucket in child for s in bucket]
-        out = _bucket_pcnts(list(range(len(row_origins))), origin_table(row_origins), [family_counts(child)])
+        out = bucket_pcnts(list(range(len(row_origins))), origin_table(row_origins), [family_counts(child)])
         for m in range(1, 1 << len(row_origins)):
             js = {j for u, seqs in enumerate(row_origins) if m >> u & 1 for (j,) in seqs}
             assert out[m] == len(set().union(*(sets[j] for j in js))), (m, js)
@@ -194,7 +211,7 @@ class TestOneChildUnion:
         child = family_counts(tagged([[{1}], [{2}], [{3}]]))
         for rows in ([[(0,), (1,), (2,)]], [[(0,)], [(1,)], [(2,)]], [[(2,), (0,)], [(1,)]]):
             with pytest.raises(ValueError):
-                _bucket_pcnts(list(range(len(rows))), origin_table(rows), [child])
+                bucket_pcnts(list(range(len(rows))), origin_table(rows), [child])
 
 
 class TestTwoChildUnion:
@@ -205,7 +222,7 @@ class TestTwoChildUnion:
         left, right = tagged(left), tagged(right)
         a = [s for sets in left for s in sets]
         b = [s for sets in right for s in sets]
-        out = _bucket_pcnts(
+        out = bucket_pcnts(
             list(range(len(row_pairs))), origin_table(row_pairs), [family_counts(left), family_counts(right)]
         )
         for m in range(1, 1 << len(row_pairs)):
@@ -260,7 +277,7 @@ class TestTwoChildUnion:
         left, right = [[{1}], [{2}]], [[{3}]]
         for rows in ([[(0, 0), (1, 0)]], [[(0, 0)], [(1, 0)]]):
             with pytest.raises(ValueError):
-                _bucket_pcnts(list(range(len(rows))), origin_table(rows), [family_counts(left), family_counts(right)])
+                bucket_pcnts(list(range(len(rows))), origin_table(rows), [family_counts(left), family_counts(right)])
 
 
 class TestVennRegions:
@@ -308,6 +325,23 @@ def tight_chain(blocks, k):
             lines.append(f"p{i} :- x{i}_{j}.")
         lines.append(f"q{i} :- p{i}.")
     return parse_program("\n".join(lines))
+
+
+def assert_matches_reference(pmask, purged, proj):
+    """Every node's entries equal the defining recursion's."""
+    ttd = purged.ttd
+    for t in ttd.post_order:
+        nd = ttd.td.nodes[t]
+        want = reference_proj_table(
+            nd.kind,
+            purged.rows[t],
+            lambda row: ttd.decode(t, ttd.alg.interp(row)),
+            pmask,
+            purged_origins(purged, t),
+            [proj.tables[c] for c in nd.children],
+            [[proj.nodes[c].bucket_of[j] for j in purged.kept[c]] for c in nd.children],
+        )
+        assert proj.tables[t] == want, t
 
 
 class TestRunProj:
@@ -394,44 +428,69 @@ class TestRunProj:
                 assert bucket_members(proj.nodes[t], purged.kept[t]) == partition, t
 
     def test_fuzz_reaches_every_bucket_path(self, monkeypatch):
-        # a one-row bucket whose row has one origin holds the product of the
-        # origin's singleton counts over the node's children (an empty
-        # product at a leaf); every other bucket below a leaf calls
-        # _bucket_pcnts exactly once
-        calls = Counter()
+        # each node shape is planned once: _plan runs for the first node of
+        # each key (its table, kept list and slot mask, and the same triple
+        # of each child), and the nodes after it share its bucket_of and
+        # pos_in_bucket.  Every node evaluates each bucket once: a one-row
+        # bucket whose row has one origin holds the product of the origin's
+        # singleton counts over the node's children (an empty product at a
+        # leaf), and below one child takes the child bucket's own array when
+        # that bucket has one row; every other bucket is one _bucket_counts
+        # call, whether its node planned or not
+        planned = []
+        evaluations = 0
 
-        def counted(bucket, tab, children):
-            calls[id(tab), tuple(bucket)] += 1
-            return _bucket_pcnts(bucket, tab, children)
+        def plan(t, *args):
+            planned.append(t)
+            return _plan(t, *args)
 
-        monkeypatch.setattr("paspc.proj._bucket_pcnts", counted)
+        def counts(*args):
+            nonlocal evaluations
+            evaluations += 1
+            return _bucket_counts(*args)
+
+        monkeypatch.setattr("paspc.proj._plan", plan)
+        monkeypatch.setattr("paspc.proj._bucket_counts", counts)
         reached = Counter()
-        for _, _, ttd, purged, got in self.seeded_fuzz():
-            want = Counter()
+        for _, pmask, ttd, purged, got in self.seeded_fuzz():
+            part, first_of = {}, {}
+            want = 0
             for t in ttd.post_order:
+                nd = ttd.td.nodes[t]
+                smask = sum(1 << ttd.slots[a] for a in nd.bag if pmask >> a & 1)
+                part[t] = id(ttd.tables[t]), id(purged.kept[t]), smask
+                first = first_of.setdefault((part[t], *map(part.get, nd.children)), t)
+                assert got.nodes[t].bucket_of is got.nodes[first].bucket_of
+                assert got.nodes[t].pos_in_bucket is got.nodes[first].pos_in_bucket
                 tab = ttd.table(t)
                 origins = tab.origins
-                children = [got.nodes[c] for c in ttd.td.nodes[t].children]
+                children = [got.nodes[c] for c in nd.children]
                 shape = ("leaf", "one child", "join")[len(children)]
                 for b, pcnts in zip(bucket_members(got.nodes[t], purged.kept[t]), got.nodes[t].pcnts):
                     rows = [purged.kept[t][u] for u in b]
                     seqs = [seq for j in rows for seq in origins[j]]
+                    want += 1
                     if len(seqs) == 1:
                         reached[f"{shape}, one row of one origin"] += 1
                         reads = [(c.pcnts[c.bucket_of[i]], c.pos_in_bucket[i]) for c, i in zip(children, seqs[0])]
                         assert list(pcnts) == [0, math.prod(pc[1 << pos] for pc, pos in reads)]
+                        if len(children) == 1 and len(reads[0][0]) == 2:
+                            assert pcnts is reads[0][0]
+                            want -= 1
                         if any(pc[1 << pos] != pc[1] for pc, pos in reads):
                             # the origin's count differs from that of its
                             # child bucket's first row
                             reached[f"{shape}, one origin of another count than its bucket's first"] += 1
                         continue
-                    want[id(tab), tuple(rows)] += 1
                     if any(len(origins[j]) > 1 for j in rows):
                         reached[f"{shape}, a row of several origins"] += 1
                     if len(children) == 1 and len({children[0].bucket_of[i] for (i,) in seqs}) == 2:
                         reached["one child, two child buckets"] += 1
-            assert calls == want
-            calls.clear()
+            assert planned == list(first_of.values())
+            assert got.plans == len(planned) == len({id(node.bucket_of) for node in got.nodes})
+            assert evaluations == want
+            planned.clear()
+            evaluations = 0
         assert set(reached) >= {
             "leaf, one row of one origin",
             "one child, one row of one origin",
@@ -444,19 +503,8 @@ class TestRunProj:
 
     def test_matches_reference_formulas(self):
         # the bucket-wise evaluation must agree with the defining recursion
-        for alg, pmask, ttd, purged, proj in self.seeded_fuzz():
-            for t in ttd.post_order:
-                nd = ttd.td.nodes[t]
-                want = reference_proj_table(
-                    nd.kind,
-                    purged.rows[t],
-                    lambda row: ttd.decode(t, alg.interp(row)),
-                    pmask,
-                    purged_origins(purged, t),
-                    [proj.tables[c] for c in nd.children],
-                    [[proj.nodes[c].bucket_of[j] for j in purged.kept[c]] for c in nd.children],
-                )
-                assert proj.tables[t] == want
+        for _, pmask, ttd, purged, proj in self.seeded_fuzz():
+            assert_matches_reference(pmask, purged, proj)
 
     def test_reads_only_kept_rows(self):
         # purged rows and their origins stay in the DP tables, and the pass
@@ -559,3 +607,68 @@ class TestRunProj:
             r = pipeline.solve(p.with_projection(pmask))
             assert r.count <= 2 ** bin(pmask).count("1")
             assert r.count == oracle.projected_count(p, pmask)
+
+
+class TestPlanKeys:
+    """A node is planned once per shape: its table object, its kept list, its
+    projected slot mask and each child's (table, kept list, slot mask).  A
+    node that differs from an earlier one in any of them plans anew."""
+
+    # two equal blocks of guesses, the second also implied by the first at
+    # b, projected onto the second: the blocks' nodes share tables and kept
+    # lists, but not projected slots, nor, above them, child partitions
+    TWO_BLOCKS = "a0 | na0. b0 | nb0. a1 | na1. b1 | nb1.\nb1 :- b0.\n#project a1, b1.\n"
+
+    @pytest.mark.parametrize("algorithm", ("auto", "prim"))
+    def test_equal_blocks_projected_on_one(self, algorithm):
+        p = parse_program(self.TWO_BLOCKS)
+        assert oracle.projected_count(p) == 4
+        r = pipeline.solve(p, algorithm=algorithm)
+        assert r.count == 4
+        assert r.stats.built_tables < r.stats.nodes
+        assert_matches_reference(p.projection, r.purged, r.proj_tables)
+
+    @pytest.mark.parametrize("algorithm", ("auto", "prim"))
+    def test_tight_chain_projected_on_its_last_block(self, algorithm):
+        # tight_chain(2, 2) onto p1: both blocks of p1 false or true
+        p = tight_chain(2, 2)
+        p = p.with_projection(p.mask(["p1"]))
+        assert oracle.projected_count(p) == 2
+        r = pipeline.solve(p, algorithm=algorithm)
+        assert r.count == 2
+        assert_matches_reference(p.projection, r.purged, r.proj_tables)
+
+    def test_plan_follows_the_table_not_its_rows(self):
+        # a node that shares an earlier node's plan, with a later node of
+        # its table too (so the plan stays in the memo), gets a table of the
+        # same rows list with the origins of two one-row buckets of
+        # different counts swapped: the earlier plan would read the old ones
+        result = pipeline.solve(parse_program(helpers.disjunctive_chain(8, 2)))
+        ttd, purged, nodes = result.ttd, result.purged, result.proj_tables.nodes
+        first_plan = {}
+        last_node = {id(ttd.tables[t]): t for t in ttd.post_order}
+        for t in ttd.post_order:
+            tab, children = ttd.table(t), ttd.td.nodes[t].children
+            if first_plan.setdefault(id(nodes[t].bucket_of), t) == t or last_node[id(tab)] == t or len(children) != 1:
+                continue
+            child = nodes[children[0]]
+            singles = {}  # kept row of a one-row bucket and one origin -> its count
+            for j in purged.kept[t]:
+                if j not in tab.more and len(nodes[t].pcnts[nodes[t].bucket_of[j]]) == 2:
+                    o = tab.first[j]
+                    singles[j] = child.pcnts[child.bucket_of[o]][1 << child.pos_in_bucket[o]]
+            pairs = [(j0, j1) for j0 in singles for j1 in singles if singles[j0] < singles[j1]]
+            if pairs:
+                break
+        else:
+            pytest.fail("no node to swap origins at")
+        j0, j1 = pairs[0]
+        swapped = array("q", tab.first)
+        swapped[j0], swapped[j1] = tab.first[j1], tab.first[j0]
+        tables = list(ttd.tables)
+        tables[t] = NodeTable(tab.rows, swapped, tab.more, tab.arity, tab.stride)
+        purged = PurgedTables(dataclasses.replace(ttd, tables=tables), purged.kept)
+        got = run_proj(purged, result.program.projection)
+        assert got.nodes[t].pcnts != nodes[t].pcnts
+        assert got.plans > result.proj_tables.plans
+        assert_matches_reference(result.program.projection, purged, got)
