@@ -264,7 +264,7 @@ class NiceTreeDecomposition:
         return max(len(nd.bag) for nd in self.nodes) - 1
 
 
-def assign_slots(ntd: NiceTreeDecomposition, n_atoms: int, order: Sequence[int] | None = None) -> list[int]:
+def assign_slots(ntd: NiceTreeDecomposition, n_atoms: int, order: Sequence[int]) -> list[int]:
     """A slot in 0..width per atom, distinct among the atoms of each bag.
 
     One top-down pass (reversed post-order): an atom enters the bags below
@@ -272,11 +272,11 @@ def assign_slots(ntd: NiceTreeDecomposition, n_atoms: int, order: Sequence[int] 
     there takes the lowest slot that the other atoms of that bag leave free.
     The bags are the cliques of a chordal supergraph of the primal graph, so
     width+1 slots suffice (Gavril 1972).  ``used[t]`` is the mask of the
-    slots taken in node t's bag.  Atoms in no bag keep slot -1.  A caller
-    that holds the decomposition's post-order passes it as ``order``."""
+    slots taken in node t's bag.  Atoms in no bag keep slot -1.  ``order``
+    is the decomposition's post-order."""
     slots = [-1] * n_atoms
     used = [0] * len(ntd.nodes)
-    for t in reversed(ntd.post_order() if order is None else order):
+    for t in reversed(order):
         nd = ntd.nodes[t]
         taken = used[t]
         if nd.kind == REMOVE:

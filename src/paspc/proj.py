@@ -35,12 +35,12 @@ where e(I) is the size of the Venn region "in exactly the A_i with i in I"
 nonzero), N_S(I) is the set of right partners of I's rows in S, and P2 the
 stored union counts of b2 (zero for no partners).
 
-Each node's work is split into a plan and its evaluation.  The plan is
-what the node's shape fixes: the partition of its kept rows into buckets,
-each kept row's bucket and bit there (``bucket_of``, ``pos_in_bucket``),
-each bucket's reads of its children's count arrays, and the work counts:
-buckets, the largest one, and entries, 2^|b| - 1 per bucket b.  A bucket
-reads:
+Each node's work is split into a plan and its evaluation.  The plan
+(``_plan``) is what the node's shape fixes: the partition of its kept rows
+into buckets, each kept row's bucket and bit there (``bucket_of``,
+``pos_in_bucket``), each bucket's reads of its children's count arrays,
+and the work counts: buckets, the largest one, and entries, 2^|b| - 1 per
+bucket b.  A bucket reads:
 
 - one row of one origin (no entry in ``more``), as most are: the origin's
   singleton entry in each child, (child bucket, bit), whose product is the
@@ -52,18 +52,17 @@ reads:
   high parts are the entries (p1, p2) it reads in the two child buckets;
 - at a join otherwise: every row subset's ORed pair mask.
 
-The evaluation is the numbers only: the entries read, and at a join the
-Venn regions, which depend on b1's counts.  A node's shape is its table,
-its kept rows, its projected slot mask and its children's partitions, a
-partition being a node's (table, kept rows, slot mask).  A memo local to
-``run_proj`` maps each shape to its plan, keyed by those objects
-themselves: a table is hashed and compared by identity, a kept list by its
-few ints, and ``purge`` keeps one object per distinct kept list, so a
-key refers only to objects the solve holds anyway.  A node whose shape
-equals an earlier node's, its table shared by ``run_dp``, evaluates that
-plan without planning; a node that misses plans and evaluates each bucket
-in the same loop, and the memo keeps the plan only if a later node has
-the same table.  ``plans`` counts the plans built.
+The evaluation (``_evaluate``) is the numbers only: the entries read, and
+at a join the Venn regions, which depend on b1's counts.  A node's shape
+is its table, its kept rows, its projected slot mask and its children's
+partitions, a partition being a node's (table, kept rows, slot mask).  A
+memo local to ``run_proj`` maps each shape to its plan, keyed by those
+objects themselves: a table is hashed and compared by identity, a kept
+list by its few ints, and ``purge`` keeps one object per distinct kept
+list, so a key refers only to objects the solve holds anyway.  Every node
+takes its shape's plan from the memo or plans it, then evaluates it.  The
+memo keeps a plan only if a later node has the same table (shared by
+``run_dp``).  ``plans`` counts the plans built.
 
 A node keeps per kept row its bucket and its bit there, the arrays of its
 plan, which the nodes of one plan share, and per bucket its count array,
@@ -216,7 +215,7 @@ def _bucket_counts(
     reads: tuple, pc1: Sequence[Sequence[int]], pc2: Sequence[Sequence[int]], one_row: dict[int, tuple[int, int]]
 ) -> Sequence[int]:
     """A bucket's projected counts, by local row mask, from its reads (a
-    tuple: the node loops take a child bucket's array themselves) and its
+    tuple: ``_evaluate`` takes a child bucket's array itself) and its
     children's count arrays (``pc1`` and ``pc2`` are the same one below one
     child).  A one-row bucket's array is its count's tuple in ``one_row``,
     which the call adds when missing."""
@@ -288,20 +287,15 @@ def _bucket_values(pcnts: Sequence[int]) -> list[int]:
     return list(map(abs, _moebius(list(pcnts))))
 
 
+@dataclass(slots=True)
 class _Plan:
-    """What one node's shape fixes (see the module docstring): its kept
-    rows' buckets and bits, per bucket its reads (a one-row child bucket's
-    index, or a tuple), and its work counts: the sum of 2^|b| - 1 over its
-    buckets b, and the rows of its largest bucket."""
+    """What one node's shape fixes (see the module docstring)."""
 
-    __slots__ = ("bucket_of", "pos_in_bucket", "reads", "entries", "max_bucket")
-
-    def __init__(self, bucket_of: list[int], pos_in_bucket: list[int], reads: list, entries: int, max_bucket: int):
-        self.bucket_of = bucket_of
-        self.pos_in_bucket = pos_in_bucket
-        self.reads = reads
-        self.entries = entries
-        self.max_bucket = max_bucket
+    bucket_of: list[int]  # per table row, kept rows only: its bucket id
+    pos_in_bucket: list[int]  # per table row, kept rows only: its bit in the bucket's masks
+    reads: list[int | tuple]  # per bucket: a one-row child bucket's index, or a tuple
+    entries: int  # sum of 2^|b| - 1 over the node's buckets b
+    max_bucket: int  # rows of its largest bucket
 
 
 def _memory_error(t: int, kind: str, b: int) -> MemoryError:
@@ -316,25 +310,21 @@ def _plan(
     smask: int,
     interp: Callable[[Any], int],
     children: Sequence[NodeCounts],
-    one_row: dict[int, tuple[int, int]],
-) -> tuple[_Plan, list[Sequence[int]]]:
-    """Node t's plan (its kept rows bucketed by ``smask``, and each bucket's
-    reads) and its count arrays, evaluated as each bucket is planned.  A
-    bucket too large to allocate raises ``MemoryError`` naming it."""
+) -> _Plan:
+    """Node t's plan: its kept rows bucketed by ``smask``, and each bucket's
+    reads of its children's count arrays.  A bucket whose subset masks are
+    too large to allocate raises ``MemoryError`` naming it."""
     partition = buckets(map(interp, map(tab.rows.__getitem__, kept)), smask)
     bucket_of = [0] * len(tab.rows)
     pos_in_bucket = [0] * len(tab.rows)
-    plan_reads: list[int | tuple] = [0] * len(partition)
-    plan = _Plan(bucket_of, pos_in_bucket, plan_reads, len(partition), min(len(partition), 1))
-    pcnts: list[Sequence[int]] = [()] * len(partition)
+    plan = _Plan(bucket_of, pos_in_bucket, [0] * len(partition), len(partition), min(len(partition), 1))
     first, more, split = tab.first, tab.more, tab.stride
     arity = len(children)
-    pc1 = pc2 = ()
     if arity:
         # the child lookups of the one-row reads, taken once per node (for
-        # a one-child node both triples are its child's)
+        # a one-child node both lines read its child)
         of1, pos1, pc1 = children[0].bucket_of, children[0].pos_in_bucket, children[0].pcnts
-        of2, pos2, pc2 = children[-1].bucket_of, children[-1].pos_in_bucket, children[-1].pcnts
+        of2, pos2 = children[-1].bucket_of, children[-1].pos_in_bucket
     for bi, bucket in enumerate(partition):
         j = kept[bucket[0]]
         if len(bucket) == 1 and j not in more:
@@ -343,18 +333,14 @@ def _plan(
             # array or one entry of a larger one
             bucket_of[j] = bi
             o = first[j]
-            if arity == 1 and len(pc1[of1[o]]) == 2:
-                plan_reads[bi] = of1[o]
-                pcnts[bi] = pc1[of1[o]]
-                continue
             if arity == 1:
-                reads: tuple = _READ, of1[o], 1 << pos1[o], of1[o], 0
+                cb = of1[o]
+                reads: int | tuple = cb if len(pc1[cb]) == 2 else (_READ, cb, 1 << pos1[o], cb, 0)
             elif arity:
                 i, o = divmod(o, split)
                 reads = _PRODUCT, of1[i], 1 << pos1[i], of2[o], 1 << pos2[o]
             else:
                 reads = _LEAF_READS
-            pcnts[bi] = _bucket_counts(reads, pc1, pc2, one_row)
         else:
             rows = [kept[u] for u in bucket]
             for pos, j in enumerate(rows):
@@ -364,19 +350,41 @@ def _plan(
             plan.max_bucket = max(plan.max_bucket, len(rows))
             try:
                 reads = _bucket_reads(rows, tab, children)
-                pcnts[bi] = _bucket_counts(reads, pc1, pc2, one_row)
             except MemoryError as exc:
                 raise _memory_error(t, kind, len(rows)) from exc
-        plan_reads[bi] = reads
-    return plan, pcnts
+        plan.reads[bi] = reads
+    return plan
+
+
+def _evaluate(
+    t: int,
+    kind: str,
+    plan: _Plan,
+    pc1: Sequence[Sequence[int]],
+    pc2: Sequence[Sequence[int]],
+    one_row: dict[int, tuple[int, int]],
+) -> list[Sequence[int]]:
+    """Node t's count arrays, one per bucket of its plan, from its children's
+    (``pc1`` and ``pc2`` as in ``_bucket_counts``).  A bucket too large to
+    allocate raises ``MemoryError`` naming it."""
+    pcnts: list[Sequence[int]] = [()] * len(plan.reads)  # exact size: the node keeps it
+    try:
+        for bi, reads in enumerate(plan.reads):
+            pcnts[bi] = pc1[reads] if isinstance(reads, int) else _bucket_counts(reads, pc1, pc2, one_row)
+    except MemoryError as exc:
+        # a bucket of several rows holds its per-subset reads at index 1
+        b = len(reads[1]).bit_length() - 1 if reads[0] in (_UNION, _JOIN) else 1
+        raise _memory_error(t, kind, b) from exc
+    return pcnts
 
 
 def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
-    """Bottom-up pass computing every node's bucket count arrays, planning
-    each node shape once (see the module docstring).  ``pmask`` is the
-    projection as an atom mask; rows are bucketed by its slot mask at each
-    node.  A bucket too large to allocate raises ``MemoryError`` naming it,
-    its node and the node's kind."""
+    """Bottom-up pass computing every node's bucket count arrays: each node
+    takes its shape's plan from the memo or plans it, then evaluates it
+    (see the module docstring).  ``pmask`` is the projection as an atom
+    mask; rows are bucketed by its slot mask at each node.  A bucket too
+    large to allocate raises ``MemoryError`` naming it, its node and the
+    node's kind."""
     ttd = purged.ttd
     td = ttd.td
     interp = ttd.alg.interp
@@ -418,28 +426,16 @@ def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
             key = tab, kept, smask
         plan = plans.get(key)
         if plan is None:
-            plan, pcnts = _plan(t, nd.kind, tab, kept, smask, interp, [nodes[c] for c in children], one_row)
+            plan = _plan(t, nd.kind, tab, kept, smask, interp, [nodes[c] for c in children])
             n_plans += 1
             if last_node[tab] != t:
                 plans[key] = plan
-        else:
-            pcnts = []
-            pc1 = nodes[children[0]].pcnts if children else ()
-            pc2 = nodes[children[-1]].pcnts if children else ()
-            for reads in plan.reads:
-                if isinstance(reads, int):
-                    pcnts.append(pc1[reads])
-                    continue
-                try:
-                    pcnts.append(_bucket_counts(reads, pc1, pc2, one_row))
-                except MemoryError as exc:
-                    # a bucket of several rows holds its per-subset reads at index 1
-                    b = len(reads[1]).bit_length() - 1 if reads[0] in (_UNION, _JOIN) else 1
-                    raise _memory_error(t, nd.kind, b) from exc
+        pc1 = nodes[children[0]].pcnts if children else ()
+        pc2 = nodes[children[-1]].pcnts if children else ()
         n_buckets += len(plan.reads)
         entries += plan.entries
         max_bucket = max(max_bucket, plan.max_bucket)
-        nodes[t] = NodeCounts(plan.bucket_of, plan.pos_in_bucket, pcnts)
+        nodes[t] = NodeCounts(plan.bucket_of, plan.pos_in_bucket, _evaluate(t, nd.kind, plan, pc1, pc2, one_row))
     return ProjTables(nodes, purged.kept, n_buckets, max_bucket, entries, n_plans)
 
 

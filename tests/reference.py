@@ -398,7 +398,7 @@ class ReferencePrim:
 def reference_prim_tables(program: Program, td: NiceTreeDecomposition) -> list[NodeTable]:
     """Per node, the table of ``ReferencePrim`` over the same entering rules
     as ``paspc.engine.run_dp``, with atom-id masks: each atom its own slot."""
-    rules = entering_rules(program, td, assign_slots(td, program.n_atoms))
+    rules = entering_rules(program, td, assign_slots(td, program.n_atoms, td.post_order()))
     ids = range(program.n_atoms)
     tables: list[NodeTable] = [None] * len(td.nodes)  # type: ignore[list-item]
     for t in td.post_order():

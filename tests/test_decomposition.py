@@ -295,7 +295,7 @@ def slot_problems(ntd, slots, n_atoms):
 class TestSlots:
     def test_fourteen_node_fixture(self, example1_td):
         program, ntd, _ = example1_td
-        assert slot_problems(ntd, assign_slots(ntd, program.n_atoms), program.n_atoms) == []
+        assert slot_problems(ntd, assign_slots(ntd, program.n_atoms, ntd.post_order()), program.n_atoms) == []
 
     def test_seeded_nice_decompositions(self):
         rng = random.Random(2718)
@@ -307,9 +307,9 @@ class TestSlots:
                 for seed in (0, 1, 2):
                     ntd = make_nice(decompose(g, h, seed))
                     widths.add(ntd.width)
-                    assert slot_problems(ntd, assign_slots(ntd, p.n_atoms), p.n_atoms) == []
+                    assert slot_problems(ntd, assign_slots(ntd, p.n_atoms, ntd.post_order()), p.n_atoms) == []
             ntd = make_nice(helpers.random_decomposition(rng, g))
-            assert slot_problems(ntd, assign_slots(ntd, p.n_atoms), p.n_atoms) == []
+            assert slot_problems(ntd, assign_slots(ntd, p.n_atoms, ntd.post_order()), p.n_atoms) == []
         assert max(widths) >= 6
 
     def test_td_file_inputs(self, tmp_path, capsys):

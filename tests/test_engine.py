@@ -93,7 +93,7 @@ class TestBagPrograms:
 
     @staticmethod
     def check_entering(p, td):
-        rules = entering_rules(p, td, assign_slots(td, p.n_atoms))
+        rules = entering_rules(p, td, assign_slots(td, p.n_atoms, td.post_order()))
 
         def fitting(bag):
             return {r for r in p.rules if bag.issuperset(r.head + r.pos_body + r.neg_body)}
@@ -119,14 +119,14 @@ class TestBagPrograms:
         td = make_nice(decompose(primal_graph(p)))
         self.check_entering(p, td)
         leaves = [t for t in td.post_order() if td.nodes[t].kind == "leaf"]
-        rules = entering_rules(p, td, assign_slots(td, p.n_atoms))
+        rules = entering_rules(p, td, assign_slots(td, p.n_atoms, td.post_order()))
         assert all([r.source for r in rules[t]] == [Rule((), (), ())] for t in leaves)
 
     def test_two_rules_enter_at_t8(self, example1_td):
         # introducing e over {b,d}: "d | e :- b." and "b :- e, not d." become
         # complete; "d :- not b." entered at t7, "c | e." needs c
         program, ntd, ids = example1_td
-        rules = entering_rules(program, ntd, assign_slots(ntd, program.n_atoms))
+        rules = entering_rules(program, ntd, assign_slots(ntd, program.n_atoms, ntd.post_order()))
         b, d, e = (program.atom_id(x) for x in "bde")
         want = {Rule(tuple(sorted((d, e))), (b,), ()), Rule((b,), (e,), (d,))}
         assert {r.source for r in rules[ids["t8"]]} == want

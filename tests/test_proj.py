@@ -8,16 +8,19 @@ import helpers
 import pytest
 from paspc import oracle, pipeline
 from paspc.cli import purged_origins
-from paspc.decomposition import JOIN, decompose, make_nice, primal_graph
+from paspc.decomposition import JOIN, LEAF, decompose, make_nice, primal_graph
 from paspc.engine import NodeTable, PurgedTables, purge, run_dp
 from paspc.formats import parse_program
 from paspc.phc import PhcRow
 from paspc.prim import PrimAlgorithm
 from paspc.proj import (
+    _JOIN,
+    _UNION,
     NodeCounts,
     _bucket_counts,
     _bucket_reads,
     _bucket_values,
+    _evaluate,
     _plan,
     _venn_regions,
     buckets,
@@ -436,13 +439,19 @@ class TestRunProj:
         # singleton counts over the node's children (an empty product at a
         # leaf), and below one child takes the child bucket's own array when
         # that bucket has one row; every other bucket is one _bucket_counts
-        # call, whether its node planned or not
+        # call, whether its node planned or not, made by the node's one
+        # _evaluate call
         planned = []
+        evaluated = []
         evaluations = 0
 
         def plan(t, *args):
             planned.append(t)
             return _plan(t, *args)
+
+        def evaluate(t, *args):
+            evaluated.append(t)
+            return _evaluate(t, *args)
 
         def counts(*args):
             nonlocal evaluations
@@ -450,6 +459,7 @@ class TestRunProj:
             return _bucket_counts(*args)
 
         monkeypatch.setattr("paspc.proj._plan", plan)
+        monkeypatch.setattr("paspc.proj._evaluate", evaluate)
         monkeypatch.setattr("paspc.proj._bucket_counts", counts)
         reached = Counter()
         for _, pmask, ttd, purged, got in self.seeded_fuzz():
@@ -489,7 +499,9 @@ class TestRunProj:
             assert planned == list(first_of.values())
             assert got.plans == len(planned) == len({id(node.bucket_of) for node in got.nodes})
             assert evaluations == want
+            assert evaluated == ttd.post_order
             planned.clear()
+            evaluated.clear()
             evaluations = 0
         assert set(reached) >= {
             "leaf, one row of one origin",
@@ -500,6 +512,67 @@ class TestRunProj:
             "one child, two child buckets",
             "join, a row of several origins",
         }
+
+    @staticmethod
+    def failing_counts(monkeypatch, fails):
+        """Patch ``_bucket_counts`` to raise ``MemoryError`` on the reads
+        ``fails(t, reads)`` picks, t being the node that ``_evaluate`` is
+        evaluating."""
+        evaluating = None
+
+        def evaluate(t, *args):
+            nonlocal evaluating
+            evaluating = t
+            return _evaluate(t, *args)
+
+        def counts(reads, *args):
+            if fails(evaluating, reads):
+                raise MemoryError
+            return _bucket_counts(reads, *args)
+
+        monkeypatch.setattr("paspc.proj._evaluate", evaluate)
+        monkeypatch.setattr("paspc.proj._bucket_counts", counts)
+
+    def test_memory_error_names_a_planning_nodes_one_row_bucket(self, monkeypatch):
+        # the first node is a leaf, which plans, and its one bucket reads
+        # one row
+        p = parse_program("a | b. c :- a. c :- b. #project c.")
+        ttd = pipeline.solve(p).ttd
+        t = ttd.post_order[0]
+        assert ttd.td.nodes[t].kind == LEAF
+        self.failing_counts(monkeypatch, lambda t, reads: True)
+        with pytest.raises(MemoryError) as exc:
+            pipeline.solve(p)
+        assert str(exc.value) == f"node {t} (leaf): bucket of 1 rows, 1 entries"
+
+    def test_memory_error_names_a_memo_hits_bucket_of_several_rows(self, monkeypatch):
+        # tight_chain(2, 2) onto the p_i: an introduce node shares an earlier
+        # node's plan and has a bucket of two rows
+        p = tight_chain(2, 2)
+        p = p.with_projection(p.mask(["p0", "p1"]))
+        r = pipeline.solve(p)
+        seen = set()  # the plans met, by their bucket_of
+        for hit in r.ttd.post_order:
+            node = r.proj_tables.nodes[hit]
+            sizes = [len(pcnts) for pcnts in node.pcnts if len(pcnts) > 2]
+            if sizes and id(node.bucket_of) in seen:
+                break
+            seen.add(id(node.bucket_of))
+        else:
+            pytest.fail("no memo hit with a bucket of several rows")
+        assert sizes[0] == 1 << 2
+        planned = []
+
+        def plan(t, *args):
+            planned.append(t)
+            return _plan(t, *args)
+
+        monkeypatch.setattr("paspc.proj._plan", plan)
+        self.failing_counts(monkeypatch, lambda t, reads: t == hit and reads[0] in (_UNION, _JOIN))
+        with pytest.raises(MemoryError) as exc:
+            pipeline.solve(p)
+        assert hit not in planned
+        assert str(exc.value) == f"node {hit} ({r.ttd.td.nodes[hit].kind}): bucket of 2 rows, 3 entries"
 
     def test_matches_reference_formulas(self):
         # the bucket-wise evaluation must agree with the defining recursion
