@@ -5,11 +5,11 @@ Rows index atoms by bag slot, not by atom id: every atom gets a slot in
 bag, so a row's interpretation is an int of at most width+1 bits however
 many atoms the program has, and ``prim`` keeps a row's counter-witness set
 as a bitset over the slot subsets, an int of 2^(width+1) bits, up to width
-9 (see ``prim``).  The driver asks the algorithm for the form it runs at
-the decomposition's width (``for_width``).  The rules reach the table
-algorithms translated once per solve into ``BagRule``s, whose masks are
-slot masks.  ``TabledTreeDecomposition.decode`` turns a node's slot mask
-back into an atom mask, for traces and tests.
+9 (see ``prim``).  ``run_dp`` runs the form it is given, which
+``pipeline.pick_algorithm`` chose for the decomposition's width.  The rules
+reach the table algorithms translated once per solve into ``BagRule``s,
+whose masks are slot masks.  ``TabledTreeDecomposition.decode`` turns a
+node's slot mask back into an atom mask, for traces and tests.
 
 The engine owns the table contract.  ``node_table`` builds each node's
 table: a leaf holds the algorithm's ``solution_row`` (the empty row) if the
@@ -110,7 +110,7 @@ class TableAlgorithm(Protocol):
     name: str
     solution_row: Any
 
-    def context(self, kind: str, atom: int, slot: int, rules: Sequence[BagRule]) -> Hashable:
+    def context(self, atom: int, slot: int, rules: Sequence[BagRule]) -> Hashable:
         """What the generator of an introduce or remove node reads of the
         node's atom, slot and entering rules, as one hashable value."""
         ...
@@ -122,10 +122,6 @@ class TableAlgorithm(Protocol):
     def join(self, left_rows: Sequence[Any], right_rows: Sequence[Any]) -> Iterator[tuple[Any, int]]: ...
 
     def interp(self, row: Any) -> int: ...
-
-    def for_width(self, width: int) -> "TableAlgorithm":
-        """The algorithm to run on a nice decomposition of this width."""
-        ...
 
 
 # a rule's slot masks (head_mask, pos_mask, neg_mask), as one tuple
@@ -178,7 +174,7 @@ class TabledTreeDecomposition:
     td: NiceTreeDecomposition
     program: Program
     alg: TableAlgorithm
-    tables: list[NodeTable | None]  # per node; nodes of equal inputs share one read-only table
+    tables: list[NodeTable]  # per node; nodes of equal inputs share one read-only table
     slots: list[int]  # per atom: its bag slot
     post_order: list[int] = field(default_factory=list)
     seconds: dict[str, float] = field(default_factory=dict)  # wall seconds of run_dp per node kind
@@ -189,10 +185,7 @@ class TabledTreeDecomposition:
     built_tables: int = 0  # tables built: nodes less those that took an equal-input node's table
 
     def table(self, t: int) -> NodeTable:
-        tab = self.tables[t]
-        if tab is None:
-            raise KeyError(f"node {t} has no table")
-        return tab
+        return self.tables[t]
 
     def decode(self, t: int, mask: int) -> int:
         """The atom mask of a slot mask of node t's rows."""
@@ -278,17 +271,16 @@ def node_table(alg: TableAlgorithm, kind: str, ctx: Any, child_tables: Sequence[
 
 
 def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> TabledTreeDecomposition:
-    """Run the table algorithm, as chosen for the decomposition's width,
-    over all nodes in post-order.  A node whose kind, context and child row
-    lists equal an earlier node's takes that node's table (see the module
-    docstring)."""
-    alg = alg.for_width(td.width)
+    """Run the table algorithm over all nodes in post-order.  A node whose
+    kind, context and child row lists equal an earlier node's takes that
+    node's table (see the module docstring)."""
     context = alg.context
     nodes = td.nodes
     order = td.post_order()
     slots = assign_slots(td, program.n_atoms, order)
     rules = entering_rules(program, td, slots)
-    tables: list[NodeTable | None] = [None] * len(nodes)
+    # every node's table is set below, so a finished solve holds no None
+    tables: list[NodeTable] = [None] * len(nodes)  # type: ignore[list-item]
     lists = [0] * len(nodes)  # per node: the id of its table's row list
     seconds = dict.fromkeys((LEAF, INTRODUCE, REMOVE, JOIN), 0.0)
     row_counts = dict.fromkeys(seconds, 0)
@@ -309,14 +301,14 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
             ctx = None
             key = kind, ctx, lists[children[0]], lists[children[1]]
         elif children:
-            ctx = context(kind, nd.atom, slots[nd.atom], rules[t])  # type: ignore[index]
+            ctx = context(nd.atom, slots[nd.atom], rules[t])  # type: ignore[index]
             key = kind, ctx, lists[children[0]]
         else:
             ctx = is_model(0, rules[t])
             key = kind, ctx
         hit = memo.get(key)
         if hit is None:
-            tab = node_table(alg, kind, ctx, [tables[c] for c in children])  # type: ignore[misc]
+            tab = node_table(alg, kind, ctx, [tables[c] for c in children])
             tab.rows = list(map(pool.setdefault, tab.rows, tab.rows))
             # one origin per row, and a row's further ones in the side store
             links = len(tab.rows)

@@ -73,10 +73,7 @@ class PhcAlgorithm:
     def interp(row: PhcRow) -> int:
         return row.interp
 
-    def for_width(self, width: int) -> PhcAlgorithm:
-        return self
-
-    def context(self, kind: str, atom: int, slot: int, rules: Sequence[BagRule]) -> Hashable:
+    def context(self, atom: int, slot: int, rules: Sequence[BagRule]) -> Hashable:
         """The slot bit, the atom if it is cyclic, and per rule its slot
         masks, the mask of its acyclic head atoms and, per cyclic head atom,
         its slot bit, its id and the positive-body atoms of its component.

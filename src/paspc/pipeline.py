@@ -9,8 +9,8 @@ from dataclasses import asdict, dataclass, field
 from . import engine, proj
 from .decomposition import TreeDecomposition, decompose, make_nice, primal_graph, validate_td
 from .phc import PhcAlgorithm
-from .prim import PrimAlgorithm
-from .program import Program, ProgramKind, classify
+from .prim import DENSE_MAX_WIDTH, PrimAlgorithm, SparsePrimAlgorithm
+from .program import Program, ProgramClass, ProgramKind, classify
 
 ALGORITHMS = ("auto", "phc", "prim")
 
@@ -61,18 +61,25 @@ class SolveResult:
     td: TreeDecomposition
 
 
-def pick_algorithm(program: Program, requested: str = "auto"):
-    """The table algorithm instance for the program: ``phc`` (SCC-local
-    orderings, which stay empty on tight programs) unless the program is
-    disjunctive, then ``prim``."""
+def pick_algorithm(program_class: ProgramClass | Program, requested: str = "auto", width: int = DENSE_MAX_WIDTH):
+    """The table form a solve runs, chosen here and nowhere else: ``phc``
+    (SCC-local orderings, which stay empty on tight programs) unless the
+    program is disjunctive, then ``prim``, whose counter sets are subset
+    bitsets on decompositions of width up to ``DENSE_MAX_WIDTH`` and
+    frozensets on wider ones.  ``width`` is the nice decomposition's; the
+    default takes the bitset form, which runs any decomposition up to
+    ``DENSE_MAX_WIDTH``.  A ``Program`` is classified first, so
+    ``pick_algorithm(program)`` works as in ``bench/cliffs.py``."""
     if requested not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {requested!r}")
-    cls = classify(program)
-    if requested == "phc" and cls.kind is ProgramKind.DISJUNCTIVE:
-        raise AlgorithmMismatchError(f"phc requires a head-cycle-free program, got {cls.kind.value}")
-    if requested == "prim" or (requested == "auto" and cls.kind is ProgramKind.DISJUNCTIVE):
-        return PrimAlgorithm()
-    return PhcAlgorithm(cls.components)
+    if isinstance(program_class, Program):
+        program_class = classify(program_class)
+    kind = program_class.kind
+    if requested == "phc" and kind is ProgramKind.DISJUNCTIVE:
+        raise AlgorithmMismatchError(f"phc requires a head-cycle-free program, got {kind.value}")
+    if requested == "prim" or (requested == "auto" and kind is ProgramKind.DISJUNCTIVE):
+        return PrimAlgorithm(width) if width <= DENSE_MAX_WIDTH else SparsePrimAlgorithm()
+    return PhcAlgorithm(program_class.components)
 
 
 def solve(
@@ -87,7 +94,9 @@ def solve(
     A tree decomposition may be supplied, and is then validated against the
     program's primal graph before anything else runs; otherwise one is
     computed with the given elimination heuristic and seed.  The algorithm
-    defaults to the strongest sound one for the program's class.
+    defaults to the strongest sound one for the program's class; its form
+    is picked once ``make_nice`` has given the width, so an
+    ``AlgorithmMismatchError`` comes after the decomposition.
 
     The cyclic garbage collector is paused for the duration of the call,
     process-wide, and its previous state is restored on return or error.
@@ -105,9 +114,8 @@ def solve(
         stats = RunStats()
 
         t0 = time.perf_counter()
-        alg = pick_algorithm(program, algorithm)
+        program_class = classify(program)
         stats.timings["classify"] = time.perf_counter() - t0
-        stats.algorithm = alg.name
 
         t0 = time.perf_counter()
         if td is None:
@@ -121,6 +129,8 @@ def solve(
         stats.nodes = len(nice.nodes)
 
         t0 = time.perf_counter()
+        alg = pick_algorithm(program_class, algorithm, nice.width)
+        stats.algorithm = alg.name
         ttd = engine.run_dp(alg, program, nice)
         stats.timings["dp"] = time.perf_counter() - t0
         stats.dp_seconds = dict(ttd.seconds)

@@ -22,11 +22,12 @@ transition is a few big-int operations:
 - join: ``(C1 & C2) | ((1 << W) & (C1 | C2))``.
 
 The bitset costs 2^(width+1) bits per row however few counters the row
-has, and so do B_s, R_W and ``1 << W``.  ``run_dp`` therefore keeps it only
-up to ``DENSE_MAX_WIDTH``: at width 9 a counter bitset has 1,024 bits, no
-larger than an empty frozenset.  A wider decomposition runs
-``SparsePrimAlgorithm``, whose C is a frozenset of slot masks tested against
-the reduct one by one, so its rows cost what their counters cost.
+has, and so do B_s, R_W and ``1 << W``.  ``pipeline.pick_algorithm``
+therefore picks it only up to ``DENSE_MAX_WIDTH``: at width 9 a counter
+bitset has 1,024 bits, no larger than an empty frozenset.  A wider
+decomposition runs ``SparsePrimAlgorithm``, whose C is a frozenset of slot
+masks tested against the reduct one by one, so its rows cost what their
+counters cost.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .engine import BagRule, rule_masks
 from .program import is_model, iter_bits
 
 
-# the widest decomposition on which run_dp keeps counter sets as bitsets
+# the widest decomposition on which prim keeps counter sets as bitsets
 DENSE_MAX_WIDTH = 9
 
 
@@ -49,16 +50,12 @@ class PrimRow(NamedTuple):
 class PrimAlgorithm:
     """``prim`` with each counter set a subset bitset, for decompositions
     of width ``width`` at most: it holds the bitsets B_s over the subsets
-    of slots 0..width, built once, and a solve reads them only.
-    ``for_width`` hands a decomposition of another width up to
-    ``DENSE_MAX_WIDTH`` to a ``PrimAlgorithm`` of that width, and a wider
-    one to ``SparsePrimAlgorithm``."""
+    of slots 0..width, built once, and a solve reads them only."""
 
     name = "prim"
     solution_row = PrimRow(0, 0)
 
-    def __init__(self, width: int = DENSE_MAX_WIDTH) -> None:
-        self.width = width
+    def __init__(self, width: int) -> None:
         # B_s by slot s: a slot k added to slots 0..k-1 doubles the subsets,
         # so each B_s repeats in the upper half, and B_k is the upper half
         with_slot: list[int] = []
@@ -72,13 +69,8 @@ class PrimAlgorithm:
     def interp(row: PrimRow) -> int:
         return row.witness
 
-    def for_width(self, width: int) -> PrimAlgorithm | SparsePrimAlgorithm:
-        if width > DENSE_MAX_WIDTH:
-            return SparsePrimAlgorithm()
-        return self if width == self.width else PrimAlgorithm(width)
-
     @staticmethod
-    def context(kind: str, atom: int, slot: int, rules: Sequence[BagRule]) -> Hashable:
+    def context(atom: int, slot: int, rules: Sequence[BagRule]) -> Hashable:
         """The slot and the rules' slot masks: the generators read rules
         only through those masks, and atoms only through their slots, one
         per atom in a solve."""
@@ -155,9 +147,6 @@ class SparsePrimAlgorithm:
     @staticmethod
     def interp(row: PrimRow) -> int:
         return row.witness
-
-    def for_width(self, width: int) -> SparsePrimAlgorithm:
-        return self
 
     context = staticmethod(PrimAlgorithm.context)  # the same inputs, read through the same masks
 

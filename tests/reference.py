@@ -205,7 +205,7 @@ def node_context(ttd: TabledTreeDecomposition, t: int, rules: Sequence[BagRule])
         return is_model(0, rules)
     if nd.kind == JOIN:
         return None
-    return ttd.alg.context(nd.kind, nd.atom, ttd.slots[nd.atom], rules)
+    return ttd.alg.context(nd.atom, ttd.slots[nd.atom], rules)
 
 
 def origins(ttd: TabledTreeDecomposition, t: int, row: Any) -> set[tuple]:

@@ -28,7 +28,8 @@ from reference import (
 
 # the paper's full-ordering PHC; the programs below have at most 8 atoms
 PHC = helpers.paper_phc(8)
-PRIM = PrimAlgorithm()
+# the bitset prim at its widest: it runs every decomposition up to that width
+PRIM = PrimAlgorithm(DENSE_MAX_WIDTH)
 
 
 def run_example1(example1_td):
@@ -205,7 +206,7 @@ def origin_fuzz():
     paper's full-ordering PHC on the programs that are not disjunctive, and
     both ``prim`` forms on every program, the frozenset form forced on the
     same narrow decompositions; then ``prim`` on decompositions wider than
-    ``DENSE_MAX_WIDTH``, where ``run_dp`` picks the frozenset form itself.
+    ``DENSE_MAX_WIDTH``, where ``pick_algorithm`` picks the frozenset form.
     The narrow programs of 6-12 atoms branch in their decompositions, so
     join rows of several origin pairs occur."""
     rng = random.Random(6060)
@@ -213,18 +214,18 @@ def origin_fuzz():
         p = helpers.random_mixed(rng, rng.randint(6, 12), rng.randint(5, 11))
         nice = make_nice(decompose(primal_graph(p)))
         if classify(p).kind is not ProgramKind.DISJUNCTIVE:
-            yield "phc", run_dp(pipeline.pick_algorithm(p, "phc"), p, nice)
+            yield "phc", run_dp(pipeline.pick_algorithm(classify(p), "phc"), p, nice)
             yield "paper phc", run_dp(helpers.paper_phc(p.n_atoms), p, nice)
-        yield "prim bitsets", run_dp(PrimAlgorithm(), p, nice)
+        yield "prim bitsets", run_dp(PrimAlgorithm(nice.width), p, nice)
         yield "prim frozensets", run_dp(SparsePrimAlgorithm(), p, nice)
     rng = random.Random(2)
     for _ in range(6):
         p = helpers.random_disjunctive(rng, rng.randint(14, 18), rng.randint(8, 12), max_size=8)
         nice = make_nice(decompose(primal_graph(p)))
         if nice.width > DENSE_MAX_WIDTH:
-            ttd = run_dp(PrimAlgorithm(), p, nice)
-            assert isinstance(ttd.alg, SparsePrimAlgorithm)
-            yield "prim frozensets, wide", ttd
+            alg = pipeline.pick_algorithm(classify(p), "prim", nice.width)
+            assert type(alg) is SparsePrimAlgorithm
+            yield "prim frozensets, wide", run_dp(alg, p, nice)
 
 
 def strictly_ascending(seqs):
@@ -419,9 +420,9 @@ def memo_fuzz():
     for p in programs:
         nice = make_nice(decompose(primal_graph(p)))
         if classify(p).kind is not ProgramKind.DISJUNCTIVE:
-            yield "phc", run_dp(pipeline.pick_algorithm(p, "phc"), p, nice)
+            yield "phc", run_dp(pipeline.pick_algorithm(classify(p), "phc"), p, nice)
             yield "paper phc", run_dp(helpers.paper_phc(p.n_atoms), p, nice)
-        yield "prim bitsets", run_dp(PrimAlgorithm(), p, nice)
+        yield "prim bitsets", run_dp(PrimAlgorithm(nice.width), p, nice)
         yield "prim frozensets", run_dp(SparsePrimAlgorithm(), p, nice)
 
 
@@ -474,15 +475,13 @@ class TestNodeMemo:
         assert not {id(tab) for tab in first.ttd.tables} & {id(tab) for tab in second.ttd.tables}
 
 
-# every table form the engine runs: the three classes, and what for_width
-# hands back on each side of DENSE_MAX_WIDTH
+# every table form the engine runs: the paper's PHC, and what
+# pick_algorithm hands back for phc and prim on each side of DENSE_MAX_WIDTH
 TABLE_FORMS = [
     helpers.paper_phc(8),
-    PrimAlgorithm(),
-    SparsePrimAlgorithm(),
     *(
-        alg.for_width(w)
-        for alg in (PhcAlgorithm({}), PrimAlgorithm())
+        pipeline.pick_algorithm(classify(parse_program("a.")), requested, w)
+        for requested in ("phc", "prim")
         for w in (0, 3, DENSE_MAX_WIDTH, DENSE_MAX_WIDTH + 1)
     ),
 ]
@@ -503,21 +502,21 @@ class TestTableContract:
             assert not hasattr(alg, "node_key") and not hasattr(type(alg), "node_key"), type(alg).__name__
 
     @pytest.mark.parametrize(
-        "alg, text",
+        "form, text",
         [
-            (pipeline.pick_algorithm(parse_program(helpers.WIDE_HCF_TEXT)), helpers.WIDE_HCF_TEXT),
-            (helpers.paper_phc(8), helpers.EXAMPLE1_TEXT),
-            (PrimAlgorithm(), helpers.HEAD_CYCLE_TEXT),
-            (SparsePrimAlgorithm(), helpers.disjunctive_chain(3, 2)),
+            (lambda p, width: pipeline.pick_algorithm(classify(p), "auto", width), helpers.WIDE_HCF_TEXT),
+            (lambda p, width: helpers.paper_phc(8), helpers.EXAMPLE1_TEXT),
+            (lambda p, width: pipeline.pick_algorithm(classify(p), "prim", width), helpers.HEAD_CYCLE_TEXT),
+            (lambda p, width: SparsePrimAlgorithm(), helpers.disjunctive_chain(3, 2)),
         ],
         ids=["phc", "paper-phc", "prim", "sparse-prim"],
     )
-    def test_a_solve_leaves_the_algorithm_unchanged(self, alg, text):
+    def test_a_solve_leaves_the_algorithm_unchanged(self, form, text):
         # the object run_dp runs, compared attribute by attribute before
         # and after two solves
         p = parse_program(text)
         nice = make_nice(decompose(primal_graph(p)))
-        alg = alg.for_width(nice.width)
+        alg = form(p, nice.width)
         before = copy.deepcopy(vars(alg))
         for _ in range(2):
             assert run_dp(alg, p, nice).alg is alg

@@ -16,7 +16,7 @@ import pytest
 import helpers
 from paspc import oracle, pipeline
 from paspc.decomposition import TreeDecomposition, decompose, make_nice, primal_graph, validate_td
-from paspc.program import Program
+from paspc.program import Program, classify
 
 HEURISTICS = [(h, seed) for h in ("min-fill", "min-degree") for seed in (0, 1, 2)]
 
@@ -52,7 +52,7 @@ def test_counts_agree_across_decompositions_and_rewrites(gen):
         p = p.with_projection(helpers.random_projection(rng, p))
         want = oracle.projected_count(p)
         if GENERATORS[gen]:
-            assert pipeline.pick_algorithm(p).name == GENERATORS[gen]
+            assert pipeline.pick_algorithm(classify(p)).name == GENERATORS[gen]
 
         counts = [pipeline.solve(p, heuristic=h, seed=seed).count for h, seed in HEURISTICS]
         graph = primal_graph(p)
@@ -110,6 +110,6 @@ def test_disjoint_parts_joined_over_an_empty_bag():
         empty_joins += sum(nd.kind == "join" and not nd.bag for nd in nice.nodes)
         want = oracle.projected_count(p)
         # phc is sound on head-cycle-free unions, prim on every class
-        for algorithm in ("phc", "prim") if pipeline.pick_algorithm(p).name == "phc" else ("prim",):
+        for algorithm in ("phc", "prim") if pipeline.pick_algorithm(classify(p)).name == "phc" else ("prim",):
             assert pipeline.solve(p, algorithm=algorithm, td=td).count == want, (i, algorithm)
     assert empty_joins >= 300

@@ -7,7 +7,7 @@ from paspc.decomposition import decompose, make_nice, primal_graph
 from paspc.engine import bag_rule, has_solution, node_table, run_dp
 from paspc.formats import parse_program
 from paspc.phc import PhcAlgorithm, PhcRow, gp
-from paspc.program import Program, mask_of
+from paspc.program import Program, classify, mask_of
 from reference import check_row_invariants, table_dict, table_of
 
 # the paper's full-ordering PHC over enough atom ids for the programs below
@@ -27,7 +27,7 @@ def one_bag_rules(p):
 
 def one_bag_gp_rules(p):
     """``one_bag_rules`` as ``gp`` reads them, from PHC's context."""
-    return PHC.context("int", 0, 0, one_bag_rules(p))[2]
+    return PHC.context(0, 0, one_bag_rules(p))[2]
 
 
 class TestGp:
@@ -59,7 +59,7 @@ class TestGp:
         p = Program.from_specs([(("b",), ("e",), ("d",)), (("d", "e"), ("b",), ())])
         b, e = p.atom_id("b"), p.atom_id("e")
         child = single_row_table(PhcRow(1 << e, 1 << e, (e,)))
-        out = table_dict(node_table(PHC, "int", PHC.context("int", b, b, one_bag_rules(p)), [child]))
+        out = table_dict(node_table(PHC, "int", PHC.context(b, b, one_bag_rules(p)), [child]))
         with_b = {row for row in out if row.interp == p.mask("be")}
         assert with_b == {
             PhcRow(p.mask("be"), 1 << e, (b, e)),
@@ -94,7 +94,7 @@ def single_row_table(row):
 class TestPhcTransitions:
     def test_introduce_without_rules(self):
         child = single_row_table(PhcRow(0, 0, ()))
-        out = table_dict(node_table(PHC, "int", PHC.context("int", 0, 0, []), [child]))
+        out = table_dict(node_table(PHC, "int", PHC.context(0, 0, []), [child]))
         assert set(out) == {PhcRow(0, 0, ()), PhcRow(1, 0, (0,))}
         assert all(origin == [(0,)] for origin in out.values())
 
@@ -103,7 +103,7 @@ class TestPhcTransitions:
         p = Program.from_specs([(("a", "b"), (), ())])
         a, b = p.atom_id("a"), p.atom_id("b")
         child = table_of([PhcRow(0, 0, ()), PhcRow(1 << a, 0, (a,))], [[()], [()]])
-        out = table_dict(node_table(PHC, "int", PHC.context("int", b, b, one_bag_rules(p)), [child]))
+        out = table_dict(node_table(PHC, "int", PHC.context(b, b, one_bag_rules(p)), [child]))
         interps = {row.interp for row in out}
         assert 0 not in interps
         assert interps == {p.mask("a"), p.mask("b"), p.mask("ab")}
@@ -121,7 +121,7 @@ class TestPhcTransitions:
             PhcRow(p.mask("ab"), 0, (b, a)),
         ]
         child = table_of(rows, [[()]] * 4)
-        out = table_dict(node_table(PHC, "rem", PHC.context("rem", a, a, []), [child]))
+        out = table_dict(node_table(PHC, "rem", PHC.context(a, a, []), [child]))
         assert set(out) == {PhcRow(0, 0, ()), PhcRow(1 << b, 1 << b, (b,))}
 
     def test_join_matches_interpretation_and_order(self):
@@ -166,7 +166,7 @@ class TestTightVariant:
     def test_single_fact(self):
         p = Program.from_specs([(("a",), (), ())])
         ntd = make_nice(decompose(primal_graph(p)))
-        ttd = run_dp(pipeline.pick_algorithm(p, "phc"), p, ntd)
+        ttd = run_dp(pipeline.pick_algorithm(classify(p), "phc"), p, ntd)
         assert has_solution(ttd)
         intro = [t for t in ttd.post_order if ttd.td.nodes[t].kind == "int"][0]
         rows = [PhcRow(ttd.decode(intro, r.interp), ttd.decode(intro, r.proven), r.order) for r in ttd.table(intro).rows]
@@ -191,7 +191,7 @@ class TestTightVariant:
 class TestSccLocal:
     def test_orderings_hold_only_cyclic_atoms(self):
         p = parse_program(helpers.WIDE_HCF_TEXT)
-        alg = pipeline.pick_algorithm(p)
+        alg = pipeline.pick_algorithm(classify(p))
         assert set(alg.components) == {p.atom_id(a) for a in ("x3", "x5", "x6")}
         ttd = run_dp(alg, p, make_nice(decompose(primal_graph(p))))
         assert check_row_invariants(ttd) == []
@@ -200,7 +200,7 @@ class TestSccLocal:
     def test_independent_components_never_interleave(self):
         # the constraint puts both two-cycles into one bag
         p = parse_program("a :- b. b :- a. c :- d. d :- c. a. c. :- not a, not b, not c, not d.")
-        ttd = run_dp(pipeline.pick_algorithm(p), p, make_nice(decompose(primal_graph(p))))
+        ttd = run_dp(pipeline.pick_algorithm(classify(p)), p, make_nice(decompose(primal_graph(p))))
         assert check_row_invariants(ttd) == []
 
     def test_wide_rule_fuzz_matches_oracle_under_three_decompositions(self):
@@ -232,7 +232,7 @@ class TestInvariants:
         for _ in range(60):
             p = helpers.random_mixed(rng, rng.randint(1, 7), rng.randint(1, 9), max_head=1)
             ntd = make_nice(decompose(primal_graph(p), "min-fill", 0))
-            for alg in (helpers.paper_phc(p.n_atoms), pipeline.pick_algorithm(p)):
+            for alg in (helpers.paper_phc(p.n_atoms), pipeline.pick_algorithm(classify(p))):
                 ttd = run_dp(alg, p, ntd)
                 assert check_row_invariants(ttd) == []
                 assert table_bound_ok(ttd)

@@ -6,10 +6,12 @@ import pytest
 import helpers
 import reference
 from paspc import engine, oracle, pipeline
-from paspc.decomposition import TreeDecomposition
+from paspc.decomposition import TreeDecomposition, decompose, make_nice, primal_graph
 from paspc.formats import parse_program
+from paspc.phc import PhcAlgorithm
 from paspc.pipeline import AlgorithmMismatchError, InvalidDecompositionError
-from paspc.program import Program
+from paspc.prim import DENSE_MAX_WIDTH, PrimAlgorithm, SparsePrimAlgorithm
+from paspc.program import Program, classify
 
 
 @pytest.fixture
@@ -122,6 +124,49 @@ class TestSuppliedDecomposition:
         td = TreeDecomposition([frozenset({0}), frozenset({1})], [(0, 1)])
         with pytest.raises(InvalidDecompositionError):
             pipeline.solve(p, algorithm="phc", td=td)
+
+
+class TestPickAlgorithm:
+    """``pick_algorithm`` is the one place that chooses a table form: from
+    the program's class, the requested algorithm and the decomposition's
+    width; ``run_dp`` runs the object it is given."""
+
+    CLASSES = {
+        "tight": "a :- not b. b :- not a.",
+        "head-cycle-free": "a :- b. b :- a. a :- not c. c :- not a.",
+        "disjunctive": helpers.HEAD_CYCLE_TEXT,
+    }
+
+    @pytest.mark.parametrize("width", (0, DENSE_MAX_WIDTH, DENSE_MAX_WIDTH + 1))
+    @pytest.mark.parametrize("requested", pipeline.ALGORITHMS)
+    @pytest.mark.parametrize("kind", CLASSES)
+    def test_form_by_class_request_and_width(self, kind, requested, width):
+        program_class = classify(parse_program(self.CLASSES[kind]))
+        assert program_class.kind.value == kind
+        if requested == "phc" and kind == "disjunctive":
+            with pytest.raises(AlgorithmMismatchError, match="phc requires a head-cycle-free program, got disjunctive"):
+                pipeline.pick_algorithm(program_class, requested, width)
+            return
+        alg = pipeline.pick_algorithm(program_class, requested, width)
+        if requested == "prim" or (requested == "auto" and kind == "disjunctive"):
+            want = PrimAlgorithm if width <= DENSE_MAX_WIDTH else SparsePrimAlgorithm
+        else:
+            want = PhcAlgorithm
+        assert type(alg) is want
+        # every form runs a decomposition of width 0
+        p = parse_program("a.")
+        assert engine.run_dp(alg, p, make_nice(decompose(primal_graph(p)))).alg is alg
+
+    def test_unknown_algorithm(self):
+        with pytest.raises(ValueError, match="unknown algorithm 'dlv'"):
+            pipeline.pick_algorithm(classify(helpers.example1()), "dlv", 0)
+
+    def test_a_program_is_classified_first(self):
+        # the one-argument form: the class-picked algorithm, at the bitset width
+        p = parse_program(helpers.HEAD_CYCLE_TEXT)
+        alg = pipeline.pick_algorithm(p)
+        assert type(alg) is PrimAlgorithm and len(alg.with_slot) == DENSE_MAX_WIDTH + 1
+        assert pipeline.pick_algorithm(helpers.example1()).components == classify(helpers.example1()).components
 
 
 class TestRowStats:

@@ -9,12 +9,13 @@ from paspc.decomposition import decompose, make_nice, primal_graph
 from paspc.engine import has_solution, run_dp
 from paspc.formats import parse_program
 from paspc.prim import DENSE_MAX_WIDTH, PrimAlgorithm, SparsePrimAlgorithm
-from paspc.program import Program, iter_bits, mask_of
+from paspc.program import Program, classify, iter_bits, mask_of
 from reference import PrimRow as DecodedRow, decoded_prim_row, reference_prim_tables
 
 
 def run(p):
-    return run_dp(PrimAlgorithm(), p, make_nice(decompose(primal_graph(p))))
+    nice = make_nice(decompose(primal_graph(p)))
+    return run_dp(pipeline.pick_algorithm(classify(p), "prim", nice.width), p, nice)
 
 
 class TestTransitions:
@@ -126,7 +127,8 @@ class TestAgainstReference:
     def test_decoded_tables_equal_reference(self):
         # rules of up to five atoms make bags of up to seven atoms; at width
         # 6 a counter bitset has 2^7 = 128 bits.  The sparse form runs on
-        # the same decompositions, below the width at which run_dp picks it.
+        # the same decompositions, below the width at which pick_algorithm
+        # picks it.
         rng = random.Random(7070)
         widest = 0
         for i in range(200):
@@ -137,7 +139,7 @@ class TestAgainstReference:
                 nice = make_nice(decompose(primal_graph(p), "min-fill", seed))
                 if nice.width > 6:
                     continue
-                ttd = run_dp(PrimAlgorithm(), p, nice)
+                ttd = run_dp(PrimAlgorithm(nice.width), p, nice)
                 assert_tables_equal_reference(ttd, p, (i, seed))
                 widest = max([widest] + [r.counters.bit_length() for t in ttd.post_order for r in ttd.table(t).rows])
                 assert_tables_equal_reference(run_dp(SparsePrimAlgorithm(), p, nice), p, (i, seed, "sparse"))
@@ -148,18 +150,21 @@ class TestAgainstReference:
         # traces print counters sorted by decoded atom mask in either form
         p = parse_program(helpers.HEAD_CYCLE_TEXT)
         nice = make_nice(decompose(primal_graph(p)))
-        dense, sparse = run_dp(PrimAlgorithm(), p, nice), run_dp(SparsePrimAlgorithm(), p, nice)
+        dense, sparse = run_dp(PrimAlgorithm(nice.width), p, nice), run_dp(SparsePrimAlgorithm(), p, nice)
         assert [format_table(dense, t) for t in dense.post_order] == [format_table(sparse, t) for t in sparse.post_order]
 
-    @pytest.mark.parametrize("n", [DENSE_MAX_WIDTH + 1, DENSE_MAX_WIDTH + 2, 27])
+    @pytest.mark.parametrize("n", [4, DENSE_MAX_WIDTH + 1, DENSE_MAX_WIDTH + 2, 27])
     def test_counter_form_follows_width(self, n):
         # bitsets up to DENSE_MAX_WIDTH, frozensets beyond: at width 26 a
-        # bitset row would cost 2^27 bits whatever its counters
+        # bitset row would cost 2^27 bits whatever its counters.  A bitset
+        # form holds B_s for the decomposition's slots only.
         p = exactly_one(n, head_cycle=True)
         result = pipeline.solve(p)
         assert result.stats.width == n - 1
         dense = n - 1 <= DENSE_MAX_WIDTH
-        assert isinstance(result.ttd.alg, PrimAlgorithm if dense else SparsePrimAlgorithm)
+        assert type(result.ttd.alg) is (PrimAlgorithm if dense else SparsePrimAlgorithm)
+        if dense:
+            assert len(result.ttd.alg.with_slot) == n
         assert result.count == n - 2
         assert_tables_equal_reference(result.ttd, p, (n,))
         if n <= 12:

@@ -405,8 +405,9 @@ class TestRunProj:
         """The seeded projection fuzz (``helpers.projection_fuzz``) through
         the table pass, purge and the projection pass."""
         for prim, p, pmask in helpers.projection_fuzz():
-            alg = PrimAlgorithm() if prim else helpers.paper_phc(max(p.n_atoms, 8))
-            ttd = run_dp(alg, p, make_nice(decompose(primal_graph(p))))
+            nice = make_nice(decompose(primal_graph(p)))
+            alg = PrimAlgorithm(nice.width) if prim else helpers.paper_phc(max(p.n_atoms, 8))
+            ttd = run_dp(alg, p, nice)
             purged = purge(ttd)
             yield alg, pmask, ttd, purged, run_proj(purged, pmask)
 
@@ -652,7 +653,8 @@ class TestRunProj:
         for _ in range(60):
             p = helpers.random_mixed(rng, rng.randint(1, 7), rng.randint(1, 9))
             pmask = helpers.random_projection(rng, p)
-            ttd = run_dp(PHC if _ % 2 else PrimAlgorithm(), p, make_nice(decompose(primal_graph(p))))
+            nice = make_nice(decompose(primal_graph(p)))
+            ttd = run_dp(PHC if _ % 2 else PrimAlgorithm(nice.width), p, nice)
             purged = purge(ttd)
             proj = run_proj(purged, pmask)
             for table in proj.tables:
