@@ -61,15 +61,17 @@ class SolveResult:
     td: TreeDecomposition
 
 
-def pick_algorithm(program_class: ProgramClass | Program, requested: str = "auto", width: int = DENSE_MAX_WIDTH):
+def pick_algorithm(program_class: ProgramClass | Program, requested: str = "auto", width: int | None = None):
     """The table form a solve runs, chosen here and nowhere else: ``phc``
     (SCC-local orderings, which stay empty on tight programs) unless the
     program is disjunctive, then ``prim``, whose counter sets are subset
     bitsets on decompositions of width up to ``DENSE_MAX_WIDTH`` and
-    frozensets on wider ones.  ``width`` is the nice decomposition's; the
-    default takes the bitset form, which runs any decomposition up to
-    ``DENSE_MAX_WIDTH``.  A ``Program`` is classified first, so
-    ``pick_algorithm(program)`` works as in ``bench/cliffs.py``."""
+    frozensets on wider ones.  ``width`` is the nice decomposition's.
+
+    ``bench/cliffs.py`` calls ``pick_algorithm(program)`` before it has a
+    decomposition, so a ``Program`` is classified first, and with no width
+    ``prim`` takes the frozenset form, which runs any width and builds the
+    same rows."""
     if requested not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {requested!r}")
     if isinstance(program_class, Program):
@@ -78,7 +80,7 @@ def pick_algorithm(program_class: ProgramClass | Program, requested: str = "auto
     if requested == "phc" and kind is ProgramKind.DISJUNCTIVE:
         raise AlgorithmMismatchError(f"phc requires a head-cycle-free program, got {kind.value}")
     if requested == "prim" or (requested == "auto" and kind is ProgramKind.DISJUNCTIVE):
-        return PrimAlgorithm(width) if width <= DENSE_MAX_WIDTH else SparsePrimAlgorithm()
+        return PrimAlgorithm(width) if width is not None and width <= DENSE_MAX_WIDTH else SparsePrimAlgorithm()
     return PhcAlgorithm(program_class.components)
 
 

@@ -214,7 +214,7 @@ def origin_fuzz():
         p = helpers.random_mixed(rng, rng.randint(6, 12), rng.randint(5, 11))
         nice = make_nice(decompose(primal_graph(p)))
         if classify(p).kind is not ProgramKind.DISJUNCTIVE:
-            yield "phc", run_dp(pipeline.pick_algorithm(classify(p), "phc"), p, nice)
+            yield "phc", run_dp(pipeline.pick_algorithm(classify(p), "phc", nice.width), p, nice)
             yield "paper phc", run_dp(helpers.paper_phc(p.n_atoms), p, nice)
         yield "prim bitsets", run_dp(PrimAlgorithm(nice.width), p, nice)
         yield "prim frozensets", run_dp(SparsePrimAlgorithm(), p, nice)
@@ -420,7 +420,7 @@ def memo_fuzz():
     for p in programs:
         nice = make_nice(decompose(primal_graph(p)))
         if classify(p).kind is not ProgramKind.DISJUNCTIVE:
-            yield "phc", run_dp(pipeline.pick_algorithm(classify(p), "phc"), p, nice)
+            yield "phc", run_dp(pipeline.pick_algorithm(classify(p), "phc", nice.width), p, nice)
             yield "paper phc", run_dp(helpers.paper_phc(p.n_atoms), p, nice)
         yield "prim bitsets", run_dp(PrimAlgorithm(nice.width), p, nice)
         yield "prim frozensets", run_dp(SparsePrimAlgorithm(), p, nice)

@@ -166,7 +166,7 @@ class TestTightVariant:
     def test_single_fact(self):
         p = Program.from_specs([(("a",), (), ())])
         ntd = make_nice(decompose(primal_graph(p)))
-        ttd = run_dp(pipeline.pick_algorithm(classify(p), "phc"), p, ntd)
+        ttd = run_dp(pipeline.pick_algorithm(classify(p), "phc", ntd.width), p, ntd)
         assert has_solution(ttd)
         intro = [t for t in ttd.post_order if ttd.td.nodes[t].kind == "int"][0]
         rows = [PhcRow(ttd.decode(intro, r.interp), ttd.decode(intro, r.proven), r.order) for r in ttd.table(intro).rows]
@@ -191,16 +191,18 @@ class TestTightVariant:
 class TestSccLocal:
     def test_orderings_hold_only_cyclic_atoms(self):
         p = parse_program(helpers.WIDE_HCF_TEXT)
-        alg = pipeline.pick_algorithm(classify(p))
+        nice = make_nice(decompose(primal_graph(p)))
+        alg = pipeline.pick_algorithm(classify(p), "auto", nice.width)
         assert set(alg.components) == {p.atom_id(a) for a in ("x3", "x5", "x6")}
-        ttd = run_dp(alg, p, make_nice(decompose(primal_graph(p))))
+        ttd = run_dp(alg, p, nice)
         assert check_row_invariants(ttd) == []
         assert max(len(ttd.table(t)) for t in ttd.post_order) < 180
 
     def test_independent_components_never_interleave(self):
         # the constraint puts both two-cycles into one bag
         p = parse_program("a :- b. b :- a. c :- d. d :- c. a. c. :- not a, not b, not c, not d.")
-        ttd = run_dp(pipeline.pick_algorithm(classify(p)), p, make_nice(decompose(primal_graph(p))))
+        nice = make_nice(decompose(primal_graph(p)))
+        ttd = run_dp(pipeline.pick_algorithm(classify(p), "auto", nice.width), p, nice)
         assert check_row_invariants(ttd) == []
 
     def test_wide_rule_fuzz_matches_oracle_under_three_decompositions(self):
@@ -232,7 +234,7 @@ class TestInvariants:
         for _ in range(60):
             p = helpers.random_mixed(rng, rng.randint(1, 7), rng.randint(1, 9), max_head=1)
             ntd = make_nice(decompose(primal_graph(p), "min-fill", 0))
-            for alg in (helpers.paper_phc(p.n_atoms), pipeline.pick_algorithm(classify(p))):
+            for alg in (helpers.paper_phc(p.n_atoms), pipeline.pick_algorithm(classify(p), "auto", ntd.width)):
                 ttd = run_dp(alg, p, ntd)
                 assert check_row_invariants(ttd) == []
                 assert table_bound_ok(ttd)

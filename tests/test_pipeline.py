@@ -6,6 +6,7 @@ import pytest
 import helpers
 import reference
 from paspc import engine, oracle, pipeline
+from paspc.cli import format_table
 from paspc.decomposition import TreeDecomposition, decompose, make_nice, primal_graph
 from paspc.formats import parse_program
 from paspc.phc import PhcAlgorithm
@@ -161,12 +162,20 @@ class TestPickAlgorithm:
         with pytest.raises(ValueError, match="unknown algorithm 'dlv'"):
             pipeline.pick_algorithm(classify(helpers.example1()), "dlv", 0)
 
-    def test_a_program_is_classified_first(self):
-        # the one-argument form: the class-picked algorithm, at the bitset width
-        p = parse_program(helpers.HEAD_CYCLE_TEXT)
-        alg = pipeline.pick_algorithm(p)
-        assert type(alg) is PrimAlgorithm and len(alg.with_slot) == DENSE_MAX_WIDTH + 1
-        assert pipeline.pick_algorithm(helpers.example1()).components == classify(helpers.example1()).components
+    @pytest.mark.parametrize("n", (3, DENSE_MAX_WIDTH + 2))
+    def test_a_program_alone_runs_at_any_width(self, n):
+        # bench/cliffs.py calls pick_algorithm(program) before it has a
+        # decomposition; one-of-n with a head cycle is disjunctive and has
+        # width n - 1, on each side of DENSE_MAX_WIDTH
+        atoms = [f"a{i}" for i in range(1, n + 1)]
+        pairs = "".join(f":- {a}, {b}.\n" for i, a in enumerate(atoms) for b in atoms[i + 1 :])
+        p = parse_program(" | ".join(atoms) + ".\n" + pairs + "a1 :- a2. a2 :- a1.\n")
+        result = pipeline.solve(p)
+        assert result.stats.width == n - 1
+        ttd = engine.run_dp(pipeline.pick_algorithm(p), p, result.ttd.td)
+        assert [format_table(ttd, t) for t in ttd.post_order] == [
+            format_table(result.ttd, t) for t in result.ttd.post_order
+        ]
 
 
 class TestRowStats:
