@@ -17,14 +17,13 @@ import resource
 import sys
 import time
 from functools import partial
-from typing import Callable
 
 from . import formats, oracle
 from .engine import PurgedTables, TabledTreeDecomposition
 from .phc import PhcRow
 from .pipeline import ALGORITHMS, AlgorithmMismatchError, InvalidDecompositionError, solve
 from .prim import PrimRow
-from .program import Program, iter_bits
+from .program import iter_bits
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -178,19 +177,24 @@ def format_table(ttd: TabledTreeDecomposition, t: int, purged: PurgedTables | No
         rows, origins = purged.rows[t], purged_origins(purged, t)
     names = ",".join(sorted(ttd.program.atom_names[a] for a in nd.bag))
     lines = [f"node {t} kind={nd.kind} bag={{{names}}} rows={len(rows)}"]
-    decode = partial(ttd.decode, t)
     for i, row in enumerate(rows):
-        lines.append(f"  {i}: {_format_row(row, ttd.program, decode)} origins={origins[i]}")
+        lines.append(f"  {i}: {_format_row(row, ttd, t)} origins={origins[i]}")
     return "\n".join(lines)
 
 
-def _format_row(row: PhcRow | PrimRow, program: Program, decode: Callable[[int], int]) -> str:
-    """A row with atom names for slots; a ``prim`` row lists its counter
+def _format_row(row: PhcRow | PrimRow, ttd: TabledTreeDecomposition, t: int) -> str:
+    """A row of node t with atom names for slots.  A ``phc`` ordering lists
+    its atoms by (component id, rank); a ``prim`` row lists its counter
     subsets sorted by decoded atom mask."""
+    program = ttd.program
+    decode = partial(ttd.decode, t)
     if isinstance(row, PhcRow):
         i = ",".join(program.names(decode(row.interp)))
         p = ",".join(program.names(decode(row.proven)))
-        s = ",".join(program.atom_names[a] for a in row.order)
+        atom_at = {ttd.slots[a]: a for a in ttd.td.nodes[t].bag}
+        comp = ttd.alg.components  # type: ignore[attr-defined]
+        ordered = sorted((comp[atom_at[s]], r, atom_at[s]) for s, r in row.order)
+        s = ",".join(program.atom_names[a] for _, _, a in ordered)
         return f"I={{{i}}} P={{{p}}} s=<{s}>"
     # the bitset form keeps counters as subset bits, the sparse form as masks
     counters = iter_bits(row.counters) if isinstance(row.counters, int) else row.counters

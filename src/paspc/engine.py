@@ -48,19 +48,23 @@ algorithm's constant ``solution_row``.
 
 A node's table is a function of its kind, its context and its child row
 lists.  The algorithm's ``context`` states everything an introduce or
-remove node reads of its atom, slot and entering rules; a leaf's context is
-whether the atomless rules hold, and a join's is None.  The generators read
-only the context, the child rows and an algorithm object that a solve never
-changes, and ``node_table`` builds each table from exactly that context, so
-the context is also the memo key.  Pooled rows make row lists cheap to
-compare: equal rows are one object, so ``run_dp`` names each distinct row
-list by a small int, looked up by the tuple of its rows' ids, which stay
-valid because the pool keeps every row alive while it runs.  A memo, local
-to the call, maps (kind, context, child row-list ids) to the table built
-for them, and a node whose key equals an earlier node's takes that table
-object instead of building its own: nodes of equal inputs share one
-read-only ``NodeTable``.  ``built_tables`` counts the tables built; every
-other count is per node, shared table or not.
+remove node reads of its atom, its entering rules and its bag, given the
+solve's slots; a leaf's context is whether the atomless rules hold, and a
+join's is None.  Both table forms state it in slots and slot masks only,
+never in atom ids, so nodes whose atoms differ only in name share a
+context: ``prim`` its atom's slot and its rules' masks, ``phc`` also the
+slots that its orderings and proofs compare (see ``phc``).  The generators
+read only the context, the child rows and an algorithm object that a solve
+never changes, and ``node_table`` builds each table from exactly that
+context, so the context is also the memo key.  Pooled rows make row
+lists cheap to compare: equal rows are one object, so ``run_dp`` names
+each distinct row list by a small int, looked up by the tuple of its rows'
+ids, which stay valid because the pool keeps every row alive while it
+runs.  A memo, local to the call, maps (kind, context, child row-list ids)
+to the table built for them, and a node whose key equals an earlier node's
+takes that table object instead of building its own: nodes of equal inputs
+share one read-only ``NodeTable``.  ``built_tables`` counts the tables
+built; every other count is per node, shared table or not.
 """
 
 from __future__ import annotations
@@ -110,9 +114,11 @@ class TableAlgorithm(Protocol):
     name: str
     solution_row: Any
 
-    def context(self, atom: int, slot: int, rules: Sequence[BagRule]) -> Hashable:
+    def context(self, atom: int, rules: Sequence[BagRule], bag: Iterable[int], slots: Sequence[int]) -> Hashable:
         """What the generator of an introduce or remove node reads of the
-        node's atom, slot and entering rules, as one hashable value."""
+        node's atom, its entering rules and its bag, as one hashable value.
+        ``slots`` gives each atom's slot; a context that names slots rather
+        than atom ids lets nodes whose atoms differ only in name share."""
         ...
 
     def introduce(self, ctx: Any, child_rows: Sequence[Any]) -> Iterator[tuple[Any, int]]: ...
@@ -212,25 +218,30 @@ def bag_rule(r: Rule, slots: Sequence[int]) -> BagRule:
 
 def entering_rules(program: Program, td: NiceTreeDecomposition, slots: Sequence[int]) -> list[Sequence[BagRule]]:
     """Per node, the rules that fit its bag but not its child's: at a leaf the
-    atomless rules, at an introduce node the rules of its atom that fit the
-    bag, and none at remove and join nodes.  Each rule is translated to slot
-    masks once, however many nodes it enters at."""
-    rules_by_atom: dict[int, list[tuple[BagRule, tuple[int, ...]]]] = {}
-    atomless = []
+    atomless rules (one list that all leaves share), at an introduce node
+    the rules of its atom that fit the bag, in program order, and none at
+    remove and join nodes.  Each rule is translated to slot masks once and
+    finds its own entering nodes: the introduce nodes of its atoms whose
+    bags hold all of its atoms."""
+    out: list[Sequence[BagRule]] = [()] * len(td.nodes)
+    atomless: list[BagRule] = []
+    # per atom, (entering list, bag) of each of its introduce nodes
+    intro: dict[int, list[tuple[list[BagRule], frozenset[int]]]] = {}
+    for t, nd in enumerate(td.nodes):
+        if nd.kind == INTRODUCE:
+            out[t] = entering = []
+            intro.setdefault(nd.atom, []).append((entering, nd.bag))  # type: ignore[arg-type]
+        elif nd.kind == LEAF:
+            out[t] = atomless
     for r in program.rules:
         br = bag_rule(r, slots)
-        atoms = r.head + r.pos_body + r.neg_body
+        atoms = {*r.head, *r.pos_body, *r.neg_body}
         if not atoms:
             atomless.append(br)
-        for a in set(atoms):
-            rules_by_atom.setdefault(a, []).append((br, atoms))
-
-    out: list[Sequence[BagRule]] = [()] * len(td.nodes)
-    for t, nd in enumerate(td.nodes):
-        if nd.kind == LEAF:
-            out[t] = atomless
-        elif nd.kind == INTRODUCE:
-            out[t] = [br for br, atoms in rules_by_atom.get(nd.atom, ()) if nd.bag.issuperset(atoms)]  # type: ignore[arg-type]
+        for a in atoms:
+            for entering, bag in intro.get(a, ()):
+                if atoms <= bag:
+                    entering.append(br)
     return out
 
 
@@ -301,7 +312,7 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
             ctx = None
             key = kind, ctx, lists[children[0]], lists[children[1]]
         elif children:
-            ctx = context(nd.atom, slots[nd.atom], rules[t])  # type: ignore[index]
+            ctx = context(nd.atom, rules[t], nd.bag, slots)
             key = kind, ctx, lists[children[0]]
         else:
             ctx = is_model(0, rules[t])

@@ -32,7 +32,7 @@ counters cost.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterator, NamedTuple, Sequence
+from typing import Any, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .engine import BagRule, rule_masks
 from .program import is_model, iter_bits
@@ -70,11 +70,11 @@ class PrimAlgorithm:
         return row.witness
 
     @staticmethod
-    def context(atom: int, slot: int, rules: Sequence[BagRule]) -> Hashable:
-        """The slot and the rules' slot masks: the generators read rules
-        only through those masks, and atoms only through their slots, one
-        per atom in a solve."""
-        return slot, tuple(map(rule_masks, rules))
+    def context(atom: int, rules: Sequence[BagRule], bag: Iterable[int], slots: Sequence[int]) -> Hashable:
+        """The atom's slot and the rules' slot masks: the generators read
+        rules only through those masks, and atoms only through their slots,
+        one per atom in a solve.  The rest of the bag adds nothing."""
+        return slots[atom], tuple(map(rule_masks, rules))
 
     def introduce(self, ctx: tuple, child_rows: Sequence[PrimRow]) -> Iterator[tuple[PrimRow, int]]:
         new_row = tuple.__new__

@@ -66,7 +66,9 @@ memo keeps a plan only if a later node has the same table (shared by
 
 A node keeps per kept row its bucket and its bit there, the arrays of its
 plan, which the nodes of one plan share, and per bucket its count array,
-whose length 2^|b| gives the bucket's size.  A one-row bucket's array is
+whose length 2^|b| gives the bucket's size.  Where every bucket has one
+row, every bit is 0, and the plans of all such nodes share one all-zero
+tuple per table length as their bits.  A one-row bucket's array is
 the tuple ``(0, count)``, one per count over the whole pass, shared by
 every one-row bucket of that count; every other bucket owns its list.
 Plans, bucket maps and count arrays are read-only.
@@ -89,7 +91,7 @@ class NodeCounts:
     share its ``bucket_of`` and ``pos_in_bucket``."""
 
     bucket_of: list[int]  # per table row, kept rows only: its bucket id
-    pos_in_bucket: list[int]  # per table row, kept rows only: its bit in the bucket's masks
+    pos_in_bucket: Sequence[int]  # per table row, kept rows only: its bit in the bucket's masks
     pcnts: list[Sequence[int]]  # per bucket, by local row mask: projected counts
 
 
@@ -292,7 +294,7 @@ class _Plan:
     """What one node's shape fixes (see the module docstring)."""
 
     bucket_of: list[int]  # per table row, kept rows only: its bucket id
-    pos_in_bucket: list[int]  # per table row, kept rows only: its bit in the bucket's masks
+    pos_in_bucket: Sequence[int]  # per table row, kept rows only: its bit in the bucket's masks
     reads: list[int | tuple]  # per bucket: a one-row child bucket's index, or a tuple
     entries: int  # sum of 2^|b| - 1 over the node's buckets b
     max_bucket: int  # rows of its largest bucket
@@ -310,13 +312,23 @@ def _plan(
     smask: int,
     interp: Callable[[Any], int],
     children: Sequence[NodeCounts],
+    zeros: dict[int, tuple[int, ...]],
 ) -> _Plan:
     """Node t's plan: its kept rows bucketed by ``smask``, and each bucket's
-    reads of its children's count arrays.  A bucket whose subset masks are
+    reads of its children's count arrays.  A plan whose buckets all have
+    one row takes ``zeros``' all-zero tuple of its table's length as its
+    ``pos_in_bucket``, made on first need.  A bucket whose subset masks are
     too large to allocate raises ``MemoryError`` naming it."""
     partition = buckets(map(interp, map(tab.rows.__getitem__, kept)), smask)
-    bucket_of = [0] * len(tab.rows)
-    pos_in_bucket = [0] * len(tab.rows)
+    n = len(tab.rows)
+    bucket_of = [0] * n
+    pos_in_bucket: Sequence[int]
+    if len(partition) < len(kept):  # some bucket has several rows
+        pos_in_bucket = [0] * n
+    elif n in zeros:
+        pos_in_bucket = zeros[n]
+    else:
+        pos_in_bucket = zeros[n] = (0,) * n
     plan = _Plan(bucket_of, pos_in_bucket, [0] * len(partition), len(partition), min(len(partition), 1))
     first, more, split = tab.first, tab.more, tab.stride
     arity = len(children)
@@ -345,7 +357,8 @@ def _plan(
             rows = [kept[u] for u in bucket]
             for pos, j in enumerate(rows):
                 bucket_of[j] = bi
-                pos_in_bucket[j] = pos
+                if pos:  # only a bucket of several rows has a nonzero bit
+                    pos_in_bucket[j] = pos  # type: ignore[index]
             plan.entries += (1 << len(rows)) - 2  # beyond its one entry, counted with the buckets
             plan.max_bucket = max(plan.max_bucket, len(rows))
             try:
@@ -396,12 +409,15 @@ def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
     nodes: list[NodeCounts] = [None] * len(td.nodes)  # type: ignore[list-item]
     smasks = [0] * len(td.nodes)  # per node: its projected slot mask
     n_buckets = max_bucket = entries = n_plans = 0
-    # for this pass only: per node shape, its plan, and per count the shared
-    # one-row array.  A shape is keyed by the objects that fix it, the node's
-    # (table, kept list, slot mask) followed by each child's: a table is
-    # hashed and compared by identity, a kept list by its ints
+    # for this pass only: per node shape, its plan, per count the shared
+    # one-row array, and per table length the all-zero ``pos_in_bucket``
+    # that plans of one-row buckets share.  A shape is keyed by the objects
+    # that fix it, the node's (table, kept list, slot mask) followed by each
+    # child's: a table is hashed and compared by identity, a kept list by
+    # its ints
     plans: dict[tuple, _Plan] = {}
     one_row: dict[int, tuple[int, int]] = {}
+    zeros: dict[int, tuple[int, ...]] = {}
     kept_of = purged.kept
     # per table, the last node that has it: only a plan whose table a later
     # node has can be read again, so only such plans are kept
@@ -426,7 +442,7 @@ def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
             key = tab, kept, smask
         plan = plans.get(key)
         if plan is None:
-            plan = _plan(t, nd.kind, tab, kept, smask, interp, [nodes[c] for c in children])
+            plan = _plan(t, nd.kind, tab, kept, smask, interp, [nodes[c] for c in children], zeros)
             n_plans += 1
             if last_node[tab] != t:
                 plans[key] = plan

@@ -3,14 +3,16 @@ formulas of the projection pass, the union-count transform of a bucket's
 intersection counts, a node's bucket members rebuilt from the pass's
 per-row bucket ids and bits, tables built from and read as lists of origin
 tuples, the engine's origin links as row tuples and their definitional
-recomputation, structural row checks on decoded rows, the ``prim`` table
-algorithm with counter sets as frozensets of atom masks, the positive
-dependency digraph as an edge set with its reachability closure, the primal
-graph built edge by edge, the first elimination-ordering decomposition, the
-structural check of the nice shape, and the brute-force oracle that builds
-every interpretation's reduct before checking it.
+recomputation, each node's entering rules found node by node, structural
+row checks on decoded rows, the ``prim`` table algorithm with counter sets
+as frozensets of atom masks, the positive dependency digraph as an edge set
+with its reachability closure, the primal graph built edge by edge, the
+first elimination-ordering decomposition, the structural check of the nice
+shape, and the brute-force oracle that builds every interpretation's reduct
+before checking it.
 The library computes the same quantities bucket-wise (``paspc.proj``),
-records them during the table pass as ints (``paspc.engine``), encodes rows
+records them during the table pass as ints and finds each rule's entering
+nodes from the rule (``paspc.engine``), encodes rows
 in bag slots with counter sets as subset bitsets (``paspc.prim``), builds
 both program graphs on atom-indexed lists (``paspc.program``,
 ``paspc.decomposition``), selects and links bags with cheaper structures,
@@ -179,6 +181,31 @@ def union_counts(vals: Sequence[int], b: int) -> list[int]:
 # --- engine: origins as lists and rows, scopes and origin verification ------
 
 
+def reference_entering_rules(
+    program: Program, td: NiceTreeDecomposition, slots: Sequence[int]
+) -> list[Sequence[BagRule]]:
+    """``engine.entering_rules`` found node by node: the rules grouped by
+    atom, and every introduce node scanning all rules of its atom for those
+    that fit its bag."""
+    rules_by_atom: dict[int, list[tuple[BagRule, tuple[int, ...]]]] = {}
+    atomless = []
+    for r in program.rules:
+        br = bag_rule(r, slots)
+        atoms = r.head + r.pos_body + r.neg_body
+        if not atoms:
+            atomless.append(br)
+        for a in set(atoms):
+            rules_by_atom.setdefault(a, []).append((br, atoms))
+
+    out: list[Sequence[BagRule]] = [()] * len(td.nodes)
+    for t, nd in enumerate(td.nodes):
+        if nd.kind == LEAF:
+            out[t] = atomless
+        elif nd.kind == INTRODUCE:
+            out[t] = [br for br, atoms in rules_by_atom.get(nd.atom, ()) if nd.bag.issuperset(atoms)]  # type: ignore[arg-type]
+    return out
+
+
 def table_of(rows: list, origins: Sequence[Sequence[tuple[int, ...]]]) -> NodeTable:
     """A table of the given rows whose origins decode to the given lists of
     child-index tuples (``NodeTable.origins``).  The tuples' length is the
@@ -199,13 +226,13 @@ def table_dict(tab: NodeTable) -> dict[Any, list[tuple[int, ...]]]:
 def node_context(ttd: TabledTreeDecomposition, t: int, rules: Sequence[BagRule]) -> Any:
     """The context that ``run_dp`` builds node t's table from, given the
     node's entering rules: at a leaf whether they hold, at a join None, and
-    elsewhere the algorithm's ``context`` of the node's atom and slot."""
+    elsewhere the algorithm's ``context`` of the node's atom and bag."""
     nd = ttd.td.nodes[t]
     if nd.kind == LEAF:
         return is_model(0, rules)
     if nd.kind == JOIN:
         return None
-    return ttd.alg.context(nd.atom, ttd.slots[nd.atom], rules)
+    return ttd.alg.context(nd.atom, rules, nd.bag, ttd.slots)
 
 
 def origins(ttd: TabledTreeDecomposition, t: int, row: Any) -> set[tuple]:
@@ -296,12 +323,15 @@ def verify_origins(ttd: TabledTreeDecomposition) -> list[str]:
 def check_row_invariants(ttd: TabledTreeDecomposition) -> list[str]:
     """Structural row checks used by fuzz tests, on rows decoded to atom
     masks: proven within interpretation within bag, and for ``phc`` the
-    ordering enumerating exactly the true cyclic atoms, grouped by
-    component."""
+    ordering, decoded from (slot, rank) pairs through the node's slots,
+    enumerating exactly the true cyclic atoms once each, ascending by slot,
+    with the ranks of each component's atoms exactly 0..k-1."""
     problems = []
     comp = ttd.alg.components if isinstance(ttd.alg, PhcAlgorithm) else None
     for t in ttd.post_order:
-        bag_slots = sum(1 << ttd.slots[a] for a in ttd.td.nodes[t].bag)
+        bag = ttd.td.nodes[t].bag
+        bag_slots = sum(1 << ttd.slots[a] for a in bag)
+        atom_at = {ttd.slots[a]: a for a in bag}
         for row in ttd.table(t).rows:
             interp, proven = ttd.decode(t, row.interp), ttd.decode(t, row.proven)
             if (row.interp | row.proven) & ~bag_slots:
@@ -310,10 +340,16 @@ def check_row_invariants(ttd: TabledTreeDecomposition) -> list[str]:
                 problems.append(f"node {t}: proven atom outside interpretation")
             if comp is not None:
                 cyclic = {a for a in ids_of(interp) if a in comp}
-                if len(set(row.order)) != len(row.order) or set(row.order) != cyclic:
+                order_slots = [s for s, _ in row.order]
+                atoms = [atom_at.get(s) for s in order_slots]
+                if order_slots != sorted(set(order_slots)) or set(atoms) != cyclic:
                     problems.append(f"node {t}: ordering does not enumerate the true cyclic atoms")
-                elif [comp[a] for a in row.order] != sorted(comp[a] for a in row.order):
-                    problems.append(f"node {t}: ordering not grouped by component")
+                    continue
+                ranks: dict[int, list[int]] = {}
+                for a, (_, r) in zip(atoms, row.order):
+                    ranks.setdefault(comp[a], []).append(r)
+                if any(sorted(rs) != list(range(len(rs))) for rs in ranks.values()):
+                    problems.append(f"node {t}: ranks of a component are not 0..k-1")
     return problems
 
 

@@ -49,7 +49,7 @@ def test_criterion_1_running_example_counts(example1):
 
 def test_criterion_2_printed_table_values():
     # single-child node over one two-row bucket: all three entries store 1
-    rows = [PhcRow(0, 0, ()), PhcRow(1, 0, (0,))]
+    rows = [PhcRow(0, 0, ()), PhcRow(1, 0, ((0, 0),))]
     table = reference_proj_table(
         "int", rows, PHC.interp, 0b10, [[(0,)], [(0,)]], [{frozenset({0}): 1}], [{0: 0}]
     )

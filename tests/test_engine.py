@@ -21,6 +21,7 @@ from reference import (
     node_scope,
     origins,
     origins_table,
+    reference_entering_rules,
     table_dict,
     table_of,
     verify_origins,
@@ -132,6 +133,21 @@ class TestBagPrograms:
         want = {Rule(tuple(sorted((d, e))), (b,), ()), Rule((b,), (e,), (d,))}
         assert {r.source for r in rules[ids["t8"]]} == want
 
+    def test_entering_rules_match_the_node_by_node_search(self):
+        # per node the same rules, in the same (program) order, as the
+        # search that scans every rule of an introduce node's atom there;
+        # the fuzz programs hold atoms in the head and the body of one rule
+        # and atoms introduced below several joins, the last one an
+        # atomless rule
+        programs = [p for _, p, _ in helpers.projection_fuzz()] + list(helpers.overlap_fuzz())
+        programs.append(parse_program(helpers.disjunctive_chain(4, 3)))
+        programs.append(Program.from_specs([((), (), ()), (("a",), (), ("b",)), (("b",), (), ("a",))]))
+        for p in programs:
+            for heuristic, seed in (("min-fill", 0), ("min-degree", 1)):
+                td = make_nice(decompose(primal_graph(p), heuristic, seed))
+                slots = assign_slots(td, p.n_atoms, td.post_order())
+                assert entering_rules(p, td, slots) == reference_entering_rules(p, td, slots)
+
     def test_scope_at_root_is_whole_program(self, example1_td):
         program, ids, ttd = run_example1(example1_td)
         scope = node_scope(ttd, ids["t14"])
@@ -153,7 +169,7 @@ class TestOrigins:
     def test_missing_row_raises(self, example1_td):
         program, ids, ttd = run_example1(example1_td)
         with pytest.raises(KeyError):
-            origins(ttd, ids["t1"], PhcRow(1, 0, (0,)))
+            origins(ttd, ids["t1"], PhcRow(1, 0, ((0, 0),)))
 
     def test_remove_origins_satisfy_guard(self, example1_td):
         program, ids, ttd = run_example1(example1_td)

@@ -1,5 +1,8 @@
 import math
 import random
+from pathlib import Path
+
+import pytest
 
 import helpers
 from paspc import engine, oracle, pipeline
@@ -25,16 +28,28 @@ def one_bag_rules(p):
     return [bag_rule(r, range(p.n_atoms)) for r in p.rules]
 
 
+def one_bag_context(p, atom, rules):
+    """PHC's context of the given atom and rules in that one bag."""
+    return PHC.context(atom, rules, range(p.n_atoms), range(p.n_atoms))
+
+
 def one_bag_gp_rules(p):
     """``one_bag_rules`` as ``gp`` reads them, from PHC's context."""
-    return PHC.context(0, 0, one_bag_rules(p))[2]
+    return one_bag_context(p, 0, one_bag_rules(p))[3]
+
+
+def ranked(*atoms):
+    """The paper PHC's ordering of the given atoms, in that order, in the one
+    bag: every atom is in one component, so an atom's rank is its
+    position, and atom a is in slot a."""
+    return tuple(sorted((a, i) for i, a in enumerate(atoms)))
 
 
 class TestGp:
     def test_fact_disjunction_proves_only_chosen_atom(self):
         p = Program.from_specs([(("a", "b"), (), ())])
         b = p.atom_id("b")
-        got = gp(p.mask("b"), (b,), one_bag_gp_rules(p))
+        got = gp(p.mask("b"), ranked(b), one_bag_gp_rules(p))
         assert got == p.mask("b")
 
     def test_ordering_blocks_proof(self):
@@ -43,7 +58,7 @@ class TestGp:
         p = Program.from_specs([(("b",), ("e",), ("d",)), (("d", "e"), ("b",), ())])
         b, e = p.atom_id("b"), p.atom_id("e")
         interp = p.mask("be")
-        assert gp(interp, (b, e), one_bag_gp_rules(p)) == p.mask("e")
+        assert gp(interp, ranked(b, e), one_bag_gp_rules(p)) == p.mask("e")
 
     def test_ordering_enables_proof(self):
         # under <e,b> the body atom e precedes b, so b becomes provable;
@@ -51,40 +66,51 @@ class TestGp:
         p = Program.from_specs([(("b",), ("e",), ("d",)), (("d", "e"), ("b",), ())])
         b, e = p.atom_id("b"), p.atom_id("e")
         interp = p.mask("be")
-        assert gp(interp, (e, b), one_bag_gp_rules(p)) == p.mask("b")
+        assert gp(interp, ranked(e, b), one_bag_gp_rules(p)) == p.mask("b")
 
     def test_accumulated_proofs_complete_the_row(self):
         # a child row that already proved e splits on the two insertions of
         # b: only the ordering putting e first proves b as well
         p = Program.from_specs([(("b",), ("e",), ("d",)), (("d", "e"), ("b",), ())])
         b, e = p.atom_id("b"), p.atom_id("e")
-        child = single_row_table(PhcRow(1 << e, 1 << e, (e,)))
-        out = table_dict(node_table(PHC, "int", PHC.context(b, b, one_bag_rules(p)), [child]))
+        child = single_row_table(PhcRow(1 << e, 1 << e, ranked(e)))
+        out = table_dict(node_table(PHC, "int", one_bag_context(p, b, one_bag_rules(p)), [child]))
         with_b = {row for row in out if row.interp == p.mask("be")}
         assert with_b == {
-            PhcRow(p.mask("be"), 1 << e, (b, e)),
-            PhcRow(p.mask("be"), p.mask("be"), (e, b)),
+            PhcRow(p.mask("be"), 1 << e, ranked(b, e)),
+            PhcRow(p.mask("be"), p.mask("be"), ranked(e, b)),
         }
 
 
 class TestOrds:
     """Insertions of an introduced cyclic atom into an ordering of three
-    components (ids 0, 2, 4), grouped by component id: only the atom's own
-    block changes."""
+    components (ids 0, 2, 4): only the ranks in the atom's own component
+    change.  ``orders`` introduces the atom into a bag of the ordered atoms,
+    atom a in slot a, and lists each ordering it yields with the atom true
+    as atom ids by (component id, rank), the form the trace dumps print."""
 
     ALG = PhcAlgorithm({1: 0, 3: 0, 0: 2, 2: 2, 4: 2, 6: 3, 5: 4})
     ORDER = (1, 0, 2, 5)
 
+    def orders(self, order, atom):
+        comp = self.ALG.components
+        # each listed atom's rank among the atoms of its component listed before it
+        slot_form = tuple(sorted((a, sum(comp[b] == comp[a] for b in order[:i])) for i, a in enumerate(order)))
+        ctx = self.ALG.context(atom, [], (*order, atom), range(8))
+        rows = [row for row, _ in self.ALG.introduce(ctx, [PhcRow(mask_of(order), 0, slot_form)])]
+        with_atom = [row.order for row in rows if row.interp >> atom & 1]
+        return [tuple(s for _, _, s in sorted((comp[s], r, s) for s, r in order)) for order in with_atom]
+
     def test_empty_block(self):
         # component 3 has no ordered atom yet: one position, between 2 and 4
-        assert self.ALG._orders(self.ORDER, 6) == [(1, 0, 2, 6, 5)]
-        assert self.ALG._orders((), 6) == [(6,)]
+        assert self.orders(self.ORDER, 6) == [(1, 0, 2, 6, 5)]
+        assert self.orders((), 6) == [(6,)]
 
     def test_two_positions(self):
-        assert self.ALG._orders(self.ORDER, 3) == [(3, 1, 0, 2, 5), (1, 3, 0, 2, 5)]
+        assert self.orders(self.ORDER, 3) == [(3, 1, 0, 2, 5), (1, 3, 0, 2, 5)]
 
     def test_three_positions(self):
-        assert self.ALG._orders(self.ORDER, 4) == [(1, 4, 0, 2, 5), (1, 0, 4, 2, 5), (1, 0, 2, 4, 5)]
+        assert self.orders(self.ORDER, 4) == [(1, 4, 0, 2, 5), (1, 0, 4, 2, 5), (1, 0, 2, 4, 5)]
 
 
 def single_row_table(row):
@@ -94,16 +120,16 @@ def single_row_table(row):
 class TestPhcTransitions:
     def test_introduce_without_rules(self):
         child = single_row_table(PhcRow(0, 0, ()))
-        out = table_dict(node_table(PHC, "int", PHC.context(0, 0, []), [child]))
-        assert set(out) == {PhcRow(0, 0, ()), PhcRow(1, 0, (0,))}
+        out = table_dict(node_table(PHC, "int", PHC.context(0, [], (0,), range(8)), [child]))
+        assert set(out) == {PhcRow(0, 0, ()), PhcRow(1, 0, ranked(0))}
         assert all(origin == [(0,)] for origin in out.values())
 
     def test_introduce_filters_non_models(self):
         # introducing b over {a} with rule a | b: the all-false row dies
         p = Program.from_specs([(("a", "b"), (), ())])
         a, b = p.atom_id("a"), p.atom_id("b")
-        child = table_of([PhcRow(0, 0, ()), PhcRow(1 << a, 0, (a,))], [[()], [()]])
-        out = table_dict(node_table(PHC, "int", PHC.context(b, b, one_bag_rules(p)), [child]))
+        child = table_of([PhcRow(0, 0, ()), PhcRow(1 << a, 0, ranked(a))], [[()], [()]])
+        out = table_dict(node_table(PHC, "int", one_bag_context(p, b, one_bag_rules(p)), [child]))
         interps = {row.interp for row in out}
         assert 0 not in interps
         assert interps == {p.mask("a"), p.mask("b"), p.mask("ab")}
@@ -115,23 +141,23 @@ class TestPhcTransitions:
         p = Program.from_specs([(("a", "b"), (), ())])
         a, b = p.atom_id("a"), p.atom_id("b")
         rows = [
-            PhcRow(p.mask("a"), p.mask("a"), (a,)),
-            PhcRow(p.mask("b"), p.mask("b"), (b,)),
-            PhcRow(p.mask("ab"), 0, (a, b)),
-            PhcRow(p.mask("ab"), 0, (b, a)),
+            PhcRow(p.mask("a"), p.mask("a"), ranked(a)),
+            PhcRow(p.mask("b"), p.mask("b"), ranked(b)),
+            PhcRow(p.mask("ab"), 0, ranked(a, b)),
+            PhcRow(p.mask("ab"), 0, ranked(b, a)),
         ]
         child = table_of(rows, [[()]] * 4)
-        out = table_dict(node_table(PHC, "rem", PHC.context(a, a, []), [child]))
-        assert set(out) == {PhcRow(0, 0, ()), PhcRow(1 << b, 1 << b, (b,))}
+        out = table_dict(node_table(PHC, "rem", one_bag_context(p, a, []), [child]))
+        assert set(out) == {PhcRow(0, 0, ()), PhcRow(1 << b, 1 << b, ranked(b))}
 
     def test_join_matches_interpretation_and_order(self):
-        r1 = PhcRow(0b11, 0b01, (0, 1))
-        r2 = PhcRow(0b11, 0b10, (0, 1))
-        r3 = PhcRow(0b11, 0b10, (1, 0))
+        r1 = PhcRow(0b11, 0b01, ranked(0, 1))
+        r2 = PhcRow(0b11, 0b10, ranked(0, 1))
+        r3 = PhcRow(0b11, 0b10, ranked(1, 0))
         left = table_of([r1], [[()]])
         right = table_of([r2, r3], [[()], [()]])
         out = table_dict(node_table(PHC, "join", None, [left, right]))
-        assert out == {PhcRow(0b11, 0b11, (0, 1)): [(0, 0)]}
+        assert out == {PhcRow(0b11, 0b11, ranked(0, 1)): [(0, 0)]}
 
     def test_join_lists_pairs_left_row_outer(self):
         # every pair proves both atoms, so one row takes all four pairs, in
@@ -218,6 +244,49 @@ class TestSccLocal:
             for heuristic, seed in decompositions:
                 got = pipeline.solve(p, heuristic=heuristic, seed=seed).count
                 assert got == want, (i, heuristic, seed)
+
+
+class TestSlotRows:
+    """Orderings and contexts name slots, not atom ids: blocks that differ
+    only in their atoms' names share tables and projection plans, and ranks
+    are counted within each component."""
+
+    @pytest.fixture
+    def workloads(self, monkeypatch):
+        # the bench's generators, imported from its directory as its scripts do
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        import workloads
+
+        return workloads
+
+    def test_chain_tables_and_plans_do_not_grow_with_its_blocks(self, workloads):
+        # every block of chain_k has a positive two-cycle p_i <-> q_i
+        built = []
+        for blocks in (50, 100):
+            p = parse_program(workloads.chain_k(blocks, 1, "hcf"))
+            phc, prim = (pipeline.solve(p, algorithm=a) for a in ("phc", "prim"))
+            assert phc.count == prim.count == workloads.closed_form(blocks, 1, False)
+            assert phc.stats.built_tables <= 2 * prim.stats.built_tables, blocks
+            assert phc.stats.proj_plans <= 2 * prim.stats.proj_plans, blocks
+            built.append((phc.stats.built_tables, phc.stats.proj_plans))
+        assert built[0] == built[1]
+
+    def test_an_introduced_atom_is_ranked_within_its_component(self):
+        # a, b (component 0) and d (component 1) ordered, c (component 1)
+        # introduced: c takes rank 0 or 1 next to d, and a, b keep theirs
+        alg = PhcAlgorithm({0: 0, 1: 0, 2: 1, 3: 1})
+        ctx = alg.context(2, [], range(4), range(4))
+        child = PhcRow(0b1011, 0, ((0, 0), (1, 1), (3, 0)))
+        got = [row.order for row, _ in alg.introduce(ctx, [child]) if row.interp & 0b100]
+        assert got == [((0, 0), (1, 1), (2, 0), (3, 1)), ((0, 0), (1, 1), (2, 1), (3, 0))]
+
+    def test_a_removed_atom_lowers_only_its_component(self):
+        # removing b (rank 0 of component 0) lowers a, not d (rank 1 of
+        # component 1)
+        alg = PhcAlgorithm({0: 0, 1: 0, 2: 1, 3: 1})
+        ctx = alg.context(1, [], (0, 2, 3), range(4))
+        child = PhcRow(0b1111, 0b0010, ((0, 1), (1, 0), (2, 0), (3, 1)))
+        assert [row.order for row, _ in alg.remove(ctx, [child])] == [((0, 0), (2, 0), (3, 1))]
 
 
 def table_bound_ok(ttd):

@@ -74,7 +74,7 @@ class TestPinnedTableValues:
     child_buckets = {0: 0, 1: 0}
 
     def test_intro_node_table_retains_all_ones(self):
-        rows = [PhcRow(0, 0, ()), PhcRow(1, 0, (0,))]
+        rows = [PhcRow(0, 0, ()), PhcRow(1, 0, ((0, 0),))]
         # both rows originate from the single child row of a leaf-fed chain
         origins = [[(0,)], [(0,)]]
         leaf_pi = {frozenset({0}): 1}
