@@ -17,34 +17,32 @@ Program grammar (whitespace-insensitive, ``%`` starts a line comment)::
 ``not`` is reserved and cannot name an atom.  Multiple #project directives
 union; without any directive the projection defaults to all atoms.
 
-The source is tokenized in one regex pass into ``(kind, lexeme, offset)``
-tuples, and the grammar walk reads that list by index.  A diagnostic's line
-and column are worked out from its offset only when it is raised.
+The source is tokenized by one ``findall`` into a list of lexemes, and the
+grammar walk reads that list by index, telling each token's kind from its
+text.  It interns atom names and builds each rule as it goes.  Tokens keep
+no offsets: a diagnostic names a token's index, and only when one is raised
+is the source scanned again for that token's line and column.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import NoReturn
 
 from .decomposition import TreeDecomposition
-from .program import Program, iter_bits
+from .program import Program, Rule, iter_bits
 
-# Whitespace and comments match no group and are dropped; the catch-all
-# ``bad`` takes any other character.
-_TOKEN_RE = re.compile(
-    r"""\s+ | %[^\n]*
-      | (?P<ident>[a-zA-Z_][a-zA-Z0-9_]*)
-      | (?P<project>\#project\b)
-      | (?P<arrow>:-)
-      | (?P<pipe>\|)
-      | (?P<comma>,)
-      | (?P<dot>\.)
-      | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
+# Whitespace and comments leave the one group empty; every other match is a
+# token: an identifier, ``#project``, ``:-`` or one character.  A one-character
+# token other than an identifier or ``|``, ``,`` and ``.`` is unknown.
+_LEX = re.compile(r"\s+|%[^\n]*|([a-zA-Z_][a-zA-Z0-9_]*|\#project\b|:-|.)")
+_ONE_CHAR = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_|,.")
+# the tokens that are not identifiers, once unknown ones are ruled out; the
+# empty string marks the end of input
+_PUNCT = frozenset(("#project", ":-", "|", ",", ".", ""))
+_NOT_ATOM = _PUNCT | {"not"}
 
 
 @dataclass(frozen=True)
@@ -63,87 +61,101 @@ class ParseError(Exception):
         self.diagnostic = diagnostic
 
 
-def _fail(text: str, offset: int, message: str) -> NoReturn:
-    """Raise a diagnostic at a character offset, with 1-based line and
-    column (a tab is one column)."""
+def _fail(text: str, k: int, message: str) -> NoReturn:
+    """Raise a diagnostic at token ``k`` (the end of input past the last
+    token), with 1-based line and column (a tab is one column)."""
+    starts = (m.start() for m in _LEX.finditer(text) if m.lastindex)
+    offset = next(islice(starts, k, None), len(text))
     line = text.count("\n", 0, offset) + 1
     raise ParseError(ParseDiagnostic(line, offset - text.rfind("\n", 0, offset), message))
 
 
-def _atom(text: str, tok: tuple[str, str, int]) -> str:
-    """The atom the token names; a diagnostic if it names none."""
-    kind, lexeme, offset = tok
-    if kind != "ident":
-        _fail(text, offset, f"expected atom, found {lexeme!r}" if lexeme else "expected atom, found end of input")
+def _not_atom(text: str, toks: list[str], k: int) -> NoReturn:
+    """The diagnostic for token ``k`` where an atom is expected."""
+    lexeme = toks[k]
     if lexeme == "not":
-        _fail(text, offset, "'not' is reserved and cannot be used as an atom")
-    return lexeme
+        _fail(text, k, "'not' is reserved and cannot be used as an atom")
+    _fail(text, k, f"expected atom, found {lexeme!r}" if lexeme else "expected atom, found end of input")
 
 
 def parse_program(text: str) -> Program:
     """Parse program source; raises ParseError with a positioned diagnostic.
-    An unknown character anywhere fails before any syntax error."""
-    toks = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text) if m.lastgroup]
-    for kind, lexeme, offset in toks:
-        if kind == "bad":
-            _fail(text, offset, f"unknown token {lexeme!r}")
-    toks.append(("end", "", len(text)))
+    An unknown character anywhere fails before any syntax error.
 
-    rule_specs: list[tuple[list[str], list[str], list[str]]] = []
-    project_toks: list[tuple[str, str, int]] = []
+    Atom ids follow first occurrence, reading each rule's head, then its
+    positive body, then its negative body, as ``Program.from_specs`` does."""
+    toks = [t for t in _LEX.findall(text) if t]
+    bad = {t for t in set(toks) if len(t) == 1 and t not in _ONE_CHAR}
+    if bad:
+        k = next(k for k, t in enumerate(toks) if t in bad)
+        _fail(text, k, f"unknown token {toks[k]!r}")
+    toks.append("")
+
+    index: dict[str, int] = {}  # atom ids in first-occurrence order
+    rules: dict[Rule, None] = {}  # first occurrences, in order
+    project: list[int] = []  # token indices of the projection atoms
     i = 0
-    while True:
-        kind, lexeme, offset = toks[i]
-        if kind == "end":
-            break
-        if kind == "project":
+    while t := toks[i]:
+        if t == "#project":
             while True:  # i is at the directive or a comma
-                _atom(text, toks[i + 1])
-                project_toks.append(toks[i + 1])
-                i += 2
-                if toks[i][0] != "comma":
+                i += 1
+                if toks[i] in _NOT_ATOM:
+                    _not_atom(text, toks, i)
+                project.append(i)
+                i += 1
+                if toks[i] != ",":
                     break
         else:
-            if kind == "dot":
-                _fail(text, offset, "empty rule: no head and no body")
-            head: list[str] = []
-            if kind == "ident":
-                head.append(_atom(text, toks[i]))
+            if t == ".":
+                _fail(text, i, "empty rule: no head and no body")
+            head: list[int] = []
+            if t not in _PUNCT:
+                if t == "not":
+                    _not_atom(text, toks, i)
+                head.append(index.setdefault(t, len(index)))
                 i += 1
-                while toks[i][0] == "pipe":
-                    head.append(_atom(text, toks[i + 1]))
-                    i += 2
-            elif kind != "arrow":
-                _fail(text, offset, f"expected rule, found {lexeme!r}")
-            pos_body: list[str] = []
-            neg_body: list[str] = []
-            if toks[i][0] == "arrow":
-                i += 1
-                while True:
-                    if toks[i][1] == "not":  # only an ident reads "not"
-                        neg_body.append(_atom(text, toks[i + 1]))
-                        i += 2
-                    else:
-                        pos_body.append(_atom(text, toks[i]))
-                        i += 1
-                    if toks[i][0] != "comma":
-                        break
+                while toks[i] == "|":
                     i += 1
-            rule_specs.append((head, pos_body, neg_body))
-        if toks[i][0] != "dot":
-            _fail(text, toks[i][2], "missing terminating period")
+                    t = toks[i]
+                    if t in _NOT_ATOM:
+                        _not_atom(text, toks, i)
+                    head.append(index.setdefault(t, len(index)))
+                    i += 1
+            elif t != ":-":
+                _fail(text, i, f"expected rule, found {t!r}")
+            pos: list[int] = []
+            neg: list[str] = []  # interned after the positive body
+            if toks[i] == ":-":
+                while True:  # i is at the arrow or a comma
+                    i += 1
+                    t = toks[i]
+                    if t == "not":
+                        i += 1
+                        t = toks[i]
+                        if t in _NOT_ATOM:
+                            _not_atom(text, toks, i)
+                        neg.append(t)
+                    elif t in _PUNCT:
+                        _not_atom(text, toks, i)
+                    else:
+                        pos.append(index.setdefault(t, len(index)))
+                    i += 1
+                    if toks[i] != ",":
+                        break
+            rules[Rule.make(head, pos, [index.setdefault(a, len(index)) for a in neg])] = None
+        if toks[i] != ".":
+            _fail(text, i, "missing terminating period")
         i += 1
 
-    program = Program.from_specs(rule_specs, projection=None)
-    if project_toks:
+    pmask = (1 << len(index)) - 1
+    if project:
         pmask = 0
-        for _, name, offset in project_toks:
-            try:
-                pmask |= 1 << program.atom_id(name)
-            except KeyError:
-                _fail(text, offset, f"projection atom {name!r} does not occur in any rule")
-        program = program.with_projection(pmask)
-    return program
+        for k in project:
+            a = index.get(toks[k])
+            if a is None:
+                _fail(text, k, f"projection atom {toks[k]!r} does not occur in any rule")
+            pmask |= 1 << a
+    return Program(list(index), list(rules), pmask, index)
 
 
 def print_program(program: Program) -> str:

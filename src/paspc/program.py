@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -35,9 +35,13 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Rule:
-    """One ground rule: disjunctive head, positive body, negative body."""
+class Rule(NamedTuple):
+    """One ground rule: disjunctive head, positive body, negative body, each
+    a sorted tuple of distinct atom ids.  A rule is a plain tuple of the
+    three, so it hashes and compares in C, equal to any rule of the same
+    atom sets.  ``make`` sorts and deduplicates the ids and is the one way
+    ``Program.from_specs`` and ``formats.parse_program`` build a rule; it
+    calls ``tuple.__new__`` directly, skipping the generated constructor."""
 
     head: tuple[int, ...]
     pos_body: tuple[int, ...]
@@ -45,7 +49,9 @@ class Rule:
 
     @staticmethod
     def make(head: Iterable[int], pos_body: Iterable[int], neg_body: Iterable[int]) -> "Rule":
-        return Rule(tuple(sorted(set(head))), tuple(sorted(set(pos_body))), tuple(sorted(set(neg_body))))
+        return tuple.__new__(
+            Rule, (tuple(sorted(set(head))), tuple(sorted(set(pos_body))), tuple(sorted(set(neg_body))))
+        )
 
 
 def is_model(interp: int, rules: Sequence[tuple]) -> bool:
@@ -83,13 +89,21 @@ class Program:
 
     __slots__ = ("atom_names", "rules", "projection", "_index")
 
-    def __init__(self, atom_names: Sequence[str], rules: Sequence[Rule], projection: int):
+    def __init__(
+        self,
+        atom_names: Sequence[str],
+        rules: Sequence[Rule],
+        projection: int,
+        index: dict[str, int] | None = None,
+    ):
+        """``index`` is the name -> id map of ``atom_names``, when the caller
+        has already built it; the program then owns it."""
         self.atom_names = tuple(atom_names)
         self.rules = tuple(rules)
         if projection & ~self.atom_mask:
             raise ValueError("projection atoms outside atom table")
         self.projection = projection
-        self._index = {name: i for i, name in enumerate(self.atom_names)}
+        self._index = {name: i for i, name in enumerate(self.atom_names)} if index is None else index
 
     @classmethod
     def from_specs(
@@ -102,33 +116,20 @@ class Program:
         Atom ids follow first occurrence across the given triples.  When
         ``projection`` is None the projection defaults to all atoms.
         """
-        names: list[str] = []
-        index: dict[str, int] = {}
-
-        def intern(name: str) -> int:
-            i = index.get(name)
-            if i is None:
-                i = len(names)
-                index[name] = i
-                names.append(name)
-            return i
-
-        rules = []
-        seen = set()
+        index: dict[str, int] = {}  # atom ids in first-occurrence order
+        rules: dict[Rule, None] = {}  # first occurrences, in order
         for head, pos, neg in rule_specs:
-            r = Rule.make([intern(a) for a in head], [intern(a) for a in pos], [intern(a) for a in neg])
-            if r not in seen:
-                seen.add(r)
-                rules.append(r)
+            ids = [[index.setdefault(a, len(index)) for a in names] for names in (head, pos, neg)]
+            rules[Rule.make(*ids)] = None
         if projection is None:
-            pmask = (1 << len(names)) - 1
+            pmask = (1 << len(index)) - 1
         else:
             pmask = 0
             for name in projection:
                 if name not in index:
                     raise ValueError(f"projection atom {name!r} does not occur in any rule")
                 pmask |= 1 << index[name]
-        return cls(names, rules, pmask)
+        return cls(list(index), list(rules), pmask, index)
 
     @property
     def n_atoms(self) -> int:
@@ -148,7 +149,9 @@ class Program:
         return tuple(self.atom_names[a] for a in iter_bits(mask))
 
     def with_projection(self, projection: int) -> "Program":
-        return Program(self.atom_names, self.rules, projection)
+        """A copy with another projection; it shares the atoms, the rules and
+        the name index."""
+        return Program(self.atom_names, self.rules, projection, self._index)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Program):

@@ -8,8 +8,9 @@ row checks on decoded rows, the ``prim`` table algorithm with counter sets
 as frozensets of atom masks, the positive dependency digraph as an edge set
 with its reachability closure, the primal graph built edge by edge, the
 first elimination-ordering decomposition, the structural check of the nice
-shape, and the brute-force oracle that builds every interpretation's reduct
-before checking it.
+shape, the brute-force oracle that builds every interpretation's reduct
+before checking it, and the program parser over ``(kind, lexeme, offset)``
+token tuples.
 The library computes the same quantities bucket-wise (``paspc.proj``),
 records them during the table pass as ints and finds each rule's entering
 nodes from the rule (``paspc.engine``), encodes rows
@@ -17,17 +18,19 @@ in bag slots with counter sets as subset bitsets (``paspc.prim``), builds
 both program graphs on atom-indexed lists (``paspc.program``,
 ``paspc.decomposition``), selects and links bags with cheaper structures,
 builds nice decompositions that are nice by construction
-(``paspc.decomposition``), or checks the program before building a reduct,
-and only for its models (``paspc.oracle``)."""
+(``paspc.decomposition``), checks the program before building a reduct,
+and only for its models (``paspc.oracle``), or parses from bare lexemes,
+working out a token's offset only for a diagnostic (``paspc.formats``)."""
 
 from __future__ import annotations
 
 import heapq
 import random
+import re
 from array import array
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Mapping, NamedTuple, NoReturn, Sequence
 
 from paspc.decomposition import (
     INTRODUCE,
@@ -40,6 +43,7 @@ from paspc.decomposition import (
     assign_slots,
 )
 from paspc.engine import NO_MORE, BagRule, NodeTable, TabledTreeDecomposition, bag_rule, entering_rules, node_table
+from paspc.formats import ParseDiagnostic, ParseError
 from paspc.oracle import MAX_ATOMS, OracleSizeError
 from paspc.phc import PhcAlgorithm
 from paspc.program import Program, Rule, is_model, iter_bits, mask_of
@@ -692,3 +696,102 @@ def enumerate_answer_sets(program: Program) -> list[int]:
                 continue
         out.append(interp)
     return out
+
+
+# --- program text -------------------------------------------------------------
+
+# Whitespace and comments match no group and are dropped; the catch-all
+# ``bad`` takes any other character.
+_TOKEN_RE = re.compile(
+    r"""\s+ | %[^\n]*
+      | (?P<ident>[a-zA-Z_][a-zA-Z0-9_]*)
+      | (?P<project>\#project\b)
+      | (?P<arrow>:-)
+      | (?P<pipe>\|)
+      | (?P<comma>,)
+      | (?P<dot>\.)
+      | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+
+
+def _fail(text: str, offset: int, message: str) -> NoReturn:
+    line = text.count("\n", 0, offset) + 1
+    raise ParseError(ParseDiagnostic(line, offset - text.rfind("\n", 0, offset), message))
+
+
+def _atom(text: str, tok: tuple[str, str, int]) -> str:
+    kind, lexeme, offset = tok
+    if kind != "ident":
+        _fail(text, offset, f"expected atom, found {lexeme!r}" if lexeme else "expected atom, found end of input")
+    if lexeme == "not":
+        _fail(text, offset, "'not' is reserved and cannot be used as an atom")
+    return lexeme
+
+
+def reference_parse_program(text: str) -> Program:
+    """``formats.parse_program`` over ``(kind, lexeme, offset)`` token tuples,
+    with name triples handed to ``Program.from_specs`` and the projection
+    set afterwards by ``with_projection``."""
+    toks = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text) if m.lastgroup]
+    for kind, lexeme, offset in toks:
+        if kind == "bad":
+            _fail(text, offset, f"unknown token {lexeme!r}")
+    toks.append(("end", "", len(text)))
+
+    rule_specs: list[tuple[list[str], list[str], list[str]]] = []
+    project_toks: list[tuple[str, str, int]] = []
+    i = 0
+    while True:
+        kind, lexeme, offset = toks[i]
+        if kind == "end":
+            break
+        if kind == "project":
+            while True:  # i is at the directive or a comma
+                _atom(text, toks[i + 1])
+                project_toks.append(toks[i + 1])
+                i += 2
+                if toks[i][0] != "comma":
+                    break
+        else:
+            if kind == "dot":
+                _fail(text, offset, "empty rule: no head and no body")
+            head: list[str] = []
+            if kind == "ident":
+                head.append(_atom(text, toks[i]))
+                i += 1
+                while toks[i][0] == "pipe":
+                    head.append(_atom(text, toks[i + 1]))
+                    i += 2
+            elif kind != "arrow":
+                _fail(text, offset, f"expected rule, found {lexeme!r}")
+            pos_body: list[str] = []
+            neg_body: list[str] = []
+            if toks[i][0] == "arrow":
+                i += 1
+                while True:
+                    if toks[i][1] == "not":  # only an ident reads "not"
+                        neg_body.append(_atom(text, toks[i + 1]))
+                        i += 2
+                    else:
+                        pos_body.append(_atom(text, toks[i]))
+                        i += 1
+                    if toks[i][0] != "comma":
+                        break
+                    i += 1
+            rule_specs.append((head, pos_body, neg_body))
+        if toks[i][0] != "dot":
+            _fail(text, toks[i][2], "missing terminating period")
+        i += 1
+
+    program = Program.from_specs(rule_specs, projection=None)
+    if project_toks:
+        pmask = 0
+        for _, name, offset in project_toks:
+            try:
+                pmask |= 1 << program.atom_id(name)
+            except KeyError:
+                _fail(text, offset, f"projection atom {name!r} does not occur in any rule")
+        program = program.with_projection(pmask)
+    return program

@@ -116,6 +116,14 @@ class TestExitCodes:
         assert code == 2
         assert "parse error" in err
 
+    def test_parse_diagnostic_on_stderr(self, tmp_path, capsys):
+        # the unknown character is reported before the earlier syntax error,
+        # and the one in the comment is ignored
+        path = tmp_path / "bad.lp"
+        path.write_text("a :- b,, c.\n% é\nd :- é.\n", encoding="utf-8")
+        code, out, err = run(capsys, "solve", str(path))
+        assert (code, out, err) == (2, "", "parse error: line 3, column 6: unknown token 'é'\n")
+
     def test_unknown_projection_atom(self, ex1_file, capsys):
         code, _, err = run(capsys, "solve", ex1_file, "--project", "zz")
         assert code == 2

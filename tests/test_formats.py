@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -6,7 +7,7 @@ import helpers
 from paspc.decomposition import PrimalGraph, decompose, validate_td
 from paspc.formats import ParseError, parse_program, print_program, read_td, write_td
 from paspc.program import Program, ProgramKind, classify
-from reference import add_edge
+from reference import add_edge, reference_parse_program
 
 
 class TestParseProgram:
@@ -47,6 +48,12 @@ class TestParseProgram:
         p = parse_program("q :- r, not s.\nt | q.")
         assert p.atom_names == ("q", "r", "s", "t")
 
+    def test_atom_ids_read_positive_body_before_negative(self):
+        # as Program.from_specs interns a (head, pos, neg) triple
+        p = parse_program("q :- not s, r, not t.\nu :- not v, w.")
+        assert p.atom_names == ("q", "r", "s", "t", "u", "w", "v")
+        assert p == Program.from_specs([(("q",), ("r",), ("s", "t")), (("u",), ("w",), ("v",))])
+
 
 RESERVED = "'not' is reserved and cannot be used as an atom"
 
@@ -74,7 +81,20 @@ DIAGNOSTICS = [
     ("a.\n% c\n, b.", 3, 1, "expected rule, found ','"),
     ("a.\n\t| b.", 2, 2, "expected rule, found '|'"),
     ("#project a.\r\na :- b.\n% second\n#project b,\tz.\n", 4, 13, "projection atom 'z' does not occur in any rule"),
+    # tokens that are not identifiers, '#project' or ':-' are one character
+    ("a :- é.", 1, 6, "unknown token 'é'"),
+    ("a.\n#projection a.", 2, 1, "unknown token '#'"),
+    ("a.\n\t#", 2, 2, "unknown token '#'"),
+    ("a :\n- b.", 1, 3, "unknown token ':'"),
+    ("a :- b,, c.\nd :- e ~ f.", 2, 8, "unknown token '~'"),
+    ("a :- b,, c.\n% é & ~ :\nd.", 1, 8, "expected atom, found ','"),
+    ("a.\nb :- c.\r\n#project\n", 4, 1, "expected atom, found end of input"),
+    ("a.\n:-", 2, 3, "expected atom, found end of input"),
+    ("a :- b.\n\tc :-\n", 3, 1, "expected atom, found end of input"),
 ]
+
+# the characters a mutated program gains
+MUTATION_CHARS = "abcdefghijklmnopqrstuvwxyz_0123456789 .,|:-#%\t\r\né"
 
 
 class TestParseDiagnostics:
@@ -115,6 +135,63 @@ class TestParseDiagnostics:
     def test_empty_body_constraint(self):
         with pytest.raises(ParseError):
             parse_program(":- .")
+
+
+def parse_outcome(parse, text):
+    """A parse's program, or its diagnostic as (line, column, message)."""
+    try:
+        p = parse(text)
+    except ParseError as err:
+        d = err.diagnostic
+        return d.line, d.column, d.message
+    return p.atom_names, p.rules, p.projection
+
+
+def mutate(rng, text):
+    """``text`` with one to three characters inserted, deleted or replaced."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(chars) + 1)
+        op = rng.randrange(3) if k < len(chars) else 0
+        if op == 0:
+            chars.insert(k, rng.choice(MUTATION_CHARS))
+        elif op == 1:
+            del chars[k]
+        else:
+            chars[k] = rng.choice(MUTATION_CHARS)
+    return "".join(chars)
+
+
+class TestReferenceParser:
+    """The lexeme parser against the token-tuple parser in
+    ``tests/reference.py``: the same program on valid text and the same
+    diagnostic on invalid text."""
+
+    def test_printed_and_mutated_programs_agree(self):
+        rng = random.Random(27)
+        kinds = set()
+        for _ in range(300):
+            p = helpers.random_mixed(rng, rng.randint(1, 8), rng.randint(1, 10), max_size=rng.randint(1, 4))
+            pmask = helpers.random_projection(rng, p)
+            text = print_program(p.with_projection(pmask or p.atom_mask))
+            assert parse_outcome(parse_program, text) == parse_outcome(reference_parse_program, text)
+            for _ in range(10):
+                bad = mutate(rng, text)
+                got = parse_outcome(parse_program, bad)
+                assert got == parse_outcome(reference_parse_program, bad), bad
+                if isinstance(got[-1], str):
+                    kinds.add(re.sub(r"'.*'", "X", got[-1]))
+        # every kind of diagnostic is reached
+        assert kinds == {
+            "unknown token X",
+            "expected atom, found X",
+            "expected atom, found end of input",
+            "X is reserved and cannot be used as an atom",
+            "missing terminating period",
+            "empty rule: no head and no body",
+            "expected rule, found X",
+            "projection atom X does not occur in any rule",
+        }
 
 
 class TestPrintProgram:

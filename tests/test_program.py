@@ -6,6 +6,7 @@ import pytest
 
 import helpers
 import reference
+from paspc.formats import parse_program
 from paspc.engine import bag_rule
 from paspc.program import (
     Program,
@@ -153,6 +154,57 @@ def test_duplicate_rules_and_atoms_collapse():
     p = Program.from_specs([(("a", "a"), (), ()), (("a",), (), ())])
     assert len(p.rules) == 1
     assert p.rules[0].head == (0,)
+
+
+class TestRule:
+    """Rules are tuples underneath: equal atom sets give one rule, whatever
+    the order the source lists them in, and the first occurrence stays."""
+
+    def test_from_specs_keeps_first_occurrence(self):
+        p = Program.from_specs(
+            [
+                (("b", "a"), ("c", "d"), ("e",)),
+                (("c",), (), ()),
+                (("a", "b"), ("d", "c", "c"), ("e", "e")),
+                (("c",), (), ()),
+                (("a",), (), ("b",)),
+            ]
+        )
+        assert p.atom_names == ("b", "a", "c", "d", "e")
+        assert p.rules == (Rule((0, 1), (2, 3), (4,)), Rule((2,), (), ()), Rule((1,), (), (0,)))
+        assert all(type(r) is Rule for r in p.rules)
+
+    def test_parse_keeps_first_occurrence(self):
+        p = parse_program("b | a :- c, d, not e.\nc.\na | b :- not e, d, c, c.\nc.\na :- not b.\n")
+        assert p == Program.from_specs([(("b", "a"), ("c", "d"), ("e",)), (("c",), (), ()), (("a",), (), ("b",))])
+        assert p.rules == (Rule((0, 1), (2, 3), (4,)), Rule((2,), (), ()), Rule((1,), (), (0,)))
+
+    @pytest.mark.parametrize(
+        "text", [helpers.EXAMPLE1_TEXT, helpers.WIDE_HCF_TEXT, helpers.HEAD_CYCLE_TEXT, helpers.disjunctive_chain(3, 2)]
+    )
+    def test_program_equality_and_hash(self, text):
+        # a rule hashes as the tuple of its fields, as a frozen dataclass
+        # did, so a program's hash and equality are what they were
+        p = parse_program(text)
+        q = reference.reference_parse_program(text)
+        assert p == q and hash(p) == hash(q)
+        fields = tuple((r.head, r.pos_body, r.neg_body) for r in p.rules)
+        assert hash(p) == hash((p.atom_names, fields, p.projection))
+        assert all(hash(r) == hash(f) for r, f in zip(p.rules, fields))
+        assert p != p.with_projection(p.projection ^ 1)
+
+    def test_set_member(self, example1):
+        b, e, d = (example1.atom_id(x) for x in "bed")
+        r = Rule((b,), (e,), (d,))
+        assert r == Rule.make([b], [e], [d]) and r.head == (b,) and r.neg_body == (d,)
+        assert r in set(example1.rules)
+        assert {Rule(tuple(sorted((d, e))), (b,), ()), r} <= set(example1.rules)
+
+    def test_with_projection_shares_atoms_rules_and_index(self, example1):
+        q = example1.with_projection(example1.atom_mask)
+        assert q.atom_names is example1.atom_names and q.rules is example1.rules
+        assert q._index is example1._index
+        assert q.projection == example1.atom_mask and q.mask("de") == example1.projection
 
 
 def test_projection_must_be_subset():
