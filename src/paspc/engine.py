@@ -7,9 +7,9 @@ many atoms the program has, and ``prim`` keeps a row's counter-witness set
 as a bitset over the slot subsets, an int of 2^(width+1) bits, up to width
 9 (see ``prim``).  ``run_dp`` runs the form it is given, which
 ``pipeline.pick_algorithm`` chose for the decomposition's width.  The rules
-reach the table algorithms translated once per solve into ``BagRule``s,
-whose masks are slot masks.  ``TabledTreeDecomposition.decode`` turns a
-node's slot mask back into an atom mask, for traces and tests.
+reach the table algorithm translated once per solve by its own ``rule``,
+into forms whose masks are slot masks.  ``TabledTreeDecomposition.decode``
+turns a node's slot mask back into an atom mask, for traces and tests.
 
 The engine owns the table contract.  ``node_table`` builds each node's
 table: a leaf holds the algorithm's ``solution_row`` (the empty row) if the
@@ -52,8 +52,8 @@ remove node reads of its atom, its entering rules and its bag, given the
 solve's slots; a leaf's context is whether the atomless rules hold, and a
 join's is None.  Both table forms state it in slots and slot masks only,
 never in atom ids, so nodes whose atoms differ only in name share a
-context: ``prim`` its atom's slot and its rules' masks, ``phc`` also the
-slots that its orderings and proofs compare (see ``phc``).  The generators
+context: ``prim`` its atom's slot and its entering rules' forms, ``phc``
+also the bag slots that its orderings compare (see ``phc``).  The generators
 read only the context, the child rows and an algorithm object that a solve
 never changes, and ``node_table`` builds each table from exactly that
 context, so the context is also the memo key.  Pooled rows make row
@@ -75,24 +75,11 @@ from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
-from operator import itemgetter
 from types import MappingProxyType
-from typing import Any, NamedTuple, Protocol
+from typing import Any, Protocol
 
 from .decomposition import INTRODUCE, JOIN, LEAF, REMOVE, NiceTreeDecomposition, assign_slots
 from .program import Program, Rule, is_model
-
-
-class BagRule(NamedTuple):
-    """A rule as the table algorithms see it: its atom sets as slot masks,
-    and ``head_bits`` holding each head atom's slot bit, in the order of
-    ``source.head``."""
-
-    head_mask: int
-    pos_mask: int
-    neg_mask: int
-    head_bits: tuple[int, ...]
-    source: Rule
 
 
 class TableAlgorithm(Protocol):
@@ -104,21 +91,27 @@ class TableAlgorithm(Protocol):
     origin is an int: the child row's index, or ``i * len(right_rows) + j``
     for left row i and right row j at a join.
 
-    A generator reads only its context, its child rows and the algorithm
-    object, which a solve never changes; so two nodes of one kind with
-    equal contexts and equal child row lists get equal tables, and
-    ``run_dp`` builds only the first.  Every rule in a context keeps its
-    (head, positive body, negative body) slot masks at positions 0 to 2,
-    where ``is_model`` reads them."""
+    A solve translates each program rule once, by ``rule``, into the
+    algorithm's own form of it; a node's entering rules reach ``context``
+    in that form.  A generator reads only its context, its child rows and
+    the algorithm object, which a solve never changes; so two nodes of one
+    kind with equal contexts and equal child row lists get equal tables,
+    and ``run_dp`` builds only the first."""
 
     name: str
     solution_row: Any
 
-    def context(self, atom: int, rules: Sequence[BagRule], bag: Iterable[int], slots: Sequence[int]) -> Hashable:
+    def rule(self, r: Rule, slots: Sequence[int]) -> Hashable:
+        """The rule in this algorithm's form, given each atom's slot: a
+        tuple whose positions 0 to 2 are its (head, positive body, negative
+        body) slot masks, where ``is_model`` reads them."""
+        ...
+
+    def context(self, atom: int, rules: Sequence[Any], bag: Iterable[int], slots: Sequence[int]) -> Hashable:
         """What the generator of an introduce or remove node reads of the
-        node's atom, its entering rules and its bag, as one hashable value.
-        ``slots`` gives each atom's slot; a context that names slots rather
-        than atom ids lets nodes whose atoms differ only in name share."""
+        node's atom, its entering rules' forms and its bag, as one hashable
+        value.  ``slots`` gives each atom's slot; a context that names slots
+        rather than atom ids lets nodes whose atoms differ only in name share."""
         ...
 
     def introduce(self, ctx: Any, child_rows: Sequence[Any]) -> Iterator[tuple[Any, int]]: ...
@@ -129,9 +122,6 @@ class TableAlgorithm(Protocol):
 
     def interp(self, row: Any) -> int: ...
 
-
-# a rule's slot masks (head_mask, pos_mask, neg_mask), as one tuple
-rule_masks = itemgetter(0, 1, 2)
 
 # the side store of every node whose rows all have one origin, read-only
 NO_MORE: Mapping[int, tuple[int, ...]] = MappingProxyType({})
@@ -203,45 +193,31 @@ class TabledTreeDecomposition:
         return out
 
 
-def bag_rule(r: Rule, slots: Sequence[int]) -> BagRule:
-    """The rule with its atom sets as slot masks."""
-    head_bits = [1 << slots[a] for a in r.head]
-    pos = 0
-    for a in r.pos_body:
-        pos |= 1 << slots[a]
-    neg = 0
-    for a in r.neg_body:
-        neg |= 1 << slots[a]
-    # the C tuple constructor: the NamedTuple's own __new__ is a Python function
-    return tuple.__new__(BagRule, (sum(head_bits), pos, neg, tuple(head_bits), r))
-
-
-def entering_rules(program: Program, td: NiceTreeDecomposition, slots: Sequence[int]) -> list[Sequence[BagRule]]:
-    """Per node, the rules that fit its bag but not its child's: at a leaf the
+def entering_rules(program: Program, td: NiceTreeDecomposition, forms: Sequence[Any]) -> list[Sequence[Any]]:
+    """Per node, the rules that fit its bag but not its child's, as their
+    ``forms`` (``forms[i]`` stands for ``program.rules[i]``): at a leaf the
     atomless rules (one list that all leaves share), at an introduce node
     the rules of its atom that fit the bag, in program order, and none at
-    remove and join nodes.  Each rule is translated to slot masks once and
-    finds its own entering nodes: the introduce nodes of its atoms whose
-    bags hold all of its atoms."""
-    out: list[Sequence[BagRule]] = [()] * len(td.nodes)
-    atomless: list[BagRule] = []
+    remove and join nodes.  Each rule finds its own entering nodes: the
+    introduce nodes of its atoms whose bags hold all of its atoms."""
+    out: list[Sequence[Any]] = [()] * len(td.nodes)
+    atomless: list[Any] = []
     # per atom, (entering list, bag) of each of its introduce nodes
-    intro: dict[int, list[tuple[list[BagRule], frozenset[int]]]] = {}
+    intro: dict[int, list[tuple[list[Any], frozenset[int]]]] = {}
     for t, nd in enumerate(td.nodes):
         if nd.kind == INTRODUCE:
             out[t] = entering = []
             intro.setdefault(nd.atom, []).append((entering, nd.bag))  # type: ignore[arg-type]
         elif nd.kind == LEAF:
             out[t] = atomless
-    for r in program.rules:
-        br = bag_rule(r, slots)
+    for r, form in zip(program.rules, forms):
         atoms = {*r.head, *r.pos_body, *r.neg_body}
         if not atoms:
-            atomless.append(br)
+            atomless.append(form)
         for a in atoms:
             for entering, bag in intro.get(a, ()):
                 if atoms <= bag:
-                    entering.append(br)
+                    entering.append(form)
     return out
 
 
@@ -289,7 +265,7 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
     nodes = td.nodes
     order = td.post_order()
     slots = assign_slots(td, program.n_atoms, order)
-    rules = entering_rules(program, td, slots)
+    rules = entering_rules(program, td, [alg.rule(r, slots) for r in program.rules])
     # every node's table is set below, so a finished solve holds no None
     tables: list[NodeTable] = [None] * len(nodes)  # type: ignore[list-item]
     lists = [0] * len(nodes)  # per node: the id of its table's row list

@@ -29,8 +29,7 @@ from bisect import bisect_left
 from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .engine import BagRule
-from .program import is_model
+from .program import Rule, is_model
 
 
 class PhcRow(NamedTuple):
@@ -41,7 +40,7 @@ class PhcRow(NamedTuple):
 
 def gp(interp: int, order: tuple[tuple[int, int], ...], rules: Sequence[tuple]) -> int:
     """Atoms provable under the interpretation and ordering (as a slot mask),
-    by the rules of a ``PhcAlgorithm.context``.
+    by rules in ``PhcAlgorithm.rule``'s form.
 
     A head atom is provable when the positive body holds and the negative
     body and the rest of the head are false.  A cyclic head atom must also
@@ -105,34 +104,45 @@ class PhcAlgorithm:
     def interp(row: PhcRow) -> int:
         return row.interp
 
-    def context(self, atom: int, rules: Sequence[BagRule], bag: Iterable[int], slots: Sequence[int]) -> Hashable:
+    def rule(self, r: Rule, slots: Sequence[int]) -> tuple:
+        """The rule's (head, positive body, negative body) slot masks, the
+        mask of its acyclic head atoms and, per cyclic head atom, its slot
+        bit, its slot and the slots of the positive-body atoms of its
+        component, which ``gp`` compares by rank.  No atom id: each atom has
+        one slot per solve, distinct within each bag.  On a tight program no
+        atom is cyclic."""
+        get = self.components.get
+        head = pos = neg = acyclic = 0
+        cyclic = ()
+        for a in r.pos_body:
+            pos |= 1 << slots[a]
+        for a in r.neg_body:
+            neg |= 1 << slots[a]
+        for a in r.head:
+            bit = 1 << slots[a]
+            head |= bit
+            c = get(a)
+            if c is None:
+                acyclic |= bit
+            else:
+                cyclic += ((bit, slots[a], tuple([slots[b] for b in r.pos_body if get(b) == c])),)
+        return head, pos, neg, acyclic, cyclic
+
+    def context(self, atom: int, rules: Sequence[tuple], bag: Iterable[int], slots: Sequence[int]) -> Hashable:
         """The atom's slot bit; if it is cyclic, its slot and the slot mask of
         the other bag atoms of its component (whose ranks ``_insertions``
-        and ``_without`` shift), else None and 0; and per rule its slot
-        masks, the mask of its acyclic head atoms and, per cyclic head atom,
-        its slot bit, its slot and the slots of the positive-body atoms of
-        its component, which ``gp`` compares by rank.  No atom id: each atom
-        has one slot per solve, distinct within each bag.  On a tight
-        program no atom is cyclic."""
-        get = self.components.get
-        ctx_rules = []
-        for head_mask, pos_mask, neg_mask, head_bits, source in rules:
-            acyclic, cyclic = head_mask, ()
-            for bit, a in zip(head_bits, source.head):
-                c = get(a)
-                if c is not None:
-                    acyclic &= ~bit
-                    cyclic += ((bit, slots[a], tuple(slots[b] for b in source.pos_body if get(b) == c)),)
-            ctx_rules.append((head_mask, pos_mask, neg_mask, acyclic, cyclic))
+        and ``_without`` shift), else None and 0; and the entering rules'
+        forms (see ``rule``)."""
         slot = slots[atom]
+        get = self.components.get
         c = get(atom)
         if c is None:
-            return 1 << slot, None, 0, tuple(ctx_rules)
+            return 1 << slot, None, 0, tuple(rules)
         same = 0
         for b in bag:
             if b != atom and get(b) == c:
                 same |= 1 << slots[b]
-        return 1 << slot, slot, same, tuple(ctx_rules)
+        return 1 << slot, slot, same, tuple(rules)
 
     @staticmethod
     def introduce(ctx: tuple, child_rows: Sequence[PhcRow]) -> Iterator[tuple[PhcRow, int]]:

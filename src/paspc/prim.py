@@ -34,8 +34,7 @@ from __future__ import annotations
 
 from typing import Any, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
-from .engine import BagRule, rule_masks
-from .program import is_model, iter_bits
+from .program import Rule, is_model, iter_bits
 
 
 # the widest decomposition on which prim keeps counter sets as bitsets
@@ -70,11 +69,24 @@ class PrimAlgorithm:
         return row.witness
 
     @staticmethod
-    def context(atom: int, rules: Sequence[BagRule], bag: Iterable[int], slots: Sequence[int]) -> Hashable:
-        """The atom's slot and the rules' slot masks: the generators read
-        rules only through those masks, and atoms only through their slots,
-        one per atom in a solve.  The rest of the bag adds nothing."""
-        return slots[atom], tuple(map(rule_masks, rules))
+    def rule(r: Rule, slots: Sequence[int]) -> tuple[int, int, int]:
+        """The rule's (head, positive body, negative body) slot masks: the
+        generators read rules only through them."""
+        head = pos = neg = 0
+        for a in r.head:
+            head |= 1 << slots[a]
+        for a in r.pos_body:
+            pos |= 1 << slots[a]
+        for a in r.neg_body:
+            neg |= 1 << slots[a]
+        return head, pos, neg
+
+    @staticmethod
+    def context(atom: int, rules: Sequence[tuple], bag: Iterable[int], slots: Sequence[int]) -> Hashable:
+        """The atom's slot and the entering rules' masks: the generators read
+        atoms only through their slots, one per atom in a solve.  The rest
+        of the bag adds nothing."""
+        return slots[atom], tuple(rules)
 
     def introduce(self, ctx: tuple, child_rows: Sequence[PrimRow]) -> Iterator[tuple[PrimRow, int]]:
         new_row = tuple.__new__
@@ -148,7 +160,9 @@ class SparsePrimAlgorithm:
     def interp(row: PrimRow) -> int:
         return row.witness
 
-    context = staticmethod(PrimAlgorithm.context)  # the same inputs, read through the same masks
+    # the same inputs, read through the same masks
+    rule = staticmethod(PrimAlgorithm.rule)
+    context = staticmethod(PrimAlgorithm.context)
 
     @staticmethod
     def introduce(ctx: tuple, child_rows: Sequence[PrimRow]) -> Iterator[tuple[PrimRow, int]]:

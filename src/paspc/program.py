@@ -3,8 +3,8 @@
 Atoms are interned to dense integer ids (0..n-1, first-occurrence order).
 Interpretations and atom sets are plain ``int`` bitmasks over those ids:
 bit ``1 << a`` is set iff atom ``a`` is in the set.  Rules keep their atom
-sets as sorted id tuples only; the table algorithms see them as slot masks
-(``engine.BagRule``), and the oracle builds its own atom masks.
+sets as sorted id tuples only; each table algorithm translates them to slot
+masks in its own ``rule``, and the oracle builds its own atom masks.
 
 A program's class (tight, head-cycle-free or disjunctive) is read off its
 positive dependency digraph, which is never built as an object of its own:
@@ -57,9 +57,9 @@ class Rule(NamedTuple):
 def is_model(interp: int, rules: Sequence[tuple]) -> bool:
     """True iff the interpretation satisfies every rule.  It reads each
     rule's (head, positive body, negative body) masks at positions 0 to 2,
-    as an ``engine.BagRule`` and every rule of a table algorithm's context
-    hold them, so ``interp`` is over the same slots (or atom ids, for a
-    ``BagRule`` built with each atom its own slot)."""
+    where every form of a table algorithm's ``rule`` holds them, so
+    ``interp`` is over the same slots (or atom ids, for masks built with
+    each atom its own slot)."""
     for r in rules:
         if not ((r[0] | r[2]) & interp or r[1] & ~interp):
             return False

@@ -3,7 +3,8 @@ formulas of the projection pass, the union-count transform of a bucket's
 intersection counts, a node's bucket members rebuilt from the pass's
 per-row bucket ids and bits, tables built from and read as lists of origin
 tuples, the engine's origin links as row tuples and their definitional
-recomputation, each node's entering rules found node by node, structural
+recomputation, each node's entering rules found node by node, each node's
+context translated node by node from its entering program rules, structural
 row checks on decoded rows, the ``prim`` table algorithm with counter sets
 as frozensets of atom masks, the positive dependency digraph as an edge set
 with its reachability closure, the primal graph built edge by edge, the
@@ -13,7 +14,8 @@ before checking it, and the program parser over ``(kind, lexeme, offset)``
 token tuples.
 The library computes the same quantities bucket-wise (``paspc.proj``),
 records them during the table pass as ints and finds each rule's entering
-nodes from the rule (``paspc.engine``), encodes rows
+nodes from the rule (``paspc.engine``), translates each rule once per solve
+(the table algorithms' ``rule``), encodes rows
 in bag slots with counter sets as subset bitsets (``paspc.prim``), builds
 both program graphs on atom-indexed lists (``paspc.program``,
 ``paspc.decomposition``), selects and links bags with cheaper structures,
@@ -40,9 +42,9 @@ from paspc.decomposition import (
     NiceTreeDecomposition,
     PrimalGraph,
     TreeDecomposition,
-    assign_slots,
+
 )
-from paspc.engine import NO_MORE, BagRule, NodeTable, TabledTreeDecomposition, bag_rule, entering_rules, node_table
+from paspc.engine import NO_MORE, NodeTable, TabledTreeDecomposition, entering_rules, node_table
 from paspc.formats import ParseDiagnostic, ParseError
 from paspc.oracle import MAX_ATOMS, OracleSizeError
 from paspc.phc import PhcAlgorithm
@@ -185,29 +187,62 @@ def union_counts(vals: Sequence[int], b: int) -> list[int]:
 # --- engine: origins as lists and rows, scopes and origin verification ------
 
 
-def reference_entering_rules(
-    program: Program, td: NiceTreeDecomposition, slots: Sequence[int]
-) -> list[Sequence[BagRule]]:
-    """``engine.entering_rules`` found node by node: the rules grouped by
-    atom, and every introduce node scanning all rules of its atom for those
-    that fit its bag."""
-    rules_by_atom: dict[int, list[tuple[BagRule, tuple[int, ...]]]] = {}
+def reference_entering_rules(program: Program, td: NiceTreeDecomposition, forms: Sequence[Any]) -> list[Sequence[Any]]:
+    """``engine.entering_rules`` found node by node: the rules' forms
+    (``forms[i]`` for ``program.rules[i]``) grouped by atom, and every
+    introduce node scanning all rules of its atom for those that fit its
+    bag."""
+    rules_by_atom: dict[int, list[tuple[Any, tuple[int, ...]]]] = {}
     atomless = []
-    for r in program.rules:
-        br = bag_rule(r, slots)
+    for r, form in zip(program.rules, forms):
         atoms = r.head + r.pos_body + r.neg_body
         if not atoms:
-            atomless.append(br)
+            atomless.append(form)
         for a in set(atoms):
-            rules_by_atom.setdefault(a, []).append((br, atoms))
+            rules_by_atom.setdefault(a, []).append((form, atoms))
 
-    out: list[Sequence[BagRule]] = [()] * len(td.nodes)
+    out: list[Sequence[Any]] = [()] * len(td.nodes)
     for t, nd in enumerate(td.nodes):
         if nd.kind == LEAF:
             out[t] = atomless
         elif nd.kind == INTRODUCE:
-            out[t] = [br for br, atoms in rules_by_atom.get(nd.atom, ()) if nd.bag.issuperset(atoms)]  # type: ignore[arg-type]
+            out[t] = [form for form, atoms in rules_by_atom.get(nd.atom, ()) if nd.bag.issuperset(atoms)]  # type: ignore[arg-type]
     return out
+
+
+def node_rules(ttd: TabledTreeDecomposition) -> list[Sequence[Any]]:
+    """Per node, its entering rules in the forms ``run_dp`` hands the
+    algorithm: each program rule translated by the algorithm's ``rule``."""
+    forms = [ttd.alg.rule(r, ttd.slots) for r in ttd.program.rules]
+    return entering_rules(ttd.program, ttd.td, forms)
+
+
+def reference_context(alg: Any, atom: int, rules: Sequence[Rule], bag: Any, slots: Sequence[int]) -> Any:
+    """An introduce or remove node's context translated node by node from
+    its entering program rules, as the library did before each algorithm
+    translated a rule once per solve: every rule's slot masks, for ``prim``
+    as they are, and for ``phc`` with, per rule, its acyclic head mask and
+    per cyclic head atom its slot bit, its slot and the slots of the
+    positive-body atoms of its component."""
+    masks = [tuple(mask_of(slots[a] for a in ids) for ids in r) for r in rules]
+    slot = slots[atom]
+    if not isinstance(alg, PhcAlgorithm):
+        return slot, tuple(masks)
+    get = alg.components.get
+    ctx_rules = []
+    for (head_mask, pos_mask, neg_mask), r in zip(masks, rules):
+        acyclic, cyclic = head_mask, ()
+        for a in r.head:
+            c = get(a)
+            if c is not None:
+                acyclic &= ~(1 << slots[a])
+                cyclic += ((1 << slots[a], slots[a], tuple(slots[b] for b in r.pos_body if get(b) == c)),)
+        ctx_rules.append((head_mask, pos_mask, neg_mask, acyclic, cyclic))
+    c = get(atom)
+    if c is None:
+        return 1 << slot, None, 0, tuple(ctx_rules)
+    same = mask_of(slots[b] for b in bag if b != atom and get(b) == c)
+    return 1 << slot, slot, same, tuple(ctx_rules)
 
 
 def table_of(rows: list, origins: Sequence[Sequence[tuple[int, ...]]]) -> NodeTable:
@@ -227,9 +262,10 @@ def table_dict(tab: NodeTable) -> dict[Any, list[tuple[int, ...]]]:
     return dict(zip(tab.rows, tab.origins))
 
 
-def node_context(ttd: TabledTreeDecomposition, t: int, rules: Sequence[BagRule]) -> Any:
+def node_context(ttd: TabledTreeDecomposition, t: int, rules: Sequence[Any]) -> Any:
     """The context that ``run_dp`` builds node t's table from, given the
-    node's entering rules: at a leaf whether they hold, at a join None, and
+    node's entering rules' forms (``node_rules``): at a leaf whether they
+    hold, at a join None, and
     elsewhere the algorithm's ``context`` of the node's atom and bag."""
     nd = ttd.td.nodes[t]
     if nd.kind == LEAF:
@@ -273,13 +309,13 @@ class NodeScope:
 
 def node_scope(ttd: TabledTreeDecomposition, t: int) -> NodeScope:
     td = ttd.td
-    rules = entering_rules(ttd.program, td, ttd.slots)
+    rules = entering_rules(ttd.program, td, ttd.program.rules)
     below_rules: set[Rule] = set()
     below_atoms = 0
     stack = [t]
     while stack:
         x = stack.pop()
-        below_rules.update(r.source for r in rules[x])
+        below_rules.update(rules[x])
         below_atoms |= mask_of(td.nodes[x].bag)
         stack.extend(td.nodes[x].children)
     return NodeScope(
@@ -297,7 +333,7 @@ def definitional_origins(ttd: TabledTreeDecomposition, t: int, row: Any) -> set[
     out = set()
     child_tables = [ttd.table(c) for c in nd.children]
     child_origins = [tab.origins for tab in child_tables]
-    ctx = node_context(ttd, t, entering_rules(ttd.program, ttd.td, ttd.slots)[t])
+    ctx = node_context(ttd, t, node_rules(ttd)[t])
     ranges = [range(len(tab)) for tab in child_tables]
     for combo in product(*ranges):
         singles = [table_of([child_tables[i].rows[j]], [child_origins[i][j]]) for i, j in enumerate(combo)]
@@ -365,9 +401,9 @@ class PrimRow(NamedTuple):
     counters: frozenset[int]
 
 
-def _reduct_models(interp: int, reduct_rules: Sequence[BagRule]) -> bool:
-    for r in reduct_rules:
-        if not (r.head_mask & interp or r.pos_mask & ~interp):
+def _reduct_models(interp: int, reduct_rules: Sequence[tuple[int, int, int]]) -> bool:
+    for head, pos, _ in reduct_rules:
+        if not (head & interp or pos & ~interp):
             return False
     return True
 
@@ -388,7 +424,7 @@ class ReferencePrim:
     def node_table(
         kind: str,
         atom: int | None,
-        rules: Sequence[BagRule],
+        rules: Sequence[tuple[int, int, int]],
         child_tables: Sequence[NodeTable],
     ) -> dict[PrimRow, list[tuple[int, ...]]]:
         out: dict[PrimRow, list[tuple[int, ...]]] = {}
@@ -401,7 +437,7 @@ class ReferencePrim:
                 for witness in (row.witness, row.witness | bit):
                     if not is_model(witness, rules):
                         continue
-                    reduct = [r for r in rules if not (r.neg_mask & witness)]
+                    reduct = [r for r in rules if not (r[2] & witness)]
                     counters = set()
                     for n in row.counters:
                         candidates = (n, n | bit) if witness & bit else (n,)
@@ -438,13 +474,12 @@ class ReferencePrim:
 def reference_prim_tables(program: Program, td: NiceTreeDecomposition) -> list[NodeTable]:
     """Per node, the table of ``ReferencePrim`` over the same entering rules
     as ``paspc.engine.run_dp``, with atom-id masks: each atom its own slot."""
-    rules = entering_rules(program, td, assign_slots(td, program.n_atoms, td.post_order()))
-    ids = range(program.n_atoms)
+    rules = entering_rules(program, td, program.rules)
     tables: list[NodeTable] = [None] * len(td.nodes)  # type: ignore[list-item]
     for t in td.post_order():
         nd = td.nodes[t]
-        source = [bag_rule(r.source, ids) for r in rules[t]]
-        produced = ReferencePrim.node_table(nd.kind, nd.atom, source, [tables[c] for c in nd.children])
+        masks = [tuple(map(mask_of, r)) for r in rules[t]]
+        produced = ReferencePrim.node_table(nd.kind, nd.atom, masks, [tables[c] for c in nd.children])
         tables[t] = table_of(list(produced), list(produced.values()))
     return tables
 

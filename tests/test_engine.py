@@ -9,8 +9,8 @@ import pytest
 import helpers
 from paspc import oracle, pipeline
 from paspc.cli import purged_origins
-from paspc.decomposition import LEAF, TreeDecomposition, assign_slots, decompose, make_nice, primal_graph
-from paspc.engine import NO_MORE, TableAlgorithm, bag_rule, entering_rules, node_table, purge, run_dp
+from paspc.decomposition import INTRODUCE, LEAF, REMOVE, TreeDecomposition, decompose, make_nice, primal_graph
+from paspc.engine import NO_MORE, TableAlgorithm, entering_rules, node_table, purge, run_dp
 from paspc.formats import parse_program
 from paspc.phc import PhcAlgorithm, PhcRow
 from paspc.prim import DENSE_MAX_WIDTH, PrimAlgorithm, PrimRow, SparsePrimAlgorithm
@@ -18,9 +18,11 @@ from paspc.program import Program, ProgramKind, Rule, classify, is_model, mask_o
 from reference import (
     definitional_origins,
     node_context,
+    node_rules,
     node_scope,
     origins,
     origins_table,
+    reference_context,
     reference_entering_rules,
     table_dict,
     table_of,
@@ -86,7 +88,7 @@ class TestNodeTable:
         # origin, and only while the atomless rules hold
         assert alg.solution_row == empty_row
         assert table_dict(node_table(alg, LEAF, is_model(0, []), [])) == {empty_row: [()]}
-        assert table_dict(node_table(alg, LEAF, is_model(0, [bag_rule(Rule((), (), ()), [])]), [])) == {}
+        assert table_dict(node_table(alg, LEAF, is_model(0, [alg.rule(Rule((), (), ()), [])]), [])) == {}
 
 
 class TestBagPrograms:
@@ -95,7 +97,7 @@ class TestBagPrograms:
 
     @staticmethod
     def check_entering(p, td):
-        rules = entering_rules(p, td, assign_slots(td, p.n_atoms, td.post_order()))
+        rules = entering_rules(p, td, p.rules)
 
         def fitting(bag):
             return {r for r in p.rules if bag.issuperset(r.head + r.pos_body + r.neg_body)}
@@ -103,7 +105,7 @@ class TestBagPrograms:
         entered = set()
         for t in td.post_order():
             nd = td.nodes[t]
-            got = {r.source for r in rules[t]}
+            got = set(rules[t])
             if nd.kind == "leaf":
                 assert got == fitting(frozenset())
             elif nd.kind in ("rem", "join"):
@@ -121,17 +123,17 @@ class TestBagPrograms:
         td = make_nice(decompose(primal_graph(p)))
         self.check_entering(p, td)
         leaves = [t for t in td.post_order() if td.nodes[t].kind == "leaf"]
-        rules = entering_rules(p, td, assign_slots(td, p.n_atoms, td.post_order()))
-        assert all([r.source for r in rules[t]] == [Rule((), (), ())] for t in leaves)
+        rules = entering_rules(p, td, p.rules)
+        assert all(rules[t] == [Rule((), (), ())] for t in leaves)
 
     def test_two_rules_enter_at_t8(self, example1_td):
         # introducing e over {b,d}: "d | e :- b." and "b :- e, not d." become
         # complete; "d :- not b." entered at t7, "c | e." needs c
         program, ntd, ids = example1_td
-        rules = entering_rules(program, ntd, assign_slots(ntd, program.n_atoms, ntd.post_order()))
+        rules = entering_rules(program, ntd, program.rules)
         b, d, e = (program.atom_id(x) for x in "bde")
         want = {Rule(tuple(sorted((d, e))), (b,), ()), Rule((b,), (e,), (d,))}
-        assert {r.source for r in rules[ids["t8"]]} == want
+        assert set(rules[ids["t8"]]) == want
 
     def test_entering_rules_match_the_node_by_node_search(self):
         # per node the same rules, in the same (program) order, as the
@@ -145,8 +147,7 @@ class TestBagPrograms:
         for p in programs:
             for heuristic, seed in (("min-fill", 0), ("min-degree", 1)):
                 td = make_nice(decompose(primal_graph(p), heuristic, seed))
-                slots = assign_slots(td, p.n_atoms, td.post_order())
-                assert entering_rules(p, td, slots) == reference_entering_rules(p, td, slots)
+                assert entering_rules(p, td, p.rules) == reference_entering_rules(p, td, p.rules)
 
     def test_scope_at_root_is_whole_program(self, example1_td):
         program, ids, ttd = run_example1(example1_td)
@@ -454,7 +455,7 @@ class TestNodeMemo:
         that node's own child tables; one table object per build.  Returns
         the number of nodes that took an earlier node's table."""
         td = ttd.td
-        rules = entering_rules(ttd.program, td, ttd.slots)
+        rules = node_rules(ttd)
         for t in ttd.post_order:
             nd = td.nodes[t]
             fresh = node_table(ttd.alg, nd.kind, node_context(ttd, t, rules[t]), [ttd.table(c) for c in nd.children])
@@ -491,6 +492,69 @@ class TestNodeMemo:
         assert not {id(tab) for tab in first.ttd.tables} & {id(tab) for tab in second.ttd.tables}
 
 
+# the disjunctive chain less its q_i :- p_i rules: a tight program whose
+# decomposition has joins, with rules of the atoms in a join's bag entering
+# at one introduce node in each branch below it
+BRANCHED_CHAIN = "".join(line for line in helpers.disjunctive_chain(3, 2).splitlines(True) if line[0] != "q")
+
+
+class TestRuleForms:
+    """Each table form translates a rule once per solve, by its ``rule``,
+    and its ``context`` bundles the entering rules' forms as they are."""
+
+    def test_contexts_match_the_node_by_node_translation(self):
+        # at every introduce and remove node of the memo fuzz, in all four
+        # forms, the context equals the one translated at that node from
+        # its entering program rules; the library phc also meets cyclic
+        # head atoms whose positive body leaves their component
+        nodes, outside = Counter(), 0
+        for form, ttd in memo_fuzz():
+            alg, td, slots = ttd.alg, ttd.td, ttd.slots
+            forms, rules = node_rules(ttd), entering_rules(ttd.program, td, ttd.program.rules)
+            for t, nd in enumerate(td.nodes):
+                if nd.kind in (INTRODUCE, REMOVE):
+                    want = reference_context(alg, nd.atom, rules[t], nd.bag, slots)
+                    assert alg.context(nd.atom, forms[t], nd.bag, slots) == want, (form, t)
+                    nodes[form] += 1
+            if form == "phc":
+                comp = alg.components
+                outside += sum(
+                    a in comp and any(comp.get(b) != comp[a] for b in r.pos_body)
+                    for r in ttd.program.rules
+                    for a in r.head
+                )
+        assert set(nodes) == {"phc", "paper phc", "prim bitsets", "prim frozensets"}
+        assert outside
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda p, width: pipeline.pick_algorithm(classify(p), "phc", width),
+            lambda p, width: helpers.paper_phc(p.n_atoms),
+            lambda p, width: PrimAlgorithm(width),
+            lambda p, width: SparsePrimAlgorithm(),
+        ],
+        ids=["phc", "paper-phc", "prim", "sparse-prim"],
+    )
+    def test_a_solve_translates_each_rule_once(self, form):
+        p = parse_program(BRANCHED_CHAIN)
+        nice = make_nice(decompose(primal_graph(p)))
+        entering = entering_rules(p, nice, p.rules)
+        per_rule = Counter(r for t, nd in enumerate(nice.nodes) if nd.kind == INTRODUCE for r in entering[t])
+        assert max(per_rule.values()) > 1
+        alg = form(p, nice.width)
+        translate, calls = alg.rule, []
+
+        def counting(r, slots):
+            calls.append(r)
+            return translate(r, slots)
+
+        alg.rule = counting
+        run_dp(alg, p, nice)
+        # one call per program rule, in program order
+        assert calls == list(p.rules)
+
+
 # every table form the engine runs: the paper's PHC, and what
 # pick_algorithm hands back for phc and prim on each side of DENSE_MAX_WIDTH
 TABLE_FORMS = [
@@ -507,7 +571,7 @@ class TestTableContract:
     """The table algorithms' side of the node memo: each states a node's
     inputs once, as its ``context``, and a solve never changes it."""
 
-    @pytest.mark.parametrize("name", ["context", "introduce", "remove", "join"])
+    @pytest.mark.parametrize("name", ["rule", "context", "introduce", "remove", "join"])
     def test_forms_take_the_protocol_parameters(self, name):
         want = list(inspect.signature(getattr(TableAlgorithm, name)).parameters)[1:]  # less self
         for alg in TABLE_FORMS:

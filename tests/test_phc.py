@@ -7,7 +7,7 @@ import pytest
 import helpers
 from paspc import engine, oracle, pipeline
 from paspc.decomposition import decompose, make_nice, primal_graph
-from paspc.engine import bag_rule, has_solution, node_table, run_dp
+from paspc.engine import has_solution, node_table, run_dp
 from paspc.formats import parse_program
 from paspc.phc import PhcAlgorithm, PhcRow, gp
 from paspc.program import Program, classify, mask_of
@@ -22,10 +22,10 @@ def masks(p, names):
 
 
 def one_bag_rules(p):
-    """The program's rules for one bag holding every atom, with atom a in
-    slot a: slot masks equal atom masks, so the rows and values below read
-    the same in both."""
-    return [bag_rule(r, range(p.n_atoms)) for r in p.rules]
+    """The program's rules in PHC's form for one bag holding every atom,
+    with atom a in slot a: slot masks equal atom masks, so the rows and
+    values below read the same in both."""
+    return [PHC.rule(r, range(p.n_atoms)) for r in p.rules]
 
 
 def one_bag_context(p, atom, rules):

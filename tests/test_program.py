@@ -7,7 +7,6 @@ import pytest
 import helpers
 import reference
 from paspc.formats import parse_program
-from paspc.engine import bag_rule
 from paspc.program import (
     Program,
     ProgramKind,
@@ -16,7 +15,14 @@ from paspc.program import (
     cyclic_components,
     is_model,
     iter_bits,
+    mask_of,
 )
+
+
+def atom_masks(r):
+    """The rule's (head, positive body, negative body) atom-id masks, as
+    ``is_model`` reads a rule."""
+    return tuple(map(mask_of, r))
 
 
 def rule_of(p, head, pos=(), neg=()):
@@ -47,15 +53,15 @@ class TestSatisfies:
 
     def test_head_hit(self, example1):
         r = rule_of(example1, ["d", "e"], pos=["b"])
-        assert is_model(example1.mask("bcd"), [bag_rule(r, range(example1.n_atoms))])
+        assert is_model(example1.mask("bcd"), [atom_masks(r)])
 
     def test_empty_constraint_unsatisfiable(self):
         r = Rule.make([], [], [])
-        assert not is_model(0, [bag_rule(r, ())])
+        assert not is_model(0, [atom_masks(r)])
 
     def test_positive_body_met_head_missed(self):
         p = Program.from_specs([(("b",), ("a",), ())])
-        assert not is_model(p.mask("a"), [bag_rule(p.rules[0], range(p.n_atoms))])
+        assert not is_model(p.mask("a"), [atom_masks(p.rules[0])])
 
 
 class TestClassify:
