@@ -22,9 +22,9 @@ bag, and the atomless rules at a leaf.  Every other rule that fits the bag
 was checked below, on the same interpretation of its atoms.  ``run_dp``
 keeps the entering rules only while it runs; ``entering_rules`` rebuilds
 them.  Tables keep their rows in the order the algorithm first emitted
-them; a later top-down pass (purge) marks the rows reachable from the
-solution row at the root and keeps their table indices, and nothing else,
-so the projection pass reads the kept rows and their origins in place.
+them; a later top-down pass (purge) keeps the table indices of the rows
+reachable from the solution row at the root, and nothing else, so the
+projection pass reads the kept rows and their origins in place.
 
 A row's origins are its child rows, each encoded as one int: the child
 row's index under one child, and ``i * len(right_rows) + j`` for the pair of
@@ -74,7 +74,6 @@ from array import array
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress
 from types import MappingProxyType
 from typing import Any, Protocol
 
@@ -265,7 +264,11 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
     nodes = td.nodes
     order = td.post_order()
     slots = assign_slots(td, program.n_atoms, order)
-    rules = entering_rules(program, td, [alg.rule(r, slots) for r in program.rules])
+    # for this solve only, one object per distinct rule form: rules that
+    # differ only in their atoms' names translate to equal forms
+    forms: dict[Hashable, Hashable] = {}
+    intern = forms.setdefault
+    rules = entering_rules(program, td, [intern(f, f) for f in (alg.rule(r, slots) for r in program.rules)])
     # every node's table is set below, so a finished solve holds no None
     tables: list[NodeTable] = [None] * len(nodes)  # type: ignore[list-item]
     lists = [0] * len(nodes)  # per node: the id of its table's row list
@@ -319,9 +322,10 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
 
 @dataclass
 class PurgedTables:
-    """Per node, the table indices of its surviving rows, ascending.  A kept
-    row's origins point at kept child rows only.  Equal kept lists of one
-    solve are one read-only tuple."""
+    """Per node, the table indices of its surviving rows, ascending: the
+    root's solution row, and below it the origins of the parent's kept rows.
+    A kept row's origins point at kept child rows only.  Equal kept lists of
+    one solve are one read-only tuple."""
 
     ttd: TabledTreeDecomposition
     kept: list[tuple[int, ...]]  # per node: table indices of the kept rows
@@ -341,45 +345,43 @@ def has_solution(ttd: TabledTreeDecomposition) -> bool:
 
 
 def purge(ttd: TabledTreeDecomposition) -> PurgedTables:
-    """Keep only rows reachable from the root solution row via origin links.
-
-    Each kept list is an exact-size tuple, and a pool local to the call
-    keeps one object per distinct list, so nodes of equal kept lists share
-    it (the projection pass keys its plans by that object).  An
-    inconsistent instance yields empty tables everywhere."""
+    """Keep only rows reachable from the root solution row via origin links,
+    top-down: the root keeps the solution row if ``has_solution`` holds, and
+    a node's children keep the distinct origins of its kept rows, split by
+    ``divmod(o, stride)`` at a join.  A node has one parent, so a dict local
+    to the call works out the children's lists once per distinct (table,
+    kept list).  A pool local to the call keeps one exact-size tuple per
+    distinct list, so nodes of equal kept lists share it (the projection
+    pass keys its plans by that object).  An inconsistent instance yields
+    empty tables everywhere."""
     td = ttd.td
-    root = td.root
-    # per node, one mark byte per table row, set by the kept parent rows
-    marked = [bytearray(len(ttd.table(t))) for t in range(len(td.nodes))]
-    if has_solution(ttd):
-        marked[root][ttd.table(root).rows.index(ttd.alg.solution_row)] = 1
-
-    kept: list[tuple[int, ...]] = [()] * len(td.nodes)
+    nodes, tables = td.nodes, ttd.tables
+    kept: list[tuple[int, ...]] = [()] * len(nodes)
     pool: dict[tuple[int, ...], tuple[int, ...]] = {}
+    if has_solution(ttd):
+        root = td.root
+        keep = (tables[root].rows.index(ttd.alg.solution_row),)
+        kept[root] = pool[keep] = keep
+    # per (table, kept list): the children's kept lists
+    below: dict[tuple[NodeTable, tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
     for t in reversed(ttd.post_order):
-        mark = marked[t]
-        keep = tuple(compress(range(len(mark)), mark))
-        if not keep:
+        keep = kept[t]
+        children = nodes[t].children
+        if not keep or not children:
             continue
-        tab = ttd.table(t)
-        kept[t] = pool.setdefault(keep, keep)
-        children = td.nodes[t].children
-        if not children:
-            continue
-        # the kept rows' first origins, then their further ones
-        origins: Iterable[int] = compress(tab.first, mark)
-        if tab.more:
-            origins = chain(origins, [o for j, seq in tab.more.items() if mark[j] for o in seq])
-        if len(children) == 1:
-            child_mark = marked[children[0]]
-            for o in origins:
-                child_mark[o] = 1
-        else:
-            left, right = (marked[c] for c in children)
-            stride = tab.stride
-            for o in origins:
-                i, j = divmod(o, stride)
-                left[i] = 1
-                right[j] = 1
+        tab = tables[t]
+        lists = below.get((tab, keep))
+        if lists is None:
+            # the kept rows' first origins, then their further ones
+            origins = set(map(tab.first.__getitem__, keep))
+            if tab.more:
+                origins.update(*filter(None, map(tab.more.get, keep)))
+            if len(children) == 1:
+                split = [origins]
+            else:
+                stride = tab.stride
+                split = [set(map(stride.__rfloordiv__, origins)), set(map(stride.__rmod__, origins))]
+            lists = below[tab, keep] = tuple(pool.setdefault(c, c) for c in map(tuple, map(sorted, split)))
+        for c, child_keep in zip(children, lists):
+            kept[c] = child_keep
     return PurgedTables(ttd, kept)
-

@@ -54,8 +54,11 @@ bucket b.  A bucket reads:
 
 The evaluation (``_evaluate``) is the numbers only: the entries read, and
 at a join the Venn regions, which depend on b1's counts.  A node's shape
-is its table, its kept rows, its projected slot mask and its children's
-partitions, a partition being a node's (table, kept rows, slot mask).  A
+is its table, its kept rows, its projected slot mask and its first child's
+slot mask (0 at a leaf), which fix its children's partitions too: a shared
+table has equal child row lists (``run_dp``), a child's kept rows follow
+from its one parent's (``purge``), and only a remove node's child has a
+slot mask the node's does not tell (whether the atom is projected).  A
 memo local to ``run_proj`` maps each shape to its plan, keyed by those
 objects themselves: a table is hashed and compared by identity, a kept
 list by its few ints, and ``purge`` keeps one object per distinct kept
@@ -412,19 +415,18 @@ def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
     # for this pass only: per node shape, its plan, per count the shared
     # one-row array, and per table length the all-zero ``pos_in_bucket``
     # that plans of one-row buckets share.  A shape is keyed by the objects
-    # that fix it, the node's (table, kept list, slot mask) followed by each
-    # child's: a table is hashed and compared by identity, a kept list by
-    # its ints
+    # that fix it, the node's (table, kept list, slot mask) and its first
+    # child's slot mask: a table is hashed and compared by identity, a kept
+    # list by its ints
     plans: dict[tuple, _Plan] = {}
     one_row: dict[int, tuple[int, int]] = {}
     zeros: dict[int, tuple[int, ...]] = {}
-    kept_of = purged.kept
     # per table, the last node that has it: only a plan whose table a later
     # node has can be read again, so only such plans are kept
     last_node = dict(zip(map(tables.__getitem__, ttd.post_order), ttd.post_order))
 
     for t in ttd.post_order:
-        kept = kept_of[t]
+        kept = purged.kept[t]
         nd = td.nodes[t]
         tab = tables[t]
         smask = 0
@@ -432,14 +434,7 @@ def run_proj(purged: PurgedTables, pmask: int) -> ProjTables:
             smask |= proj_bits[a]
         smasks[t] = smask
         children = nd.children
-        if len(children) == 1:
-            c = children[0]
-            key: tuple = tab, kept, smask, tables[c], kept_of[c], smasks[c]
-        elif children:
-            c, d = children
-            key = tab, kept, smask, tables[c], kept_of[c], smasks[c], tables[d], kept_of[d], smasks[d]
-        else:
-            key = tab, kept, smask
+        key = tab, kept, smask, smasks[children[0]] if children else 0
         plan = plans.get(key)
         if plan is None:
             plan = _plan(t, nd.kind, tab, kept, smask, interp, [nodes[c] for c in children], zeros)

@@ -1,20 +1,21 @@
 """Reference formulations kept for the tests: the defining per-entry
 formulas of the projection pass, the union-count transform of a bucket's
-intersection counts, a node's bucket members rebuilt from the pass's
-per-row bucket ids and bits, tables built from and read as lists of origin
-tuples, the engine's origin links as row tuples and their definitional
-recomputation, each node's entering rules found node by node, each node's
-context translated node by node from its entering program rules, structural
-row checks on decoded rows, the ``prim`` table algorithm with counter sets
-as frozensets of atom masks, the positive dependency digraph as an edge set
-with its reachability closure, the primal graph built edge by edge, the
-first elimination-ordering decomposition, the structural check of the nice
-shape, the brute-force oracle that builds every interpretation's reduct
-before checking it, and the program parser over ``(kind, lexeme, offset)``
-token tuples.
+intersection counts, the purge by per-node mark arrays, a node's bucket
+members rebuilt from the pass's per-row bucket ids and bits, tables built
+from and read as lists of origin tuples, the engine's origin links as row
+tuples and their definitional recomputation, each node's entering rules
+found node by node, each node's context translated node by node from its
+entering program rules, structural row checks on decoded rows, the
+``prim`` table algorithm with counter sets as frozensets of atom masks, the
+positive dependency digraph as an edge set with its reachability closure,
+the primal graph built edge by edge, the first elimination-ordering
+decomposition, the structural check of the nice shape, the brute-force
+oracle that builds every interpretation's reduct before checking it, and
+the program parser over ``(kind, lexeme, offset)`` token tuples.
 The library computes the same quantities bucket-wise (``paspc.proj``),
-records them during the table pass as ints and finds each rule's entering
-nodes from the rule (``paspc.engine``), translates each rule once per solve
+records them during the table pass as ints, finds each rule's entering
+nodes from the rule and purges top-down from each node's parent's kept
+list (``paspc.engine``), translates each rule once per solve
 (the table algorithms' ``rule``), encodes rows
 in bag slots with counter sets as subset bitsets (``paspc.prim``), builds
 both program graphs on atom-indexed lists (``paspc.program``,
@@ -31,7 +32,7 @@ import random
 import re
 from array import array
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, compress, product
 from typing import Any, Mapping, NamedTuple, NoReturn, Sequence
 
 from paspc.decomposition import (
@@ -44,7 +45,15 @@ from paspc.decomposition import (
     TreeDecomposition,
 
 )
-from paspc.engine import NO_MORE, NodeTable, TabledTreeDecomposition, entering_rules, node_table
+from paspc.engine import (
+    NO_MORE,
+    NodeTable,
+    PurgedTables,
+    TabledTreeDecomposition,
+    entering_rules,
+    has_solution,
+    node_table,
+)
 from paspc.formats import ParseDiagnostic, ParseError
 from paspc.oracle import MAX_ATOMS, OracleSizeError
 from paspc.phc import PhcAlgorithm
@@ -255,6 +264,41 @@ def table_of(rows: list, origins: Sequence[Sequence[tuple[int, ...]]]) -> NodeTa
     encoded = [[seq[0] * stride + seq[1] if arity == 2 else (seq[0] if seq else 0) for seq in seqs] for seqs in origins]
     more = {j: tuple(seq[1:]) for j, seq in enumerate(encoded) if len(seq) > 1}
     return NodeTable(rows, array("q", [seq[0] for seq in encoded]), more or NO_MORE, arity, stride)
+
+
+def reference_purge(ttd: TabledTreeDecomposition) -> PurgedTables:
+    """The purge by mark arrays: one mark byte per table row of every node,
+    the root's solution row marked first, then, top-down, every origin of a
+    marked row marked in its child.  Pools equal kept lists into one object
+    as ``engine.purge`` does."""
+    td = ttd.td
+    marked = [bytearray(len(ttd.table(t))) for t in range(len(td.nodes))]
+    if has_solution(ttd):
+        marked[td.root][ttd.table(td.root).rows.index(ttd.alg.solution_row)] = 1
+    kept: list[tuple[int, ...]] = [()] * len(td.nodes)
+    pool: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for t in reversed(ttd.post_order):
+        mark = marked[t]
+        keep = tuple(compress(range(len(mark)), mark))
+        if not keep:
+            continue
+        tab = ttd.table(t)
+        kept[t] = pool.setdefault(keep, keep)
+        children = td.nodes[t].children
+        if not children:
+            continue
+        origins = chain(compress(tab.first, mark), [o for j, seq in tab.more.items() if mark[j] for o in seq])
+        if len(children) == 1:
+            child_mark = marked[children[0]]
+            for o in origins:
+                child_mark[o] = 1
+        else:
+            left, right = (marked[c] for c in children)
+            for o in origins:
+                i, j = divmod(o, tab.stride)
+                left[i] = 1
+                right[j] = 1
+    return PurgedTables(ttd, kept)
 
 
 def table_dict(tab: NodeTable) -> dict[Any, list[tuple[int, ...]]]:

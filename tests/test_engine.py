@@ -10,11 +10,12 @@ import helpers
 from paspc import oracle, pipeline
 from paspc.cli import purged_origins
 from paspc.decomposition import INTRODUCE, LEAF, REMOVE, TreeDecomposition, decompose, make_nice, primal_graph
-from paspc.engine import NO_MORE, TableAlgorithm, entering_rules, node_table, purge, run_dp
+from paspc.engine import NO_MORE, TableAlgorithm, entering_rules, has_solution, node_table, purge, run_dp
 from paspc.formats import parse_program
 from paspc.phc import PhcAlgorithm, PhcRow
 from paspc.prim import DENSE_MAX_WIDTH, PrimAlgorithm, PrimRow, SparsePrimAlgorithm
 from paspc.program import Program, ProgramKind, Rule, classify, is_model, mask_of
+from paspc.proj import final_count, run_proj
 from reference import (
     definitional_origins,
     node_context,
@@ -24,6 +25,7 @@ from reference import (
     origins_table,
     reference_context,
     reference_entering_rules,
+    reference_purge,
     table_dict,
     table_of,
     verify_origins,
@@ -362,6 +364,60 @@ class TestPurge:
         assert len(purged.rows[t8]) < len(ttd.table(t8))
         for row in purged.rows[t8]:
             assert any(a & bag_mask == ttd.decode(t8, row.interp) for a in answer_sets)
+
+    def test_matches_the_mark_array_purge(self):
+        # on the memo fuzz in all four forms, the top-down purge keeps what
+        # marking each kept row's origins in its child keeps, and pools equal
+        # kept lists into one object.  Kept join rows and kept rows of
+        # several origins occur, and so do nodes that share a table with an
+        # earlier node but keep other rows, whose children keep other rows
+        reached = Counter()
+        for form, ttd in memo_fuzz():
+            got, want = purge(ttd), reference_purge(ttd)
+            assert got.kept == want.kept, form
+            assert len({id(keep) for keep in got.kept}) == len(set(got.kept)), form
+            below = {}  # per table, the first node's (kept list, children's kept lists)
+            for t in ttd.post_order:
+                keep, tab, children = got.kept[t], ttd.table(t), ttd.td.nodes[t].children
+                if not keep:
+                    continue
+                reached[form, "join"] += len(children) == 2
+                reached[form, "several origins"] += any(j in tab.more for j in keep)
+                lists = [got.kept[c] for c in children]
+                first_keep, first_lists = below.setdefault(id(tab), (keep, lists))
+                reached[form, "one table, other children's lists"] += first_keep != keep and first_lists != lists
+        forms = ("phc", "paper phc", "prim bitsets", "prim frozensets")
+        assert {key for key, n in reached.items() if n} == {
+            (form, what) for form in forms for what in ("join", "several origins", "one table, other children's lists")
+        }
+
+    def test_one_solution_row_question(self):
+        # whether the program has an answer set has one answer: the solution
+        # row at the root (has_solution), the root's kept row, the count
+        # under the empty projection and the brute-force oracle agree on
+        # every program of the memo fuzz, in every form, both ways.  The
+        # empty projection puts all of a node's kept rows in one bucket, so
+        # the count is left out where a node keeps more than 20 rows (one
+        # paper-PHC solve of 22, which would take 16 s)
+        seen, uncounted = set(), 0
+        for form, ttd in memo_fuzz():
+            purged = purge(ttd)
+            consistent = has_solution(ttd)
+            assert bool(purged.kept[ttd.td.root]) is consistent, form
+            if max(map(len, purged.kept)) <= 20:
+                assert final_count(run_proj(purged, 0), purged) == consistent, form
+            else:
+                uncounted += 1
+            assert bool(oracle.enumerate_answer_sets(ttd.program)) is consistent, form
+            seen.add((form, classify(ttd.program).kind, consistent))
+        assert uncounted <= 1
+        kinds = {
+            "phc": (ProgramKind.TIGHT, ProgramKind.HEAD_CYCLE_FREE),
+            "paper phc": (ProgramKind.TIGHT, ProgramKind.HEAD_CYCLE_FREE),
+            "prim bitsets": tuple(ProgramKind),
+            "prim frozensets": tuple(ProgramKind),
+        }
+        assert seen == {(form, kind, c) for form, ks in kinds.items() for kind in ks for c in (False, True)}
 
     def test_purged_rows_reachable_from_parent(self, example1_td):
         program, ids, ttd = run_example1(example1_td)

@@ -433,8 +433,8 @@ class TestRunProj:
 
     def test_fuzz_reaches_every_bucket_path(self, monkeypatch):
         # each node shape is planned once: _plan runs for the first node of
-        # each key (its table, kept list and slot mask, and the same triple
-        # of each child), and the nodes after it share its bucket_of and
+        # each key (its table, kept list and slot mask, and its first
+        # child's slot mask), and the nodes after it share its bucket_of and
         # pos_in_bucket.  Every node evaluates each bucket once: a one-row
         # bucket whose row has one origin holds the product of the origin's
         # singleton counts over the node's children (an empty product at a
@@ -464,13 +464,13 @@ class TestRunProj:
         monkeypatch.setattr("paspc.proj._bucket_counts", counts)
         reached = Counter()
         for _, pmask, ttd, purged, got in self.seeded_fuzz():
-            part, first_of = {}, {}
+            smasks, first_of = {}, {}
             want = 0
             for t in ttd.post_order:
                 nd = ttd.td.nodes[t]
-                smask = sum(1 << ttd.slots[a] for a in nd.bag if pmask >> a & 1)
-                part[t] = id(ttd.tables[t]), id(purged.kept[t]), smask
-                first = first_of.setdefault((part[t], *map(part.get, nd.children)), t)
+                smasks[t] = smask = sum(1 << ttd.slots[a] for a in nd.bag if pmask >> a & 1)
+                child_smask = smasks[nd.children[0]] if nd.children else 0
+                first = first_of.setdefault((id(ttd.tables[t]), id(purged.kept[t]), smask, child_smask), t)
                 assert got.nodes[t].bucket_of is got.nodes[first].bucket_of
                 assert got.nodes[t].pos_in_bucket is got.nodes[first].pos_in_bucket
                 tab = ttd.table(t)
@@ -686,12 +686,16 @@ class TestRunProj:
 
 class TestPlanKeys:
     """A node is planned once per shape: its table object, its kept list, its
-    projected slot mask and each child's (table, kept list, slot mask).  A
-    node that differs from an earlier one in any of them plans anew."""
+    projected slot mask and its first child's slot mask (0 at a leaf).  A
+    node that differs from an earlier one in any of them plans anew.  The
+    children's tables and kept lists are not in the key: a shared table has
+    equal child row lists, the kept lists follow from the node's, and only
+    at a remove node does the child's slot mask say more than the node's,
+    namely whether the removed atom is projected."""
 
     # two equal blocks of guesses, the second also implied by the first at
     # b, projected onto the second: the blocks' nodes share tables and kept
-    # lists, but not projected slots, nor, above them, child partitions
+    # lists, but not projected slots, nor, above them, child slot masks
     TWO_BLOCKS = "a0 | na0. b0 | nb0. a1 | na1. b1 | nb1.\nb1 :- b0.\n#project a1, b1.\n"
 
     @pytest.mark.parametrize("algorithm", ("auto", "prim"))
@@ -747,3 +751,28 @@ class TestPlanKeys:
         assert got.nodes[t].pcnts != nodes[t].pcnts
         assert got.plans > result.proj_tables.plans
         assert_matches_reference(result.program.projection, purged, got)
+
+    def test_plan_shared_across_child_tables(self):
+        # two nodes of equal table, kept list and slot masks whose children
+        # hold different table objects (of equal rows, their origins told
+        # apart further down) share one plan, and every count still matches
+        # the defining recursion
+        result = pipeline.solve(parse_program(helpers.disjunctive_chain(20, 3)))
+        ttd, purged, proj = result.ttd, result.purged, result.proj_tables
+        pmask, slots = result.program.projection, ttd.slots
+        smasks, first_of, shared = {}, {}, 0
+        for t in ttd.post_order:
+            nd = ttd.td.nodes[t]
+            smasks[t] = smask = sum(1 << slots[a] for a in nd.bag if pmask >> a & 1)
+            if not nd.children:
+                continue
+            key = id(ttd.tables[t]), id(purged.kept[t]), smask, smasks[nd.children[0]]
+            first = first_of.setdefault(key, t)
+            child_tables = [id(ttd.tables[c]) for c in ttd.td.nodes[first].children]
+            if child_tables != [id(ttd.tables[c]) for c in nd.children]:
+                assert proj.nodes[t].bucket_of is proj.nodes[first].bucket_of, (first, t)
+                assert proj.nodes[t].pos_in_bucket is proj.nodes[first].pos_in_bucket, (first, t)
+                shared += 1
+        assert shared
+        assert result.count == 21**3
+        assert_matches_reference(pmask, purged, proj)
