@@ -3,13 +3,13 @@ normalization to nice decompositions with empty root and leaf bags.
 
 ``validate_td`` is the one decomposition check: ``pipeline.solve`` runs it on
 every supplied decomposition, and ``decompose`` builds valid ones.
-``make_nice`` is nice by construction and does not check its output."""
+``make_nice`` is nice by construction and does not check its output.  A nice
+decomposition's node ids are its evaluation order (``NiceTreeDecomposition.add``)."""
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right, insort
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .program import Program
@@ -246,37 +246,31 @@ class NiceTreeDecomposition:
     root: int = -1
 
     def add(self, kind: str, bag: frozenset[int], atom: int | None, children: tuple[int, ...]) -> int:
+        """Append a node; ``children`` are earlier ids, so the ids ascending are
+        a post-order, and ``make_nice`` adds the root last."""
         self.nodes.append(NiceNode(kind, bag, atom, children))
         return len(self.nodes) - 1
 
-    def post_order(self) -> list[int]:
-        order: list[int] = []
-        stack = [self.root]
-        while stack:
-            t = stack.pop()
-            order.append(t)
-            stack.extend(self.nodes[t].children)
-        order.reverse()
-        return order
+    def post_order(self) -> range:
+        return range(len(self.nodes))
 
     @property
     def width(self) -> int:
         return max(len(nd.bag) for nd in self.nodes) - 1
 
 
-def assign_slots(ntd: NiceTreeDecomposition, n_atoms: int, order: Sequence[int]) -> list[int]:
+def assign_slots(ntd: NiceTreeDecomposition, n_atoms: int) -> list[int]:
     """A slot in 0..width per atom, distinct among the atoms of each bag.
 
-    One top-down pass (reversed post-order): an atom enters the bags below
+    One top-down pass (node ids descending): an atom enters the bags below
     exactly one remove node, the parent of the topmost bag holding it, and
     there takes the lowest slot that the other atoms of that bag leave free.
     The bags are the cliques of a chordal supergraph of the primal graph, so
     width+1 slots suffice (Gavril 1972).  ``used[t]`` is the mask of the
-    slots taken in node t's bag.  Atoms in no bag keep slot -1.  ``order``
-    is the decomposition's post-order."""
+    slots taken in node t's bag.  Atoms in no bag keep slot -1."""
     slots = [-1] * n_atoms
     used = [0] * len(ntd.nodes)
-    for t in reversed(order):
+    for t in reversed(range(len(ntd.nodes))):
         nd = ntd.nodes[t]
         taken = used[t]
         if nd.kind == REMOVE:

@@ -1,4 +1,6 @@
-"""Post-order dynamic-programming driver over a nice tree decomposition.
+"""The post-order dynamic program over a nice tree decomposition, whose
+node ids are the evaluation order (``NiceTreeDecomposition.add``): ``run_dp``
+visits them ascending and ``purge`` descending, without walking the tree.
 
 Rows index atoms by bag slot, not by atom id: every atom gets a slot in
 0..width (``decomposition.assign_slots``), distinct among the atoms of each
@@ -171,7 +173,7 @@ class TabledTreeDecomposition:
     alg: TableAlgorithm
     tables: list[NodeTable]  # per node; nodes of equal inputs share one read-only table
     slots: list[int]  # per atom: its bag slot
-    post_order: list[int] = field(default_factory=list)
+    post_order: range  # the node ids: children before parents
     seconds: dict[str, float] = field(default_factory=dict)  # wall seconds of run_dp per node kind
     row_counts: dict[str, int] = field(default_factory=dict)  # rows of run_dp per node kind
     max_table: int = 0  # rows of the largest table
@@ -257,13 +259,13 @@ def node_table(alg: TableAlgorithm, kind: str, ctx: Any, child_tables: Sequence[
 
 
 def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> TabledTreeDecomposition:
-    """Run the table algorithm over all nodes in post-order.  A node whose
+    """Run the table algorithm over all nodes by ascending id.  A node whose
     kind, context and child row lists equal an earlier node's takes that
     node's table (see the module docstring)."""
     context = alg.context
     nodes = td.nodes
     order = td.post_order()
-    slots = assign_slots(td, program.n_atoms, order)
+    slots = assign_slots(td, program.n_atoms)
     # for this solve only, one object per distinct rule form: rules that
     # differ only in their atoms' names translate to equal forms
     forms: dict[Hashable, Hashable] = {}
@@ -283,7 +285,7 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
     memo: dict[tuple, tuple[NodeTable, int, int]] = {}
     clock = time.perf_counter
     start = clock()
-    # post-order: every child's table exists before its parent's
+    # ids ascending: every child's table exists before its parent's
     for t in order:
         nd = nodes[t]
         kind, children = nd.kind, nd.children

@@ -127,11 +127,11 @@ def solve(
         t0 = time.perf_counter()
         nice = make_nice(td)
         stats.timings["make_nice"] = time.perf_counter() - t0
-        stats.width = nice.width
+        stats.width = width = nice.width
         stats.nodes = len(nice.nodes)
 
         t0 = time.perf_counter()
-        alg = pick_algorithm(program_class, algorithm, nice.width)
+        alg = pick_algorithm(program_class, algorithm, width)
         stats.algorithm = alg.name
         ttd = engine.run_dp(alg, program, nice)
         stats.timings["dp"] = time.perf_counter() - t0

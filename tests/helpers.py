@@ -1,9 +1,10 @@
 """Shared test support: the running example, a hand-built 14-node nice
-decomposition for it, the paper's full-ordering PHC as a reference, random
-valid decompositions, seeded random program generators per class, a
-disjunctive chain with a closed-form count, the
-seeded projection fuzz draws, seeded draws with rules whose head or
-negative body meets their positive body, and a ``sys.getsizeof`` walk."""
+decomposition for it, decomposition texts with their exact diagnostics,
+the paper's full-ordering PHC as a reference, random valid decompositions,
+seeded random program generators per class, a disjunctive chain with a
+closed-form count, the seeded projection fuzz draws, seeded draws with
+rules whose head or negative body meets their positive body, and a
+``sys.getsizeof`` walk."""
 
 from __future__ import annotations
 
@@ -38,6 +39,26 @@ x3 :- x5. x1. x1 | x5 :- x3. x2.
 # disjunctive, with head cycles a <-> b and e <-> f: ``prim`` rows carry
 # counter sets of several elements
 HEAD_CYCLE_TEXT = "a | b. a :- b. b :- a. c | d. e | f :- c. e :- f. f :- e. g | h :- d. g :- h, e.\n"
+
+# ``read_td`` texts for the running example's five atoms, each with the
+# (line, column, message) of the diagnostic it fails with; comment lines
+# count towards the line numbers
+TD_DIAGNOSTICS = [
+    ("c one\nc two\ns td 1 5 5\nc three\ns td 1 5 5\n", 5, 1, "duplicate solution line"),
+    ("s td 1 5\n", 1, 1, "malformed solution line"),
+    ("s tw 1 5 5\n", 1, 1, "malformed solution line"),
+    ("c header\ns td one 5 5\n", 2, 1, "malformed solution line"),
+    ("c header next\nb 1 1 2 3 4 5\ns td 1 5 5\n", 2, 1, "content before solution line"),
+    ("s td 1 5 5\nb x 1 2\n", 2, 1, "malformed bag line"),
+    ("s td 1 5 5\nc empty bag line\nb\n", 3, 1, "malformed bag line"),
+    ("s td 2 5 5\nb 1 1 2 3 4 5\nb 2\n1 x\n", 4, 1, "malformed edge line"),
+    ("s td 2 5 5\nb 1 1 2 3 4 5\nb 2\n1\n", 4, 1, "malformed edge line"),
+    ("s td 2 5 5\nb 1 1 2 3 4 5\nb 2\n1 2 2\n", 4, 1, "malformed edge line"),
+    ("s td 2 5 5\nb 1 1 2 3 4 5\nb 2\n1 3\n", 4, 1, "bag id out of range in edge 1 3"),
+    ("s td 2 5 5\nb 1 1 2 3 4 5\nb 2\n0 1\n", 4, 1, "bag id out of range in edge 0 1"),
+    ("c no header\n", 1, 1, "missing solution line"),
+    ("", 1, 1, "missing solution line"),
+]
 
 
 def example1() -> Program:

@@ -172,6 +172,20 @@ class TestExitCodes:
         assert code == 2
         assert "unknown --td value 'bogus'" in err
 
+    @pytest.mark.parametrize("text, line, column, message", helpers.TD_DIAGNOSTICS)
+    def test_td_file_diagnostic(self, text, line, column, message, ex1_file, tmp_path, capsys):
+        td = tmp_path / "bad.td"
+        td.write_text(text)
+        code, out, err = run(capsys, "solve", ex1_file, "--td", f"file:{td}")
+        assert (code, out, err) == (3, "", f"invalid decomposition: line {line}, column {column}: {message}\n")
+
+    def test_td_file_without_bags(self, ex1_file, tmp_path, capsys):
+        # the header's bag count passes read_td; validate_td rejects it
+        td = tmp_path / "empty.td"
+        td.write_text("s td 0 0 5\n")
+        code, out, err = run(capsys, "solve", ex1_file, "--td", f"file:{td}")
+        assert (code, out, err) == (3, "", "invalid decomposition: decomposition has no nodes\n")
+
     def test_disconnected_td_file(self, ex1_file, tmp_path, capsys):
         td = tmp_path / "forest.td"
         td.write_text("s td 2 5 5\nb 1 1 2 3 4 5\nb 2\n")

@@ -118,6 +118,18 @@ class TestDecompose:
 
 
 class TestValidateTd:
+    def test_no_nodes(self):
+        assert validate_td(PrimalGraph(0), TreeDecomposition([], [])) == ["decomposition has no nodes"]
+
+    def test_edge_to_unknown_node(self):
+        # the edge is dropped from the tree, so the tree checks see one bag
+        # apart and one edge too many
+        td = TreeDecomposition([frozenset({0}), frozenset({0})], [(0, 2)])
+        assert validate_td(PrimalGraph(1), td) == [
+            "edge (0,2) references unknown node",
+            "bag tree is disconnected",
+        ]
+
     def test_disconnected_bags(self):
         g = PrimalGraph(2)
         td = TreeDecomposition([frozenset({0}), frozenset({1})], [])
@@ -254,6 +266,36 @@ class TestMakeNice:
                 assert check_nice(ntd) == []
                 assert ntd.width == plain.width
 
+    @staticmethod
+    def order_problems(ntd):
+        """Where node ids fail to be a post-order: a child id at or above
+        its parent's, or a root that is not the last id.  ``run_dp`` and
+        ``purge`` walk the ids in place of the tree, and ``run_dp``'s row-list
+        ids start at 0 for every node, so a child visited after its parent
+        would be read as row list 0 without an error."""
+        problems = [f"child {c} of node {t}" for t, nd in enumerate(ntd.nodes) for c in nd.children if c >= t]
+        if ntd.root != len(ntd.nodes) - 1:
+            problems.append(f"root {ntd.root} of {len(ntd.nodes)} nodes")
+        return problems
+
+    def test_node_ids_are_a_post_order(self, example1_td):
+        # every fuzz program's random decomposition at every root, plus the
+        # hand-built fourteen-node tree
+        _, ntd, _ = example1_td
+        assert self.order_problems(ntd) == []
+        rng = random.Random(3030)
+        programs = [p for _, p, _ in helpers.projection_fuzz()] + list(helpers.overlap_fuzz())
+        for p in programs:
+            td = helpers.random_decomposition(rng, primal_graph(p))
+            for root in range(len(td.bags)):
+                ntd = make_nice(td, root=root)
+                assert self.order_problems(ntd) == []
+                assert ntd.post_order() == range(len(ntd.nodes))
+
+    def test_no_nodes(self):
+        with pytest.raises(ValueError, match="decomposition has no nodes"):
+            make_nice(TreeDecomposition([], []))
+
     def test_empty_hub_with_many_children(self):
         # an empty bag linking four subtrees becomes three joins over the
         # empty bag, whichever bag is the root
@@ -295,7 +337,7 @@ def slot_problems(ntd, slots, n_atoms):
 class TestSlots:
     def test_fourteen_node_fixture(self, example1_td):
         program, ntd, _ = example1_td
-        assert slot_problems(ntd, assign_slots(ntd, program.n_atoms, ntd.post_order()), program.n_atoms) == []
+        assert slot_problems(ntd, assign_slots(ntd, program.n_atoms), program.n_atoms) == []
 
     def test_seeded_nice_decompositions(self):
         rng = random.Random(2718)
@@ -307,9 +349,9 @@ class TestSlots:
                 for seed in (0, 1, 2):
                     ntd = make_nice(decompose(g, h, seed))
                     widths.add(ntd.width)
-                    assert slot_problems(ntd, assign_slots(ntd, p.n_atoms, ntd.post_order()), p.n_atoms) == []
+                    assert slot_problems(ntd, assign_slots(ntd, p.n_atoms), p.n_atoms) == []
             ntd = make_nice(helpers.random_decomposition(rng, g))
-            assert slot_problems(ntd, assign_slots(ntd, p.n_atoms, ntd.post_order()), p.n_atoms) == []
+            assert slot_problems(ntd, assign_slots(ntd, p.n_atoms), p.n_atoms) == []
         assert max(widths) >= 6
 
     def test_td_file_inputs(self, tmp_path, capsys):

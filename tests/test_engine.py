@@ -92,6 +92,10 @@ class TestNodeTable:
         assert table_dict(node_table(alg, LEAF, is_model(0, []), [])) == {empty_row: [()]}
         assert table_dict(node_table(alg, LEAF, is_model(0, [alg.rule(Rule((), (), ()), [])]), [])) == {}
 
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown node kind 'bogus'"):
+            node_table(PHC, "bogus", None, [])
+
 
 class TestBagPrograms:
     """A node's bag program, the rules that fit its bag, reaches the table

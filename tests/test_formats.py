@@ -259,6 +259,19 @@ class TestTdFormat:
         with pytest.raises(ParseError):
             read_td("s td 2 1 1\nb 3 1\nb 1 1\n1 2", 1)
 
+    @pytest.mark.parametrize("text, line, column, message", helpers.TD_DIAGNOSTICS)
+    def test_exact_diagnostic(self, text, line, column, message):
+        with pytest.raises(ParseError) as err:
+            read_td(text, 5)
+        d = err.value.diagnostic
+        assert (d.line, d.column, d.message) == (line, column, message)
+        assert str(err.value) == f"line {line}, column {column}: {message}"
+
+    def test_comment_lines_are_skipped(self):
+        plain = "s td 2 3 5\nb 1 1 2 3\nb 2 3 4 5\n1 2"
+        commented = "c first\n" + plain.replace("\n", "\nc between\n") + "\nc last"
+        assert read_td(commented, 5) == read_td(plain, 5)
+
     def test_header_vertex_mismatch(self):
         with pytest.raises(ParseError):
             read_td("s td 1 1 4\nb 1 1", 5)

@@ -180,6 +180,10 @@ class TestRule:
         assert p.rules == (Rule((0, 1), (2, 3), (4,)), Rule((2,), (), ()), Rule((1,), (), (0,)))
         assert all(type(r) is Rule for r in p.rules)
 
+    def test_from_specs_rejects_unknown_projection_atom(self):
+        with pytest.raises(ValueError, match="projection atom 'z' does not occur in any rule"):
+            Program.from_specs([(("a",), (), ())], projection=["a", "z"])
+
     def test_parse_keeps_first_occurrence(self):
         p = parse_program("b | a :- c, d, not e.\nc.\na | b :- not e, d, c, c.\nc.\na :- not b.\n")
         assert p == Program.from_specs([(("b", "a"), ("c", "d"), ("e",)), (("c",), (), ()), (("a",), (), ("b",))])

@@ -500,7 +500,7 @@ class TestRunProj:
             assert planned == list(first_of.values())
             assert got.plans == len(planned) == len({id(node.bucket_of) for node in got.nodes})
             assert evaluations == want
-            assert evaluated == ttd.post_order
+            assert evaluated == list(ttd.post_order)
             planned.clear()
             evaluated.clear()
             evaluations = 0
