@@ -23,10 +23,11 @@ first all fit a bag there: the rules of an introduced atom that fit its
 bag, and the atomless rules at a leaf.  Every other rule that fits the bag
 was checked below, on the same interpretation of its atoms.  ``run_dp``
 keeps the entering rules only while it runs; ``entering_rules`` rebuilds
-them.  Tables keep their rows in the order the algorithm first emitted
-them; a later top-down pass (purge) keeps the table indices of the rows
-reachable from the solution row at the root, and nothing else, so the
-projection pass reads the kept rows and their origins in place.
+them.  Tables keep their rows in first-appearance order over the solve
+(see the row pool below); a later top-down pass (purge) keeps the table
+indices of the rows reachable from the solution row at the root, and
+nothing else, so the projection pass reads the kept rows and their origins
+in place.
 
 A row's origins are its child rows, each encoded as one int: the child
 row's index under one child, and ``i * len(right_rows) + j`` for the pair of
@@ -43,10 +44,16 @@ child-index tuples on each access, for traces and tests.
 
 Rows are immutable and slot-encoded, so the same few rows recur at node
 after node.  ``run_dp`` keeps one object per distinct row over all tables of
-a solve: a row pool, local to the call, re-points each new table's rows at
-the pooled ones, and its size is ``distinct_rows``.  Tables of one solve
-therefore share row objects, and no two solves share any but the
-algorithm's constant ``solution_row``.
+a solve: a row pool, local to the call, gives each row a serial when it
+first appears, re-points each new table's rows at the pooled ones, and its
+size is ``distinct_rows``.  Tables of one solve therefore share row objects,
+and no two solves share any but the algorithm's constant ``solution_row``.
+``node_table`` returns its rows in the order the algorithm first emitted
+them; ``run_dp`` then stores every table's rows in ascending serial order,
+its origins moved with them, which is the order in which the rows first
+appear over the solve, nodes by ascending id.  A table whose rows are all
+new is in that order as emitted.  An origin indexes the child's stored
+rows, so origins stay strictly ascending.
 
 A node's table is a function of its kind, its context and its child row
 lists.  The algorithm's ``context`` states everything an introduce or
@@ -58,11 +65,11 @@ context: ``prim`` its atom's slot and its entering rules' forms, ``phc``
 also the bag slots that its orderings compare (see ``phc``).  The generators
 read only the context, the child rows and an algorithm object that a solve
 never changes, and ``node_table`` builds each table from exactly that
-context, so the context is also the memo key.  Pooled rows make row
-lists cheap to compare: equal rows are one object, so ``run_dp`` names
+context, so the context is also the memo key.  Which rows a table holds
+depends on its child row sets, not on their order, and in first-appearance
+order equal row sets of one solve are one row list, so ``run_dp`` names
 each distinct row list by a small int, looked up by the tuple of its rows'
-ids, which stay valid because the pool keeps every row alive while it
-runs.  A memo, local to the call, maps (kind, context, child row-list ids)
+serials.  A memo, local to the call, maps (kind, context, child row-list ids)
 to the table built for them, and a node whose key equals an earlier node's
 takes that table object instead of building its own: nodes of equal inputs
 share one read-only ``NodeTable``.  ``built_tables`` counts the tables
@@ -129,8 +136,9 @@ NO_MORE: Mapping[int, tuple[int, ...]] = MappingProxyType({})
 
 
 class NodeTable:
-    """Rows in emission order and their int-encoded origins (see the module
-    docstring): ``first[j]`` is row j's first origin, and ``more[j]``, where
+    """Rows in first-appearance order over the solve and their int-encoded
+    origins (see the module docstring): ``first[j]`` is row j's first
+    origin, and ``more[j]``, where
     present, the tuple of its further ones, all strictly ascending.
     ``arity`` is the node's number of children, and ``stride`` the right
     child's row count at a join (0 elsewhere): origin o of a join row decodes to
@@ -259,9 +267,10 @@ def node_table(alg: TableAlgorithm, kind: str, ctx: Any, child_tables: Sequence[
 
 
 def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> TabledTreeDecomposition:
-    """Run the table algorithm over all nodes by ascending id.  A node whose
-    kind, context and child row lists equal an earlier node's takes that
-    node's table (see the module docstring)."""
+    """Run the table algorithm over all nodes by ascending id, each built
+    table's rows put in first-appearance order.  A node whose kind, context
+    and child row lists equal an earlier node's takes that node's table
+    (see the module docstring)."""
     context = alg.context
     nodes = td.nodes
     order = td.post_order()
@@ -277,10 +286,13 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
     seconds = dict.fromkeys((LEAF, INTRODUCE, REMOVE, JOIN), 0.0)
     row_counts = dict.fromkeys(seconds, 0)
     max_table = origin_links = 0
-    # for this solve only: one object per distinct row over all tables, a
-    # small int per distinct row list (as the ids of its pooled rows), and
-    # per node key its table, its row list's id and its origin count
-    pool: dict[Any, Any] = {}
+    # for this solve only: per distinct row over all tables its serial, and
+    # per serial the row's one object; a small int per distinct row list
+    # (as its rows' serials); and per node key its table, its row list's id
+    # and its origin count
+    pool: dict[Any, int] = {}
+    pooled: dict[int, Any] = {}
+    serial = 0  # above every serial given so far
     list_ids: dict[tuple[int, ...], int] = {}
     memo: dict[tuple, tuple[NodeTable, int, int]] = {}
     clock = time.perf_counter
@@ -301,12 +313,26 @@ def run_dp(alg: TableAlgorithm, program: Program, td: NiceTreeDecomposition) -> 
         hit = memo.get(key)
         if hit is None:
             tab = node_table(alg, kind, ctx, [tables[c] for c in children])
-            tab.rows = list(map(pool.setdefault, tab.rows, tab.rows))
+            # a new row's serial is ``base`` plus its index: serials grow, with
+            # gaps, in first-appearance order, one pool lookup per row gives
+            # it, and a table of new rows is in serial order already
+            rows = tab.rows
+            base, serial = serial, serial + len(rows)
+            serials = list(map(pool.setdefault, rows, range(base, serial)))
+            ordered = sorted(serials)
+            if ordered != serials:
+                perm = sorted(range(len(rows)), key=serials.__getitem__)
+                rows = list(map(rows.__getitem__, perm))
+                tab.first = array("q", map(tab.first.__getitem__, perm))
+                if tab.more:
+                    to = {j: k for k, j in enumerate(perm)}
+                    tab.more = {to[j]: further for j, further in tab.more.items()}
+            tab.rows = list(map(pooled.setdefault, ordered, rows))
             # one origin per row, and a row's further ones in the side store
             links = len(tab.rows)
             if tab.more:
                 links += sum(map(len, tab.more.values()))
-            hit = memo[key] = tab, list_ids.setdefault(tuple(map(id, tab.rows)), len(list_ids)), links
+            hit = memo[key] = tab, list_ids.setdefault(tuple(ordered), len(list_ids)), links
         tab, lists[t], links = hit
         tables[t] = tab
         n = len(tab.rows)

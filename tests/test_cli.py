@@ -349,8 +349,9 @@ class TestSideOutputs:
         ),
     )
     def test_trace_independent_of_hash_seed(self, text, tmp_path):
-        # tables keep their emission order, which hashes only ints, tuples
-        # and frozensets of ints; string hashing must not leak into it
+        # tables keep their rows in first-appearance order over the solve,
+        # which hashes only ints, tuples and frozensets of ints; string
+        # hashing must not leak into it
         path = tmp_path / "p.lp"
         path.write_text(text)
         src = os.path.dirname(os.path.dirname(paspc.__file__))

@@ -3,6 +3,8 @@ import inspect
 import random
 from bisect import bisect_left
 from collections import Counter
+from itertools import chain
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +97,19 @@ class TestNodeTable:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown node kind 'bogus'"):
             node_table(PHC, "bogus", None, [])
+
+    def test_rows_in_emission_order(self):
+        # node_table keeps the order the algorithm first emitted each row
+        # in, whatever order run_dp later stores them in; a repeated row
+        # adds a further origin
+        class Emitting:
+            def introduce(self, ctx, child_rows):
+                return iter(ctx)
+
+        pairs = (("b", 0), ("a", 0), ("b", 1), ("c", 1), ("a", 2))
+        tab = node_table(Emitting(), INTRODUCE, pairs, [table_of(["x", "y", "z"], [[()]] * 3)])
+        assert tab.rows == ["b", "a", "c"]
+        assert list(tab.first) == [0, 0, 1] and dict(tab.more) == {0: (1,), 1: (2,)}
 
 
 class TestBagPrograms:
@@ -512,17 +527,29 @@ class TestNodeMemo:
     @staticmethod
     def check_fresh(form, ttd):
         """Every node's table, shared or not, is what node_table builds from
-        that node's own child tables; one table object per build.  Returns
-        the number of nodes that took an earlier node's table."""
+        that node's own child tables, its rows put in first-appearance order
+        over the solve and its origins moved with them; a table whose rows
+        all appear first at it keeps node_table's emission order as it is.
+        One table object per build.  Returns the number of nodes that took
+        an earlier node's table."""
         td = ttd.td
         rules = node_rules(ttd)
+        number: dict = {}
         for t in ttd.post_order:
             nd = td.nodes[t]
             fresh = node_table(ttd.alg, nd.kind, node_context(ttd, t, rules[t]), [ttd.table(c) for c in nd.children])
             tab = ttd.table(t)
-            assert tab.rows == fresh.rows, (form, t)
-            assert list(tab.first) == list(fresh.first) and dict(tab.more) == dict(fresh.more), (form, t)
+            seen = len(number)
+            for row in tab.rows:
+                number.setdefault(row, len(number))
+            perm = sorted(range(len(fresh.rows)), key=lambda j: number[fresh.rows[j]])
+            to = {j: k for k, j in enumerate(perm)}
+            assert tab.rows == [fresh.rows[j] for j in perm], (form, t)
+            assert list(tab.first) == [fresh.first[j] for j in perm], (form, t)
+            assert dict(tab.more) == {to[j]: further for j, further in fresh.more.items()}, (form, t)
             assert (tab.arity, tab.stride) == (fresh.arity, fresh.stride), (form, t)
+            if min(map(number.__getitem__, tab.rows), default=seen) >= seen:
+                assert tab.rows == fresh.rows and list(tab.first) == list(fresh.first), (form, t)
         assert len({id(tab) for tab in ttd.tables}) == ttd.built_tables <= len(td.nodes), form
         return len(td.nodes) - ttd.built_tables
 
@@ -550,6 +577,54 @@ class TestNodeMemo:
         first, second = pipeline.solve(p), pipeline.solve(p)
         assert first.stats.built_tables < first.stats.nodes
         assert not {id(tab) for tab in first.ttd.tables} & {id(tab) for tab in second.ttd.tables}
+
+
+def first_sight(ttd):
+    """Each distinct row of a solve numbered in first-appearance order: by
+    ascending node id, and in table order within a node."""
+    number: dict = {}
+    for t in ttd.post_order:
+        for row in ttd.table(t).rows:
+            number.setdefault(row, len(number))
+    return number
+
+
+class TestRowOrder:
+    """Every table holds its rows in first-appearance order over the solve,
+    whatever order the algorithm emitted them in, so equal row sets of one
+    solve are one row list, which the node memo keys on."""
+
+    @staticmethod
+    def check_order(note, ttd, want):
+        number = first_sight(ttd)
+        for t in ttd.post_order:
+            assert strictly_ascending([number[row] for row in ttd.table(t).rows]), (note, t)
+        lists = {tuple(map(id, tab.rows)) for tab in ttd.tables}
+        assert len(lists) == len({frozenset(tab.rows) for tab in ttd.tables}), note
+        purged = purge(ttd)
+        assert final_count(run_proj(purged, ttd.program.projection), purged) == want, note
+
+    def test_fuzz_in_every_form(self):
+        # both fuzzes yield the forms of one program in a row
+        program = want = None
+        forms = Counter()
+        for form, ttd in chain(memo_fuzz(), origin_fuzz()):
+            if ttd.program is not program:
+                program, want = ttd.program, oracle.projected_count(ttd.program)
+            self.check_order(form, ttd, want)
+            forms[form] += 1
+        assert set(forms) == {"phc", "paper phc", "prim bitsets", "prim frozensets", "prim frozensets, wide"}
+
+    def test_disjunctive_workload(self, monkeypatch):
+        # the bench's disj text: emission orders there repeat one row set in
+        # many orders, which first-appearance order makes one list
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        import workloads
+
+        w = workloads.WORKLOADS["disj"]
+        result = pipeline.solve(parse_program(workloads.workload_text(w, 1)), seed=w.td_seed)
+        self.check_order("disj", result.ttd, w.expected())
+        assert result.count == w.expected()
 
 
 # the disjunctive chain less its q_i :- p_i rules: a tight program whose
